@@ -38,13 +38,12 @@ def _pc_dict(g: LabelledGraph, pc: outer.PartialConjugation) -> dict:
 
 
 def build_report(g: LabelledGraph, ordering=None) -> dict:
-    """The full classification report as a JSON-ready dict."""
-    sil_list = sils.enumerate_sils(g)
-    stil_list = sils.enumerate_stils(g)
-    fsil_list = sils.enumerate_fsils(g, sil_list)
-    out_class = outer.classify(g, sil_list, stil_list, fsil_list)
-    pres = outer.presentation(g, ordering)
-    disc = outer.disconnected_structure(g)
+    """The full classification report as a JSON-ready dict, read from one
+    census of ``g``."""
+    census = sils.Census(g)
+    out_class = outer.classify(census)
+    pres = outer.presentation(census, ordering)
+    disc = outer.disconnected_structure(census)
 
     warnings = []
     if (out_class.kind is outer.OutKind.LARGE and out_class.fsils
@@ -65,13 +64,13 @@ def build_report(g: LabelledGraph, ordering=None) -> dict:
             "stils": out_class.stils,
             "fsils": out_class.fsils,
         },
-        "sils": [_sil_dict(g, s) for s in sil_list],
+        "sils": [_sil_dict(g, s) for s in census.sils],
         "stils": [{"triple": [g.names[v] for v in s.triple],
                    "component": _vertex_names(g, s.component)}
-                  for s in stil_list],
+                  for s in census.stils],
         "fsils": [{"triple": [g.names[v] for v in f.triple],
                    "witnesses": [_sil_dict(g, s) for s in f.sils]}
-                  for f in fsil_list],
+                  for f in census.fsils],
         "p0": [_pc_dict(g, pc) for pc in pres.generators],
         "presentation": {
             "generators": [_pc_dict(g, pc) for pc in pres.generators],
@@ -135,9 +134,10 @@ def cmd_classify(args) -> int:
     report = build_report(g, ordering)
     print(json.dumps(report, indent=2, ensure_ascii=False))
     if args.dot:
-        sil_list = sils.enumerate_sils(g)
-        acting = {v for s in sil_list for v in s.pair}
-        separated = {v for s in sil_list for v in s.component} - acting
+        # the report's Sils are the census's; read them back, not recompute
+        acting = {g.index(name) for s in report["sils"] for name in s["pair"]}
+        separated = {g.index(name) for s in report["sils"]
+                     for name in s["component"]} - acting
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, acting, separated))
     return 0
@@ -145,7 +145,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sils(args) -> int:
     g = load_graph(args.graph)
-    for s in sils.enumerate_sils(g):
+    for s in sils.Census(g).sils:
         print(json.dumps(_sil_dict(g, s), ensure_ascii=False))
     return 0
 
@@ -153,7 +153,7 @@ def cmd_sils(args) -> int:
 def cmd_gens(args) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(g, args.ordering)
-    for pc in outer.build_p0(g, ordering).gens:
+    for pc in outer.build_p0(sils.Census(g), ordering).gens:
         print(json.dumps(_pc_dict(g, pc), ensure_ascii=False))
     return 0
 
@@ -161,7 +161,7 @@ def cmd_gens(args) -> int:
 def cmd_presentation(args) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(g, args.ordering)
-    pres = outer.presentation(g, ordering)
+    pres = outer.presentation(sils.Census(g), ordering)
     print(json.dumps({
         "generators": [_pc_dict(g, pc) for pc in pres.generators],
         "commuting_edges": sorted(map(list, pres.commuting_edges)),
@@ -184,14 +184,15 @@ def cmd_verify(args) -> int:
             oracle_max_vertices=args.oracle_max_vertices,
             workers=args.workers,
         )
-        reports = harness.run_suite(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    graphs = list(harness.enumerate_graphs(spec))
+    reports = harness.check_graphs(graphs, spec)
     for report in reports:
         print(report.to_json_line())
     print(json.dumps({
-        "checked_graphs": harness.count_graphs(spec),
+        "checked_graphs": len(graphs),
         "checks": sorted(checks),
         "counterexamples": len(reports),
         "dedup": spec.dedup_isomorphic,

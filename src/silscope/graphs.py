@@ -107,6 +107,9 @@ def make_graph(vertices: Iterable[tuple[str, int]],
     vertices = list(vertices)
     if not vertices:
         raise GraphError("a graph needs at least one vertex")
+    for name, _ in vertices:
+        if not isinstance(name, str) or not name:
+            raise GraphError(f"vertex name {name!r} is not a non-empty string")
     names = tuple(name for name, _ in vertices)
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
@@ -234,16 +237,20 @@ def from_json_dict(data: object) -> LabelledGraph:
         raw_vertices = data["vertices"]
     except KeyError:
         raise GraphError("graph JSON is missing the 'vertices' key") from None
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("'vertices' and 'edges' must be JSON arrays")
     vertices = []
     for entry in raw_vertices:
         if not isinstance(entry, dict) or "name" not in entry:
             raise GraphError(f"bad vertex entry: {entry!r}")
         vertices.append((entry["name"], entry.get("order", 2)))
-    edges = [tuple(e) for e in data.get("edges", [])]
-    for e in edges:
-        if len(e) != 2:
-            raise GraphError(f"bad edge entry: {list(e)!r}; expected a pair of names")
-    return make_graph(vertices, edges)
+    for e in raw_edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(name, str) for name in e)):
+            raise GraphError(f"bad edge entry: {e!r}; expected an array of two "
+                             "vertex names")
+    return make_graph(vertices, [tuple(e) for e in raw_edges])
 
 
 def to_json(g: LabelledGraph) -> str:
@@ -355,8 +362,12 @@ def _dot_name(token: str, lineno: int) -> str:
 
 def load_graph(path: str) -> LabelledGraph:
     """Load a graph file, dispatching on extension (.dot/.gv vs JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                         f"{exc.reason})") from None
     if path.endswith((".dot", ".gv")):
         return from_dot(text)
     return from_json(text)

@@ -7,9 +7,10 @@ The suite enumerates all graphs up to a vertex bound, optionally one
 representative per isomorphism class, runs each requested check, and
 reports counterexamples; an empty report is the expected outcome.
 
-Checks are pure functions of the graph, so the suite can fan the graph
-list out to worker processes; reports are merged by (graph encoding,
-check id), making the output independent of scheduling.
+Checks are pure functions of the graph's census (one :class:`Census` is
+built per graph and shared by every check run on it), so the suite can
+fan the graph list out to worker processes; reports are merged by (graph
+encoding, check id), making the output independent of scheduling.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .graphs import (LabelledGraph, components, from_json_dict, is_connected,
-                     is_prime_power, link, star, to_json_dict)
+from .graphs import LabelledGraph, from_json_dict, is_prime_power, to_json_dict
 from .outer import build_p0, commutes
-from .sils import (SharedComponentError, enumerate_fsils, enumerate_sils,
-                   enumerate_stils, shared_sil_component)
+from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
@@ -64,6 +63,10 @@ class EnumSpec:
                 raise ValueError(f"order alphabet entry {m} is not a prime power >= 2")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown check ids: {unknown}; "
+                             f"known: {sorted(CHECKS)}")
 
 
 @dataclass(frozen=True)
@@ -168,14 +171,15 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Checks: each takes (graph, spec) and returns a report or None
+# Checks: each takes (census, spec) and returns a report or None
 
 
-def check_lemma_2_2(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_2_2(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Every separating pair shares its separated component on both sides."""
-    for sil in enumerate_sils(g):
+    g = census.graph
+    for sil in census.sils:
         try:
-            shared_sil_component(g, sil)
+            shared_sil_component(census, sil)
         except SharedComponentError as exc:
             return _report("lemma_2_2", g,
                            {"pair": _names(g, sil.pair),
@@ -184,13 +188,13 @@ def check_lemma_2_2(g: LabelledGraph, spec: EnumSpec) -> Optional[Counterexample
     return None
 
 
-def check_lemma_4(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_4(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """A graph with exactly one separating pair has no separating triple."""
-    sils = enumerate_sils(g)
-    if len(sils) != 1:
+    if len(census.sils) != 1:
         return None
-    stils = enumerate_stils(g)
+    stils = census.stils
     if stils:
+        g = census.graph
         return _report("lemma_4", g,
                        {"triple": _names(g, stils[0].triple),
                         "component": _names(g, stils[0].component)},
@@ -198,13 +202,14 @@ def check_lemma_4(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleRe
     return None
 
 
-def check_stil_two_sils(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_stil_two_sils(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Any separating triple forces at least two distinct separating pairs."""
-    stils = enumerate_stils(g)
+    stils = census.stils
     if not stils:
         return None
-    sils = enumerate_sils(g)
+    sils = census.sils
     if len(sils) < 2:
+        g = census.graph
         return _report("stil_two_sils", g,
                        {"triple": _names(g, stils[0].triple),
                         "sil_count": len(sils)},
@@ -212,16 +217,17 @@ def check_stil_two_sils(g: LabelledGraph, spec: EnumSpec) -> Optional[Counterexa
     return None
 
 
-def check_lemma_7(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
-    if not is_connected(g):
+    if len(census.components()) > 1:
         return None
-    sils = enumerate_sils(g)
+    sils = census.sils
     if len(sils) != 1:
         return None
+    g = census.graph
     for v in sils[0].pair:
-        ncomp = len(components(g, g.vertex_set() - star(g, v)))
+        ncomp = len(census.star_components(v))
         if ncomp != 2:
             return _report("lemma_7", g,
                            {"vertex": g.names[v], "components": ncomp},
@@ -230,22 +236,22 @@ def check_lemma_7(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleRe
     return None
 
 
-def check_lemma_1_7(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_1_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Two separating pairs sharing one vertex and a witness give a
     separating triple on the three vertices at that witness."""
-    if not is_connected(g):
+    if len(census.components()) > 1:
         return None
-    sils = enumerate_sils(g)
-    for s1, s2 in itertools.combinations(sils, 2):
+    g = census.graph
+    for s1, s2 in itertools.combinations(census.sils, 2):
         common = set(s1.pair) & set(s2.pair)
         if len(common) != 1:
             continue
         x1 = common.pop()
         x2 = next(v for v in s1.pair if v != x1)
         x3 = next(v for v in s2.pair if v != x1)
+        shared = g.adj[x1] & g.adj[x2] & g.adj[x3]
         for z in sorted(s1.component & s2.component):
-            shared = link(g, x1) & link(g, x2) & link(g, x3)
-            for comp in components(g, g.vertex_set() - shared):
+            for comp in census.components(shared):
                 if z in comp:
                     if comp & {x1, x2, x3}:
                         return _report(
@@ -258,40 +264,41 @@ def check_lemma_1_7(g: LabelledGraph, spec: EnumSpec) -> Optional[Counterexample
     return None
 
 
-def check_finite_equiv(g: LabelledGraph, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_finite_equiv(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """No separating pair iff all generator pairs commute."""
-    sils = enumerate_sils(g)
-    gens = build_p0(g).gens
-    all_commute = all(commutes(g, x, y, sils)
+    sils = census.sils
+    gens = build_p0(census).gens
+    all_commute = all(commutes(census, x, y)
                       for x, y in itertools.combinations(gens, 2))
     if (not sils) != all_commute:
-        return _report("finite_equiv", g,
+        return _report("finite_equiv", census.graph,
                        {"sil_count": len(sils), "all_commute": all_commute},
                        "separating-pair census disagrees with generator commutation")
     return None
 
 
-def check_three_components_fsil(g: LabelledGraph,
+def check_three_components_fsil(census: Census,
                                 spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Three or more connected components force a flexible triple."""
-    comps = components(g, range(g.n))
+    comps = census.components()
     if len(comps) < 3:
         return None
-    if not enumerate_fsils(g):
+    if not census.fsils:
+        g = census.graph
         return _report("three_components_fsil", g,
                        {"components": [_names(g, c) for c in comps]},
                        f"{len(comps)} components but no flexible separating triple")
     return None
 
 
-def check_fsil_three_sils(g: LabelledGraph,
+def check_fsil_three_sils(census: Census,
                           spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Every flexible triple induces separating pairs on all three pairs."""
-    sils = enumerate_sils(g)
-    for fsil in enumerate_fsils(g, sils):
+    for fsil in census.fsils:
         triple = set(fsil.triple)
-        pairs = {sil.pair for sil in sils if set(sil.pair) <= triple}
+        pairs = {sil.pair for sil in census.sils if set(sil.pair) <= triple}
         if len(pairs) < 3:
+            g = census.graph
             return _report("fsil_three_sils", g,
                            {"triple": _names(g, fsil.triple),
                             "pairs": sorted(map(list, pairs))},
@@ -299,15 +306,15 @@ def check_fsil_three_sils(g: LabelledGraph,
     return None
 
 
-def check_lemma_1_4_oracle(g: LabelledGraph,
+def check_lemma_1_4_oracle(census: Census,
                            spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Commutation predicate agrees with the word-engine commutator search."""
+    g = census.graph
     if g.n > spec.oracle_max_vertices:
         return None
-    sils = enumerate_sils(g)
-    gens = build_p0(g).gens
+    gens = build_p0(census).gens
     for x, y in itertools.combinations(gens, 2):
-        predicted = commutes(g, x, y, sils)
+        predicted = commutes(census, x, y)
         witness = search_inner(g, commutator(g, x, y), spec.oracle_depth)
         if predicted != (witness is not None):
             return _report("lemma_1_4_oracle", g,
@@ -338,27 +345,23 @@ CHECKS: dict = {
 
 def _run_checks(args: tuple) -> list:
     graphs, spec = args
+    check_ids = sorted(spec.checks)
     out = []
     for g in graphs:
-        for check_id in sorted(spec.checks):
-            report = CHECKS[check_id](g, spec)
+        census = Census(g)
+        for check_id in check_ids:
+            report = CHECKS[check_id](census, spec)
             if report is not None:
                 out.append((graph_key(g), report))
     return out
 
 
-def run_suite(spec: EnumSpec) -> list:
-    """Run every requested check over the enumerated graphs.
+def check_graphs(graphs: Sequence[LabelledGraph], spec: EnumSpec) -> list:
+    """Run every check of ``spec`` on each graph.
 
     Returns counterexample reports sorted by (graph encoding, check id);
-    an empty list means every check passed.  Unknown check ids are refused
-    up front so a typo cannot silently skip coverage.
+    an empty list means every check passed.
     """
-    unknown = [c for c in spec.checks if c not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown check ids: {unknown}; "
-                         f"known: {sorted(CHECKS)}")
-    graphs = list(enumerate_graphs(spec))
     if spec.workers == 1 or len(graphs) < 2 * spec.workers:
         keyed = _run_checks((graphs, spec))
     else:
@@ -370,6 +373,13 @@ def run_suite(spec: EnumSpec) -> list:
     return [report for _, report in keyed]
 
 
+def run_suite(spec: EnumSpec) -> list:
+    """Run every requested check over the enumerated graphs; see
+    :func:`check_graphs`.  Unknown check ids are refused when the spec is
+    built, so a typo cannot silently skip coverage."""
+    return check_graphs(list(enumerate_graphs(spec)), spec)
+
+
 def count_graphs(spec: EnumSpec) -> int:
     return sum(1 for _ in enumerate_graphs(spec))
 
@@ -377,4 +387,4 @@ def count_graphs(spec: EnumSpec) -> int:
 def replay(report: CounterexampleReport, spec: EnumSpec) -> Optional[CounterexampleReport]:
     """Re-run a report's check on its deserialized graph."""
     g = from_json_dict(report.graph)
-    return CHECKS[report.check](g, spec)
+    return CHECKS[report.check](Census(g), spec)

@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import LabelledGraph, components, star
-from .sils import Fsil, Sil, Stil, enumerate_fsils, enumerate_sils, enumerate_stils
+from .graphs import LabelledGraph
+from .sils import Census, vertex_mask
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -44,15 +44,15 @@ class PartialConjugation:
         return f"chi {g.names[self.vertex]} {{{names}}}"
 
 
-def partial_conjugations(g: LabelledGraph, v: int) -> list[PartialConjugation]:
+def partial_conjugations(census: Census, v: int) -> list[PartialConjugation]:
     """All partial conjugations with acting vertex v, in component order."""
-    keep = g.vertex_set() - star(g, v)
-    return [PartialConjugation(v, comp) for comp in components(g, keep)]
+    census.graph.check_vertex(v)
+    return [PartialConjugation(v, comp) for comp in census.star_components(v)]
 
 
 def validate_partial_conjugation(g: LabelledGraph, v: int,
                                  component: frozenset) -> PartialConjugation:
-    for pc in partial_conjugations(g, v):
+    for pc in partial_conjugations(Census(g), v):
         if pc.component == component:
             return pc
     raise ValueError(
@@ -68,7 +68,8 @@ class GeneratorSetP0:
     gens: tuple[PartialConjugation, ...]
 
 
-def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None) -> GeneratorSetP0:
+def build_p0(census: Census,
+             ordering: Sequence[int] | None = None) -> GeneratorSetP0:
     """Construct the generating set for the given vertex numbering.
 
     For each star cut point, the components of the punctured graph are
@@ -76,6 +77,7 @@ def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None) -> Generat
     (keeping it would let the generators compose to an inner conjugation).
     Default numbering is input order.
     """
+    g = census.graph
     if ordering is None:
         ordering = tuple(range(g.n))
     ordering = tuple(ordering)
@@ -84,7 +86,7 @@ def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None) -> Generat
     rank = {v: i for i, v in enumerate(ordering)}
     gens = []
     for v in range(g.n):
-        pcs = partial_conjugations(g, v)
+        pcs = partial_conjugations(census, v)
         if len(pcs) < 2:
             continue  # not a star cut point
         pcs.sort(key=lambda pc: min(rank[u] for u in pc.component))
@@ -92,22 +94,7 @@ def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None) -> Generat
     return GeneratorSetP0(ordering, tuple(gens))
 
 
-def sil_witnesses(g: LabelledGraph, a: int, b: int,
-                  sils: Sequence[Sil] | None = None) -> frozenset:
-    """Union of separated components over all Sils on the pair {a, b}."""
-    if a > b:
-        a, b = b, a
-    if sils is None:
-        sils = enumerate_sils(g)
-    out: set = set()
-    for sil in sils:
-        if sil.pair == (a, b):
-            out |= sil.component
-    return frozenset(out)
-
-
-def commutes(g: LabelledGraph, x: PartialConjugation, y: PartialConjugation,
-             sils: Sequence[Sil] | None = None) -> bool:
+def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bool:
     """Whether two partial conjugations commute as outer automorphisms.
 
     Equal acting vertices commute exactly (disjoint supports).  Distinct
@@ -116,17 +103,18 @@ def commutes(g: LabelledGraph, x: PartialConjugation, y: PartialConjugation,
     """
     if x.vertex == y.vertex:
         return True
-    ws = sil_witnesses(g, x.vertex, y.vertex, sils)
+    ws = census.witness_mask(x.vertex, y.vertex)
     if not ws:
         return True
     c, d = x.component, y.component
     x_in_d = x.vertex in d
     y_in_c = y.vertex in c
-    if c == d and ws & c:
+    ws_in_c = bool(ws & vertex_mask(c))
+    if c == d and ws_in_c:
         return False
-    if x_in_d and ws & c:
+    if x_in_d and ws_in_c:
         return False
-    if y_in_c and ws & d:
+    if y_in_c and ws & vertex_mask(d):
         return False
     if x_in_d and y_in_c:
         return False
@@ -151,19 +139,11 @@ class OutClass:
     fsils: int
 
 
-def classify(g: LabelledGraph,
-             sils: Sequence[Sil] | None = None,
-             stils: Sequence[Stil] | None = None,
-             fsils: Sequence[Fsil] | None = None) -> OutClass:
+def classify(census: Census) -> OutClass:
     """Large if any non-Coxeter Sil, Stil, or Fsil exists; otherwise finite
     with no Sil, virtually cyclic with exactly one, virtually abelian with
     more.  Uses no vertex numbering: the census alone decides."""
-    if sils is None:
-        sils = enumerate_sils(g)
-    if stils is None:
-        stils = enumerate_stils(g)
-    if fsils is None:
-        fsils = enumerate_fsils(g, list(sils))
+    sils, stils, fsils = census.sils, census.stils, census.fsils
     coxeter = sum(1 for s in sils if s.coxeter)
     non_coxeter = len(sils) - coxeter
     if non_coxeter or stils or fsils:
@@ -188,15 +168,14 @@ class CommutationPresentation:
     summary: str
 
 
-def presentation(g: LabelledGraph,
+def presentation(census: Census,
                  ordering: Sequence[int] | None = None) -> CommutationPresentation:
-    gens = build_p0(g, ordering).gens
-    orders = tuple(g.orders[pc.vertex] for pc in gens)
-    sils = enumerate_sils(g)
+    gens = build_p0(census, ordering).gens
+    orders = tuple(census.graph.orders[pc.vertex] for pc in gens)
     edges = set()
     commute = [[True] * len(gens) for _ in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
-        c = commutes(g, gens[i], gens[j], sils)
+        c = commutes(census, gens[i], gens[j])
         commute[i][j] = commute[j][i] = c
         if c:
             edges.add((i, j))
@@ -252,7 +231,7 @@ class DisconnectedStructure:
     summary: str
 
 
-def disconnected_structure(g: LabelledGraph) -> DisconnectedStructure | None:
+def disconnected_structure(census: Census) -> DisconnectedStructure | None:
     """Quotient-product structure of the outer automorphism group when the
     graph is disconnected; None for connected graphs.
 
@@ -261,7 +240,8 @@ def disconnected_structure(g: LabelledGraph) -> DisconnectedStructure | None:
     non-Coxeter Sil, the group is the direct product of the vertex-group
     products on each component minus its own center.
     """
-    comps = components(g, range(g.n))
+    g = census.graph
+    comps = census.components()
     if len(comps) <= 1:
         return None
     if len(comps) >= 3:
@@ -269,13 +249,12 @@ def disconnected_structure(g: LabelledGraph) -> DisconnectedStructure | None:
             comps, "large",
             "three or more components force a flexible separating triple",
             None, "large")
-    sils = enumerate_sils(g)
     blockers = []
-    if any(not s.coxeter for s in sils):
+    if any(not s.coxeter for s in census.sils):
         blockers.append("a non-Coxeter separating pair")
-    if enumerate_stils(g):
+    if census.stils:
         blockers.append("a separating triple")
-    if enumerate_fsils(g, sils):
+    if census.fsils:
         blockers.append("a flexible separating triple")
     if blockers:
         return DisconnectedStructure(

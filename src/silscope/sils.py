@@ -5,17 +5,23 @@ once removed, leaves a connected component containing neither vertex.
 Stil extends this to triples spanning at most one edge; Fsil is a triple
 in which every pair is separated with the third vertex as witness.
 
-Everything here enumerates per definition over pairs/triples and induced
-components; the graphs of interest are desk scale, so clarity beats
-asymptotic cleverness throughout.
+Every one of these, and every star cut, is a connected component of the
+graph minus some vertex set S: a common link of two or three vertices, or
+a star.  A :class:`Census` holds one graph and a memo from the bitmask of
+S to the components of G - S, so each distinct S costs one BFS however
+many pairs, triples and stars share it.  The census computes the Sils,
+Stils and Fsils on first use and keeps them; every consumer of one graph
+reads the same census.  Cost: the pair and triple scans are O(n^3) mask
+ANDs and dict lookups, plus one BFS per distinct removed set.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .graphs import LabelledGraph, components, link, star
+from .graphs import LabelledGraph, components, link
 
 
 class SharedComponentError(RuntimeError):
@@ -55,20 +61,97 @@ class Fsil:
     sils: tuple[Sil, Sil, Sil]
 
 
-def enumerate_sils(g: LabelledGraph) -> list[Sil]:
+def vertex_mask(vertices) -> int:
+    """The bitmask with bit v set for every vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
+class Census:
+    """The separation census of one graph, computed lazily and once.
+
+    ``components(removed)`` is memoised per removed-vertex bitmask on this
+    instance; the Sil, Stil and Fsil lists and the per-pair witness index
+    are computed on first access.  Nothing is shared between instances.
+    """
+
+    graph: LabelledGraph
+    _parts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _split(self, removed: int) -> tuple:
+        """(component bitmasks, component vertex sets) of G - removed."""
+        try:
+            return self._parts[removed]
+        except KeyError:
+            g = self.graph
+            keep = [v for v in range(g.n) if not removed >> v & 1]
+            comps = components(g, keep)
+            entry = (tuple(vertex_mask(c) for c in comps), comps)
+            self._parts[removed] = entry
+            return entry
+
+    def components(self, removed: int = 0) -> tuple:
+        """Components of the graph minus the vertex bitmask ``removed``, as
+        ``frozenset`` vertex sets ordered by smallest contained vertex."""
+        return self._split(removed)[1]
+
+    def star_components(self, v: int) -> tuple:
+        """Components of the graph minus St(v)."""
+        return self.components(self.graph.adj[v] | 1 << v)
+
+    @cached_property
+    def sils(self) -> tuple:
+        return tuple(enumerate_sils(self))
+
+    @cached_property
+    def stils(self) -> tuple:
+        return tuple(enumerate_stils(self))
+
+    @cached_property
+    def fsils(self) -> tuple:
+        return tuple(enumerate_fsils(self))
+
+    @cached_property
+    def _by_pair(self) -> dict:
+        by_pair: dict = {}
+        for sil in self.sils:
+            by_pair.setdefault(sil.pair, []).append(sil)
+        return by_pair
+
+    @cached_property
+    def _witness_masks(self) -> dict:
+        return {pair: vertex_mask(v for s in sils for v in s.component)
+                for pair, sils in self._by_pair.items()}
+
+    def sils_on(self, a: int, b: int) -> list:
+        """The Sils on the pair {a, b}, in component order."""
+        return self._by_pair.get((a, b) if a < b else (b, a), [])
+
+    def witness_mask(self, a: int, b: int) -> int:
+        """Union of the separated components of all Sils on {a, b}."""
+        return self._witness_masks.get((a, b) if a < b else (b, a), 0)
+
+
+def enumerate_sils(census: Census) -> list[Sil]:
     """All Sils, one per (unordered pair, separated component).
 
     Pairs are visited in lexicographic order and components in order of
     smallest contained index, so the output order is deterministic.
     """
+    g = census.graph
+    adj = g.adj
     out = []
     for v1, v2 in itertools.combinations(range(g.n), 2):
-        if g.adjacent(v1, v2):
+        if adj[v1] >> v2 & 1:
             continue
-        keep = g.vertex_set() - (link(g, v1) & link(g, v2))
+        pair = 1 << v1 | 1 << v2
+        masks, comps = census._split(adj[v1] & adj[v2])
         coxeter = g.orders[v1] == 2 and g.orders[v2] == 2
-        for comp in components(g, keep):
-            if v1 not in comp and v2 not in comp:
+        for mask, comp in zip(masks, comps):
+            if not mask & pair:
                 out.append(Sil((v1, v2), comp, coxeter))
     return out
 
@@ -93,54 +176,59 @@ def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
     raise AssertionError("z survived removal but fell in no component")
 
 
-def enumerate_stils(g: LabelledGraph) -> list[Stil]:
-    """All Stils, one per (triple spanning <= 1 edge, separated component)."""
+def enumerate_stils(census: Census) -> list[Stil]:
+    """All Stils, one per (triple spanning <= 1 edge, separated component).
+
+    The common link of a triple is the memo key, so triples sharing a
+    common link share one BFS.
+    """
+    adj = census.graph.adj
+    n = census.graph.n
     out = []
-    for triple in itertools.combinations(range(g.n), 3):
-        edges = sum(g.adjacent(a, b) for a, b in itertools.combinations(triple, 2))
-        if edges > 1:
-            continue
-        common = link(g, triple[0]) & link(g, triple[1]) & link(g, triple[2])
-        for comp in components(g, g.vertex_set() - common):
-            if not comp & set(triple):
-                out.append(Stil(triple, comp))
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab_edge = adj[a] >> b & 1
+            ab_link = adj[a] & adj[b]
+            for c in range(b + 1, n):
+                if ab_edge + (adj[a] >> c & 1) + (adj[b] >> c & 1) > 1:
+                    continue
+                triple = 1 << a | 1 << b | 1 << c
+                masks, comps = census._split(ab_link & adj[c])
+                for mask, comp in zip(masks, comps):
+                    if not mask & triple:
+                        out.append(Stil((a, b, c), comp))
     return out
 
 
-def enumerate_fsils(g: LabelledGraph, sils: list[Sil] | None = None) -> list[Fsil]:
+def enumerate_fsils(census: Census) -> list[Fsil]:
     """All triples in which every pair forms a Sil witnessed by the third.
 
-    Re-derives pair data from :func:`enumerate_sils` output (single source
-    of truth) rather than re-scanning the graph.
+    Reads the census's per-pair witness masks: c witnesses {a, b} iff bit
+    c is set in the union of that pair's separated components.  Triples
+    come out in lexicographic order.
     """
-    if sils is None:
-        sils = enumerate_sils(g)
-    by_pair: dict[tuple[int, int], list[Sil]] = {}
-    for sil in sils:
-        by_pair.setdefault(sil.pair, []).append(sil)
-
-    def witnessed(a: int, b: int, c: int) -> Sil | None:
-        for sil in by_pair.get((a, b), ()):
-            if c in sil.component:
-                return sil
-        return None
-
+    wit = census._witness_masks
     out = []
-    for v1, v2, v3 in itertools.combinations(range(g.n), 3):
-        s12 = witnessed(v1, v2, v3)
-        if s12 is None:
-            continue
-        s13 = witnessed(v1, v3, v2)
-        if s13 is None:
-            continue
-        s23 = witnessed(v2, v3, v1)
-        if s23 is None:
-            continue
-        out.append(Fsil((v1, v2, v3), (s12, s13, s23)))
+    for (v1, v2), mask in sorted(wit.items()):
+        rest = mask >> (v2 + 1) << (v2 + 1)  # witnesses v3 > v2
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v3 = low.bit_length() - 1
+            if (wit.get((v1, v3), 0) >> v2 & 1
+                    and wit.get((v2, v3), 0) >> v1 & 1):
+                out.append(Fsil((v1, v2, v3),
+                                (_witnessed(census, v1, v2, v3),
+                                 _witnessed(census, v1, v3, v2),
+                                 _witnessed(census, v2, v3, v1))))
     return out
 
 
-def shared_sil_component(g: LabelledGraph, sil: Sil) -> frozenset:
+def _witnessed(census: Census, a: int, b: int, c: int) -> Sil:
+    return next(s for s in census.sils_on(a, b) if c in s.component)
+
+
+def shared_sil_component(census: Census, sil: Sil) -> frozenset:
     """The common connected component of both punctured graphs.
 
     For a Sil {v1, v2 | C}, C is simultaneously a connected component of
@@ -149,12 +237,12 @@ def shared_sil_component(g: LabelledGraph, sil: Sil) -> frozenset:
     correspondence between Sils and pairs of partial conjugations and is
     raised as :class:`SharedComponentError`.
     """
+    g = census.graph
     v1, v2 = sil.pair
     z = min(sil.component)
     sides = []
     for v in (v1, v2):
-        keep = g.vertex_set() - star(g, v)
-        for comp in components(g, keep):
+        for comp in census.star_components(v):
             if z in comp:
                 sides.append(comp)
                 break

@@ -148,3 +148,30 @@ def equal_by_rewriting(g, w1, w2):
     reduced1 = {w for w in c1 if len(w) == shortest1}
     reduced2 = {w for w in c2 if len(w) == shortest2}
     return bool(reduced1 & reduced2)
+
+
+def commutes_by_sil_scan(g, x, y, sils):
+    """The commutation rule for two partial conjugations as first written:
+    scan every Sil in ``sils`` (``sil_census`` output) for the pair of
+    acting vertices and test the four non-commuting cases on the union of
+    their separated components.  ``x`` and ``y`` need only ``vertex`` and
+    ``component`` attributes."""
+    if x.vertex == y.vertex:
+        return True
+    pair = tuple(sorted((x.vertex, y.vertex)))
+    ws = set()
+    for sil_pair, comp, _ in sils:
+        if sil_pair == pair:
+            ws |= comp
+    if not ws:
+        return True
+    c, d = x.component, y.component
+    x_in_d = x.vertex in d
+    y_in_c = y.vertex in c
+    if c == d and ws & c:
+        return False
+    if x_in_d and ws & c:
+        return False
+    if y_in_c and ws & d:
+        return False
+    return not (x_in_d and y_in_c)

@@ -176,7 +176,7 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_reports_failures_with_exit_one(capsys):
-    def bad(g, spec):
+    def bad(census, spec):
         return CounterexampleReport("always_fails", {"vertices": [], "edges": []},
                                     {}, "forced failure")
     CHECKS["always_fails"] = bad
@@ -222,6 +222,39 @@ def test_exit_two_on_bad_order_map(capsys, tmp_path):
     bad.write_text('{"vertices": [{"name": "a", "order": 6}], "edges": []}')
     code, _, err = run_cli(capsys, "classify", str(bad))
     assert code == 2 and "prime power" in err
+
+
+def test_exit_two_on_string_edge_entry(capsys, tmp_path):
+    # "ab" is a two-character string, not the edge a-b
+    bad = tmp_path / "string_edge.json"
+    bad.write_text('{"vertices": [{"name": "a"}, {"name": "b"}], "edges": ["ab"]}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert "error:" in err and "bad edge entry" in err
+
+
+def test_exit_two_on_integer_vertex_name(capsys, tmp_path):
+    bad = tmp_path / "int_name.json"
+    bad.write_text('{"vertices": [{"name": 1}, {"name": 2}], "edges": []}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert "error:" in err and "non-empty string" in err
+
+
+def test_exit_two_on_unhashable_vertex_name(capsys, tmp_path):
+    bad = tmp_path / "list_name.json"
+    bad.write_text('{"vertices": [{"name": [1]}], "edges": []}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert "error:" in err and "non-empty string" in err
+
+
+def test_exit_two_on_non_utf8_file(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"vertices": [{"name": "é"}], "edges": []}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert "error:" in err and "UTF-8" in err
 
 
 def test_exit_two_on_bad_ordering(capsys):

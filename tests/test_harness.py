@@ -106,7 +106,8 @@ def test_run_suite_rejects_unknown_check():
         run_suite(EnumSpec(2, checks=("lemma_2_2", "not_a_check")))
 
 
-def _fails_on_triangles(g, spec):
+def _fails_on_triangles(census, spec):
+    g = census.graph
     if g.n == 3 and len(g.edges()) == 3:
         return CounterexampleReport(
             "fails_on_triangles", json.loads(json.dumps(
@@ -139,7 +140,7 @@ def test_falsified_check_self_test(falsified_check):
 
 
 def test_reports_sorted_by_graph_then_check(falsified_check):
-    def _fails_everywhere(g, spec):
+    def _fails_everywhere(census, spec):
         return CounterexampleReport("a_fails_first", {"vertices": [], "edges": []},
                                     {}, "x")
     CHECKS["a_fails_first"] = _fails_everywhere

@@ -170,7 +170,7 @@ def test_smallest_single_non_coxeter_sil_graph_is_large():
     for g in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
         sils = enumerate_sils(g)
         if len(sils) == 1 and not sils[0].coxeter:
-            out = classify(g, sils)
+            out = classify(g)
             assert out.kind is OutKind.LARGE
             assert out.non_coxeter_sils == 1
             hits.append(g)
@@ -287,7 +287,7 @@ def test_virtually_z_unique_pair_across_enumeration():
 def test_finite_iff_all_generators_commute(g):
     sils = enumerate_sils(g)
     gens = build_p0(g).gens
-    all_commute = all(commutes(g, x, y, sils)
+    all_commute = all(commutes(g, x, y)
                       for x, y in itertools.combinations(gens, 2))
     assert (not sils) == all_commute
 
