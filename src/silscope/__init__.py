@@ -15,10 +15,11 @@ from typing import Sequence
 
 from . import outer as _outer
 from . import sils as _sils
+from .dot import from_dot, to_dot
 from .graphs import (GraphError, LabelledGraph, UnknownVertexError, center,
-                     components, from_dot, from_json, from_json_dict,
-                     is_connected, link, load_graph, make_graph, star,
-                     star_cut_points, to_dot, to_json, to_json_dict)
+                     components, from_json, from_json_dict, is_connected,
+                     link, load_graph, make_graph, star, star_cut_points,
+                     to_json, to_json_dict)
 from .harness import CounterexampleReport, EnumSpec, enumerate_graphs, run_suite
 from .outer import (CommutationPresentation, DisconnectedStructure,
                     GeneratorSetP0, OutClass, OutKind, PartialConjugation)

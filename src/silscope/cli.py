@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
 from . import harness, outer, sils, words
-from .graphs import GraphError, LabelledGraph, load_graph, to_dot, to_json_dict
+from .dot import to_dot
+from .graphs import GraphError, LabelledGraph, load_graph, to_json_dict
 
 REPORT_VERSION = 1
 
@@ -180,8 +180,6 @@ def cmd_verify(args) -> int:
             orders=orders,
             dedup_isomorphic=args.dedup,
             checks=checks,
-            oracle_depth=args.oracle_depth,
-            oracle_max_vertices=args.oracle_max_vertices,
             workers=args.workers,
         )
     except ValueError as exc:
@@ -259,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=None,
                    help=f"comma-separated check ids (default: all: "
                         f"{','.join(harness.DEFAULT_CHECKS)})")
-    p.add_argument("--oracle-depth", type=int,
-                   default=int(os.environ.get("SILSCOPE_ORACLE_DEPTH", "4")),
-                   help="innerness search radius for the word-engine oracle "
-                        "(env SILSCOPE_ORACLE_DEPTH overrides the default of 4)")
-    p.add_argument("--oracle-max-vertices", type=int, default=5,
-                   help="skip the word-engine oracle above this vertex count")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 

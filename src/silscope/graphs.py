@@ -214,7 +214,7 @@ def _bits_to_set(mask: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: graph JSON and a small DOT dialect
+# Serialization: graph JSON (the DOT dialect is in :mod:`silscope.dot`)
 
 GRAPH_JSON_KEYS = ("vertices", "edges")
 
@@ -261,105 +261,6 @@ def from_json(text: str) -> LabelledGraph:
     return from_json_dict(json.loads(text))
 
 
-def to_dot(g: LabelledGraph,
-           highlight_vertices: Iterable[int] = (),
-           highlight_component: Iterable[int] = ()) -> str:
-    """Render as DOT.  Optional highlights mark a separating pair (red) and
-    its separated component (blue) so figures can be reproduced directly."""
-    red = set(highlight_vertices)
-    blue = set(highlight_component)
-    lines = ["graph G {"]
-    for v in range(g.n):
-        attrs = [f"order={g.orders[v]}"]
-        if v in red:
-            attrs.append('color=red, style=filled, fillcolor="#ffcccc"')
-        elif v in blue:
-            attrs.append('color=blue, style=filled, fillcolor="#cce0ff"')
-        lines.append(f'  "{g.names[v]}" [{", ".join(attrs)}];')
-    for u, v in g.edges():
-        lines.append(f'  "{g.names[u]}" -- "{g.names[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def from_dot(text: str) -> LabelledGraph:
-    """Parse the undirected DOT subset emitted by :func:`to_dot`.
-
-    Supported statements: ``name [order=K, ...];`` node declarations,
-    ``a -- b;`` edges (attribute lists on edges are ignored), ``graph X {``
-    headers and ``//`` / ``#`` comments.  The ``order`` attribute defaults
-    to 2.  Raises GraphError with a line number on anything else.
-    """
-    order_of: dict[str, int] = {}
-    seen_order: list[str] = []
-    edges: list[tuple[str, str]] = []
-
-    def note(name: str, order: int | None, lineno: int) -> None:
-        if name not in order_of:
-            order_of[name] = 2
-            seen_order.append(name)
-        if order is not None:
-            order_of[name] = order
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):  # DOT treats these as preprocessor lines
-            continue
-        line = raw.split("//")[0].strip()
-        if not line or line in ("{", "}"):
-            continue
-        if line.startswith(("graph", "strict graph")):
-            continue
-        if line.startswith("digraph"):
-            raise GraphError(f"line {lineno}: directed graphs are not supported")
-        stmt = line.rstrip(";").strip()
-        if "--" in stmt:
-            left, _, right = stmt.partition("--")
-            right = right.split("[")[0]
-            a = _dot_name(left, lineno)
-            b = _dot_name(right, lineno)
-            note(a, None, lineno)
-            note(b, None, lineno)
-            edges.append((a, b))
-            continue
-        attrs = None
-        if "[" in stmt:
-            name_part, _, attr_part = stmt.partition("[")
-            if not attr_part.rstrip().endswith("]"):
-                raise GraphError(f"line {lineno}: unterminated attribute list")
-            attrs = attr_part.rstrip()[:-1]
-        else:
-            name_part = stmt
-        name = _dot_name(name_part, lineno)
-        order = None
-        if attrs:
-            for item in attrs.split(","):
-                if not item.strip():
-                    continue
-                key, _, value = item.partition("=")
-                if key.strip() == "order":
-                    try:
-                        order = int(value.strip().strip('"'))
-                    except ValueError:
-                        raise GraphError(
-                            f"line {lineno}: order attribute must be an integer,"
-                            f" got {value.strip()!r}") from None
-        note(name, order, lineno)
-    if not seen_order:
-        raise GraphError("DOT input declares no vertices")
-    return make_graph([(name, order_of[name]) for name in seen_order], edges)
-
-
-def _dot_name(token: str, lineno: int) -> str:
-    token = token.strip()
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        token = token[1:-1]
-    if not token:
-        raise GraphError(f"line {lineno}: empty vertex name")
-    if any(c in token for c in '{}[];"'):
-        raise GraphError(f"line {lineno}: cannot parse vertex name from {token!r}")
-    return token
-
-
 def load_graph(path: str) -> LabelledGraph:
     """Load a graph file, dispatching on extension (.dot/.gv vs JSON)."""
     try:
@@ -369,5 +270,6 @@ def load_graph(path: str) -> LabelledGraph:
         raise GraphError(f"{path}: not UTF-8 text (byte {exc.start}: "
                          f"{exc.reason})") from None
     if path.endswith((".dot", ".gv")):
+        from .dot import from_dot  # that module builds on this one
         return from_dot(text)
     return from_json(text)

@@ -10,15 +10,21 @@ group iff their canonical forms coincide, so everything downstream —
 automorphism images, innerness tests, commutator order probes — compares
 tuples.
 
-The innerness search is a breadth-first scan of canonical words by length
-then lex order; a miss at a given radius is evidence, not proof, of
-non-innerness, and callers are expected to treat it that way.
+Innerness is decided exactly.  A vertex-conjugating automorphism sends
+each vertex v to w_v v w_v^-1; since the centraliser of a vertex generator
+v in a graph product of cyclic groups is the parabolic subgroup <St(v)>
+(Green, *Graph products of groups*, thesis, Leeds 1990), it is conjugation
+by g exactly when g lies in every coset w_v <St(v)>.  Parabolic cosets
+meet in parabolic cosets, and parabolic double cosets have unique shortest
+representatives (Antolín and Minasyan, *Tits alternatives for graph
+products*, J. reine angew. Math. 2015), so :func:`search_inner` folds the
+cosets one vertex at a time on normal forms and returns the shortest
+witness, or None when the cosets have no common element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .graphs import LabelledGraph, UnknownVertexError
@@ -207,89 +213,87 @@ def is_inner_with(g: LabelledGraph, phi: Automorphism0, gword: Word) -> bool:
                for v in range(g.n))
 
 
-@lru_cache(maxsize=16)
-def _candidates_by_length(g: LabelledGraph, depth: int) -> tuple:
-    """Canonical words of each length 0..depth with their support masks.
+def _peel_left(g: LabelledGraph, w: Word, allowed: int) -> tuple:
+    """Split a reduced word as w = a . rest, with a the syllables on
+    ``allowed`` vertices that shuffle to the front of w.
 
-    Enumerated in lex order over (vertex, exponent) syllables; non-canonical
-    shuffles of an already-listed word are filtered out, so each group
-    element of that length appears exactly once, in lex-least form.
+    A syllable is peeled when its vertex is in the ``allowed`` mask and it
+    commutes with every syllable kept before it; ``a`` is then the longest
+    prefix of w in the parabolic subgroup <allowed>.  Both parts keep the
+    order the syllables have in w.
     """
     adj = g.adj
-    orders = g.orders
-    alphabet = [(v, e) for v in range(g.n) for e in range(1, orders[v])]
-    by_length: list[list] = [[(EPSILON, 0)]]
-    current: list[tuple] = [(EPSILON, 0)]
-    for _ in range(depth):
-        nxt = []
-        for word, support in current:
-            for v, e in alphabet:
-                j = len(word) - 1
-                while j >= 0:
-                    u = word[j][0]
-                    if u == v or not adj[u] >> v & 1:
-                        break
-                    j -= 1
-                else:
-                    u = None
-                if u == v:
-                    continue  # would merge: not reduced at this length
-                extended = word + ((v, e),)
-                if _canonical_order(g, list(extended)) == extended:
-                    nxt.append((extended, support | 1 << v))
-        by_length.append(nxt)
-        current = nxt
-    return tuple(tuple(group) for group in by_length)
+    full = (1 << g.n) - 1
+    peeled, kept = [], []
+    blocked = 0  # vertices that do not commute with some kept syllable
+    for v, e in w:
+        if allowed >> v & 1 and not blocked >> v & 1:
+            peeled.append((v, e))
+        else:
+            kept.append((v, e))
+            blocked |= full & ~adj[v]  # includes v itself
+    return tuple(peeled), tuple(kept)
+
+
+def _strip_right(g: LabelledGraph, w: Word, allowed: int) -> Word:
+    """w without its longest suffix in <allowed>; mirror of
+    :func:`_peel_left`."""
+    return _peel_left(g, w[::-1], allowed)[1][::-1]
 
 
 def search_inner(g: LabelledGraph, phi: Automorphism0,
-                 depth: int) -> Word | None:
-    """Breadth-first search for a conjugating word of length <= depth.
+                 depth: int | None = None) -> Word | None:
+    """The shortest word u such that phi is conjugation by u, or None.
 
-    Returns the first witness in length-then-lex order, or None if no word
-    within the radius realises phi (which does not certify non-innerness).
-    Candidates that are provably too short or miss a vertex every image
-    requires are skipped; this cannot change which witness is found first.
+    phi sends v to w_v v w_v^-1, and the centraliser of v is <St(v)>, so
+    the words u form the intersection of the cosets w_v <St(v)>.  The
+    fold keeps that intersection as c <A>: it starts at (w_0, St(0)), and
+    c <A> meets w_v <St(v)> iff x = c^-1 w_v splits as a . b with a in <A>
+    and b in <St(v)>, when the intersection is c a <A & St(v)>.  Peeling
+    <A> off the left of x and <St(v)> off its right leaves nothing exactly
+    when x splits.  At the end, peeling <A> off the right of c leaves the
+    unique shortest element of the final coset, already canonical because
+    every deleted syllable commutes with all kept syllables after it.
+
+    With ``depth`` given, a shortest witness longer than ``depth``
+    syllables is reported as None, so the answer equals that of a
+    breadth-first search over canonical words of length <= depth.
     """
-    if depth < 0:
+    if depth is not None and depth < 0:
         raise ValueError("depth must be >= 0")
     n = g.n
-    orders = g.orders
-    targets = tuple(image_of_vertex(g, phi, v) for v in range(n))
-    moved = [v for v in range(n) if targets[v] != ((v, 1),)]
-    if not moved:
+    if not n:
         return EPSILON
-    # |phi(v)| <= 2|gword| + 1, and every vertex phi introduces must occur
-    # in gword: both bounds are necessary conditions on any witness.
-    max_target = max(len(targets[v]) for v in moved)
-    min_length = max_target // 2  # ceil((max_target - 1) / 2)
-    required = 0
-    for v in moved:
-        for u, _ in targets[v]:
-            if u != v:
-                required |= 1 << u
-    if min_length > depth:
+    adj = g.adj
+    orders = g.orders
+    conj = phi.conjugators
+    c = reduce(g, conj[0])
+    allowed = adj[0] | 1 << 0
+    for v in range(1, n):
+        c_inv = tuple((u, orders[u] - e) for u, e in reversed(c))
+        x = reduce(g, c_inv + tuple(conj[v]))
+        star_v = adj[v] | 1 << v
+        a, rest = _peel_left(g, x, allowed)
+        if _strip_right(g, rest, star_v):
+            return None
+        if a:
+            c = reduce(g, c + a)
+        allowed &= star_v
+    c = _strip_right(g, c, allowed)
+    if depth is not None and len(c) > depth:
         return None
-    check_order = moved + [v for v in range(n) if v not in moved]
-    groups = _candidates_by_length(g, depth)
-    for length in range(min_length, depth + 1):
-        for cand, support in groups[length]:
-            if required & ~support:
-                continue
-            ginv = tuple((v, orders[v] - e) for v, e in reversed(cand))
-            for v in check_order:
-                if reduce(g, cand + ((v, 1),) + ginv) != targets[v]:
-                    break
-            else:
-                return cand
-    return None
+    return c
 
 
 def commutator_power_probe(g: LabelledGraph, x: PartialConjugation,
                            y: PartialConjugation, max_power: int,
                            depth: int) -> int:
-    """Largest N <= max_power such that [x, y]^1 .. [x, y]^N all fail the
-    bounded innerness search — desk-scale evidence of infinite order."""
+    """Largest N <= max_power such that none of [x, y]^1 .. [x, y]^N is
+    inner by a word of at most ``depth`` syllables.
+
+    Each power's innerness is decided exactly; N = max_power is still only
+    desk-scale evidence that the commutator has infinite order in Out(W).
+    """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     k = commutator(g, x, y)

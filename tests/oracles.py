@@ -2,12 +2,18 @@
 
 Everything here recomputes from first principles over plain edge lists:
 union-find components instead of bitmask BFS, per-definition separation
-scans instead of the library's enumerators, and an exhaustive rewriting
-closure instead of the normal-form algorithm.  Slow on purpose and kept
-free of silscope internals beyond the graph data fields.
+scans instead of the library's enumerators, an exhaustive rewriting
+closure instead of the normal-form algorithm, and a breadth-first search
+over conjugating words instead of the coset fold that decides innerness.
+Slow on purpose and kept free of silscope internals beyond the graph data
+fields; the one exception is the word search, which compares words in the
+library's normal form (itself checked against the rewriting closure).
 """
 
+from functools import lru_cache
 from itertools import combinations
+
+from silscope.words import image_of_vertex, reduce
 
 
 def edge_list(g):
@@ -175,3 +181,67 @@ def commutes_by_sil_scan(g, x, y, sils):
     if y_in_c and ws & d:
         return False
     return not (x_in_d and y_in_c)
+
+
+@lru_cache(maxsize=16)
+def _canonical_words_by_length(g, depth):
+    """Canonical words of each length 0..depth with their support masks.
+
+    Enumerated in lex order over (vertex, exponent) syllables; a word that
+    merges its last syllable, or is not its own normal form, is dropped, so
+    each group element of that length appears exactly once.
+    """
+    adj = g.adj
+    alphabet = [(v, e) for v in range(g.n) for e in range(1, g.orders[v])]
+    by_length = [[((), 0)]]
+    for _ in range(depth):
+        nxt = []
+        for word, support in by_length[-1]:
+            for v, e in alphabet:
+                j = len(word) - 1
+                while j >= 0:
+                    u = word[j][0]
+                    if u == v or not adj[u] >> v & 1:
+                        break
+                    j -= 1
+                if j >= 0 and word[j][0] == v:
+                    continue  # would merge: not reduced at this length
+                extended = word + ((v, e),)
+                if reduce(g, extended) == extended:
+                    nxt.append((extended, support | 1 << v))
+        by_length.append(nxt)
+    return tuple(by_length)
+
+
+def bfs_inner_witness(g, phi, depth):
+    """First conjugating word realising ``phi`` in length-then-lex order
+    among canonical words of length <= depth, or None.
+
+    Candidates that are provably too short, or miss a vertex that some
+    image requires, are skipped; this cannot change which witness is found
+    first.
+    """
+    n = g.n
+    targets = [image_of_vertex(g, phi, v) for v in range(n)]
+    moved = [v for v in range(n) if targets[v] != ((v, 1),)]
+    if not moved:
+        return ()
+    # |phi(v)| <= 2|gword| + 1, and every vertex phi introduces must occur
+    # in gword: both bounds are necessary conditions on any witness.
+    min_length = max(len(targets[v]) for v in moved) // 2
+    required = 0
+    for v in moved:
+        for u, _ in targets[v]:
+            if u != v:
+                required |= 1 << u
+    check_order = moved + [v for v in range(n) if v not in moved]
+    groups = _canonical_words_by_length(g, depth)
+    for length in range(min_length, depth + 1):
+        for cand, support in groups[length]:
+            if required & ~support:
+                continue
+            ginv = tuple((v, g.orders[v] - e) for v, e in reversed(cand))
+            if all(reduce(g, cand + ((v, 1),) + ginv) == targets[v]
+                   for v in check_order):
+                return cand
+    return None

@@ -134,8 +134,7 @@ def test_criterion_3_exhaustive_suite():
 
 def test_criterion_4_oracle_agreement():
     c = Criterion(4, "commutation predicate vs word oracle")
-    spec = EnumSpec(5, orders=(2,), checks=("lemma_1_4_oracle",),
-                    oracle_depth=4, oracle_max_vertices=5)
+    spec = EnumSpec(5, orders=(2,), checks=("lemma_1_4_oracle",))
     c.expect(count_graphs(spec) == 1099, "all labelled graphs on <= 5 vertices")
     t0 = time.perf_counter()
     reports = run_suite(spec)

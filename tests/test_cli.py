@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from silscope import from_dot, from_json, from_json_dict
-from silscope.cli import build_parser, main
+from silscope.cli import main
 from silscope.harness import CHECKS, CounterexampleReport
 
 import conftest as fx
@@ -191,13 +191,13 @@ def test_verify_reports_failures_with_exit_one(capsys):
     assert json.loads(lines[-1])["counterexamples"] == 1
 
 
-def test_oracle_depth_env_default(monkeypatch):
-    monkeypatch.setenv("SILSCOPE_ORACLE_DEPTH", "2")
-    args = build_parser().parse_args(["verify"])
-    assert args.oracle_depth == 2
-    monkeypatch.delenv("SILSCOPE_ORACLE_DEPTH")
-    args = build_parser().parse_args(["verify"])
-    assert args.oracle_depth == 4
+def test_removed_oracle_flags_are_refused(capsys):
+    # the word oracle decides exactly, so it has no radius or size cutoff
+    for argv in (["--oracle-depth", "4"], ["--oracle-max-vertices", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

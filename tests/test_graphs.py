@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -231,6 +232,94 @@ def test_dot_rejects_garbage():
         from_dot('a [order=x];')
     with pytest.raises(GraphError, match="no vertices"):
         from_dot("graph G { }")
+
+
+def test_dot_edge_chain_makes_consecutive_edges():
+    g = from_dot("graph G {\n  a -- b -- c;\n}\n")
+    assert g.names == ("a", "b", "c")
+    assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_dot_one_line_graph():
+    g = from_dot("graph G { a -- b; }")
+    assert g.names == ("a", "b") and g.edges() == [(0, 1)]
+
+
+def test_dot_statements_share_a_line():
+    g = from_dot("graph G {\n  a; b;\n}")
+    assert g.names == ("a", "b") and g.edges() == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a -- b;", "'graph' header"),
+    ("graph G { a -- b; } c", "after the closing"),
+    ("graph G { a -- b;", "missing closing"),
+    ("graph G { node [order=3]; a; }", "'node' statements"),
+    ("graph G { a -> b; }", "directed edges"),
+    ("graph G { rankdir = LR; }", "expected a name"),
+    ("graph G { a -- b -- ; }", "expected a name"),
+    ("graph G { a [order]; }", "expected '='"),
+    ('graph G { a [order="3x"]; }', "order attribute"),
+    ("graph G { v-1; }", "unexpected character '-'"),
+    ('graph G {\n  "a;\n}', "line 2: unterminated"),
+], ids=["no_header", "text_after_brace", "missing_brace", "node_statement",
+        "directed_edge", "graph_attribute", "dangling_edge",
+        "attribute_without_value", "non_integer_order", "unquoted_dash",
+        "unterminated_quote"])
+def test_dot_refuses_what_it_does_not_read(text, message):
+    with pytest.raises(GraphError, match=message):
+        from_dot(text)
+
+
+@given(st.lists(st.tuples(st.text(min_size=1, max_size=6),
+                          st.sampled_from((2, 3, 4))),
+                min_size=1, max_size=5, unique_by=lambda v: v[0]),
+       st.data())
+@settings(max_examples=50, deadline=None)
+def test_dot_round_trip_of_any_names(vertices, data):
+    names = [name for name, _ in vertices]
+    pairs = list(itertools.combinations(names, 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = make_graph(vertices, edges)
+    assert from_dot(to_dot(g)) == g
+
+
+DOT_PIECES = ("graph", "strict", "digraph", "node", "G", "{", "}", "[", "]",
+              ";", ",", "=", "--", "->", "order", "color", "2", "3", "x", "0",
+              "a", "b", "c", '"a b"', '"q\\"x"', '"', "\\", "-", ":", "\n",
+              " ", "// c\n", "# p\n", "/", "*", "\u00e9", "\u00a0")
+
+
+def dot_texts():
+    """Arbitrary text, token soup, and well-formed bodies with some noise."""
+    soup = st.lists(st.sampled_from(DOT_PIECES), max_size=30)
+    name = st.sampled_from(("a", "b", "c", "v1", "2", '"a b"', '"q\\"x"',
+                            '"\\\\"', "\u00e9", '"graph"'))
+    attrs = st.sampled_from(("", " [order=3]", "[order=2, color=red]",
+                             " [order=4][x=y]", ' [order="3"]', " [order=6]"))
+    statement = st.builds(lambda names, a: " -- ".join(names) + a,
+                          st.lists(name, min_size=1, max_size=3), attrs)
+    separator = st.sampled_from((";", "\n", "; ", " ", ";\n", "\n// c\n"))
+    body = st.lists(st.tuples(statement, separator), max_size=6).map(
+        lambda stmts: "".join(stm + sep for stm, sep in stmts))
+    return st.one_of(
+        st.text(max_size=40),
+        soup.map(" ".join),
+        soup.map("".join),
+        soup.map(lambda parts: "graph G {" + " ".join(parts) + "}"),
+        st.tuples(st.sampled_from(("graph G {", "strict graph {", "graph{\n")),
+                  body, st.sampled_from(("}", "}\n", "", "} x"))).map("".join),
+    )
+
+
+@given(dot_texts())
+@settings(max_examples=400)
+def test_dot_reader_parses_exactly_or_raises_graph_error(text):
+    try:
+        g = from_dot(text)
+    except GraphError:
+        return
+    assert from_dot(to_dot(g)) == g
 
 
 def test_fixture_shapes():

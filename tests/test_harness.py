@@ -166,7 +166,6 @@ def test_worker_counts_agree(falsified_check):
     assert lines1 == lines2 and lines1
 
 
-def test_oracle_check_skips_large_graphs():
-    spec = EnumSpec(6, dedup_isomorphic=True, oracle_max_vertices=3,
-                    checks=("lemma_1_4_oracle",))
+def test_oracle_check_runs_on_six_vertices():
+    spec = EnumSpec(6, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
     assert run_suite(spec) == []

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,11 @@ from silscope import (EPSILON, PartialConjugation, WordError, apply,
                       is_inner_with, make_word, multiply, parse_word_literal,
                       partial_conjugations, pc_automorphism, reduce,
                       search_inner)
-from silscope.words import format_word, image_of_vertex
+from silscope.graphs import LabelledGraph
+from silscope.harness import EnumSpec, enumerate_graphs, graph_from_bits
+from silscope.outer import build_p0
+from silscope.sils import Census
+from silscope.words import Automorphism0, format_word, image_of_vertex
 
 import oracles
 from conftest import (path_mixed_orders, path_plus_isolated,
@@ -230,6 +235,73 @@ def test_search_inner_depth_zero_and_errors():
     assert search_inner(G1, inner_by_v1(), 0) is None
     with pytest.raises(ValueError):
         search_inner(G1, identity_automorphism(G1), -1)
+
+
+def test_search_inner_on_the_empty_graph():
+    empty = LabelledGraph((), (), ())
+    assert search_inner(empty, Automorphism0(())) == EPSILON
+    assert search_inner(empty, Automorphism0(()), 0) == EPSILON
+
+
+def p0_commutators(spec):
+    for g in enumerate_graphs(spec):
+        gens = build_p0(Census(g)).gens
+        for x, y in itertools.combinations(gens, 2):
+            yield g, commutator(g, x, y)
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (EnumSpec(4, orders=(2, 3), dedup_isomorphic=True), 242),
+    (EnumSpec(5, orders=(2,)), 3196),
+], ids=["dedup_n4_orders23", "labelled_n5_orders2"])
+def test_search_inner_matches_bfs_on_every_commutator(spec, expected):
+    count = 0
+    for g, k in p0_commutators(spec):
+        assert search_inner(g, k, 4) == oracles.bfs_inner_witness(g, k, 4)
+        count += 1
+    assert count == expected
+
+
+def test_search_inner_matches_bfs_on_random_automorphisms():
+    """Random conjugators make mostly non-inner automorphisms: a witness
+    must be sound, and the answer must equal the BFS at depth 4."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        mask = rng.getrandbits(n * (n - 1) // 2)
+        g = graph_from_bits(n, mask, [rng.choice((2, 3)) for _ in range(n)])
+        phi = Automorphism0(tuple(
+            reduce(g, [(rng.randrange(n), rng.randint(1, 2))
+                       for _ in range(rng.randint(0, 3))])
+            for _ in range(n)))
+        w = search_inner(g, phi, 4)
+        assert w is None or is_inner_with(g, phi, w)
+        assert w == oracles.bfs_inner_witness(g, phi, 4)
+
+
+def test_search_inner_finds_random_inner_automorphisms():
+    """phi with conjugators u . z_v, z_v in the centraliser <St(v)> of v, is
+    conjugation by u; the decider must find a witness no longer than u."""
+    rng = random.Random(20261018)
+    longer_than_four = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        mask = rng.getrandbits(n * (n - 1) // 2)
+        g = graph_from_bits(n, mask, [rng.choice((2, 3, 4)) for _ in range(n)])
+        u = reduce(g, [(rng.randrange(n), rng.randint(1, 3))
+                       for _ in range(rng.randint(0, 12))])
+        conj = []
+        for v in range(n):
+            star = [x for x in range(n) if x == v or g.adjacent(x, v)]
+            z = [(rng.choice(star), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 4))]
+            conj.append(reduce(g, u + tuple(z)))
+        phi = Automorphism0(tuple(conj))
+        w = search_inner(g, phi)
+        assert w is not None and is_inner_with(g, phi, w)
+        assert len(w) <= len(u)
+        longer_than_four += len(w) > 4
+    assert longer_than_four >= 50  # beyond the reach of a depth-4 search
 
 
 def test_commutator_power_probe_examples():
