@@ -18,7 +18,7 @@ from . import harness, outer, sils, words
 from .dot import to_dot
 from .graphs import GraphError, LabelledGraph, load_graph, to_json_dict
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _vertex_names(g: LabelledGraph, vertices) -> list:
@@ -35,6 +35,13 @@ def _pc_dict(g: LabelledGraph, pc: outer.PartialConjugation) -> dict:
     return {"vertex": g.names[pc.vertex],
             "component": _vertex_names(g, pc.component),
             "order": g.orders[pc.vertex]}
+
+
+def _presentation_dict(g: LabelledGraph,
+                       pres: outer.CommutationPresentation) -> dict:
+    return {"generators": [_pc_dict(g, pc) for pc in pres.generators],
+            "commuting_edges": sorted(map(list, pres.commuting_edges)),
+            "summary": pres.summary}
 
 
 def build_report(g: LabelledGraph, ordering=None) -> dict:
@@ -71,12 +78,7 @@ def build_report(g: LabelledGraph, ordering=None) -> dict:
         "fsils": [{"triple": [g.names[v] for v in f.triple],
                    "witnesses": [_sil_dict(g, s) for s in f.sils]}
                   for f in census.fsils],
-        "p0": [_pc_dict(g, pc) for pc in pres.generators],
-        "presentation": {
-            "generators": [_pc_dict(g, pc) for pc in pres.generators],
-            "commuting_edges": sorted(map(list, pres.commuting_edges)),
-            "summary": pres.summary,
-        },
+        "presentation": _presentation_dict(g, pres),
         "disconnected": None if disc is None else {
             "components": [_vertex_names(g, c) for c in disc.components],
             "status": disc.status,
@@ -162,19 +164,15 @@ def cmd_presentation(args) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(g, args.ordering)
     pres = outer.presentation(sils.Census(g), ordering)
-    print(json.dumps({
-        "generators": [_pc_dict(g, pc) for pc in pres.generators],
-        "commuting_edges": sorted(map(list, pres.commuting_edges)),
-        "summary": pres.summary,
-    }, ensure_ascii=False))
+    print(json.dumps(_presentation_dict(g, pres), ensure_ascii=False))
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = (tuple(t.strip() for t in args.checks.split(",") if t.strip())
               if args.checks else harness.DEFAULT_CHECKS)
-    orders = tuple(int(t) for t in args.orders.split(",") if t.strip())
     try:
+        orders = tuple(int(t) for t in args.orders.split(",") if t.strip())
         spec = harness.EnumSpec(
             max_vertices=args.max_vertices,
             orders=orders,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import GraphError, LabelledGraph, make_graph
+from .graphs import MAX_ORDER, GraphError, LabelledGraph, make_graph
 
 
 def _dot_quote(name: str) -> str:
@@ -199,7 +199,12 @@ def from_dot(text: str) -> LabelledGraph:
                 if not (value.isascii() and value.isdigit()):
                     raise GraphError(f"line {line}: order attribute must be "
                                      f"an integer, got {value!r}")
-                order_of[name] = int(value)
+                try:
+                    order_of[name] = int(value)
+                except ValueError:  # more digits than int() converts
+                    raise GraphError(f"line {line}: order attribute has "
+                                     f"{len(value)} digits; orders are at "
+                                     f"most {MAX_ORDER}") from None
     pos += 1
     if tokens[pos][0] != "end":
         fail(f"unexpected {tokens[pos][1]!r} after the closing '}}'")

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 VertexSet = frozenset  # frozenset[int], indices into a parent graph
 
+MAX_ORDER = 2**31 - 1  # largest accepted vertex order
+
 
 class GraphError(ValueError):
     """Malformed graph input (parse errors, bad order map, non-simple graph)."""
@@ -40,6 +42,14 @@ def is_prime_power(n: int) -> bool:
             return m == 1  # fully divided by the single prime d
         d += 1 if d == 2 else 2
     return True  # n itself is prime
+
+
+def is_vertex_order(m: object) -> bool:
+    """True iff m is an int prime power in 2..MAX_ORDER.
+
+    The bound is tested first, so trial division never passes 46,341.
+    """
+    return isinstance(m, int) and 2 <= m <= MAX_ORDER and is_prime_power(m)
 
 
 @dataclass(frozen=True)
@@ -116,9 +126,10 @@ def make_graph(vertices: Iterable[tuple[str, int]],
         raise GraphError(f"duplicate vertex names: {dupes}")
     orders = tuple(order for _, order in vertices)
     for name, order in vertices:
-        if not isinstance(order, int) or not is_prime_power(order):
+        if not is_vertex_order(order):
             raise GraphError(
-                f"vertex {name!r} has order {order!r}; orders must be prime powers >= 2")
+                f"vertex {name!r} has order {order!r}; orders must be prime "
+                f"powers in 2..{MAX_ORDER}")
     idx = {name: i for i, name in enumerate(names)}
     adj = [0] * len(names)
     seen = set()
@@ -258,7 +269,13 @@ def to_json(g: LabelledGraph) -> str:
 
 
 def from_json(text: str) -> LabelledGraph:
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise  # the CLI reports its line and column
+    except (ValueError, RecursionError) as exc:  # an overlong number, deep nesting
+        raise GraphError(f"cannot read JSON: {exc}") from None
+    return from_json_dict(data)
 
 
 def load_graph(path: str) -> LabelledGraph:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .graphs import LabelledGraph, from_json_dict, is_prime_power, to_json_dict
+from .graphs import (MAX_ORDER, LabelledGraph, from_json_dict, is_vertex_order,
+                     to_json_dict)
 from .outer import build_p0, commutes
 from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
@@ -57,8 +58,9 @@ class EnumSpec:
             raise ValueError(
                 f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")
         for m in self.orders:
-            if not is_prime_power(m):
-                raise ValueError(f"order alphabet entry {m} is not a prime power >= 2")
+            if not is_vertex_order(m):
+                raise ValueError(f"order alphabet entry {m} is not a prime power "
+                                 f"in 2..{MAX_ORDER}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         unknown = [c for c in self.checks if c not in CHECKS]
@@ -169,10 +171,10 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Checks: each takes (census, spec) and returns a report or None
+# Checks: each takes the census and returns a report or None
 
 
-def check_lemma_2_2(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_2_2(census: Census) -> Optional[CounterexampleReport]:
     """Every separating pair shares its separated component on both sides."""
     g = census.graph
     for sil in census.sils:
@@ -186,7 +188,7 @@ def check_lemma_2_2(census: Census, spec: EnumSpec) -> Optional[CounterexampleRe
     return None
 
 
-def check_lemma_4(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_4(census: Census) -> Optional[CounterexampleReport]:
     """A graph with exactly one separating pair has no separating triple."""
     if len(census.sils) != 1:
         return None
@@ -200,7 +202,7 @@ def check_lemma_4(census: Census, spec: EnumSpec) -> Optional[CounterexampleRepo
     return None
 
 
-def check_stil_two_sils(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_stil_two_sils(census: Census) -> Optional[CounterexampleReport]:
     """Any separating triple forces at least two distinct separating pairs."""
     stils = census.stils
     if not stils:
@@ -215,7 +217,7 @@ def check_stil_two_sils(census: Census, spec: EnumSpec) -> Optional[Counterexamp
     return None
 
 
-def check_lemma_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
     if len(census.components()) > 1:
@@ -234,7 +236,7 @@ def check_lemma_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleRepo
     return None
 
 
-def check_lemma_1_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
     """Two separating pairs sharing one vertex and a witness give a
     separating triple on the three vertices at that witness."""
     if len(census.components()) > 1:
@@ -262,7 +264,7 @@ def check_lemma_1_7(census: Census, spec: EnumSpec) -> Optional[CounterexampleRe
     return None
 
 
-def check_finite_equiv(census: Census, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
     """No separating pair iff all generator pairs commute."""
     sils = census.sils
     gens = build_p0(census).gens
@@ -275,8 +277,7 @@ def check_finite_equiv(census: Census, spec: EnumSpec) -> Optional[Counterexampl
     return None
 
 
-def check_three_components_fsil(census: Census,
-                                spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_three_components_fsil(census: Census) -> Optional[CounterexampleReport]:
     """Three or more connected components force a flexible triple."""
     comps = census.components()
     if len(comps) < 3:
@@ -289,8 +290,7 @@ def check_three_components_fsil(census: Census,
     return None
 
 
-def check_fsil_three_sils(census: Census,
-                          spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_fsil_three_sils(census: Census) -> Optional[CounterexampleReport]:
     """Every flexible triple induces separating pairs on all three pairs."""
     for fsil in census.fsils:
         triple = set(fsil.triple)
@@ -304,8 +304,7 @@ def check_fsil_three_sils(census: Census,
     return None
 
 
-def check_lemma_1_4_oracle(census: Census,
-                           spec: EnumSpec) -> Optional[CounterexampleReport]:
+def check_lemma_1_4_oracle(census: Census) -> Optional[CounterexampleReport]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators."""
     g = census.graph
@@ -346,7 +345,7 @@ def _run_checks(args: tuple) -> list:
     for g in graphs:
         census = Census(g)
         for check_id in check_ids:
-            report = CHECKS[check_id](census, spec)
+            report = CHECKS[check_id](census)
             if report is not None:
                 out.append((graph_key(g), report))
     return out
@@ -380,7 +379,6 @@ def count_graphs(spec: EnumSpec) -> int:
     return sum(1 for _ in enumerate_graphs(spec))
 
 
-def replay(report: CounterexampleReport, spec: EnumSpec) -> Optional[CounterexampleReport]:
+def replay(report: CounterexampleReport) -> Optional[CounterexampleReport]:
     """Re-run a report's check on its deserialized graph."""
-    g = from_json_dict(report.graph)
-    return CHECKS[report.check](Census(g), spec)
+    return CHECKS[report.check](Census(from_json_dict(report.graph)))

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import LabelledGraph, components, link
+from .graphs import LabelledGraph, components
 
 
 class SharedComponentError(RuntimeError):
@@ -36,9 +36,6 @@ class Sil:
     pair: tuple[int, int]  # sorted, non-adjacent
     component: frozenset
     coxeter: bool
-
-    def witnesses(self) -> frozenset:
-        return self.component
 
 
 @dataclass(frozen=True)
@@ -161,19 +158,8 @@ def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
     g.check_vertex(z)
     g.check_vertex(v1)
     g.check_vertex(v2)
-    if v1 == v2 or g.adjacent(v1, v2):
-        return None
-    removed = link(g, v1) & link(g, v2)
-    if z in removed:
-        return None
-    if v1 > v2:
-        v1, v2 = v2, v1
-    for comp in components(g, g.vertex_set() - removed):
-        if z in comp:
-            if v1 in comp or v2 in comp:
-                return None
-            return Sil((v1, v2), comp, g.orders[v1] == 2 and g.orders[v2] == 2)
-    raise AssertionError("z survived removal but fell in no component")
+    return next((s for s in Census(g).sils_on(v1, v2) if z in s.component),
+                None)
 
 
 def enumerate_stils(census: Census) -> list[Stil]:

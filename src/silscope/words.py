@@ -112,8 +112,14 @@ def multiply(g: LabelledGraph, w1: Word, w2: Word) -> Word:
     return reduce(g, tuple(w1) + tuple(w2))
 
 
+def _inverse(g: LabelledGraph, w: Word) -> Word:
+    """The syllables of w^-1, unreduced."""
+    orders = g.orders
+    return tuple((v, orders[v] - e) for v, e in reversed(w))
+
+
 def invert(g: LabelledGraph, w: Word) -> Word:
-    return reduce(g, [(v, g.orders[v] - e) for v, e in reversed(w)])
+    return reduce(g, _inverse(g, w))
 
 
 def equals(g: LabelledGraph, w1: Word, w2: Word) -> bool:
@@ -122,8 +128,7 @@ def equals(g: LabelledGraph, w1: Word, w2: Word) -> bool:
 
 def conjugate(g: LabelledGraph, gword: Word, w: Word) -> Word:
     """reduce(gword . w . gword^-1)."""
-    ginv = tuple((v, g.orders[v] - e) for v, e in reversed(gword))
-    return reduce(g, tuple(gword) + tuple(w) + ginv)
+    return reduce(g, tuple(gword) + tuple(w) + _inverse(g, gword))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +140,6 @@ class Automorphism0:
     """An automorphism sending each vertex v to w_v . v . w_v^-1."""
 
     conjugators: tuple  # tuple[Word, ...], one canonical word per vertex
-
-    def conjugator(self, v: int) -> Word:
-        return self.conjugators[v]
 
 
 def identity_automorphism(g: LabelledGraph) -> Automorphism0:
@@ -160,30 +162,18 @@ def image_of_vertex(g: LabelledGraph, phi: Automorphism0, v: int) -> Word:
 
 def apply(g: LabelledGraph, pc: PartialConjugation, w: Word) -> Word:
     """Image of a word under a partial conjugation, reduced."""
-    v = pc.vertex
-    vinv = (v, g.orders[v] - 1)
-    comp = pc.component
-    parts = []
-    for u, e in w:
-        if u in comp:
-            parts.append((v, 1))
-            parts.append((u, e))
-            parts.append(vinv)
-        else:
-            parts.append((u, e))
-    return reduce(g, parts)
+    return apply_automorphism(g, pc_automorphism(g, pc), w)
 
 
 def apply_automorphism(g: LabelledGraph, phi: Automorphism0, w: Word) -> Word:
     """Image of a word under a general automorphism, reduced."""
-    orders = g.orders
     conj = phi.conjugators
     parts = []
     for u, e in w:
         cw = conj[u]
         parts.extend(cw)
         parts.append((u, e))
-        parts.extend((x, orders[x] - k) for x, k in reversed(cw))
+        parts.extend(_inverse(g, cw))
     return reduce(g, parts)
 
 
@@ -241,8 +231,7 @@ def _strip_right(g: LabelledGraph, w: Word, allowed: int) -> Word:
     return _peel_left(g, w[::-1], allowed)[1][::-1]
 
 
-def search_inner(g: LabelledGraph, phi: Automorphism0,
-                 depth: int | None = None) -> Word | None:
+def search_inner(g: LabelledGraph, phi: Automorphism0) -> Word | None:
     """The shortest word u such that phi is conjugation by u, or None.
 
     phi sends v to w_v v w_v^-1, and the centraliser of v is <St(v)>, so
@@ -254,24 +243,16 @@ def search_inner(g: LabelledGraph, phi: Automorphism0,
     when x splits.  At the end, peeling <A> off the right of c leaves the
     unique shortest element of the final coset, already canonical because
     every deleted syllable commutes with all kept syllables after it.
-
-    With ``depth`` given, a shortest witness longer than ``depth``
-    syllables is reported as None, so the answer equals that of a
-    breadth-first search over canonical words of length <= depth.
     """
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be >= 0")
     n = g.n
     if not n:
         return EPSILON
     adj = g.adj
-    orders = g.orders
     conj = phi.conjugators
     c = reduce(g, conj[0])
     allowed = adj[0] | 1 << 0
     for v in range(1, n):
-        c_inv = tuple((u, orders[u] - e) for u, e in reversed(c))
-        x = reduce(g, c_inv + tuple(conj[v]))
+        x = reduce(g, _inverse(g, c) + tuple(conj[v]))
         star_v = adj[v] | 1 << v
         a, rest = _peel_left(g, x, allowed)
         if _strip_right(g, rest, star_v):
@@ -279,20 +260,18 @@ def search_inner(g: LabelledGraph, phi: Automorphism0,
         if a:
             c = reduce(g, c + a)
         allowed &= star_v
-    c = _strip_right(g, c, allowed)
-    if depth is not None and len(c) > depth:
-        return None
-    return c
+    return _strip_right(g, c, allowed)
 
 
 def commutator_power_probe(g: LabelledGraph, x: PartialConjugation,
-                           y: PartialConjugation, max_power: int,
-                           depth: int) -> int:
+                           y: PartialConjugation, max_power: int) -> int:
     """Largest N <= max_power such that none of [x, y]^1 .. [x, y]^N is
-    inner by a word of at most ``depth`` syllables.
+    inner.
 
-    Each power's innerness is decided exactly; N = max_power is still only
-    desk-scale evidence that the commutator has infinite order in Out(W).
+    Each power's innerness is decided exactly, so N < max_power means
+    [x, y]^(N+1) is inner: the commutator has finite order in Out(W),
+    dividing N + 1.  N = max_power only bounds that order from below; it
+    is evidence, not proof, that the order is infinite.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
@@ -300,7 +279,7 @@ def commutator_power_probe(g: LabelledGraph, x: PartialConjugation,
     power = identity_automorphism(g)
     for p in range(1, max_power + 1):
         power = compose(g, k, power)
-        if search_inner(g, power, depth) is not None:
+        if search_inner(g, power) is not None:
             return p - 1
     return max_power
 

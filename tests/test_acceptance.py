@@ -186,7 +186,7 @@ def test_criterion_5_word_engine_bulk():
              if pc.component == sil.component)
     y = next(pc for pc in partial_conjugations(g1, sil.pair[1])
              if pc.component == sil.component)
-    probe = commutator_power_probe(g1, x, y, 4, 3)
+    probe = commutator_power_probe(g1, x, y, 4)
     c.expect(probe == 4, f"commutator power probe returned {probe}")
     c.finish()
 

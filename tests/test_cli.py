@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from silscope import from_dot, from_json, from_json_dict
 from silscope.cli import main
@@ -43,12 +45,13 @@ def test_classify_pentagon_triangle(capsys):
     code, out, _ = run_cli(capsys, "classify", fixture("pentagon_triangle"))
     assert code == 0
     report = json.loads(out)
-    assert report["version"] == 1
+    assert report["version"] == 2
     assert report["class"] == "VirtuallyZ"
     assert report["evidence"] == {"coxeter_sils": 1, "non_coxeter_sils": 0,
                                   "stils": 0, "fsils": 0}
     assert report["presentation"]["summary"] == "D∞ × ℤ/2ℤ"
-    assert {(pc["vertex"], tuple(pc["component"])) for pc in report["p0"]} == {
+    assert {(pc["vertex"], tuple(pc["component"]))
+            for pc in report["presentation"]["generators"]} == {
         ("v1", ("d", "e", "f")), ("v2", ("d", "e", "f")), ("c", ("e", "f"))}
     assert report["warnings"] == []
     assert report["disconnected"] is None
@@ -80,7 +83,8 @@ def test_classify_ordering_flag(capsys):
                            "--ordering", "d,e,f,a,b,c,v1,v2")
     assert code == 0
     report = json.loads(out)
-    assert {(pc["vertex"], tuple(pc["component"])) for pc in report["p0"]} == {
+    assert {(pc["vertex"], tuple(pc["component"]))
+            for pc in report["presentation"]["generators"]} == {
         ("v1", ("b", "v2")), ("v2", ("a", "v1")), ("c", ("a", "b"))}
 
 
@@ -176,7 +180,7 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_reports_failures_with_exit_one(capsys):
-    def bad(census, spec):
+    def bad(census):
         return CounterexampleReport("always_fails", {"vertices": [], "edges": []},
                                     {}, "forced failure")
     CHECKS["always_fails"] = bad
@@ -222,6 +226,49 @@ def test_exit_two_on_bad_order_map(capsys, tmp_path):
     bad.write_text('{"vertices": [{"name": "a", "order": 6}], "edges": []}')
     code, _, err = run_cli(capsys, "classify", str(bad))
     assert code == 2 and "prime power" in err
+
+
+def test_exit_two_on_bad_verify_order(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-vertices", "2",
+                             "--orders", "x")
+    assert code == 2 and out == ""
+    assert "error:" in err and "'x'" in err
+
+
+def test_exit_two_on_order_too_long_for_int(capsys, tmp_path):
+    digits = "7" * 5000  # more digits than int() converts
+    bad = tmp_path / "long_order.json"
+    bad.write_text('{"vertices": [{"name": "a", "order": %s}], "edges": []}'
+                   % digits)
+    code, out, err = run_cli(capsys, "sils", str(bad))
+    assert code == 2 and out == "" and "error:" in err
+    bad_dot = tmp_path / "long_order.dot"
+    bad_dot.write_text("graph G { a [order=%s]; }" % digits)
+    code, out, err = run_cli(capsys, "sils", str(bad_dot))
+    assert code == 2 and out == "" and "5000 digits" in err
+
+
+def test_exit_two_on_deeply_nested_json(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "sils", str(bad))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_huge_orders_are_refused_before_trial_division(capsys, tmp_path):
+    # trial division of a 25-digit prime would not finish
+    huge = "1000000000000000000000007"
+    code, out, err = run_cli(capsys, "verify", "--orders", huge)
+    assert code == 2 and out == "" and "2147483647" in err
+    bad = tmp_path / "huge_order.json"
+    bad.write_text('{"vertices": [{"name": "a", "order": %s}], "edges": []}'
+                   % huge)
+    code, out, err = run_cli(capsys, "sils", str(bad))
+    assert code == 2 and out == "" and "2147483647" in err
+    # the largest accepted order is a (Mersenne) prime
+    ok = tmp_path / "max_order.json"
+    ok.write_text('{"vertices": [{"name": "a", "order": 2147483647}], "edges": []}')
+    assert run_cli(capsys, "sils", str(ok))[0] == 0
 
 
 def test_exit_two_on_string_edge_entry(capsys, tmp_path):
@@ -285,3 +332,42 @@ def test_dot_input_via_cli(capsys, tmp_path):
     report = json.loads(out)
     assert report["class"] == "Finite"
     assert report["graph"]["vertices"][0] == {"name": "u", "order": 3}
+
+
+# ---------------------------------------------------------------------------
+# main never raises
+
+
+_FUZZ = settings(max_examples=60, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(text=st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(['{', '}', '[', ']', ',', ':', '"vertices"',
+                              '"edges"', '"name"', '"order"', '"a"', '"b"',
+                              '2', '3', '6', '1e400', '-1', 'null', 'graph',
+                              'a', 'b', '--', ';', '[order=4]', '=']),
+             max_size=40).map(" ".join)),
+       suffix=st.sampled_from([".json", ".dot"]),
+       command=st.sampled_from(["classify", "sils", "gens", "presentation"]))
+def test_main_never_raises_on_graph_files(capsys, tmp_path, text, suffix, command):
+    path = tmp_path / f"fuzz{suffix}"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) in (0, 2)
+    capsys.readouterr()
+
+
+@_FUZZ
+@given(orders=st.one_of(st.text(max_size=30),
+                        st.lists(st.integers(-10, 2**40).map(str),
+                                 max_size=4).map(",".join)),
+       checks=st.one_of(st.text(max_size=30),
+                        st.lists(st.sampled_from(sorted(CHECKS)),
+                                 max_size=3).map(",".join)))
+def test_main_never_raises_on_verify_options(capsys, orders, checks):
+    argv = ["verify", "--max-vertices", "2", f"--orders={orders}",
+            f"--checks={checks}"]
+    assert main(argv) in (0, 1, 2)
+    capsys.readouterr()

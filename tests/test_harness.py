@@ -106,7 +106,7 @@ def test_run_suite_rejects_unknown_check():
         run_suite(EnumSpec(2, checks=("lemma_2_2", "not_a_check")))
 
 
-def _fails_on_triangles(census, spec):
+def _fails_on_triangles(census):
     g = census.graph
     if g.n == 3 and len(g.edges()) == 3:
         return CounterexampleReport(
@@ -133,14 +133,14 @@ def test_falsified_check_self_test(falsified_check):
     report = reports[0]
     assert report.check == falsified_check
     # replayable: deserializing the graph and re-running reproduces it
-    again = replay(report, EnumSpec(3))
+    again = replay(report)
     assert again is not None and again.check == falsified_check
     # JSON line round-trips
     assert json.loads(report.to_json_line())["message"] == report.message
 
 
 def test_reports_sorted_by_graph_then_check(falsified_check):
-    def _fails_everywhere(census, spec):
+    def _fails_everywhere(census):
         return CounterexampleReport("a_fails_first", {"vertices": [], "edges": []},
                                     {}, "x")
     CHECKS["a_fails_first"] = _fails_everywhere

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silscope import (Sil, enumerate_fsils, enumerate_sils, enumerate_stils,
-                      is_sil, make_graph, shared_sil_component, star)
+from silscope import (EnumSpec, Sil, enumerate_fsils, enumerate_graphs,
+                      enumerate_sils, enumerate_stils, is_sil, make_graph,
+                      shared_sil_component, star)
 from silscope.sils import SharedComponentError
 
 import oracles
@@ -191,6 +194,22 @@ def test_fsil_triples_induce_three_sils(g):
 def test_stil_implies_two_sils(g):
     if enumerate_stils(g):
         assert len(enumerate_sils(g)) >= 2
+
+
+@pytest.mark.parametrize("spec", [
+    EnumSpec(5, orders=(2,), dedup_isomorphic=True),
+    EnumSpec(4, orders=(2, 3), dedup_isomorphic=True),
+], ids=["dedup_n5_orders2", "dedup_n4_orders23"])
+def test_is_sil_matches_oracle_on_every_vertex_triple(spec):
+    """Every ordered (v1, v2, z), including v1 == v2 and z in the common
+    link: is_sil is the oracle Sil on {v1, v2} whose component holds z."""
+    for g in enumerate_graphs(spec):
+        sils = oracles.sil_census(g)
+        for v1, v2, z in itertools.product(range(g.n), repeat=3):
+            pair = (min(v1, v2), max(v1, v2))
+            expected = next((Sil(p, comp, cox) for p, comp, cox in sils
+                             if p == pair and z in comp), None)
+            assert is_sil(g, v1, v2, z) == expected
 
 
 def test_is_sil_unknown_vertex(g_triangle):
