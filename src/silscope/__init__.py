@@ -21,8 +21,8 @@ from .graphs import (GraphError, LabelledGraph, UnknownVertexError, center,
                      link, load_graph, make_graph, star, star_cut_points,
                      to_json, to_json_dict)
 from .harness import CounterexampleReport, EnumSpec, enumerate_graphs, run_suite
-from .outer import (CommutationPresentation, DisconnectedStructure,
-                    GeneratorSetP0, OutClass, OutKind, PartialConjugation)
+from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
+                    OutKind, PartialConjugation)
 from .sils import Census, Fsil, SharedComponentError, Sil, Stil, is_sil
 from .words import (EPSILON, Automorphism0, WordError, apply,
                     apply_automorphism, commutator, commutator_power_probe,
@@ -58,8 +58,8 @@ def partial_conjugations(g: LabelledGraph, v: int) -> list[PartialConjugation]:
     return _outer.partial_conjugations(Census(g), v)
 
 
-def build_p0(g: LabelledGraph,
-             ordering: Sequence[int] | None = None) -> GeneratorSetP0:
+def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None
+             ) -> tuple[PartialConjugation, ...]:
     """See :func:`silscope.outer.build_p0`."""
     return _outer.build_p0(Census(g), ordering)
 

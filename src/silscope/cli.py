@@ -16,24 +16,21 @@ import sys
 
 from . import harness, outer, sils, words
 from .dot import to_dot
-from .graphs import GraphError, LabelledGraph, load_graph, to_json_dict
+from .graphs import (GraphError, LabelledGraph, load_graph, to_json_dict,
+                     vertex_names)
 
 REPORT_VERSION = 2
 
 
-def _vertex_names(g: LabelledGraph, vertices) -> list:
-    return [g.names[v] for v in sorted(vertices)]
-
-
 def _sil_dict(g: LabelledGraph, s: sils.Sil) -> dict:
     return {"pair": [g.names[s.pair[0]], g.names[s.pair[1]]],
-            "component": _vertex_names(g, s.component),
+            "component": vertex_names(g, s.component),
             "coxeter": s.coxeter}
 
 
 def _pc_dict(g: LabelledGraph, pc: outer.PartialConjugation) -> dict:
     return {"vertex": g.names[pc.vertex],
-            "component": _vertex_names(g, pc.component),
+            "component": vertex_names(g, pc.component),
             "order": g.orders[pc.vertex]}
 
 
@@ -73,18 +70,18 @@ def build_report(g: LabelledGraph, ordering=None) -> dict:
         },
         "sils": [_sil_dict(g, s) for s in census.sils],
         "stils": [{"triple": [g.names[v] for v in s.triple],
-                   "component": _vertex_names(g, s.component)}
+                   "component": vertex_names(g, s.component)}
                   for s in census.stils],
         "fsils": [{"triple": [g.names[v] for v in f.triple],
                    "witnesses": [_sil_dict(g, s) for s in f.sils]}
                   for f in census.fsils],
         "presentation": _presentation_dict(g, pres),
         "disconnected": None if disc is None else {
-            "components": [_vertex_names(g, c) for c in disc.components],
+            "components": [vertex_names(g, c) for c in disc.components],
             "status": disc.status,
             "reason": disc.reason,
             "quotients": (None if disc.quotients is None
-                          else [_vertex_names(g, q) for q in disc.quotients]),
+                          else [vertex_names(g, q) for q in disc.quotients]),
             "summary": disc.summary,
         },
         "warnings": warnings,
@@ -155,7 +152,7 @@ def cmd_sils(args) -> int:
 def cmd_gens(args) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(g, args.ordering)
-    for pc in outer.build_p0(sils.Census(g), ordering).gens:
+    for pc in outer.build_p0(sils.Census(g), ordering):
         print(json.dumps(_pc_dict(g, pc), ensure_ascii=False))
     return 0
 
@@ -169,8 +166,8 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = (tuple(t.strip() for t in args.checks.split(",") if t.strip())
-              if args.checks else harness.DEFAULT_CHECKS)
+    checks = (harness.DEFAULT_CHECKS if args.checks is None else
+              tuple(t.strip() for t in args.checks.split(",") if t.strip()))
     try:
         orders = tuple(int(t) for t in args.orders.split(",") if t.strip())
         spec = harness.EnumSpec(
@@ -183,17 +180,16 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    graphs = list(harness.enumerate_graphs(spec))
-    reports = harness.check_graphs(graphs, spec)
+    checked, reports = harness.run_suite(spec)
     for report in reports:
         print(report.to_json_line())
     print(json.dumps({
-        "checked_graphs": len(graphs),
-        "checks": sorted(checks),
+        "checked_graphs": checked,
+        "checks": list(spec.checks),
         "counterexamples": len(reports),
         "dedup": spec.dedup_isomorphic,
         "max_vertices": spec.max_vertices,
-        "orders": list(orders),
+        "orders": list(spec.orders),
     }, sort_keys=True))
     return 1 if reports else 0
 

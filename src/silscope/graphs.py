@@ -166,6 +166,11 @@ def star(g: LabelledGraph, v: int) -> frozenset:
     return _bits_to_set(g.adj[v] | 1 << v)
 
 
+def vertex_names(g: LabelledGraph, vertices: Iterable[int]) -> list[str]:
+    """The names of ``vertices``, in index order."""
+    return [g.names[v] for v in sorted(vertices)]
+
+
 def components(g: LabelledGraph, keep: Iterable[int]) -> tuple[frozenset, ...]:
     """Connected components of the subgraph induced on ``keep``.
 

@@ -8,27 +8,32 @@ representative per isomorphism class, runs each requested check, and
 reports counterexamples; an empty report is the expected outcome.
 
 Checks are pure functions of the graph's census (one :class:`Census` is
-built per graph and shared by every check run on it), so the suite can
-fan the graph list out to worker processes; reports are merged by (graph
-encoding, check id), making the output independent of scheduling.
+built per graph and shared by every check run on it).  The suite streams:
+graphs are taken from the enumeration in fixed-size chunks, each chunk is
+checked in this process or by a worker process, and the results are joined
+in chunk order.  Reports therefore come out in enumeration order, and in
+check-id order per graph, whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, from_json_dict, is_vertex_order,
-                     to_json_dict)
+                     to_json_dict, vertex_names)
 from .outer import build_p0, commutes
 from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
+CHUNK_SIZE = 256  # graphs per task: bounds memory, amortises pickling
 
 DEFAULT_CHECKS = (
     "lemma_2_2",
@@ -45,7 +50,8 @@ DEFAULT_CHECKS = (
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate and which checks to run."""
+    """What to enumerate and which checks to run.  ``orders`` and ``checks``
+    must be non-empty; they are stored sorted and without repeats."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -57,16 +63,22 @@ class EnumSpec:
         if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
             raise ValueError(
                 f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")
+        if not self.orders:
+            raise ValueError("the order alphabet is empty")
         for m in self.orders:
             if not is_vertex_order(m):
                 raise ValueError(f"order alphabet entry {m} is not a prime power "
                                  f"in 2..{MAX_ORDER}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.checks:
+            raise ValueError("no check ids given")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}; "
                              f"known: {sorted(CHECKS)}")
+        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
+        object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))
 
 
 @dataclass(frozen=True)
@@ -89,10 +101,6 @@ class CounterexampleReport:
 def _report(check: str, g: LabelledGraph, witness: dict,
             message: str) -> CounterexampleReport:
     return CounterexampleReport(check, to_json_dict(g), witness, message)
-
-
-def _names(g: LabelledGraph, vertices) -> list:
-    return [g.names[v] for v in sorted(vertices)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +133,15 @@ def graph_from_bits(n: int, mask: int, orders: Sequence[int]) -> LabelledGraph:
     return LabelledGraph(names, tuple(orders), tuple(adj))
 
 
-def bits_from_graph(g: LabelledGraph) -> int:
-    mask = 0
-    for k, (i, j) in enumerate(_edge_pairs(g.n)):
-        if g.adj[i] >> j & 1:
-            mask |= 1 << k
-    return mask
-
-
-def graph_key(g: LabelledGraph) -> tuple:
-    """Sort key used to merge reports deterministically."""
-    return (g.n, bits_from_graph(g), g.orders)
-
-
 def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
     """All labelled graphs up to the vertex bound, optionally deduplicated.
 
-    Edge sets are enumerated as bitmasks and order maps as alphabet
-    assignments.  With dedup on, each order-preserving isomorphism class
-    appears once, represented by its minimal (edge mask, order tuple)
-    encoding; since enumeration is in ascending encoding order, the first
-    unseen graph of an orbit is that representative.
+    Edge sets are enumerated as bitmasks and order maps as assignments from
+    the (sorted) alphabet, so graphs come in ascending (n, edge mask, order
+    tuple).  With dedup on, each order-preserving isomorphism class appears
+    once, represented by its minimal (edge mask, order tuple) encoding:
+    since enumeration is in ascending encoding order, the first unseen
+    graph of an orbit is that representative.
     """
     for n in range(1, spec.max_vertices + 1):
         n_edge_bits = n * (n - 1) // 2
@@ -182,8 +178,8 @@ def check_lemma_2_2(census: Census) -> Optional[CounterexampleReport]:
             shared_sil_component(census, sil)
         except SharedComponentError as exc:
             return _report("lemma_2_2", g,
-                           {"pair": _names(g, sil.pair),
-                            "component": _names(g, sil.component)},
+                           {"pair": vertex_names(g, sil.pair),
+                            "component": vertex_names(g, sil.component)},
                            str(exc))
     return None
 
@@ -196,8 +192,8 @@ def check_lemma_4(census: Census) -> Optional[CounterexampleReport]:
     if stils:
         g = census.graph
         return _report("lemma_4", g,
-                       {"triple": _names(g, stils[0].triple),
-                        "component": _names(g, stils[0].component)},
+                       {"triple": vertex_names(g, stils[0].triple),
+                        "component": vertex_names(g, stils[0].component)},
                        "unique separating pair coexists with a separating triple")
     return None
 
@@ -211,7 +207,7 @@ def check_stil_two_sils(census: Census) -> Optional[CounterexampleReport]:
     if len(sils) < 2:
         g = census.graph
         return _report("stil_two_sils", g,
-                       {"triple": _names(g, stils[0].triple),
+                       {"triple": vertex_names(g, stils[0].triple),
                         "sil_count": len(sils)},
                        "separating triple with fewer than two separating pairs")
     return None
@@ -256,7 +252,7 @@ def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
                     if comp & {x1, x2, x3}:
                         return _report(
                             "lemma_1_7", g,
-                            {"triple": _names(g, (x1, x2, x3)),
+                            {"triple": vertex_names(g, (x1, x2, x3)),
                              "witness": g.names[z]},
                             "shared witness of two separating pairs does not "
                             "separate the triple")
@@ -267,7 +263,7 @@ def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
 def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
     """No separating pair iff all generator pairs commute."""
     sils = census.sils
-    gens = build_p0(census).gens
+    gens = build_p0(census)
     all_commute = all(commutes(census, x, y)
                       for x, y in itertools.combinations(gens, 2))
     if (not sils) != all_commute:
@@ -285,7 +281,7 @@ def check_three_components_fsil(census: Census) -> Optional[CounterexampleReport
     if not census.fsils:
         g = census.graph
         return _report("three_components_fsil", g,
-                       {"components": [_names(g, c) for c in comps]},
+                       {"components": [vertex_names(g, c) for c in comps]},
                        f"{len(comps)} components but no flexible separating triple")
     return None
 
@@ -298,7 +294,7 @@ def check_fsil_three_sils(census: Census) -> Optional[CounterexampleReport]:
         if len(pairs) < 3:
             g = census.graph
             return _report("fsil_three_sils", g,
-                           {"triple": _names(g, fsil.triple),
+                           {"triple": vertex_names(g, fsil.triple),
                             "pairs": sorted(map(list, pairs))},
                            "flexible triple with fewer than three distinct pairs")
     return None
@@ -308,7 +304,7 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[CounterexampleReport]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators."""
     g = census.graph
-    gens = build_p0(census).gens
+    gens = build_p0(census)
     for x, y in itertools.combinations(gens, 2):
         predicted = commutes(census, x, y)
         witness = search_inner(g, commutator(g, x, y))
@@ -338,45 +334,51 @@ CHECKS: dict = {
 # Suite driver
 
 
-def _run_checks(args: tuple) -> list:
-    graphs, spec = args
-    check_ids = sorted(spec.checks)
+def _run_checks(graphs: list, spec: EnumSpec) -> tuple:
+    """Check one chunk: (number of graphs, their reports in order)."""
     out = []
     for g in graphs:
         census = Census(g)
-        for check_id in check_ids:
+        for check_id in spec.checks:
             report = CHECKS[check_id](census)
             if report is not None:
-                out.append((graph_key(g), report))
-    return out
+                out.append(report)
+    return len(graphs), out
 
 
-def check_graphs(graphs: Sequence[LabelledGraph], spec: EnumSpec) -> list:
-    """Run every check of ``spec`` on each graph.
+def _checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
+    """``_run_checks`` of each chunk of the enumeration, in chunk order: in
+    this process for one worker, else in a pool with at most two chunks per
+    process pending."""
+    graphs = enumerate_graphs(spec)
+    chunks = iter(lambda: list(itertools.islice(graphs, CHUNK_SIZE)), [])
+    workers = min(spec.workers, os.cpu_count() or 1)
+    if workers == 1:
+        yield from (_run_checks(chunk, spec) for chunk in chunks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for chunk in chunks:
+            pending.append(pool.submit(_run_checks, chunk, spec))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
-    Returns counterexample reports sorted by (graph encoding, check id);
-    an empty list means every check passed.
+
+def run_suite(spec: EnumSpec) -> tuple:
+    """Run every check of ``spec`` on each enumerated graph.
+
+    Returns ``(checked_graphs, reports)``, the reports in enumeration order
+    and by check id per graph; no report means every check passed.  Unknown
+    check ids are refused when the spec is built, so a typo cannot silently
+    skip coverage.  The pool never has more processes than there are CPUs.
     """
-    if spec.workers == 1 or len(graphs) < 2 * spec.workers:
-        keyed = _run_checks((graphs, spec))
-    else:
-        chunk = (len(graphs) + spec.workers - 1) // spec.workers
-        parts = [(graphs[i:i + chunk], spec) for i in range(0, len(graphs), chunk)]
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            keyed = [r for part in pool.map(_run_checks, parts) for r in part]
-    keyed.sort(key=lambda pair: (pair[0], pair[1].check))
-    return [report for _, report in keyed]
-
-
-def run_suite(spec: EnumSpec) -> list:
-    """Run every requested check over the enumerated graphs; see
-    :func:`check_graphs`.  Unknown check ids are refused when the spec is
-    built, so a typo cannot silently skip coverage."""
-    return check_graphs(list(enumerate_graphs(spec)), spec)
-
-
-def count_graphs(spec: EnumSpec) -> int:
-    return sum(1 for _ in enumerate_graphs(spec))
+    checked, reports = 0, []
+    for n, part in _checked_chunks(spec):
+        checked += n
+        reports.extend(part)
+    return checked, reports
 
 
 def replay(report: CounterexampleReport) -> Optional[CounterexampleReport]:

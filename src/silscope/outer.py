@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import LabelledGraph
+from .graphs import LabelledGraph, vertex_names
 from .sils import Census, vertex_mask
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
@@ -39,8 +39,7 @@ class PartialConjugation:
     component: frozenset
 
     def label(self, g: LabelledGraph) -> str:
-        names = ",".join(sorted((g.names[u] for u in self.component),
-                                key=lambda s: g.index(s)))
+        names = ",".join(vertex_names(g, self.component))
         return f"chi {g.names[self.vertex]} {{{names}}}"
 
 
@@ -60,17 +59,9 @@ def validate_partial_conjugation(g: LabelledGraph, v: int,
         f"St({g.names[v]})")
 
 
-@dataclass(frozen=True)
-class GeneratorSetP0:
-    """The partial-conjugation generating set under a chosen numbering."""
-
-    ordering: tuple[int, ...]  # permutation of vertex indices; first = number 1
-    gens: tuple[PartialConjugation, ...]
-
-
-def build_p0(census: Census,
-             ordering: Sequence[int] | None = None) -> GeneratorSetP0:
-    """Construct the generating set for the given vertex numbering.
+def build_p0(census: Census, ordering: Sequence[int] | None = None
+             ) -> tuple[PartialConjugation, ...]:
+    """The generating set for the given vertex numbering, as a tuple.
 
     For each star cut point, the components of the punctured graph are
     ranked by their smallest-numbered vertex and the first is dropped
@@ -91,7 +82,7 @@ def build_p0(census: Census,
             continue  # not a star cut point
         pcs.sort(key=lambda pc: min(rank[u] for u in pc.component))
         gens.extend(pcs[1:])
-    return GeneratorSetP0(ordering, tuple(gens))
+    return tuple(gens)
 
 
 def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bool:
@@ -170,7 +161,7 @@ class CommutationPresentation:
 
 def presentation(census: Census,
                  ordering: Sequence[int] | None = None) -> CommutationPresentation:
-    gens = build_p0(census, ordering).gens
+    gens = build_p0(census, ordering)
     orders = tuple(census.graph.orders[pc.vertex] for pc in gens)
     edges = set()
     commute = [[True] * len(gens) for _ in gens]

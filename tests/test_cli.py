@@ -179,6 +179,25 @@ def test_verify_unknown_check(capsys):
     assert "unknown check" in err
 
 
+def test_verify_refuses_empty_orders_and_checks(capsys):
+    for option in ("--orders", "--checks"):
+        code, out, err = run_cli(capsys, "verify", "--max-vertices", "4",
+                                 option, ",")
+        assert code == 2 and out == ""
+        assert "error:" in err
+
+
+def test_verify_folds_repeated_orders_and_checks(capsys):
+    _, plain, _ = run_cli(capsys, "verify", "--max-vertices", "4",
+                          "--orders", "2,3", "--checks", "lemma_4")
+    _, repeated, _ = run_cli(capsys, "verify", "--max-vertices", "4",
+                             "--orders", "3,2,2", "--checks", "lemma_4,lemma_4")
+    assert repeated == plain
+    summary = json.loads(plain)
+    assert summary["orders"] == [2, 3] and summary["checks"] == ["lemma_4"]
+    assert summary["checked_graphs"] == 2 + 2 * 4 + 8 * 8 + 64 * 16
+
+
 def test_verify_reports_failures_with_exit_one(capsys):
     def bad(census):
         return CounterexampleReport("always_fails", {"vertices": [], "edges": []},

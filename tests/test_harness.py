@@ -1,18 +1,24 @@
 import itertools
 import json
+import os
+from concurrent.futures import Future
 
 import pytest
 
-from silscope import make_graph
+from silscope import harness, make_graph, to_json_dict
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
-                              bits_from_graph, count_graphs, enumerate_graphs,
-                              graph_from_bits, graph_key, replay, run_suite)
+                              enumerate_graphs, graph_from_bits, replay,
+                              run_suite)
 
 NO_ORACLE = tuple(c for c in CHECKS if c != "lemma_1_4_oracle")
 
 
 def exactly_n(spec, n):
     return [g for g in enumerate_graphs(spec) if g.n == n]
+
+
+def count_graphs(spec):
+    return len(list(enumerate_graphs(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +78,42 @@ def test_dedup_representatives_cover_all_classes():
 def test_dedup_respects_order_labels():
     reps = exactly_n(EnumSpec(2, orders=(2, 3), dedup_isomorphic=True), 2)
     # one-edge graphs with orders (2,2), (2,3), (3,3) stay distinct
-    assert len([g for g in reps if bits_from_graph(g)]) == 3
+    assert len([g for g in reps if g.edges()]) == 3
 
 
 def test_graph_bits_round_trip():
     g = make_graph([("v1", 2), ("v2", 3), ("v3", 2)], [("v1", "v3")])
-    mask = bits_from_graph(g)
-    assert graph_from_bits(3, mask, g.orders) == g
-    assert graph_key(g) == (3, mask, (2, 3, 2))
+    # edge bits run over the pairs (0,1), (0,2), (1,2)
+    assert graph_from_bits(3, 0b010, g.orders) == g
+
+
+def encoding(g):
+    pairs = list(itertools.combinations(range(g.n), 2))
+    return sum(1 << pairs.index(e) for e in g.edges()), g.orders
+
+
+def test_dedup_representatives_are_minimal_encodings():
+    # an unsorted alphabet must still give the minimal representatives
+    reps = list(enumerate_graphs(EnumSpec(3, orders=(3, 2), dedup_isomorphic=True)))
+    # n=3: empty 4, one edge 3*2, path 2*3, triangle 4
+    assert len(reps) == 2 + 2 * 3 + (4 + 6 + 6 + 4)
+    for g in reps:
+        assert all(encoding(g) <= encoding(g.relabelled(perm))
+                   for perm in itertools.permutations(range(g.n))), g
+
+
+def test_enum_spec_sorts_and_folds_repeats():
+    spec = EnumSpec(3, orders=(3, 2, 2), checks=("lemma_4", "lemma_2_2", "lemma_4"))
+    assert spec.orders == (2, 3)
+    assert spec.checks == ("lemma_2_2", "lemma_4")
+    assert count_graphs(spec) == count_graphs(EnumSpec(3, orders=(2, 3)))
+
+
+def test_enum_spec_refuses_empty_lists():
+    with pytest.raises(ValueError, match="order alphabet is empty"):
+        EnumSpec(3, orders=())
+    with pytest.raises(ValueError, match="no check ids"):
+        EnumSpec(3, checks=())
 
 
 def test_enum_spec_validation():
@@ -98,7 +132,7 @@ def test_enum_spec_validation():
 
 
 def test_run_suite_clean_on_small_graphs():
-    assert run_suite(EnumSpec(4, dedup_isomorphic=True)) == []
+    assert run_suite(EnumSpec(4, dedup_isomorphic=True))[1] == []
 
 
 def test_run_suite_rejects_unknown_check():
@@ -128,7 +162,7 @@ def falsified_check():
 
 
 def test_falsified_check_self_test(falsified_check):
-    reports = run_suite(EnumSpec(3, checks=(falsified_check, "lemma_2_2")))
+    _, reports = run_suite(EnumSpec(3, checks=(falsified_check, "lemma_2_2")))
     assert len(reports) == 1
     report = reports[0]
     assert report.check == falsified_check
@@ -145,7 +179,7 @@ def test_reports_sorted_by_graph_then_check(falsified_check):
                                     {}, "x")
     CHECKS["a_fails_first"] = _fails_everywhere
     try:
-        reports = run_suite(EnumSpec(3, checks=(falsified_check, "a_fails_first")))
+        _, reports = run_suite(EnumSpec(3, checks=(falsified_check, "a_fails_first")))
     finally:
         del CHECKS["a_fails_first"]
     keys = [(r.check,) for r in reports]
@@ -161,11 +195,63 @@ def test_reports_sorted_by_graph_then_check(falsified_check):
 def test_worker_counts_agree(falsified_check):
     spec1 = EnumSpec(3, checks=(falsified_check,), workers=1)
     spec2 = EnumSpec(3, checks=(falsified_check,), workers=2)
-    lines1 = [r.to_json_line() for r in run_suite(spec1)]
-    lines2 = [r.to_json_line() for r in run_suite(spec2)]
+    lines1 = [r.to_json_line() for r in run_suite(spec1)[1]]
+    lines2 = [r.to_json_line() for r in run_suite(spec2)[1]]
     assert lines1 == lines2 and lines1
 
 
 def test_oracle_check_runs_on_six_vertices():
     spec = EnumSpec(6, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
-    assert run_suite(spec) == []
+    assert run_suite(spec)[1] == []
+
+
+def _fails_everywhere(census):
+    return CounterexampleReport("fails_everywhere", to_json_dict(census.graph),
+                                {}, "deliberately falsified check")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reports_come_in_enumeration_order(workers):
+    CHECKS["fails_everywhere"] = _fails_everywhere
+    try:
+        spec = EnumSpec(5, checks=("fails_everywhere",), workers=workers)
+        checked, reports = run_suite(spec)
+    finally:
+        del CHECKS["fails_everywhere"]
+    # 1,099 graphs span several chunks, so the pool joins them in order
+    assert checked == 1099 > harness.CHUNK_SIZE
+    assert [r.graph for r in reports] == [to_json_dict(g)
+                                          for g in enumerate_graphs(spec)]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and runs each task at once in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, workers, pool_size", [
+    (4, 10_000, 4), (4, 3, 3), (None, 10_000, None), (1, 2, None)])
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers, pool_size):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    spec = EnumSpec(5, checks=("lemma_2_2",), workers=workers)
+    assert run_suite(spec) == (1099, [])
+    # no pool at all when only one process would run
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])

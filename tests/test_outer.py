@@ -22,7 +22,7 @@ TIMES = " × "
 
 
 def gen_set(g, p0):
-    return {(g.names[pc.vertex], tuple(names(g, pc.component))) for pc in p0.gens}
+    return {(g.names[pc.vertex], tuple(names(g, pc.component))) for pc in p0}
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_build_p0_pentagon_fork(g_pentagon_fork):
 
 
 def test_build_p0_complete_graph_is_empty(g_triangle):
-    assert build_p0(g_triangle).gens == ()
+    assert build_p0(g_triangle) == ()
 
 
 def test_build_p0_respects_ordering(g_pentagon_triangle):
@@ -91,8 +91,8 @@ def test_build_p0_size_formula(g, rng):
     rng.shuffle(ordering)
     p0 = build_p0(g, ordering)
     expected = sum(len(partial_conjugations(g, v)) - 1 for v in star_cut_points(g))
-    assert len(p0.gens) == expected
-    for pc in p0.gens:
+    assert len(p0) == expected
+    for pc in p0:
         assert validate_partial_conjugation(g, pc.vertex, pc.component) == pc
 
 
@@ -286,7 +286,7 @@ def test_virtually_z_unique_pair_across_enumeration():
 @settings(max_examples=60)
 def test_finite_iff_all_generators_commute(g):
     sils = enumerate_sils(g)
-    gens = build_p0(g).gens
+    gens = build_p0(g)
     all_commute = all(commutes(g, x, y)
                       for x, y in itertools.combinations(gens, 2))
     assert (not sils) == all_commute

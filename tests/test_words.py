@@ -243,7 +243,7 @@ def within_four(w):
 
 def p0_commutators(spec):
     for g in enumerate_graphs(spec):
-        gens = build_p0(Census(g)).gens
+        gens = build_p0(Census(g))
         for x, y in itertools.combinations(gens, 2):
             yield g, commutator(g, x, y)
 
