@@ -23,7 +23,6 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, from_json_dict, is_vertex_order,
@@ -51,7 +50,11 @@ DEFAULT_CHECKS = (
 @dataclass(frozen=True)
 class EnumSpec:
     """What to enumerate and which checks to run.  ``orders`` and ``checks``
-    must be non-empty; they are stored sorted and without repeats."""
+    must be non-empty; they are stored sorted and without repeats.  With
+    ``dedup_isomorphic``, one graph per order-preserving isomorphism class
+    is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
+    (2,).  Checking n = 8 with two or more orders is impractical: (2, 3)
+    alone has 2,208,612 classes on 8 vertices (OEIS A000666)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -107,25 +110,9 @@ def _report(check: str, g: LabelledGraph, witness: dict,
 # Enumeration
 
 
-def _edge_pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-@lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple:
-    """For each permutation of n vertices, the induced edge-bit remapping."""
-    pairs = _edge_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        table = tuple(index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
-        tables.append((perm, table))
-    return tuple(tables)
-
-
 def graph_from_bits(n: int, mask: int, orders: Sequence[int]) -> LabelledGraph:
     adj = [0] * n
-    for k, (i, j) in enumerate(_edge_pairs(n)):
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         if mask >> k & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -133,37 +120,70 @@ def graph_from_bits(n: int, mask: int, orders: Sequence[int]) -> LabelledGraph:
     return LabelledGraph(names, tuple(orders), tuple(adj))
 
 
-def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
-    """All labelled graphs up to the vertex bound, optionally deduplicated.
+def _automorphisms(adj: tuple, every: bool) -> Optional[list]:
+    """The automorphisms (position -> vertex) of a graph whose edge mask no
+    relabelling lowers, else None.  The mask's top bits are row n-2, then
+    n-3, ..., row p holding the edges from p to p+1.. (p+1 lowest).  The
+    search fills positions n-1, n-2, ...: a free vertex whose row against
+    the placed ones is below the graph's disproves minimality, one above
+    ends its branch.  Unless ``every``, one of two twins is tried (swapping
+    them fixes the placed vertices), so not every automorphism is listed."""
+    rows = [a >> p + 1 for p, a in enumerate(adj)]
+    found: list = []
 
-    Edge sets are enumerated as bitmasks and order maps as assignments from
-    the (sorted) alphabet, so graphs come in ascending (n, edge mask, order
-    tuple).  With dedup on, each order-preserving isomorphism class appears
-    once, represented by its minimal (edge mask, order tuple) encoding:
-    since enumeration is in ascending encoding order, the first unseen
-    graph of an orbit is that representative.
+    def fill(words: dict, perm: tuple) -> bool:
+        if not words:
+            found.append(perm)
+            return True
+        row = rows[len(words) - 1]
+        if min(words.values()) < row:
+            return False
+        tried: set = set()
+        for v, w in words.items():
+            if w == row and not {adj[v], adj[v] | 1 << v} & tried:
+                if not every:
+                    tried |= {adj[v], adj[v] | 1 << v}
+                if not fill({u: x << 1 | adj[u] >> v & 1
+                             for u, x in words.items() if u != v}, (v,) + perm):
+                    return False
+        return True
+
+    # starting from the graph's own numbering halves the time of n <= 7 {2}
+    return found if fill(dict.fromkeys(reversed(range(len(adj))), 0), ()) else None
+
+
+def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
+    """All labelled graphs up to the vertex bound, in ascending (n, edge
+    mask, order tuple); bit k of the mask is the k-th pair (i, j), i < j.
+
+    With dedup, each class comes once, as its minimal encoding, by orderly
+    generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
+    1998).  The pairs without vertex 0 are the high bits, so mask(G) =
+    mask(G - v0) << n-1 | row(v0), and G - v0 is minimal when G is.  So each
+    minimal (n-1)-mask, ascending, is extended by every row of v0 in turn
+    and kept if still minimal; an order tuple is kept iff no automorphism
+    of the mask makes it lexicographically smaller.
     """
+    if not spec.dedup_isomorphic:
+        for n in range(1, spec.max_vertices + 1):
+            for mask in range(1 << n * (n - 1) // 2):
+                for orders in itertools.product(spec.orders, repeat=n):
+                    yield graph_from_bits(n, mask, orders)
+        return
+    level: list = [()]  # adjacency of each minimal graph on n-1 vertices
     for n in range(1, spec.max_vertices + 1):
-        n_edge_bits = n * (n - 1) // 2
-        seen: set = set()
-        tables = _perm_tables(n) if spec.dedup_isomorphic else ()
-        for mask in range(1 << n_edge_bits):
-            for orders in itertools.product(spec.orders, repeat=n):
-                if spec.dedup_isomorphic:
-                    if (mask, orders) in seen:
-                        continue
-                    for perm, table in tables:
-                        pmask = 0
-                        rest = mask
-                        while rest:
-                            low = rest & -rest
-                            pmask |= 1 << table[low.bit_length() - 1]
-                            rest ^= low
-                        porders = [0] * n
-                        for i in range(n):
-                            porders[perm[i]] = orders[i]
-                        seen.add((pmask, tuple(porders)))
-                yield graph_from_bits(n, mask, orders)
+        names = tuple(f"v{i + 1}" for i in range(n))
+        minimal = []
+        for padj, row in itertools.product(level, range(1 << n - 1)):
+            adj = (row << 1,) + tuple(a << 1 | row >> i & 1
+                                      for i, a in enumerate(padj))
+            auts = _automorphisms(adj, len(spec.orders) > 1)
+            if auts is not None:
+                minimal.append(adj)
+                for orders in itertools.product(spec.orders, repeat=n):
+                    if all(tuple(orders[v] for v in a) >= orders for a in auts):
+                        yield LabelledGraph(names, orders, adj)
+        level = minimal
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 Everything here recomputes from first principles over plain edge lists:
 union-find components instead of bitmask BFS, per-definition separation
 scans instead of the library's enumerators, an exhaustive rewriting
-closure instead of the normal-form algorithm, and a breadth-first search
-over conjugating words instead of the coset fold that decides innerness.
+closure instead of the normal-form algorithm, a breadth-first search
+over conjugating words instead of the coset fold that decides innerness,
+and isomorph rejection by marking whole orbits under all n! vertex
+permutations instead of orderly generation.
 Slow on purpose and kept free of silscope internals beyond the graph data
 fields; the one exception is the word search, which compares words in the
 library's normal form (itself checked against the rewriting closure).
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
+from silscope.graphs import LabelledGraph
 from silscope.words import image_of_vertex, reduce
 
 
@@ -245,3 +248,39 @@ def bfs_inner_witness(g, phi, depth):
                    for v in check_order):
                 return cand
     return None
+
+
+def dedup_by_orbit_marking(spec):
+    """One graph per order-preserving isomorphism class, as the minimal
+    (edge mask, order tuple) encoding, in ascending (n, mask, orders).
+
+    Walks every labelled graph in ascending encoding order; the first one
+    not yet marked is its class's representative, and it marks its whole
+    orbit by applying all n! vertex permutations.  Builds the graphs from
+    plain edge bits, without the library's enumeration code.
+    """
+    for n in range(1, spec.max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        index = {p: k for k, p in enumerate(pairs)}
+        tables = [(perm, [index[tuple(sorted((perm[i], perm[j])))]
+                          for i, j in pairs])
+                  for perm in permutations(range(n))]
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            adj = [0] * n
+            for k, (i, j) in enumerate(pairs):
+                if mask >> k & 1:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+            for orders in product(spec.orders, repeat=n):
+                if (mask, orders) in seen:
+                    continue
+                for perm, table in tables:
+                    pmask = sum(1 << table[k] for k in range(len(pairs))
+                                if mask >> k & 1)
+                    porders = [0] * n
+                    for i in range(n):
+                        porders[perm[i]] = orders[i]
+                    seen.add((pmask, tuple(porders)))
+                yield LabelledGraph(tuple(f"v{i + 1}" for i in range(n)),
+                                    orders, tuple(adj))

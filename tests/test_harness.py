@@ -1,14 +1,17 @@
 import itertools
 import json
 import os
+from collections import Counter
 from concurrent.futures import Future
 
 import pytest
 
-from silscope import harness, make_graph, to_json_dict
+from silscope import from_json_dict, harness, make_graph, to_json_dict
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, replay,
                               run_suite)
+
+import oracles
 
 NO_ORACLE = tuple(c for c in CHECKS if c != "lemma_1_4_oracle")
 
@@ -39,9 +42,13 @@ def test_enumeration_counts_dedup():
     spec = EnumSpec(3, dedup_isomorphic=True)
     assert len(exactly_n(spec, 3)) == 4
     assert count_graphs(spec) == 1 + 2 + 4
-    # known census of graph isomorphism classes: 1, 2, 4, 11, 34, 156
-    assert count_graphs(EnumSpec(5, dedup_isomorphic=True)) == 52
-    assert count_graphs(EnumSpec(6, dedup_isomorphic=True)) == 208
+    # graphs on n unlabelled vertices, OEIS A000088
+    per_n = Counter(g.n for g in enumerate_graphs(EnumSpec(7, dedup_isomorphic=True)))
+    assert [per_n[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    # two vertex orders behave as graphs with loops allowed, OEIS A000666:
+    # 2 + 6 + 20 + 90 + 544 + 5096 classes on 1..6 vertices
+    spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True)
+    assert count_graphs(spec) == 5758
 
 
 def test_enumeration_counts_with_order_alphabet():
@@ -97,9 +104,17 @@ def test_dedup_representatives_are_minimal_encodings():
     reps = list(enumerate_graphs(EnumSpec(3, orders=(3, 2), dedup_isomorphic=True)))
     # n=3: empty 4, one edge 3*2, path 2*3, triangle 4
     assert len(reps) == 2 + 2 * 3 + (4 + 6 + 6 + 4)
+    reps += enumerate_graphs(EnumSpec(5, orders=(2, 3), dedup_isomorphic=True))
     for g in reps:
         assert all(encoding(g) <= encoding(g.relabelled(perm))
                    for perm in itertools.permutations(range(g.n))), g
+
+
+@pytest.mark.parametrize("max_vertices, orders", [
+    (6, (2,)), (5, (2, 3)), (5, (2, 4)), (4, (2, 3, 4)), (3, (2, 3, 5))])
+def test_orderly_generation_matches_orbit_marking(max_vertices, orders):
+    spec = EnumSpec(max_vertices, orders=orders, dedup_isomorphic=True)
+    assert list(enumerate_graphs(spec)) == list(oracles.dedup_by_orbit_marking(spec))
 
 
 def test_enum_spec_sorts_and_folds_repeats():
@@ -198,6 +213,39 @@ def test_worker_counts_agree(falsified_check):
     lines1 = [r.to_json_line() for r in run_suite(spec1)[1]]
     lines2 = [r.to_json_line() for r in run_suite(spec2)[1]]
     assert lines1 == lines2 and lines1
+
+
+# Every counterexample of dedup n <= 7, orders {2}: all are lemma_7, each a
+# connected graph with one separating pair, one vertex of which leaves three
+# components of G - St(v), not two.  Edges "ij" join vi and vj.
+LEMMA_7_ON_SEVEN_VERTICES = [
+    "13 14 15 17 24 26 34 35",
+    "14 15 17 23 24 26 34 35",
+    "13 14 15 17 23 24 26 34 35",
+    "14 16 17 24 25 26 34 35",
+    "12 14 16 17 24 25 26 34 35",
+    "14 16 17 23 24 25 26 34 35",
+    "12 14 16 17 23 24 25 26 34 35",
+]
+
+
+def test_lemma_7_counterexamples_on_seven_vertices_are_pinned():
+    checked, reports = run_suite(EnumSpec(7, dedup_isomorphic=True))
+    assert checked == 1252
+    assert [(r.check, " ".join(a[1:] + b[1:] for a, b in r.graph["edges"]))
+            for r in reports] == [("lemma_7", e) for e in LEMMA_7_ON_SEVEN_VERTICES]
+    for report in reports:
+        g = from_json_dict(report.graph)
+        assert len(oracles.components_uf(g, range(g.n))) == 1
+        [(pair, _, _)] = oracles.sil_census(g)
+        v = g.index(report.witness["vertex"])
+        star_components = [
+            len(oracles.components_uf(g, set(range(g.n)) - {u}
+                                      - oracles.neighbors_scan(g, u)))
+            for u in pair]
+        # the check names the first pair vertex that does not leave two
+        assert star_components[:pair.index(v) + 1] == [2] * pair.index(v) + [3]
+        assert report.witness["components"] == 3
 
 
 def test_oracle_check_runs_on_six_vertices():
