@@ -131,14 +131,15 @@ def cmd_classify(args) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(g, args.ordering)
     report = build_report(g, ordering)
-    print(json.dumps(report, indent=2, ensure_ascii=False))
     if args.dot:
-        # the report's Sils are the census's; read them back, not recompute
+        # the report's Sils are the census's; read them back, not recompute.
+        # The file is written first, so a failed write prints no report.
         acting = {g.index(name) for s in report["sils"] for name in s["pair"]}
         separated = {g.index(name) for s in report["sils"]
                      for name in s["component"]} - acting
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, acting, separated))
+    print(json.dumps(report, indent=2, ensure_ascii=False))
     return 0
 
 
@@ -270,6 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 reads `--opt=--` as an empty list
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{key.replace('_', '-')}: expected one "
+                  "value", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -171,6 +171,29 @@ def vertex_names(g: LabelledGraph, vertices: Iterable[int]) -> list[str]:
     return [g.names[v] for v in sorted(vertices)]
 
 
+def component_masks(adj: Sequence[int], keep_mask: int) -> tuple[int, ...]:
+    """Connected components of the subgraph induced on the bitmask
+    ``keep_mask``, as bitmasks ordered by lowest set bit.
+
+    ``adj`` is a graph's adjacency bitmask tuple, and every bit set in
+    ``keep_mask`` must index it; nothing is checked.
+    """
+    out = []
+    rest = keep_mask
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & rest
+            rest ^= new
+            comp |= new
+            frontier |= new
+        out.append(comp)
+    return tuple(out)
+
+
 def components(g: LabelledGraph, keep: Iterable[int]) -> tuple[frozenset, ...]:
     """Connected components of the subgraph induced on ``keep``.
 
@@ -181,33 +204,14 @@ def components(g: LabelledGraph, keep: Iterable[int]) -> tuple[frozenset, ...]:
     for v in keep:
         g.check_vertex(v)
         keep_mask |= 1 << v
-    adj = g.adj
-    out = []
-    remaining = keep_mask
-    while remaining:
-        low = remaining & -remaining
-        comp = low
-        frontier = low
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier ^= frontier & -frontier
-            new = adj[v] & remaining & ~comp
-            comp |= new
-            frontier |= new
-        remaining &= ~comp
-        out.append(_bits_to_set(comp))
-    return tuple(out)
+    return tuple(_bits_to_set(m) for m in component_masks(g.adj, keep_mask))
 
 
 def star_cut_points(g: LabelledGraph) -> list[int]:
     """Vertices v such that removing St(v) leaves >= 2 connected components."""
     full = (1 << g.n) - 1
-    out = []
-    for v in range(g.n):
-        rest = full & ~(g.adj[v] | 1 << v)
-        if len(components(g, _bits_to_set(rest))) >= 2:
-            out.append(v)
-    return out
+    return [v for v in range(g.n)
+            if len(component_masks(g.adj, full & ~(g.adj[v] | 1 << v))) >= 2]
 
 
 def center(g: LabelledGraph) -> frozenset:
@@ -217,7 +221,7 @@ def center(g: LabelledGraph) -> frozenset:
 
 
 def is_connected(g: LabelledGraph) -> bool:
-    return len(components(g, range(g.n))) <= 1
+    return len(component_masks(g.adj, (1 << g.n) - 1)) <= 1
 
 
 def _bits_to_set(mask: int) -> frozenset:

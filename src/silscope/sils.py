@@ -8,11 +8,18 @@ in which every pair is separated with the third vertex as witness.
 Every one of these, and every star cut, is a connected component of the
 graph minus some vertex set S: a common link of two or three vertices, or
 a star.  A :class:`Census` holds one graph and a memo from the bitmask of
-S to the components of G - S, so each distinct S costs one BFS however
-many pairs, triples and stars share it.  The census computes the Sils,
-Stils and Fsils on first use and keeps them; every consumer of one graph
-reads the same census.  Cost: the pair and triple scans are O(n^3) mask
-ANDs and dict lookups, plus one BFS per distinct removed set.
+S to the component bitmasks of G - S, so each distinct S costs one BFS
+however many pairs, triples and stars share it.  The census computes the
+Sils, Stils and Fsils on first use and keeps them; every consumer of one
+graph reads the same census.
+
+Cost: O(n^2 + sum over pairs {a, b} of |N(L_ab)|) mask operations and
+memo lookups, where L_ab is the common link of a and b and N(L_ab) its
+neighbourhood, plus one BFS per distinct removed set.  A third vertex c
+outside N(L_ab) has an empty triple link, and G - {} = G strands no
+component avoiding a, b and c unless G already strands one avoiding a
+and b; only then are all c scanned, so the scan is O(n^3) at worst on
+disconnected graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import LabelledGraph, components
+from .graphs import LabelledGraph, _bits_to_set, component_masks
 
 
 class SharedComponentError(RuntimeError):
@@ -70,30 +77,36 @@ def vertex_mask(vertices) -> int:
 class Census:
     """The separation census of one graph, computed lazily and once.
 
-    ``components(removed)`` is memoised per removed-vertex bitmask on this
-    instance; the Sil, Stil and Fsil lists and the per-pair witness index
-    are computed on first access.  Nothing is shared between instances.
+    The memo maps each removed-vertex bitmask to the component bitmasks
+    of the rest; ``components(removed)`` turns them into frozensets on
+    first request and keeps those too.  The Sil, Stil and Fsil lists and
+    the per-pair witness index are computed on first access.  Nothing is
+    shared between instances.
     """
 
     graph: LabelledGraph
-    _parts: dict = field(default_factory=dict, init=False, repr=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False)
+    _sets: dict = field(default_factory=dict, init=False, repr=False)
 
     def _split(self, removed: int) -> tuple:
-        """(component bitmasks, component vertex sets) of G - removed."""
+        """Component bitmasks of G - removed, ordered by lowest bit."""
         try:
-            return self._parts[removed]
+            return self._masks[removed]
         except KeyError:
             g = self.graph
-            keep = [v for v in range(g.n) if not removed >> v & 1]
-            comps = components(g, keep)
-            entry = (tuple(vertex_mask(c) for c in comps), comps)
-            self._parts[removed] = entry
-            return entry
+            masks = self._masks[removed] = component_masks(
+                g.adj, ((1 << g.n) - 1) & ~removed)
+            return masks
 
     def components(self, removed: int = 0) -> tuple:
         """Components of the graph minus the vertex bitmask ``removed``, as
         ``frozenset`` vertex sets ordered by smallest contained vertex."""
-        return self._split(removed)[1]
+        try:
+            return self._sets[removed]
+        except KeyError:
+            sets = self._sets[removed] = tuple(
+                _bits_to_set(m) for m in self._split(removed))
+            return sets
 
     def star_components(self, v: int) -> tuple:
         """Components of the graph minus St(v)."""
@@ -145,11 +158,10 @@ def enumerate_sils(census: Census) -> list[Sil]:
         if adj[v1] >> v2 & 1:
             continue
         pair = 1 << v1 | 1 << v2
-        masks, comps = census._split(adj[v1] & adj[v2])
         coxeter = g.orders[v1] == 2 and g.orders[v2] == 2
-        for mask, comp in zip(masks, comps):
+        for mask in census._split(adj[v1] & adj[v2]):
             if not mask & pair:
-                out.append(Sil((v1, v2), comp, coxeter))
+                out.append(Sil((v1, v2), _bits_to_set(mask), coxeter))
     return out
 
 
@@ -165,24 +177,42 @@ def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
 def enumerate_stils(census: Census) -> list[Stil]:
     """All Stils, one per (triple spanning <= 1 edge, separated component).
 
-    The common link of a triple is the memo key, so triples sharing a
-    common link share one BFS.
+    Triples come out in lexicographic order, components in order of
+    smallest contained vertex.  For a pair {a, b} with common link L, only
+    third vertices c in N(L) are scanned unless G itself has a component
+    avoiding a and b (see the module docstring).  The common link of a
+    triple is the memo key, so triples sharing a common link share one BFS.
     """
     adj = census.graph.adj
     n = census.graph.n
+    full = (1 << n) - 1
+    whole = census._split(0)
     out = []
     for a in range(n):
         for b in range(a + 1, n):
-            ab_edge = adj[a] >> b & 1
-            ab_link = adj[a] & adj[b]
-            for c in range(b + 1, n):
-                if ab_edge + (adj[a] >> c & 1) + (adj[b] >> c & 1) > 1:
-                    continue
-                triple = 1 << a | 1 << b | 1 << c
-                masks, comps = census._split(ab_link & adj[c])
-                for mask, comp in zip(masks, comps):
+            pair = 1 << a | 1 << b
+            link = adj[a] & adj[b]
+            if len(whole) > 1 and any(not mask & pair for mask in whole):
+                thirds = full  # G strands a component avoiding a and b
+            else:
+                thirds = 0  # N(link): the c whose triple link is non-empty
+                rest = link
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    thirds |= adj[low.bit_length() - 1]
+            # at most one spanned edge: c is adjacent to neither a nor b if
+            # ab is an edge, and not to both otherwise
+            thirds &= ~(adj[a] | adj[b]) if adj[a] >> b & 1 else ~link
+            thirds = thirds >> (b + 1) << (b + 1)
+            while thirds:
+                low = thirds & -thirds
+                thirds ^= low
+                c = low.bit_length() - 1
+                triple = pair | low
+                for mask in census._split(link & adj[c]):
                     if not mask & triple:
-                        out.append(Stil((a, b, c), comp))
+                        out.append(Stil((a, b, c), _bits_to_set(mask)))
     return out
 
 

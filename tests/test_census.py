@@ -5,12 +5,20 @@ and Fsils read from one :class:`Census` equal the per-definition scans of
 ``oracles``, the memoised star components equal union-find components,
 and the commuting edges of the presentation equal the rule that scans all
 Sils for each generator pair.
+
+The small classes rarely exercise the Stil scan's pruning, which skips a
+third vertex outside the neighbourhood of a pair's common link unless the
+graph strands a component avoiding the pair; seeded random graphs on 9 to
+16 vertices, half of them connected and half sparse (often disconnected),
+check that scan against the oracles too.
 """
 
 import itertools
+import random
 
 import pytest
 
+from silscope.graphs import LabelledGraph
 from silscope.harness import EnumSpec, enumerate_graphs
 from silscope.outer import presentation
 from silscope.sils import Census
@@ -50,3 +58,47 @@ def test_census_matches_oracles_on_every_class(spec):
         check_against_oracles(g)
         count += 1
     assert count == {6: 208, 5: 662}[spec.max_vertices]
+
+
+def random_graph(rng, connected):
+    """A connected graph (random spanning tree plus extra random edges up to
+    a random mean degree) or a sparse G(n, p), on 9 to 16 vertices."""
+    n = rng.randint(9, 16)
+    edges = set()
+    if connected:
+        order = list(range(n))
+        rng.shuffle(order)
+        for k in range(1, n):
+            u, v = order[k], order[rng.randrange(k)]
+            edges.add((min(u, v), max(u, v)))
+        target = round(rng.choice((2.2, 3, 5)) * n / 2)
+        while len(edges) < target:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+    else:
+        p = rng.choice((0.08, 0.12, 0.18))
+        edges = {(u, v) for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < p}
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    orders = tuple(rng.choice((2, 2, 3)) for _ in range(n))
+    return LabelledGraph(tuple(f"v{i}" for i in range(n)), orders, tuple(adj))
+
+
+def test_census_matches_oracles_on_random_larger_graphs():
+    rng = random.Random(20261018)
+    disconnected = 0
+    for k in range(30):
+        g = random_graph(rng, connected=k % 2 == 0)
+        census = Census(g)
+        disconnected += len(census.components()) > 1
+        stils = sorted(oracles.stil_census(g), key=lambda t: (t[0], min(t[1])))
+        assert [(s.triple, s.component) for s in census.stils] == stils
+        sils = sorted(oracles.sil_census(g), key=lambda t: (t[0], min(t[1])))
+        assert [(s.pair, s.component, s.coxeter) for s in census.sils] == sils
+        for v in range(g.n):
+            keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
+            assert list(census.star_components(v)) == oracles.components_uf(g, keep)
+    assert disconnected >= 10

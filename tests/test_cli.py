@@ -106,6 +106,15 @@ def test_classify_dot_export(capsys, tmp_path):
     assert from_dot(text) == fx.pentagon_triangle()
 
 
+def test_classify_dot_write_failure_prints_nothing(capsys, tmp_path):
+    dot = tmp_path / "missing" / "out.dot"
+    code, out, err = run_cli(capsys, "classify", fixture("pentagon_triangle"),
+                             "--dot", str(dot))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # listings and the word engine
 
@@ -321,6 +330,18 @@ def test_exit_two_on_non_utf8_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", str(bad))
     assert code == 2 and out == ""
     assert "error:" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-vertices", "2", "--checks=--"],
+    ["verify", "--max-vertices=--"],
+    ["classify", fixture("pentagon_triangle"), "--dot=--"],
+])
+def test_exit_two_on_double_dash_option_value(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expected one value" in err
 
 
 def test_exit_two_on_bad_ordering(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from silscope import (GraphError, UnknownVertexError, center, components,
                       from_dot, from_json, is_connected, link, make_graph,
                       star, star_cut_points, to_dot, to_json)
-from silscope.graphs import is_prime_power
+from silscope.graphs import component_masks, is_prime_power
 
 import oracles
 from conftest import (names, path_mixed_orders, path_plus_isolated,
@@ -142,6 +142,14 @@ def test_components_partition(g, data):
     for i, part in enumerate(parts):
         for other in parts[i + 1:]:
             assert not any(g.adjacent(u, w) for u in part for w in other)
+
+
+@given(labelled_graphs(max_n=9), st.data())
+def test_component_masks_match_union_find(g, data):
+    keep = data.draw(st.integers(0, (1 << g.n) - 1))
+    parts = oracles.components_uf(g, [v for v in range(g.n) if keep >> v & 1])
+    assert component_masks(g.adj, keep) == tuple(sum(1 << v for v in part)
+                                                  for part in parts)
 
 
 @given(labelled_graphs())
