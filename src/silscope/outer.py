@@ -92,24 +92,22 @@ def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bo
     vertices fail to commute iff some Sil {x, y | z} exists with one of:
     z in C = D;  x in D and z in C;  y in C and z in D;  x in D and y in C.
     """
-    if x.vertex == y.vertex:
+    return _commute_rule(census.witness_mask(x.vertex, y.vertex),
+                         x.vertex, vertex_mask(x.component),
+                         y.vertex, vertex_mask(y.component))
+
+
+def _commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
+    """The rule of :func:`commutes` on masks: ``witnesses`` is the union of
+    the separated components of the Sils on {x, y}, and ``c`` and ``d`` are
+    the component masks of the generators acting by x and y."""
+    if x == y or not witnesses:
         return True
-    ws = census.witness_mask(x.vertex, y.vertex)
-    if not ws:
-        return True
-    c, d = x.component, y.component
-    x_in_d = x.vertex in d
-    y_in_c = y.vertex in c
-    ws_in_c = bool(ws & vertex_mask(c))
-    if c == d and ws_in_c:
+    x_in_d = d >> x & 1
+    y_in_c = c >> y & 1
+    if witnesses & c and (c == d or x_in_d):
         return False
-    if x_in_d and ws_in_c:
-        return False
-    if y_in_c and ws & vertex_mask(d):
-        return False
-    if x_in_d and y_in_c:
-        return False
-    return True
+    return not (y_in_c and (witnesses & d or x_in_d))
 
 
 class OutKind(enum.Enum):
@@ -163,10 +161,12 @@ def presentation(census: Census,
                  ordering: Sequence[int] | None = None) -> CommutationPresentation:
     gens = build_p0(census, ordering)
     orders = tuple(census.graph.orders[pc.vertex] for pc in gens)
+    masks = [vertex_mask(pc.component) for pc in gens]
     edges = set()
     commute = [[True] * len(gens) for _ in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
-        c = commutes(census, gens[i], gens[j])
+        x, y = gens[i].vertex, gens[j].vertex
+        c = _commute_rule(census.witness_mask(x, y), x, masks[i], y, masks[j])
         commute[i][j] = commute[j][i] = c
         if c:
             edges.add((i, j))

@@ -13,18 +13,22 @@ however many pairs, triples and stars share it.  The census computes the
 Sils, Stils and Fsils on first use and keeps them; every consumer of one
 graph reads the same census.
 
-Cost: O(n^2 + sum over pairs {a, b} of |N(L_ab)|) mask operations and
-memo lookups, where L_ab is the common link of a and b and N(L_ab) its
-neighbourhood, plus one BFS per distinct removed set.  A third vertex c
-outside N(L_ab) has an empty triple link, and G - {} = G strands no
-component avoiding a, b and c unless G already strands one avoiding a
-and b; only then are all c scanned, so the scan is O(n^3) at worst on
-disconnected graphs.
+The Sils and Stils are read off the star splits alone.  For vertices a, b
+(and c) outside a vertex set C, spanning at most one edge, C is a
+component of G minus their common link iff C is a component of G - St(v)
+for each of them (Lemma 2.2 and its converse): no such v has a neighbour
+in C, else v would join C's component, and the neighbourhood of C lies in
+every star, so in the common link.  So the census maps each component C
+of some G - St(v) to the set V_C of the v it belongs to; the Sils on C are
+the non-adjacent pairs in V_C and the Stils the triples in V_C spanning
+at most one edge.
+
+Cost: n BFS, one per star, plus O(sum over C of |V_C|^2) mask operations
+and the output, which is O(n^3) at worst.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,10 +82,14 @@ class Census:
     """The separation census of one graph, computed lazily and once.
 
     The memo maps each removed-vertex bitmask to the component bitmasks
-    of the rest; ``components(removed)`` turns them into frozensets on
-    first request and keeps those too.  The Sil, Stil and Fsil lists and
-    the per-pair witness index are computed on first access.  Nothing is
-    shared between instances.
+    of the rest.  Each component mask becomes a frozenset once, on first
+    request, shared by ``components(removed)`` and the Sils and Stils
+    that hold it.  The Sils and Stils read only the n star splits,
+    through the map from each star component C to the mask V_C of the
+    vertices whose star it avoids as a component (see the module
+    docstring), so reading them adds at most n entries to the memo.  The
+    Sil, Stil and Fsil lists and the per-pair witness index are computed
+    on first access.  Nothing is shared between instances.
     """
 
     graph: LabelledGraph
@@ -101,16 +109,30 @@ class Census:
     def components(self, removed: int = 0) -> tuple:
         """Components of the graph minus the vertex bitmask ``removed``, as
         ``frozenset`` vertex sets ordered by smallest contained vertex."""
+        return tuple(map(self._vertex_set, self._split(removed)))
+
+    def _vertex_set(self, mask: int) -> frozenset:
+        """The vertices of ``mask``, as one frozenset per distinct mask."""
         try:
-            return self._sets[removed]
+            return self._sets[mask]
         except KeyError:
-            sets = self._sets[removed] = tuple(
-                _bits_to_set(m) for m in self._split(removed))
-            return sets
+            vertices = self._sets[mask] = _bits_to_set(mask)
+            return vertices
 
     def star_components(self, v: int) -> tuple:
         """Components of the graph minus St(v)."""
         return self.components(self.graph.adj[v] | 1 << v)
+
+    @cached_property
+    def _star_owners(self) -> dict:
+        """Each component mask C of some G - St(v) to the mask V_C of the
+        vertices v for which it is one."""
+        adj = self.graph.adj
+        owners: dict = {}
+        for v in range(self.graph.n):
+            for mask in self._split(adj[v] | 1 << v):
+                owners[mask] = owners.get(mask, 0) | 1 << v
+        return owners
 
     @cached_property
     def sils(self) -> tuple:
@@ -148,21 +170,28 @@ class Census:
 def enumerate_sils(census: Census) -> list[Sil]:
     """All Sils, one per (unordered pair, separated component).
 
-    Pairs are visited in lexicographic order and components in order of
-    smallest contained index, so the output order is deterministic.
+    Each star component C gives a Sil for every non-adjacent pair of V_C.
+    They are sorted by pair, then by smallest contained vertex, so the
+    output order is deterministic.
     """
     g = census.graph
     adj = g.adj
-    out = []
-    for v1, v2 in itertools.combinations(range(g.n), 2):
-        if adj[v1] >> v2 & 1:
-            continue
-        pair = 1 << v1 | 1 << v2
-        coxeter = g.orders[v1] == 2 and g.orders[v2] == 2
-        for mask in census._split(adj[v1] & adj[v2]):
-            if not mask & pair:
-                out.append(Sil((v1, v2), _bits_to_set(mask), coxeter))
-    return out
+    found = []
+    for comp, owners in census._star_owners.items():
+        low_c = comp & -comp
+        while owners:
+            low = owners & -owners
+            owners ^= low
+            a = low.bit_length() - 1
+            rest = owners & ~adj[a]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                found.append((a, low.bit_length() - 1, low_c, comp))
+    found.sort()
+    coxeter = [m == 2 for m in g.orders]
+    return [Sil((a, b), census._vertex_set(comp), coxeter[a] and coxeter[b])
+            for a, b, _, comp in found]
 
 
 def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
@@ -177,43 +206,34 @@ def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
 def enumerate_stils(census: Census) -> list[Stil]:
     """All Stils, one per (triple spanning <= 1 edge, separated component).
 
-    Triples come out in lexicographic order, components in order of
-    smallest contained vertex.  For a pair {a, b} with common link L, only
-    third vertices c in N(L) are scanned unless G itself has a component
-    avoiding a and b (see the module docstring).  The common link of a
-    triple is the memo key, so triples sharing a common link share one BFS.
+    Each star component C gives a Stil for every triple of V_C spanning at
+    most one edge.  Triples come out in lexicographic order, components in
+    order of smallest contained vertex.
     """
     adj = census.graph.adj
-    n = census.graph.n
-    full = (1 << n) - 1
-    whole = census._split(0)
-    out = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair = 1 << a | 1 << b
-            link = adj[a] & adj[b]
-            if len(whole) > 1 and any(not mask & pair for mask in whole):
-                thirds = full  # G strands a component avoiding a and b
-            else:
-                thirds = 0  # N(link): the c whose triple link is non-empty
-                rest = link
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    thirds |= adj[low.bit_length() - 1]
-            # at most one spanned edge: c is adjacent to neither a nor b if
-            # ab is an edge, and not to both otherwise
-            thirds &= ~(adj[a] | adj[b]) if adj[a] >> b & 1 else ~link
-            thirds = thirds >> (b + 1) << (b + 1)
-            while thirds:
-                low = thirds & -thirds
-                thirds ^= low
-                c = low.bit_length() - 1
-                triple = pair | low
-                for mask in census._split(link & adj[c]):
-                    if not mask & triple:
-                        out.append(Stil((a, b, c), _bits_to_set(mask)))
-    return out
+    found = []
+    for comp, owners in census._star_owners.items():
+        low_c = comp & -comp
+        while owners:
+            low = owners & -owners
+            owners ^= low
+            a = low.bit_length() - 1
+            rest = owners
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
+                # at most one spanned edge: c is adjacent to neither a nor b
+                # if ab is an edge, and not to both otherwise
+                thirds = rest & ~(adj[a] | adj[b] if adj[a] & low
+                                  else adj[a] & adj[b])
+                while thirds:
+                    low = thirds & -thirds
+                    thirds ^= low
+                    found.append((a, b, low.bit_length() - 1, low_c, comp))
+    found.sort()
+    return [Stil((a, b, c), census._vertex_set(comp))
+            for a, b, c, _, comp in found]
 
 
 def enumerate_fsils(census: Census) -> list[Fsil]:

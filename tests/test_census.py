@@ -4,13 +4,16 @@ Each isomorphism class of the two specs below is checked: the Sils, Stils
 and Fsils read from one :class:`Census` equal the per-definition scans of
 ``oracles``, the memoised star components equal union-find components,
 and the commuting edges of the presentation equal the rule that scans all
-Sils for each generator pair.
+Sils for each generator pair.  Seeded random graphs on 9 to 16 vertices,
+half of them connected and half sparse (often disconnected), check the
+census on stars with more and larger components than the small classes.
 
-The small classes rarely exercise the Stil scan's pruning, which skips a
-third vertex outside the neighbourhood of a pair's common link unless the
-graph strands a component avoiding the pair; seeded random graphs on 9 to
-16 vertices, half of them connected and half sparse (often disconnected),
-check that scan against the oracles too.
+The census reads the Sils and Stils off the star splits alone, relying on
+the identity that C is a component of G minus the common link of a pair
+(or of a triple spanning at most one edge), avoiding it, iff C is a
+component of G - St(v) for each of its vertices.  The identity is checked
+from the oracles alone on the same graphs, and reading the census may add
+no more than one memo entry per vertex.
 """
 
 import itertools
@@ -37,6 +40,7 @@ def check_against_oracles(g):
     stils = [(s.triple, s.component) for s in census.stils]
     assert len(stils) == len(set(stils)) and set(stils) == oracles.stil_census(g)
     assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
+    assert len(census._masks) <= g.n  # one BFS per star, none per link
     for f in census.fsils:
         for (a, b), sil in zip(itertools.combinations(f.triple, 2), f.sils):
             (third,) = set(f.triple) - {a, b}
@@ -93,12 +97,54 @@ def test_census_matches_oracles_on_random_larger_graphs():
     for k in range(30):
         g = random_graph(rng, connected=k % 2 == 0)
         census = Census(g)
-        disconnected += len(census.components()) > 1
         stils = sorted(oracles.stil_census(g), key=lambda t: (t[0], min(t[1])))
         assert [(s.triple, s.component) for s in census.stils] == stils
         sils = sorted(oracles.sil_census(g), key=lambda t: (t[0], min(t[1])))
         assert [(s.pair, s.component, s.coxeter) for s in census.sils] == sils
+        assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
+        assert len(census._masks) <= g.n
+        disconnected += len(census.components()) > 1
         for v in range(g.n):
             keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
             assert list(census.star_components(v)) == oracles.components_uf(g, keep)
     assert disconnected >= 10
+
+
+def star_split_census(g):
+    """The Sils and Stils as read off the components of every G - St(v),
+    from union-find components and edge-list scans only: (Sil set, Stil
+    set) in the shapes of ``oracles.sil_census`` and ``stil_census``."""
+    owners = {}
+    for v in range(g.n):
+        keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
+        for comp in oracles.components_uf(g, keep):
+            owners.setdefault(comp, set()).add(v)
+    sils, stils = set(), set()
+    for comp, vs in owners.items():
+        for a, b in itertools.combinations(sorted(vs), 2):
+            if b not in oracles.neighbors_scan(g, a):
+                sils.add(((a, b), comp,
+                          g.orders[a] == 2 and g.orders[b] == 2))
+        for triple in itertools.combinations(sorted(vs), 3):
+            spanned = sum(1 for a, b in itertools.combinations(triple, 2)
+                          if b in oracles.neighbors_scan(g, a))
+            if spanned <= 1:
+                stils.add((triple, comp))
+    return sils, stils
+
+
+def identity_graphs():
+    yield from itertools.chain.from_iterable(map(enumerate_graphs, SPECS))
+    rng = random.Random(20261018)
+    for k in range(30):
+        yield random_graph(rng, connected=k % 2 == 0)
+
+
+def test_sils_and_stils_are_read_off_the_star_splits():
+    count = 0
+    for g in identity_graphs():
+        sils, stils = star_split_census(g)
+        assert sils == oracles.sil_census(g)
+        assert stils == oracles.stil_census(g)
+        count += 1
+    assert count == 208 + 662 + 30

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from silscope import from_dot, from_json, from_json_dict
-from silscope.cli import main
+from silscope.cli import _indented, build_report, main
 from silscope.harness import CHECKS, CounterexampleReport
 
 import conftest as fx
@@ -94,6 +94,36 @@ def test_classify_matches_golden_report(capsys, name):
     code, out, _ = run_cli(capsys, "classify", fixture(name))
     assert code == 0
     assert out == (GOLDEN / f"{name}.report.json").read_text()
+
+
+def _dumps_indented(value):
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_indented_writer_matches_json_on_goldens_and_fixture_reports():
+    for path in sorted(GOLDEN.glob("*.json")):
+        value = json.loads(path.read_text(encoding="utf-8"))
+        assert _indented(value) == _dumps_indented(value)
+    for path in sorted(FIXTURES.glob("*.json")):
+        report = build_report(from_json(path.read_text(encoding="utf-8")))
+        assert _indented(report) == _dumps_indented(report)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.characters(exclude_categories=("Cs",)))
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\u2028", "é ✓ 𝄞", ""]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_indented_writer_matches_json_on_any_value(value):
+    # non-ASCII, control characters, quotes, NaN and infinities, empty and
+    # nested containers all come from these strategies
+    assert _indented(value) == _dumps_indented(value)
 
 
 def test_classify_dot_export(capsys, tmp_path):
