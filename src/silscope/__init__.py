@@ -18,8 +18,8 @@ from . import sils as _sils
 from .dot import from_dot, to_dot
 from .graphs import (GraphError, LabelledGraph, UnknownVertexError, center,
                      components, from_json, from_json_dict, is_connected,
-                     link, load_graph, make_graph, star, star_cut_points,
-                     to_json, to_json_dict)
+                     link, load_graph, make_graph, star, to_json,
+                     to_json_dict)
 from .harness import CounterexampleReport, EnumSpec, enumerate_graphs, run_suite
 from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
                     OutKind, PartialConjugation)
@@ -31,6 +31,12 @@ from .words import (EPSILON, Automorphism0, WordError, apply,
                     pc_automorphism, reduce, search_inner)
 
 __version__ = "0.1.0"
+
+
+def star_cut_points(g: LabelledGraph) -> list[int]:
+    """The vertices v acting in ``Census(g).generators``, ascending: those
+    for which removing St(v) leaves >= 2 connected components."""
+    return list(dict.fromkeys(v for v, _ in Census(g).generators))
 
 
 def enumerate_sils(g: LabelledGraph) -> list[Sil]:

@@ -100,14 +100,7 @@ class LabelledGraph:
         for i in range(n):
             names[perm[i]] = self.names[i]
             orders[perm[i]] = self.orders[i]
-        for i in range(n):
-            m = self.adj[i]
-            b = 0
-            while m:
-                low = m & -m
-                b |= 1 << perm[low.bit_length() - 1]
-                m ^= low
-            adj[perm[i]] = b
+            adj[perm[i]] = sum(1 << perm[u] for u in _bits_to_set(self.adj[i]))
         return LabelledGraph(tuple(names), tuple(orders), tuple(adj))
 
 
@@ -205,13 +198,6 @@ def components(g: LabelledGraph, keep: Iterable[int]) -> tuple[frozenset, ...]:
         g.check_vertex(v)
         keep_mask |= 1 << v
     return tuple(_bits_to_set(m) for m in component_masks(g.adj, keep_mask))
-
-
-def star_cut_points(g: LabelledGraph) -> list[int]:
-    """Vertices v such that removing St(v) leaves >= 2 connected components."""
-    full = (1 << g.n) - 1
-    return [v for v in range(g.n)
-            if len(component_masks(g.adj, full & ~(g.adj[v] | 1 << v))) >= 2]
 
 
 def center(g: LabelledGraph) -> frozenset:

@@ -27,9 +27,8 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, from_json_dict, is_vertex_order,
                      to_json_dict, vertex_names)
-from .outer import _commute_rule, build_p0
-from .sils import (Census, SharedComponentError, shared_sil_component,
-                   vertex_mask)
+from .outer import build_p0
+from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
@@ -242,14 +241,14 @@ def check_stil_two_sils(census: Census) -> Optional[CounterexampleReport]:
 def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
-    if len(census.components()) > 1:
+    if len(census._split(0)) > 1:
         return None
     sils = census.sils
     if len(sils) != 1:
         return None
     g = census.graph
     for v in sils[0].pair:
-        ncomp = len(census.star_components(v))
+        ncomp = len(census.star_split(v))
         if ncomp != 2:
             return _report("lemma_7", g,
                            {"vertex": g.names[v], "components": ncomp},
@@ -261,7 +260,7 @@ def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
 def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
     """Two separating pairs sharing one vertex and a witness give a
     separating triple on the three vertices at that witness."""
-    if len(census.components()) > 1:
+    if len(census._split(0)) > 1:
         return None
     g = census.graph
     for s1, s2 in itertools.combinations(census.sils, 2):
@@ -273,9 +272,9 @@ def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
         x3 = next(v for v in s2.pair if v != x1)
         shared = g.adj[x1] & g.adj[x2] & g.adj[x3]
         for z in sorted(s1.component & s2.component):
-            for comp in census.components(shared):
-                if z in comp:
-                    if comp & {x1, x2, x3}:
+            for comp in census._split(shared):
+                if comp >> z & 1:
+                    if comp & (1 << x1 | 1 << x2 | 1 << x3):
                         return _report(
                             "lemma_1_7", g,
                             {"triple": vertex_names(g, (x1, x2, x3)),
@@ -289,10 +288,7 @@ def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
 def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
     """No separating pair iff all generator pairs commute."""
     sils = census.sils
-    gens = [(pc.vertex, vertex_mask(pc.component)) for pc in build_p0(census)]
-    all_commute = all(
-        _commute_rule(census.witness_mask(x, y), x, c, y, d)
-        for (x, c), (y, d) in itertools.combinations(gens, 2))
+    all_commute = not any(census.non_commuting)
     if (not sils) != all_commute:
         return _report("finite_equiv", census.graph,
                        {"sil_count": len(sils), "all_commute": all_commute},
@@ -302,13 +298,12 @@ def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
 
 def check_three_components_fsil(census: Census) -> Optional[CounterexampleReport]:
     """Three or more connected components force a flexible triple."""
-    comps = census.components()
-    if len(comps) < 3:
+    if len(census._split(0)) < 3:
         return None
     if not census.fsils:
         g = census.graph
-        return _report("three_components_fsil", g,
-                       {"components": [vertex_names(g, c) for c in comps]},
+        comps = [vertex_names(g, c) for c in census.components()]
+        return _report("three_components_fsil", g, {"components": comps},
                        f"{len(comps)} components but no flexible separating triple")
     return None
 
@@ -331,10 +326,9 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[CounterexampleReport]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators."""
     g = census.graph
-    gens = [(pc, vertex_mask(pc.component)) for pc in build_p0(census)]
-    for (x, c), (y, d) in itertools.combinations(gens, 2):
-        predicted = _commute_rule(census.witness_mask(x.vertex, y.vertex),
-                                  x.vertex, c, y.vertex, d)
+    rows = census.non_commuting
+    for (i, x), (j, y) in itertools.combinations(enumerate(build_p0(census)), 2):
+        predicted = not rows[i] >> j & 1
         witness = search_inner(g, commutator(g, x, y))
         if predicted != (witness is not None):
             return _report("lemma_1_4_oracle", g,

@@ -1,27 +1,27 @@
 """Partial conjugations and the four-way classification of Out(W).
 
 Each star cut point v acts in one partial conjugation per connected
-component of the graph minus St(v).  The generating set built here keeps,
-for every star cut point, all components except the one holding the
-smallest-numbered vertex; the group those generators present is a finite
-index subgroup of Out(W), so its shape decides whether Out(W) is finite,
-virtually cyclic, virtually abelian, or large.
+component of the graph minus St(v).  The generating set,
+``Census.generators``, drops for every star cut point the component that
+holds the smallest-numbered vertex; the group those generators present is
+a finite index subgroup of Out(W).
 
 Classification itself never looks at generators: it is a pure census of
 separating pairs and triples.  The commutation presentation is a candidate
-shape — exact in every case computed here, but only proven exact for
-disconnected graphs without flexible or triple separations.
+shape, proven exact only for disconnected graphs without flexible or
+triple separations, and it depends on the numbering: 8 of the 1,252
+classes of dedup n <= 7 {2} get "unfactored graph product" under input
+numbering although none is ``Large`` (ROADMAP open item 1).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import LabelledGraph, vertex_names
-from .sils import Census, vertex_mask
+from .graphs import LabelledGraph, component_masks, vertex_names
+from .sils import Census, commute_rule, non_commuting_rows
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -51,12 +51,33 @@ def partial_conjugations(census: Census, v: int) -> list[PartialConjugation]:
 
 def validate_partial_conjugation(g: LabelledGraph, v: int,
                                  component: frozenset) -> PartialConjugation:
-    for pc in partial_conjugations(Census(g), v):
-        if pc.component == component:
-            return pc
+    """chi_{v,C} if C is a component of G - St(v), else ValueError."""
+    _component_mask(Census(g), v, component)
+    return PartialConjugation(v, component)
+
+
+def _component_mask(census: Census, v: int, component: frozenset) -> int:
+    """The census mask of ``component`` as a component of G - St(v)."""
+    census.graph.check_vertex(v)
+    for c in census.star_split(v):
+        if census._vertex_set(c) == component:
+            return c
     raise ValueError(
         f"{sorted(component)} is not a connected component of the graph minus "
-        f"St({g.names[v]})")
+        f"St({census.graph.names[v]})")
+
+
+def _generator_masks(census: Census, ordering: Sequence[int] | None) -> tuple:
+    """The ``(v, C)`` masks of :func:`build_p0`."""
+    if ordering is None:
+        return census.generators
+    ordering, n = tuple(ordering), census.graph.n
+    if sorted(ordering) != list(range(n)):
+        raise ValueError("ordering must be a permutation of all vertex indices")
+    rank = {c: next(i for i, u in enumerate(ordering) if c >> u & 1)
+            for v in range(n) for c in census.star_split(v)}
+    return tuple((v, c) for v in range(n)
+                 for c in sorted(census.star_split(v), key=rank.get)[1:])
 
 
 def build_p0(census: Census, ordering: Sequence[int] | None = None
@@ -66,48 +87,22 @@ def build_p0(census: Census, ordering: Sequence[int] | None = None
     For each star cut point, the components of the punctured graph are
     ranked by their smallest-numbered vertex and the first is dropped
     (keeping it would let the generators compose to an inner conjugation).
-    Default numbering is input order.
+    Default numbering is input order, which ``census.generators`` holds;
+    another re-ranks the same star splits.
     """
-    g = census.graph
-    if ordering is None:
-        ordering = tuple(range(g.n))
-    ordering = tuple(ordering)
-    if sorted(ordering) != list(range(g.n)):
-        raise ValueError("ordering must be a permutation of all vertex indices")
-    rank = {v: i for i, v in enumerate(ordering)}
-    gens = []
-    for v in range(g.n):
-        pcs = partial_conjugations(census, v)
-        if len(pcs) < 2:
-            continue  # not a star cut point
-        pcs.sort(key=lambda pc: min(rank[u] for u in pc.component))
-        gens.extend(pcs[1:])
-    return tuple(gens)
+    return tuple(PartialConjugation(v, census._vertex_set(c))
+                 for v, c in _generator_masks(census, ordering))
 
 
 def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bool:
-    """Whether two partial conjugations commute as outer automorphisms.
-
-    Equal acting vertices commute exactly (disjoint supports).  Distinct
-    vertices fail to commute iff some Sil {x, y | z} exists with one of:
-    z in C = D;  x in D and z in C;  y in C and z in D;  x in D and y in C.
-    """
-    return _commute_rule(census.witness_mask(x.vertex, y.vertex),
-                         x.vertex, vertex_mask(x.component),
-                         y.vertex, vertex_mask(y.component))
-
-
-def _commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
-    """The rule of :func:`commutes` on masks: ``witnesses`` is the union of
-    the separated components of the Sils on {x, y}, and ``c`` and ``d`` are
-    the component masks of the generators acting by x and y."""
-    if x == y or not witnesses:
-        return True
-    x_in_d = d >> x & 1
-    y_in_c = c >> y & 1
-    if witnesses & c and (c == d or x_in_d):
-        return False
-    return not (y_in_c and (witnesses & d or x_in_d))
+    """Whether two partial conjugations commute in Out(W), by
+    :func:`silscope.sils.commute_rule`; ``ValueError`` if they may not and
+    a component is not one of G minus the star of its vertex."""
+    pair = (x.vertex, y.vertex) if x.vertex < y.vertex else (y.vertex, x.vertex)
+    witnesses = census._witness_masks.get(pair)
+    return not witnesses or commute_rule(
+        witnesses, x.vertex, _component_mask(census, x.vertex, x.component),
+        y.vertex, _component_mask(census, y.vertex, y.component))
 
 
 class OutKind(enum.Enum):
@@ -159,23 +154,20 @@ class CommutationPresentation:
 
 def presentation(census: Census,
                  ordering: Sequence[int] | None = None) -> CommutationPresentation:
-    gens = build_p0(census, ordering)
-    orders = tuple(census.graph.orders[pc.vertex] for pc in gens)
-    masks = [vertex_mask(pc.component) for pc in gens]
-    edges = set()
-    commute = [[True] * len(gens) for _ in gens]
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        x, y = gens[i].vertex, gens[j].vertex
-        c = _commute_rule(census.witness_mask(x, y), x, masks[i], y, masks[j])
-        commute[i][j] = commute[j][i] = c
-        if c:
-            edges.add((i, j))
-    summary = factor_summary(orders, lambda i, j: commute[i][j], len(gens))
-    return CommutationPresentation(gens, orders, frozenset(edges), summary)
+    masks = _generator_masks(census, ordering)
+    rows = (census.non_commuting if ordering is None
+            else non_commuting_rows(census, masks))
+    gens = tuple(PartialConjugation(v, census._vertex_set(c)) for v, c in masks)
+    orders = tuple(census.graph.orders[v] for v, _ in masks)
+    edges = frozenset((i, j) for i, row in enumerate(rows)
+                      for j in range(i + 1, len(rows)) if not row >> j & 1)
+    return CommutationPresentation(gens, orders, edges,
+                                   factor_summary(orders, rows))
 
 
-def factor_summary(orders: Sequence[int], commute, n: int) -> str:
-    """Factor a commutation graph on n generators into a product string.
+def factor_summary(orders: Sequence[int], rows: Sequence[int]) -> str:
+    """Factor a commutation graph into a product string; ``rows[i]`` masks
+    the generators that generator i does not commute with.
 
     Components of the non-commutation graph always split off as direct
     factors.  A lone generator contributes a cyclic factor; a non-commuting
@@ -183,32 +175,18 @@ def factor_summary(orders: Sequence[int], commute, n: int) -> str:
     is not a shape computed here and yields "unfactored graph product".
     Empty input is the trivial group "1".
     """
-    if n == 0:
-        return "1"
-    seen = [False] * n
     dinf = 0
     cyclic: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if not seen[j] and not commute(i, j):
-                    seen[j] = True
-                    comp.append(j)
-                    frontier.append(j)
-        if len(comp) == 1:
-            cyclic.append(orders[comp[0]])
-        elif len(comp) == 2 and orders[comp[0]] == 2 and orders[comp[1]] == 2:
+    for comp in component_masks(rows, (1 << len(rows)) - 1):
+        first, last = (comp & -comp).bit_length() - 1, comp.bit_length() - 1
+        if first == last:
+            cyclic.append(orders[first])
+        elif comp.bit_count() == 2 and orders[first] == orders[last] == 2:
             dinf += 1
         else:
             return "unfactored graph product"
     factors = [DINF] * dinf + [_cyclic(m) for m in sorted(cyclic)]
-    return _TIMES.join(factors)
+    return _TIMES.join(factors) or "1"
 
 
 @dataclass(frozen=True)
@@ -253,15 +231,14 @@ def disconnected_structure(census: Census) -> DisconnectedStructure | None:
             None, "large")
     quotients = tuple(_minus_local_center(g, comp) for comp in comps)
     verts = sorted(quotients[0]) + sorted(quotients[1])
-    in_first = quotients[0]
-
-    def commute(i: int, j: int) -> bool:
-        u, w = verts[i], verts[j]
-        if (u in in_first) != (w in in_first):
-            return True  # factors of a direct product commute
-        return g.adjacent(u, w)
-
-    summary = factor_summary([g.orders[v] for v in verts], commute, len(verts))
+    first = quotients[0]
+    # factors of a direct product commute; within one, non-adjacent
+    # vertices do not
+    rows = [sum(1 << j for j, u in enumerate(verts)
+                if u != v and (u in first) == (v in first)
+                and not g.adjacent(u, v))
+            for v in verts]
+    summary = factor_summary([g.orders[v] for v in verts], rows)
     return DisconnectedStructure(
         comps, "product",
         "two components, every separation is a Coxeter pair",

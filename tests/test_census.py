@@ -3,10 +3,13 @@
 Each isomorphism class of the two specs below is checked: the Sils, Stils
 and Fsils read from one :class:`Census` equal the per-definition scans of
 ``oracles``, the memoised star components equal union-find components,
-and the commuting edges of the presentation equal the rule that scans all
-Sils for each generator pair.  Seeded random graphs on 9 to 16 vertices,
-half of them connected and half sparse (often disconnected), check the
-census on stars with more and larger components than the small classes.
+the generator masks equal the rank sort over union-find components that
+``build_p0`` first was, and the non-commutation rows and the commuting
+edges of the presentation, under the identity and three seeded random
+numberings, equal the rule that scans all Sils for each generator pair.
+Seeded random graphs on 9 to 16 vertices, half of them connected and half
+sparse (often disconnected), check the census and the generators on stars
+with more and larger components than the small classes.
 
 The census reads the Sils and Stils off the star splits alone, relying on
 the identity that C is a component of G minus the common link of a pair
@@ -21,9 +24,10 @@ import random
 
 import pytest
 
-from silscope.graphs import LabelledGraph
+from silscope import star_cut_points
+from silscope.graphs import LabelledGraph, _bits_to_set
 from silscope.harness import EnumSpec, enumerate_graphs
-from silscope.outer import presentation
+from silscope.outer import PartialConjugation, build_p0, presentation
 from silscope.sils import Census
 
 import oracles
@@ -48,11 +52,35 @@ def check_against_oracles(g):
     for v in range(g.n):
         keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
         assert list(census.star_components(v)) == oracles.components_uf(g, keep)
-    pres = presentation(census)
-    gens = pres.generators
-    expected = {(i, j) for i, j in itertools.combinations(range(len(gens)), 2)
-                if oracles.commutes_by_sil_scan(g, gens[i], gens[j], sils)}
-    assert pres.commuting_edges == expected
+    check_generators(g, census, sils)
+
+
+def check_generators(g, census, sils):
+    """The census's generator masks and non-commutation rows, and the
+    generating set and commuting edges under the identity and three seeded
+    random numberings, against the rank sort over union-find components
+    and the commutation rule that scans every Sil."""
+    gens = [PartialConjugation(v, comp)
+            for v, comp in oracles.generators_by_rank(g)]
+    assert [(v, _bits_to_set(c)) for v, c in census.generators] == [
+        (pc.vertex, pc.component) for pc in gens]
+    assert star_cut_points(g) == sorted({pc.vertex for pc in gens})
+    assert list(census.non_commuting) == [
+        sum(1 << j for j, y in enumerate(gens)
+            if not oracles.commutes_by_sil_scan(g, x, y, sils))
+        for x in gens]
+    rng = random.Random(g.n * 7919 + sum(g.adj))
+    orderings = [None, list(range(g.n))]
+    orderings += [rng.sample(range(g.n), g.n) for _ in range(3)]
+    for ordering in orderings:
+        gens = tuple(PartialConjugation(v, comp)
+                     for v, comp in oracles.generators_by_rank(g, ordering))
+        assert build_p0(census, ordering) == gens
+        pres = presentation(census, ordering)
+        assert pres.generators == gens
+        assert pres.commuting_edges == {
+            (i, j) for i, j in itertools.combinations(range(len(gens)), 2)
+            if oracles.commutes_by_sil_scan(g, gens[i], gens[j], sils)}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["n6_orders2", "n5_orders23"])
@@ -107,6 +135,7 @@ def test_census_matches_oracles_on_random_larger_graphs():
         for v in range(g.n):
             keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
             assert list(census.star_components(v)) == oracles.components_uf(g, keep)
+        check_generators(g, census, sils)
     assert disconnected >= 10
 
 

@@ -174,6 +174,23 @@ def test_presentation_listing(capsys):
     assert len(data["generators"]) == 2
 
 
+LISTED_FIXTURES = ["path_mixed_orders", "path_plus_isolated", "pentagon_fork",
+                   "pentagon_path", "pentagon_triangle", "three_isolated"]
+
+
+@pytest.mark.parametrize("command", ["gens", "presentation"])
+@pytest.mark.parametrize("name", LISTED_FIXTURES)
+def test_listings_match_golden(capsys, name, command):
+    # once in input order, once numbered in reverse input order
+    names = from_json(Path(fixture(name)).read_text(encoding="utf-8")).names
+    for suffix, extra in (("", []),
+                          (".reversed", ["--ordering", ",".join(names[::-1])])):
+        code, out, _ = run_cli(capsys, command, fixture(name), *extra)
+        golden = GOLDEN / "listings" / f"{name}.{command}{suffix}.out"
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
+
 def test_reduce_command(capsys):
     code, out, _ = run_cli(capsys, "reduce", fixture("pentagon_triangle"), "v1 v1")
     assert code == 0
@@ -440,4 +457,56 @@ def test_main_never_raises_on_verify_options(capsys, orders, checks):
     argv = ["verify", "--max-vertices", "2", f"--orders={orders}",
             f"--checks={checks}"]
     assert main(argv) in (0, 1, 2)
+    capsys.readouterr()
+
+
+# every subcommand and option string, `--` and `--opt=value` forms, fixture
+# paths (FIXTURE/ and OUT are replaced by a scratch copy), words and small
+# integers; no token asks for more than 3 vertices or 2 workers
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from(["classify", "sils", "gens", "presentation", "verify",
+                     "reduce", "act", "-h", "--help", "--ordering", "--dot",
+                     "--max-vertices", "--orders", "--dedup", "--checks",
+                     "--workers", "--", "--bogus"]),
+    st.sampled_from(["--max-vertices=0", "--max-vertices=3", "--workers=1",
+                     "--workers=2", "--orders=2,3", "--orders=4", "--orders=6",
+                     "--checks=lemma_4,finite_equiv", "--checks=bogus",
+                     "--checks=--", "--dedup=1", "--ordering=v1,v2",
+                     "--ordering=a,b,c,d,e,f,v1,v2", "--dot=OUT"]),
+    st.sampled_from(["FIXTURE/pentagon_triangle.json",
+                     "FIXTURE/path_plus_isolated.json",
+                     "FIXTURE/three_isolated.json", "FIXTURE/missing.json",
+                     "v1", "v1 d v1", "chi v1 {d,e,f}", "chi c {e,f}", ""]),
+    st.integers(-1, 2).map(str))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.one_of(
+    st.lists(_ARGV_TOKENS, max_size=7),
+    st.builds(lambda command, rest: [command] + rest,
+              st.sampled_from(["verify", "reduce", "act"]),
+              st.lists(_ARGV_TOKENS, max_size=6)),
+    st.lists(_ARGV_TOKENS, max_size=5).map(
+        lambda rest: ["verify", "--max-vertices=2"] + rest),
+    st.builds(lambda command, path, rest: [command, path] + rest,
+              st.sampled_from(["classify", "sils", "gens", "presentation"]),
+              st.sampled_from(["FIXTURE/pentagon_triangle.json",
+                               "FIXTURE/three_isolated.json"]),
+              st.lists(_ARGV_TOKENS, max_size=4))))
+def test_main_exit_paths_on_any_argv(capsys, monkeypatch, tmp_path, argv):
+    # verify's default of 5 vertices is refused here, so no example runs a
+    # long enumeration
+    monkeypatch.setattr("silscope.harness.MAX_ENUMERATION_VERTICES", 3)
+    for name in ("pentagon_triangle", "path_plus_isolated", "three_isolated"):
+        (tmp_path / f"{name}.json").write_text(
+            Path(fixture(name)).read_text(encoding="utf-8"), encoding="utf-8")
+    argv = [t.replace("FIXTURE", str(tmp_path))
+            .replace("=OUT", "=" + str(tmp_path / "out.dot")) for t in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+    else:
+        assert code in (0, 1, 2)
     capsys.readouterr()

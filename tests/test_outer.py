@@ -10,7 +10,7 @@ from silscope import (OutKind, PartialConjugation, build_p0, classify,
                       make_graph, partial_conjugations, presentation,
                       star_cut_points)
 from silscope.harness import EnumSpec, enumerate_graphs
-from silscope.outer import validate_partial_conjugation
+from silscope.outer import factor_summary, validate_partial_conjugation
 
 from conftest import (names, triangle, two_sil_pairs_over_cliques, vset)
 from test_graphs import labelled_graphs
@@ -109,6 +109,8 @@ def test_commutes_pentagon_triangle(g_pentagon_triangle):
     assert not commutes(g, x1, x2)  # shared separated component
     assert commutes(g, x1, hinge)   # adjacent acting vertices: no pair Sil
     assert commutes(g, x2, hinge)
+    with pytest.raises(ValueError, match="not a connected component"):
+        commutes(g, PartialConjugation(g.index("v1"), vset(g, "d")), x2)
 
 
 def test_commutes_same_acting_vertex(g_pentagon_fork):
@@ -206,6 +208,16 @@ def test_presentation_summaries(g_pentagon_triangle, g_pentagon_path,
     assert presentation(g_path_isolated).summary == DINF
     assert presentation(g_path_mixed).summary == "1"
     assert presentation(g_three_isolated).summary == "unfactored graph product"
+
+
+def test_factor_summary_on_non_commutation_rows():
+    # rows[i] masks the generators that generator i does not commute with
+    assert factor_summary((), ()) == "1"
+    assert factor_summary((3, 2, 2), (0, 0b100, 0b010)) == DINF + TIMES + "ℤ/3ℤ"
+    assert factor_summary((2, 3), (0b10, 0b01)) == "unfactored graph product"
+    assert factor_summary((4, 2), (0, 0)) == Z2 + TIMES + "ℤ/4ℤ"
+    path = (0b010, 0b101, 0b010)  # a path of three generators
+    assert factor_summary((2, 2, 2), path) == "unfactored graph product"
 
 
 def test_presentation_edges_pentagon_triangle(g_pentagon_triangle):
