@@ -11,8 +11,6 @@ build the census itself and pass it to those modules.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from . import outer as _outer
 from . import sils as _sils
 from .dot import from_dot, to_dot
@@ -64,10 +62,9 @@ def partial_conjugations(g: LabelledGraph, v: int) -> list[PartialConjugation]:
     return _outer.partial_conjugations(Census(g), v)
 
 
-def build_p0(g: LabelledGraph, ordering: Sequence[int] | None = None
-             ) -> tuple[PartialConjugation, ...]:
+def build_p0(g: LabelledGraph) -> tuple[PartialConjugation, ...]:
     """See :func:`silscope.outer.build_p0`."""
-    return _outer.build_p0(Census(g), ordering)
+    return _outer.build_p0(Census(g))
 
 
 def commutes(g: LabelledGraph, x: PartialConjugation,
@@ -81,10 +78,9 @@ def classify(g: LabelledGraph) -> OutClass:
     return _outer.classify(Census(g))
 
 
-def presentation(g: LabelledGraph,
-                 ordering: Sequence[int] | None = None) -> CommutationPresentation:
+def presentation(g: LabelledGraph) -> CommutationPresentation:
     """See :func:`silscope.outer.presentation`."""
-    return _outer.presentation(Census(g), ordering)
+    return _outer.presentation(Census(g))
 
 
 def disconnected_structure(g: LabelledGraph) -> DisconnectedStructure | None:

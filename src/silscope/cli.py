@@ -67,12 +67,12 @@ def _indented(obj, pad: str = "\n") -> str:
     return json.dumps(obj, ensure_ascii=False)
 
 
-def build_report(g: LabelledGraph, ordering=None) -> dict:
+def build_report(g: LabelledGraph) -> dict:
     """The full classification report as a JSON-ready dict, read from one
     census of ``g``."""
     census = sils.Census(g)
     out_class = outer.classify(census)
-    pres = outer.presentation(census, ordering)
+    pres = outer.presentation(census)
     disc = outer.disconnected_structure(census)
 
     warnings = []
@@ -115,17 +115,6 @@ def build_report(g: LabelledGraph, ordering=None) -> dict:
     return report
 
 
-def _parse_ordering(g: LabelledGraph, text: str | None):
-    if text is None:
-        return None
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    ordering = [g.index(name) for name in names]
-    if sorted(ordering) != list(range(g.n)):
-        raise GraphError(
-            f"ordering must list every vertex exactly once, got {names}")
-    return ordering
-
-
 _GENSPEC_RE = re.compile(r"^\s*chi\s+(\S+)\s*\{([^{}]*)\}\s*$")
 
 
@@ -155,8 +144,7 @@ def _word_json(g: LabelledGraph, w) -> dict:
 
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
-    ordering = _parse_ordering(g, args.ordering)
-    report = build_report(g, ordering)
+    report = build_report(g)
     if args.dot:
         # the report's Sils are the census's; read them back, not recompute.
         # The file is written first, so a failed write prints no report.
@@ -178,16 +166,14 @@ def cmd_sils(args) -> int:
 
 def cmd_gens(args) -> int:
     g = load_graph(args.graph)
-    ordering = _parse_ordering(g, args.ordering)
-    for pc in outer.build_p0(sils.Census(g), ordering):
+    for pc in outer.build_p0(sils.Census(g)):
         print(json.dumps(_pc_dict(g, pc), ensure_ascii=False))
     return 0
 
 
 def cmd_presentation(args) -> int:
     g = load_graph(args.graph)
-    ordering = _parse_ordering(g, args.ordering)
-    pres = outer.presentation(sils.Census(g), ordering)
+    pres = outer.presentation(sils.Census(g))
     print(json.dumps(_presentation_dict(g, pres), ensure_ascii=False))
     return 0
 
@@ -249,25 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "automorphism group of the associated graph product.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_graph_cmd(name, func, help_text, ordering=False):
+    def add_graph_cmd(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("graph", help="path to a graph JSON or DOT file")
-        if ordering:
-            p.add_argument("--ordering", default=None,
-                           help="comma-separated vertex names; default is input order")
         p.set_defaults(func=func)
         return p
 
     p = add_graph_cmd("classify", cmd_classify,
-                      "full classification report as JSON", ordering=True)
+                      "full classification report as JSON")
     p.add_argument("--dot", default=None, metavar="PATH",
                    help="also write a DOT rendering with separating pairs "
                         "and components highlighted")
     add_graph_cmd("sils", cmd_sils, "list separating pairs, one JSON line each")
-    add_graph_cmd("gens", cmd_gens, "list the generating set, one JSON line each",
-                  ordering=True)
+    add_graph_cmd("gens", cmd_gens, "list the generating set, one JSON line each")
     add_graph_cmd("presentation", cmd_presentation,
-                  "commutation presentation and factored summary", ordering=True)
+                  "commutation presentation and factored summary")
 
     p = sub.add_parser("verify", help="run the exhaustive small-graph property suite")
     p.add_argument("--max-vertices", type=int, default=5)

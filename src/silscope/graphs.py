@@ -223,6 +223,7 @@ def _bits_to_set(mask: int) -> frozenset:
 # Serialization: graph JSON (the DOT dialect is in :mod:`silscope.dot`)
 
 GRAPH_JSON_KEYS = ("vertices", "edges")
+VERTEX_JSON_KEYS = ("name", "order")
 
 
 def to_json_dict(g: LabelledGraph) -> dict:
@@ -250,6 +251,10 @@ def from_json_dict(data: object) -> LabelledGraph:
     for entry in raw_vertices:
         if not isinstance(entry, dict) or "name" not in entry:
             raise GraphError(f"bad vertex entry: {entry!r}")
+        extra = set(entry) - set(VERTEX_JSON_KEYS)
+        if extra:
+            raise GraphError(f"unexpected keys in vertex entry {entry!r}: "
+                             f"{sorted(extra)}")
         vertices.append((entry["name"], entry.get("order", 2)))
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 2

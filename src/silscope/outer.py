@@ -4,14 +4,19 @@ Each star cut point v acts in one partial conjugation per connected
 component of the graph minus St(v).  The generating set,
 ``Census.generators``, drops for every star cut point the component that
 holds the smallest-numbered vertex; the group those generators present is
-a finite index subgroup of Out(W).
+a finite index subgroup of Out(W).  The numbering is the input order of
+the vertices; there is no other.
 
 Classification itself never looks at generators: it is a pure census of
 separating pairs and triples.  The commutation presentation is a candidate
 shape, proven exact only for disconnected graphs without flexible or
-triple separations, and it depends on the numbering: 8 of the 1,252
-classes of dedup n <= 7 {2} get "unfactored graph product" under input
-numbering although none is ``Large`` (ROADMAP open item 1).
+triple separations, and its summary depends on the input numbering: 8 of
+the 1,252 classes of dedup n <= 7 {2} get "unfactored graph product"
+under input numbering although none is ``Large``.  No choice of dropped
+components mends that: three ``VirtuallyAbelianNotZ`` classes of dedup
+n <= 8 {2} (edges v1v4 v1v6 v1v8 v2v4 v2v5 v2v7 v3v4 v3v5 v3v6, alone or
+plus v1v3, or plus v1v3 and v2v3) get "unfactored graph product" under
+all 32 choices (ROADMAP open item 1).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import LabelledGraph, component_masks, vertex_names
-from .sils import Census, commute_rule, non_commuting_rows
+from .sils import Census, commute_rule
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -67,31 +72,17 @@ def _component_mask(census: Census, v: int, component: frozenset) -> int:
         f"St({census.graph.names[v]})")
 
 
-def _generator_masks(census: Census, ordering: Sequence[int] | None) -> tuple:
-    """The ``(v, C)`` masks of :func:`build_p0`."""
-    if ordering is None:
-        return census.generators
-    ordering, n = tuple(ordering), census.graph.n
-    if sorted(ordering) != list(range(n)):
-        raise ValueError("ordering must be a permutation of all vertex indices")
-    rank = {c: next(i for i, u in enumerate(ordering) if c >> u & 1)
-            for v in range(n) for c in census.star_split(v)}
-    return tuple((v, c) for v in range(n)
-                 for c in sorted(census.star_split(v), key=rank.get)[1:])
-
-
-def build_p0(census: Census, ordering: Sequence[int] | None = None
-             ) -> tuple[PartialConjugation, ...]:
-    """The generating set for the given vertex numbering, as a tuple.
+def build_p0(census: Census) -> tuple[PartialConjugation, ...]:
+    """The generating set, as a tuple.
 
     For each star cut point, the components of the punctured graph are
     ranked by their smallest-numbered vertex and the first is dropped
     (keeping it would let the generators compose to an inner conjugation).
-    Default numbering is input order, which ``census.generators`` holds;
-    another re-ranks the same star splits.
+    The numbering is the graph's own, the input order; to renumber, relabel
+    the graph (:meth:`LabelledGraph.relabelled`).
     """
     return tuple(PartialConjugation(v, census._vertex_set(c))
-                 for v, c in _generator_masks(census, ordering))
+                 for v, c in census.generators)
 
 
 def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bool:
@@ -152,16 +143,12 @@ class CommutationPresentation:
     summary: str
 
 
-def presentation(census: Census,
-                 ordering: Sequence[int] | None = None) -> CommutationPresentation:
-    masks = _generator_masks(census, ordering)
-    rows = (census.non_commuting if ordering is None
-            else non_commuting_rows(census, masks))
-    gens = tuple(PartialConjugation(v, census._vertex_set(c)) for v, c in masks)
-    orders = tuple(census.graph.orders[v] for v, _ in masks)
+def presentation(census: Census) -> CommutationPresentation:
+    gens, rows = census.generators, census.non_commuting
+    orders = tuple(census.graph.orders[v] for v, _ in gens)
     edges = frozenset((i, j) for i, row in enumerate(rows)
                       for j in range(i + 1, len(rows)) if not row >> j & 1)
-    return CommutationPresentation(gens, orders, edges,
+    return CommutationPresentation(build_p0(census), orders, edges,
                                    factor_summary(orders, rows))
 
 

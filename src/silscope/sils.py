@@ -170,7 +170,15 @@ class Census:
 
     @cached_property
     def non_commuting(self) -> tuple:
-        return non_commuting_rows(self, self.generators)
+        gens = self.generators
+        rows = [0] * len(gens)
+        for i, (x, c) in enumerate(gens):
+            for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
+                witnesses = self._witness_masks.get((y, x))
+                if witnesses and not commute_rule(witnesses, x, c, y, d):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return tuple(rows)
 
     def sils_on(self, a: int, b: int) -> list:
         """The Sils on the pair {a, b}, in component order."""
@@ -191,19 +199,6 @@ def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
     if witnesses & c and (c == d or x_in_d):
         return False
     return not (y_in_c and (witnesses & d or x_in_d))
-
-
-def non_commuting_rows(census: Census, gens: tuple) -> tuple:
-    """For each ``(v, C)`` of ``gens``, which come in ascending order of v,
-    the bitmask of the indices of the generators it does not commute with."""
-    rows = [0] * len(gens)
-    for i, (x, c) in enumerate(gens):
-        for j, (y, d) in enumerate(gens[:i]):
-            witnesses = census._witness_masks.get((y, x))
-            if witnesses and not commute_rule(witnesses, x, c, y, d):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return tuple(rows)
 
 
 def enumerate_sils(census: Census) -> list[Sil]:

@@ -159,20 +159,18 @@ def equal_by_rewriting(g, w1, w2):
     return bool(reduced1 & reduced2)
 
 
-def generators_by_rank(g, ordering=None):
+def generators_by_rank(g):
     """The generating set as first written, as (vertex, component) pairs:
     for each vertex v in turn whose star leaves two or more union-find
-    components, those components ranked by their lowest-ranked vertex under
-    ``ordering`` (default: the identity), minus the first."""
-    rank = {v: i for i, v in enumerate(range(g.n) if ordering is None
-                                       else ordering)}
+    components, those components ranked by their smallest vertex, minus
+    the first."""
     gens = []
     for v in range(g.n):
         keep = set(range(g.n)) - neighbors_scan(g, v) - {v}
         comps = components_uf(g, keep)
         if len(comps) < 2:
             continue  # not a star cut point
-        comps.sort(key=lambda comp: min(rank[u] for u in comp))
+        comps.sort(key=min)
         gens.extend((v, comp) for comp in comps[1:])
     return gens
 

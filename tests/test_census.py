@@ -5,8 +5,9 @@ and Fsils read from one :class:`Census` equal the per-definition scans of
 ``oracles``, the memoised star components equal union-find components,
 the generator masks equal the rank sort over union-find components that
 ``build_p0`` first was, and the non-commutation rows and the commuting
-edges of the presentation, under the identity and three seeded random
-numberings, equal the rule that scans all Sils for each generator pair.
+edges of the presentation, on the graph and on three seeded random
+relabellings of it, equal the rule that scans all Sils for each generator
+pair.
 Seeded random graphs on 9 to 16 vertices, half of them connected and half
 sparse (often disconnected), check the census and the generators on stars
 with more and larger components than the small classes.
@@ -56,10 +57,10 @@ def check_against_oracles(g):
 
 
 def check_generators(g, census, sils):
-    """The census's generator masks and non-commutation rows, and the
-    generating set and commuting edges under the identity and three seeded
-    random numberings, against the rank sort over union-find components
-    and the commutation rule that scans every Sil."""
+    """The census's generator masks and non-commutation rows against the
+    rank sort over union-find components and the commutation rule that
+    scans every Sil; then the generating set and commuting edges of ``g``
+    and of three seeded random relabellings of it against the same."""
     gens = [PartialConjugation(v, comp)
             for v, comp in oracles.generators_by_rank(g)]
     assert [(v, _bits_to_set(c)) for v, c in census.generators] == [
@@ -70,17 +71,16 @@ def check_generators(g, census, sils):
             if not oracles.commutes_by_sil_scan(g, x, y, sils))
         for x in gens]
     rng = random.Random(g.n * 7919 + sum(g.adj))
-    orderings = [None, list(range(g.n))]
-    orderings += [rng.sample(range(g.n), g.n) for _ in range(3)]
-    for ordering in orderings:
+    for h in [g] + [g.relabelled(rng.sample(range(g.n), g.n)) for _ in range(3)]:
+        h_census, h_sils = Census(h), oracles.sil_census(h)
         gens = tuple(PartialConjugation(v, comp)
-                     for v, comp in oracles.generators_by_rank(g, ordering))
-        assert build_p0(census, ordering) == gens
-        pres = presentation(census, ordering)
+                     for v, comp in oracles.generators_by_rank(h))
+        assert build_p0(h_census) == gens
+        pres = presentation(h_census)
         assert pres.generators == gens
         assert pres.commuting_edges == {
             (i, j) for i, j in itertools.combinations(range(len(gens)), 2)
-            if oracles.commutes_by_sil_scan(g, gens[i], gens[j], sils)}
+            if oracles.commutes_by_sil_scan(h, gens[i], gens[j], h_sils)}
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["n6_orders2", "n5_orders23"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from silscope import from_dot, from_json, from_json_dict
+from silscope import from_dot, from_json, from_json_dict, to_json
 from silscope.cli import _indented, build_report, main
 from silscope.harness import CHECKS, CounterexampleReport
 
@@ -78,9 +78,14 @@ def test_classify_fork_flags_divergence(capsys):
     assert "VirtuallyAbelianNotZ" in report["warnings"][0]
 
 
-def test_classify_ordering_flag(capsys):
-    code, out, _ = run_cli(capsys, "classify", fixture("pentagon_triangle"),
-                           "--ordering", "d,e,f,a,b,c,v1,v2")
+def test_classify_reads_numbering_from_vertex_list(capsys, tmp_path):
+    # renumbering is listing the vertices in another order
+    data = json.loads(Path(fixture("pentagon_triangle")).read_text())
+    by_name = {v["name"]: v for v in data["vertices"]}
+    data["vertices"] = [by_name[name] for name in "d e f a b c v1 v2".split()]
+    path = tmp_path / "renumbered.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
     report = json.loads(out)
     assert {(pc["vertex"], tuple(pc["component"]))
@@ -178,17 +183,41 @@ LISTED_FIXTURES = ["path_mixed_orders", "path_plus_isolated", "pentagon_fork",
                    "pentagon_path", "pentagon_triangle", "three_isolated"]
 
 
+def _named_listing(command, text):
+    """A ``gens`` or ``presentation`` listing with generator indices
+    replaced by names, so listings of one graph under two numberings
+    compare equal: a set of generators for ``gens``; for
+    ``presentation``, the generators, the commuting pairs of generators
+    and the summary."""
+    def named(pc):
+        return pc["vertex"], frozenset(pc["component"]), pc["order"]
+    if command == "gens":
+        return {named(json.loads(line)) for line in text.splitlines()}
+    data = json.loads(text)
+    gens = [named(pc) for pc in data["generators"]]
+    return (set(gens),
+            {frozenset((gens[i], gens[j])) for i, j in data["commuting_edges"]},
+            data["summary"])
+
+
 @pytest.mark.parametrize("command", ["gens", "presentation"])
 @pytest.mark.parametrize("name", LISTED_FIXTURES)
-def test_listings_match_golden(capsys, name, command):
-    # once in input order, once numbered in reverse input order
-    names = from_json(Path(fixture(name)).read_text(encoding="utf-8")).names
-    for suffix, extra in (("", []),
-                          (".reversed", ["--ordering", ",".join(names[::-1])])):
-        code, out, _ = run_cli(capsys, command, fixture(name), *extra)
-        golden = GOLDEN / "listings" / f"{name}.{command}{suffix}.out"
-        assert code == 0
-        assert out == golden.read_text(encoding="utf-8")
+def test_listings_match_golden(capsys, tmp_path, name, command):
+    code, out, _ = run_cli(capsys, command, fixture(name))
+    golden = GOLDEN / "listings" / f"{name}.{command}.out"
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+    # the .reversed goldens hold the listing of the graph numbered in
+    # reverse input order: the same graph with its vertex list reversed
+    g = from_json(Path(fixture(name)).read_text(encoding="utf-8"))
+    reversed_path = tmp_path / f"{name}.reversed.json"
+    reversed_path.write_text(to_json(g.relabelled(range(g.n)[::-1])),
+                             encoding="utf-8")
+    code, out, _ = run_cli(capsys, command, str(reversed_path))
+    golden = GOLDEN / "listings" / f"{name}.{command}.reversed.out"
+    assert code == 0
+    assert _named_listing(command, out) == _named_listing(
+        command, golden.read_text(encoding="utf-8"))
 
 
 def test_reduce_command(capsys):
@@ -391,10 +420,22 @@ def test_exit_two_on_double_dash_option_value(capsys, argv):
     assert "expected one value" in err
 
 
-def test_exit_two_on_bad_ordering(capsys):
-    code, _, err = run_cli(capsys, "classify", fixture("pentagon_triangle"),
-                           "--ordering", "a,b")
-    assert code == 2 and "ordering" in err
+def test_removed_ordering_flag_exits_two(capsys):
+    # renumbering is done by reordering the input's vertex list
+    names = "a,b,c,d,e,f,v1,v2"
+    for command in ("classify", "gens", "presentation"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, fixture("pentagon_triangle"), "--ordering", names])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_exit_two_on_unknown_vertex_key(capsys, tmp_path):
+    bad = tmp_path / "misspelt_order.json"
+    bad.write_text('{"vertices": [{"name": "a", "ordr": 3}], "edges": []}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert "error:" in err and "ordr" in err
 
 
 def test_exit_two_on_bad_word(capsys):

@@ -179,6 +179,12 @@ def test_relabelled_preserves_structure(g):
             assert g.adjacent(u, v) == h.adjacent(perm[u], perm[v])
 
 
+def test_relabelled_rejects_non_permutation(g_triangle):
+    for perm in ([0, 0, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(GraphError, match="permutation"):
+            g_triangle.relabelled(perm)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -204,6 +210,15 @@ def test_json_rejects_bad_documents():
         from_json('{"vertices": [{"name": "a"}], "edges": [], "extra": 1}')
     with pytest.raises(json.JSONDecodeError):
         from_json("{nope")
+
+
+def test_json_rejects_unknown_vertex_keys():
+    # a misspelt "order" must not silently become the default order 2
+    with pytest.raises(GraphError, match=r"\['ordr'\]"):
+        from_json('{"vertices": [{"name": "a", "ordr": 3}], "edges": []}')
+    with pytest.raises(GraphError, match=r"\['colour', 'label'\]"):
+        from_json('{"vertices": [{"name": "a", "order": 3, "label": "x", '
+                  '"colour": 1}], "edges": []}')
 
 
 def test_json_default_order_is_two():

@@ -12,6 +12,7 @@ from silscope import (OutKind, PartialConjugation, build_p0, classify,
 from silscope.harness import EnumSpec, enumerate_graphs
 from silscope.outer import factor_summary, validate_partial_conjugation
 
+import oracles
 from conftest import (names, triangle, two_sil_pairs_over_cliques, vset)
 from test_graphs import labelled_graphs
 from test_sils import triple_link_star_graph
@@ -70,30 +71,25 @@ def test_build_p0_respects_ordering(g_pentagon_triangle):
     g = g_pentagon_triangle
     # with d numbered first, the dropped component at v1/v2 flips sides
     order = [g.index(n) for n in ("d", "e", "f", "a", "b", "c", "v1", "v2")]
-    p0 = build_p0(g, order)
-    assert gen_set(g, p0) == {
+    h = g.relabelled([order.index(v) for v in range(g.n)])
+    assert h.names == ("d", "e", "f", "a", "b", "c", "v1", "v2")
+    assert gen_set(h, build_p0(h)) == {
         ("v1", ("b", "v2")),
         ("v2", ("a", "v1")),
         ("c", ("a", "b")),
     }
 
 
-def test_build_p0_rejects_non_permutation(g_triangle):
-    with pytest.raises(ValueError):
-        build_p0(g_triangle, [0, 0, 1])
-    with pytest.raises(ValueError):
-        build_p0(g_triangle, [0, 1])
-
-
 @given(labelled_graphs(max_n=5), st.randoms(use_true_random=False))
 def test_build_p0_size_formula(g, rng):
-    ordering = list(range(g.n))
-    rng.shuffle(ordering)
-    p0 = build_p0(g, ordering)
-    expected = sum(len(partial_conjugations(g, v)) - 1 for v in star_cut_points(g))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = g.relabelled(perm)
+    p0 = build_p0(h)
+    expected = sum(len(partial_conjugations(h, v)) - 1 for v in star_cut_points(h))
     assert len(p0) == expected
     for pc in p0:
-        assert validate_partial_conjugation(g, pc.vertex, pc.component) == pc
+        assert validate_partial_conjugation(h, pc.vertex, pc.component) == pc
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +229,15 @@ def test_presentation_edges_pentagon_triangle(g_pentagon_triangle):
     assert pres.orders == (2, 2, 2)
 
 
-def sample_orderings(n, count, seed):
+def sample_relabellings(g, count, seed):
+    """g and count - 1 other distinct seeded random relabellings of it."""
     rng = random.Random(seed)
-    seen = {tuple(range(n))}
+    seen = {tuple(range(g.n))}
     while len(seen) < count:
-        perm = list(range(n))
+        perm = list(range(g.n))
         rng.shuffle(perm)
         seen.add(tuple(perm))
-    return sorted(seen)
+    return [g.relabelled(perm) for perm in sorted(seen)]
 
 
 @pytest.mark.parametrize("fixture", ["g_pentagon_triangle", "g_pentagon_path",
@@ -248,8 +245,8 @@ def sample_orderings(n, count, seed):
 def test_virtually_z_has_one_non_commuting_pair_any_ordering(fixture, request):
     g = request.getfixturevalue(fixture)
     assert classify(g).kind is OutKind.VIRTUALLY_Z
-    for ordering in sample_orderings(g.n, 24, seed=7):
-        pres = presentation(g, ordering)
+    for h in sample_relabellings(g, 24, seed=7):
+        pres = presentation(h)
         total = len(pres.generators) * (len(pres.generators) - 1) // 2
         assert total - len(pres.commuting_edges) == 1
 
@@ -261,8 +258,8 @@ def test_commuting_edge_count_ordering_invariant(g_pentagon_triangle,
     for g in (g_pentagon_triangle, g_pentagon_path):
         assert all(len(partial_conjugations(g, v)) == 2
                    for v in star_cut_points(g))
-        counts = {len(presentation(g, o).commuting_edges)
-                  for o in sample_orderings(g.n, 12, seed=3)}
+        counts = {len(presentation(h).commuting_edges)
+                  for h in sample_relabellings(g, 12, seed=3)}
         assert len(counts) == 1
 
 
@@ -287,11 +284,45 @@ def test_virtually_z_unique_pair_across_enumeration():
     for g in enumerate_graphs(EnumSpec(5, dedup_isomorphic=True)):
         if classify(g).kind is not OutKind.VIRTUALLY_Z:
             continue
-        orderings = [None, rng.sample(range(g.n), g.n)]
-        for ordering in orderings:
-            pres = presentation(g, ordering)
+        for h in (g, g.relabelled(rng.sample(range(g.n), g.n))):
+            pres = presentation(h)
             total = len(pres.generators) * (len(pres.generators) - 1) // 2
             assert total - len(pres.commuting_edges) == 1, g
+
+
+# three VirtuallyAbelianNotZ classes of dedup n <= 8 {2}: Sils
+# {v4, v5 | v7} and {v4, v6 | v8}, and G - St(v4) = {v5}, {v6}, {v7}, {v8}
+_NO_DROP_RULE_EDGES = "v1v4 v1v6 v1v8 v2v4 v2v5 v2v7 v3v4 v3v5 v3v6"
+
+
+@pytest.mark.parametrize("extra", ["", "v1v3", "v1v3 v2v3"])
+def test_no_choice_of_dropped_components_factors(extra):
+    """Whichever component each star cut point drops, the commutation graph
+    of the kept generators is not a product of D-infinity and cyclic
+    factors, so no drop rule makes the presentation summary exact."""
+    edges = [(e[:2], e[2:]) for e in f"{_NO_DROP_RULE_EDGES} {extra}".split()]
+    g = make_graph([(f"v{i}", 2) for i in range(1, 9)], edges)
+    assert classify(g).kind is OutKind.VIRTUALLY_ABELIAN_NOT_Z
+    sils = oracles.sil_census(g)
+    v4, v5, v6 = g.index("v4"), g.index("v5"), g.index("v6")
+    assert {(pair, comp) for pair, comp, _ in sils} == {
+        ((v4, v5), vset(g, "v7")), ((v4, v6), vset(g, "v8"))}
+    splits = []
+    for v in range(g.n):
+        keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
+        comps = oracles.components_uf(g, keep)
+        if len(comps) >= 2:
+            splits.append([PartialConjugation(v, c) for c in comps])
+    choices = list(itertools.product(*map(range, map(len, splits))))
+    assert len(choices) == 32
+    for choice in choices:
+        gens = [pc for split, k in zip(splits, choice)
+                for i, pc in enumerate(split) if i != k]
+        rows = [sum(1 << j for j, y in enumerate(gens)
+                    if not oracles.commutes_by_sil_scan(g, x, y, sils))
+                for x in gens]
+        assert factor_summary([2] * len(gens), rows) == \
+            "unfactored graph product", choice
 
 
 @given(labelled_graphs(max_n=5))
