@@ -115,6 +115,23 @@ def _dot_tokens(text: str) -> list:
     return tokens
 
 
+def _misspells_order(key: str) -> bool:
+    """Whether ``key`` is not ``order`` but its lower-case form is, or is
+    one edit from it: one insertion, deletion, substitution or swap of
+    adjacent letters (``Order``, ``ordr``, ``orders``, ``oder``)."""
+    word, target = key.lower(), "order"
+    if key == target:
+        return False
+    if len(word) == len(target):
+        diff = [i for i, (a, b) in enumerate(zip(word, target)) if a != b]
+        return len(diff) <= 1 or (len(diff) == 2 and diff[1] == diff[0] + 1
+                                  and word[diff[0]] == target[diff[1]]
+                                  and word[diff[1]] == target[diff[0]])
+    longer, shorter = sorted((word, target), key=len, reverse=True)
+    return len(longer) == len(shorter) + 1 and any(
+        longer[:i] + longer[i + 1:] == shorter for i in range(len(longer)))
+
+
 def from_dot(text: str) -> LabelledGraph:
     """Parse the undirected DOT subset emitted by :func:`to_dot`.
 
@@ -125,8 +142,10 @@ def from_dot(text: str) -> LabelledGraph:
     may share a line or take one line each.  Names are bare IDs (letters,
     digits, ``_``, ``.``, non-ASCII) or double-quoted strings with ``\\"``
     and ``\\\\`` escapes.  ``//`` and ``#``-line comments are skipped.
-    The ``order`` attribute must be a decimal integer and defaults to 2;
-    other attributes, and every attribute of an edge, are ignored.
+    The ``order`` attribute must be a decimal integer and defaults to 2.
+    A node attribute that misspells it, as ``order`` up to case and one
+    edit, raises GraphError; other attributes (``color``, ``ordering``,
+    ...), and every attribute of an edge, are ignored.
     Anything else, including attribute statements, subgraphs and directed
     graphs, raises GraphError with a line number.
     """
@@ -194,6 +213,9 @@ def from_dot(text: str) -> LabelledGraph:
         edges.extend(zip(chain, chain[1:]))
         if len(chain) == 1:
             for key, value, line in attrs:
+                if _misspells_order(key):
+                    raise GraphError(f"line {line}: attribute {key!r} is not "
+                                     "'order'; write order=K")
                 if key != "order":
                     continue
                 if not (value.isascii() and value.isdigit()):

@@ -18,8 +18,21 @@ by g exactly when g lies in every coset w_v <St(v)>.  Parabolic cosets
 meet in parabolic cosets, and parabolic double cosets have unique shortest
 representatives (Antolín and Minasyan, *Tits alternatives for graph
 products*, J. reine angew. Math. 2015), so :func:`search_inner` folds the
-cosets one vertex at a time on normal forms and returns the shortest
-witness, or None when the cosets have no common element.
+cosets on normal forms and returns the shortest witness, or None when the
+cosets have no common element.  Vertices that share a conjugator w share
+one coset w <St(v1) & St(v2) & ...>, so the fold takes one step per
+distinct conjugator, not one per vertex.
+
+The commutator [chi_{a,C}, chi_{b,D}] of two partial conjugations is
+built in closed form.  Its conjugator at u is the reduced word
+a^q b^p a^-q b^-t a^(q-s) b^(t-p) a^(s-q), with p = [a in D],
+q = [b in C], s = [u in C] and t = [u in D]; it holds because a is not
+in C and b is not in D, so each factor fixes its own acting vertex.  The
+word depends on u only through (s, t), so :func:`commutator` reduces at
+most three words.  It is derived from the definition of the
+automorphisms alone and never reads :func:`silscope.sils.commute_rule`:
+the oracle check compares that rule against these commutators, and a
+commutator built from the rule could not disagree with it.
 """
 
 from __future__ import annotations
@@ -188,12 +201,39 @@ def compose(g: LabelledGraph, phi1: Automorphism0,
 
 def commutator(g: LabelledGraph, x: PartialConjugation,
                y: PartialConjugation) -> Automorphism0:
-    """[x, y] = x . y . x^-1 . y^-1 as an automorphism."""
-    xa = pc_automorphism(g, x)
-    ya = pc_automorphism(g, y)
-    xi = pc_automorphism(g, x, -1)
-    yi = pc_automorphism(g, y, -1)
-    return compose(g, compose(g, compose(g, xa, ya), xi), yi)
+    """[x, y] = x . y . x^-1 . y^-1 as an automorphism, in closed form.
+
+    With x = chi_{a,C} and y = chi_{b,D}, chi^{+-1} conjugates only by
+    a^{+-1} or b^{+-1}, and a and b stay fixed because a is not in C and b
+    is not in D.  So the conjugator at a vertex u is the reduced word
+
+        a^q . b^p . a^-q . b^-t . a^(q-s) . b^(t-p) . a^(s-q)
+
+    with p = [a in D], q = [b in C], s = [u in C] and t = [u in D].  It is
+    reduced once per (s, t) class, at most three times, since (0, 0) gives
+    the empty word.  The word is computed from the two automorphisms, not
+    from a prediction of whether x and y commute: the commutation rule of
+    :mod:`silscope.sils` is never read, because the oracle check exists to
+    test that rule against these words.  ``ValueError`` if a is in C or b
+    is in D, where the formula does not hold.
+    """
+    a, c = x.vertex, x.component
+    b, d = y.vertex, y.component
+    if a in c or b in d:
+        raise ValueError("a partial conjugation chi_{v,C} needs v outside C")
+    p = a in d
+    q = b in c
+    by_class = {(False, False): EPSILON}
+    conj = []
+    for u in range(g.n):
+        key = (u in c, u in d)
+        w = by_class.get(key)
+        if w is None:
+            s, t = key
+            w = by_class[key] = reduce(g, ((a, q), (b, p), (a, -q), (b, -t),
+                                           (a, q - s), (b, t - p), (a, s - q)))
+        conj.append(w)
+    return Automorphism0(tuple(conj))
 
 
 def is_inner_with(g: LabelledGraph, phi: Automorphism0, gword: Word) -> bool:
@@ -235,31 +275,39 @@ def search_inner(g: LabelledGraph, phi: Automorphism0) -> Word | None:
     """The shortest word u such that phi is conjugation by u, or None.
 
     phi sends v to w_v v w_v^-1, and the centraliser of v is <St(v)>, so
-    the words u form the intersection of the cosets w_v <St(v)>.  The
-    fold keeps that intersection as c <A>: it starts at (w_0, St(0)), and
-    c <A> meets w_v <St(v)> iff x = c^-1 w_v splits as a . b with a in <A>
-    and b in <St(v)>, when the intersection is c a <A & St(v)>.  Peeling
-    <A> off the left of x and <St(v)> off its right leaves nothing exactly
-    when x splits.  At the end, peeling <A> off the right of c leaves the
-    unique shortest element of the final coset, already canonical because
-    every deleted syllable commutes with all kept syllables after it.
+    the words u form the intersection of the cosets w_v <St(v)>.  Vertices
+    with the same conjugator w contribute w <St(v1)> & w <St(v2)> =
+    w <St(v1) & St(v2)>, so the vertices are first grouped by conjugator
+    tuple, in order of first appearance, with their star masks ANDed: one
+    coset per distinct conjugator.  The fold keeps the intersection as
+    c <A>: it starts at the first group's (w, B), and c <A> meets w <B>
+    iff x = c^-1 w splits as a . b with a in <A> and b in <B>, when the
+    intersection is c a <A & B>.  Peeling <A> off the left of x and <B>
+    off its right leaves nothing exactly when x splits.  At the end,
+    peeling <A> off the right of c leaves the unique shortest element of
+    the final coset, already canonical because every deleted syllable
+    commutes with all kept syllables after it.  The final coset is the
+    intersection whatever the grouping, so the witness is too.
     """
     n = g.n
     if not n:
         return EPSILON
     adj = g.adj
-    conj = phi.conjugators
-    c = reduce(g, conj[0])
-    allowed = adj[0] | 1 << 0
-    for v in range(1, n):
-        x = reduce(g, _inverse(g, c) + tuple(conj[v]))
-        star_v = adj[v] | 1 << v
+    stars: dict = {}
+    for v, w in enumerate(phi.conjugators):
+        star = adj[v] | 1 << v
+        stars[w] = stars.get(w, star) & star
+    cosets = iter(stars.items())
+    c, allowed = next(cosets)
+    c = reduce(g, c)
+    for w, star in cosets:
+        x = reduce(g, _inverse(g, c) + w)
         a, rest = _peel_left(g, x, allowed)
-        if _strip_right(g, rest, star_v):
+        if _strip_right(g, rest, star):
             return None
         if a:
             c = reduce(g, c + a)
-        allowed &= star_v
+        allowed &= star
     return _strip_right(g, c, allowed)
 
 

@@ -8,15 +8,20 @@ over conjugating words instead of the coset fold that decides innerness,
 and isomorph rejection by marking whole orbits under all n! vertex
 permutations instead of orderly generation.
 Slow on purpose and kept free of silscope internals beyond the graph data
-fields; the one exception is the word search, which compares words in the
-library's normal form (itself checked against the rewriting closure).
+fields; the exceptions are the word oracles.  The word search compares
+words in the library's normal form (itself checked against the rewriting
+closure), and the commutator and innerness fold that the closed forms in
+``silscope.words`` replaced are kept here as they were: a commutator built
+from three generic compositions, and a coset fold taken one vertex at a
+time.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from silscope.graphs import LabelledGraph
-from silscope.words import image_of_vertex, reduce
+from silscope.words import (_inverse, _peel_left, _strip_right, compose,
+                            image_of_vertex, pc_automorphism, reduce)
 
 
 def edge_list(g):
@@ -200,6 +205,41 @@ def commutes_by_sil_scan(g, x, y, sils):
     if y_in_c and ws & d:
         return False
     return not (x_in_d and y_in_c)
+
+
+def commutator_by_compose(g, x, y):
+    """[x, y] = x . y . x^-1 . y^-1 as three generic compositions of the
+    four partial-conjugation automorphisms."""
+    xa = pc_automorphism(g, x)
+    ya = pc_automorphism(g, y)
+    xi = pc_automorphism(g, x, -1)
+    yi = pc_automorphism(g, y, -1)
+    return compose(g, compose(g, compose(g, xa, ya), xi), yi)
+
+
+def search_inner_by_vertex(g, phi):
+    """The shortest word u such that phi is conjugation by u, or None, by
+    folding the cosets w_v <St(v)> one vertex at a time: c <A> meets
+    w_v <St(v)> iff c^-1 w_v is a . b with a in <A> and b in <St(v)>, and
+    the shortest element of the last coset is c with <A> peeled off its
+    right."""
+    n = g.n
+    if not n:
+        return ()
+    adj = g.adj
+    conj = phi.conjugators
+    c = reduce(g, conj[0])
+    allowed = adj[0] | 1 << 0
+    for v in range(1, n):
+        x = reduce(g, _inverse(g, c) + tuple(conj[v]))
+        star_v = adj[v] | 1 << v
+        a, rest = _peel_left(g, x, allowed)
+        if _strip_right(g, rest, star_v):
+            return None
+        if a:
+            c = reduce(g, c + a)
+        allowed &= star_v
+    return _strip_right(g, c, allowed)
 
 
 @lru_cache(maxsize=16)

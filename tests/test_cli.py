@@ -352,6 +352,13 @@ def test_exit_two_on_order_too_long_for_int(capsys, tmp_path):
     assert code == 2 and out == "" and "5000 digits" in err
 
 
+def test_exit_two_on_a_misspelt_dot_order(capsys, tmp_path):
+    bad = tmp_path / "ordr.dot"
+    bad.write_text("graph G { a [ordr=3]; a -- b; }")
+    code, out, err = run_cli(capsys, "sils", str(bad))
+    assert code == 2 and out == "" and "'ordr'" in err
+
+
 def test_exit_two_on_deeply_nested_json(capsys, tmp_path):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100_000)

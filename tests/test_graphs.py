@@ -294,6 +294,19 @@ def test_dot_refuses_what_it_does_not_read(text, message):
         from_dot(text)
 
 
+@pytest.mark.parametrize("key", ["Order", "ORDER", "ordr", "orders", "oder",
+                                 "odrer", "ordet", "xorder"])
+def test_dot_refuses_a_misspelt_order(key):
+    with pytest.raises(GraphError, match=f"line 3: attribute '{key}'"):
+        from_dot(f"graph G {{\n  a -- b;\n  a [{key}=3];\n}}")
+
+
+def test_dot_ignores_attributes_that_are_not_near_order():
+    g = from_dot('graph G { a [color=red, style=filled, fillcolor="#ffcccc", '
+                 'ordering=out, order=3]; a -- b [ordr=5]; }')
+    assert g.orders == (3, 2)
+
+
 @given(st.lists(st.tuples(st.text(min_size=1, max_size=6),
                           st.sampled_from((2, 3, 4))),
                 min_size=1, max_size=5, unique_by=lambda v: v[0]),

@@ -6,7 +6,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from silscope import from_json_dict, harness, make_graph, to_json_dict
+from silscope import from_json_dict, harness, make_graph, sils, to_json_dict
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, replay,
                               run_suite)
@@ -251,6 +251,37 @@ def test_lemma_7_counterexamples_on_seven_vertices_are_pinned():
 def test_oracle_check_runs_on_six_vertices():
     spec = EnumSpec(6, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
     assert run_suite(spec)[1] == []
+
+
+def _commute_rule_without_the_crossed_clause(witnesses, x, c, y, d):
+    """sils.commute_rule without its "x in D and y in C" clause."""
+    if x == y or not witnesses:
+        return True
+    if witnesses & c and (c == d or d >> x & 1):
+        return False
+    return not (c >> y & 1 and witnesses & d)
+
+
+@pytest.mark.parametrize("rule, expected, first", [
+    (_commute_rule_without_the_crossed_clause, 16,
+     ("chi v2 {v3}", "chi v3 {v2}")),
+    (lambda witnesses, x, c, y, d: True, 23,
+     ("chi v1 {v3}", "chi v2 {v3}")),
+], ids=["crossed_clause_dropped", "always_commute"])
+def test_oracle_catches_a_wrong_commutation_rule(monkeypatch, rule, expected,
+                                                 first):
+    """The word oracle builds its commutators without the rule, so a rule
+    that predicts commutation where there is none is reported."""
+    monkeypatch.setattr(sils, "commute_rule", rule)
+    spec = EnumSpec(5, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
+    checked, reports = run_suite(spec)
+    assert checked == 52
+    assert len(reports) == expected
+    assert (reports[0].witness["x"], reports[0].witness["y"]) == first
+    for report in reports:
+        assert report.check == "lemma_1_4_oracle"
+        assert report.witness["predicted_commutes"] is True
+        assert report.witness["inner_witness_found"] is False
 
 
 def _fails_everywhere(census):

@@ -274,6 +274,7 @@ def test_search_inner_matches_bfs_on_random_automorphisms():
             for _ in range(n)))
         w = search_inner(g, phi)
         assert w is None or is_inner_with(g, phi, w)
+        assert w == oracles.search_inner_by_vertex(g, phi)
         assert within_four(w) == oracles.bfs_inner_witness(g, phi, 4)
 
 
@@ -297,9 +298,60 @@ def test_search_inner_finds_random_inner_automorphisms():
         phi = Automorphism0(tuple(conj))
         w = search_inner(g, phi)
         assert w is not None and is_inner_with(g, phi, w)
+        assert w == oracles.search_inner_by_vertex(g, phi)
         assert len(w) <= len(u)
         longer_than_four += len(w) > 4
     assert longer_than_four >= 50  # beyond the reach of a depth-4 search
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 15531),
+    (EnumSpec(7, orders=(2,), dedup_isomorphic=True), 16639),
+], ids=["dedup_n5_orders234", "dedup_n7_orders2"])
+def test_closed_forms_match_the_compose_path(spec, expected):
+    """The closed-form commutator equals three generic compositions, and
+    the fold by conjugator class equals the fold by vertex, on every pair
+    of generators."""
+    count = 0
+    for g in enumerate_graphs(spec):
+        for x, y in itertools.combinations(build_p0(Census(g)), 2):
+            k = commutator(g, x, y)
+            assert k == oracles.commutator_by_compose(g, x, y)
+            assert search_inner(g, k) == oracles.search_inner_by_vertex(g, k)
+            count += 1
+    assert count == expected
+
+
+def test_search_inner_matches_the_vertex_fold_on_random_products():
+    """Products of several partial conjugations and their inverses share
+    conjugators between vertices in more patterns than one commutator."""
+    rng = random.Random(11)
+    inner = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        g = graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2),
+                            [rng.choice((2, 3, 4)) for _ in range(n)])
+        gens = build_p0(Census(g))
+        if not gens:
+            continue
+        phi = identity_automorphism(g)
+        for _ in range(rng.randint(1, 6)):
+            step = pc_automorphism(g, rng.choice(gens), rng.choice((1, -1)))
+            phi = compose(g, step, phi)
+        w = search_inner(g, phi)
+        assert w == oracles.search_inner_by_vertex(g, phi)
+        assert w is None or is_inner_with(g, phi, w)
+        inner += w is not None
+    assert inner > 0
+
+
+def test_commutator_refuses_an_actor_inside_its_component():
+    v1, d = G1.index("v1"), G1.index("d")
+    bad = PartialConjugation(v1, frozenset({v1, d}))
+    with pytest.raises(ValueError):
+        commutator(G1, bad, CHI_V2)
+    with pytest.raises(ValueError):
+        commutator(G1, CHI_V2, bad)
 
 
 def test_commutator_power_probe_examples():
