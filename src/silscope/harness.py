@@ -25,8 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .graphs import (MAX_ORDER, LabelledGraph, from_json_dict, is_vertex_order,
-                     to_json_dict, vertex_names)
+from .graphs import (MAX_ORDER, LabelledGraph, component_masks, from_json_dict,
+                     is_vertex_order, to_json_dict, vertex_names)
 from .outer import build_p0
 from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
@@ -130,26 +130,31 @@ def _automorphisms(adj: tuple, every: bool) -> Optional[list]:
     them fixes the placed vertices), so not every automorphism is listed."""
     rows = [a >> p + 1 for p, a in enumerate(adj)]
     found: list = []
-
-    def fill(words: dict, perm: tuple) -> bool:
-        if not words:
-            found.append(perm)
-            return True
-        row = rows[len(words) - 1]
-        if min(words.values()) < row:
-            return False
-        tried: set = set()
-        for v, w in words.items():
-            if w == row and not {adj[v], adj[v] | 1 << v} & tried:
-                if not every:
-                    tried |= {adj[v], adj[v] | 1 << v}
-                if not fill({u: x << 1 | adj[u] >> v & 1
-                             for u, x in words.items() if u != v}, (v,) + perm):
-                    return False
-        return True
-
     # starting from the graph's own numbering halves the time of n <= 7 {2}
-    return found if fill(dict.fromkeys(reversed(range(len(adj))), 0), ()) else None
+    start = dict.fromkeys(reversed(range(len(adj))), 0)
+    return found if _fill(adj, rows, every, found, start, ()) else None
+
+
+def _fill(adj: tuple, rows: list, every: bool, found: list, words: dict,
+          perm: tuple) -> bool:
+    """One step of ``_automorphisms``: place a vertex at position
+    len(words) - 1.  Not a closure, so that no call leaves a cycle."""
+    if not words:
+        found.append(perm)
+        return True
+    row = rows[len(words) - 1]
+    if min(words.values()) < row:
+        return False
+    tried: set = set()
+    for v, w in words.items():
+        if w == row and not {adj[v], adj[v] | 1 << v} & tried:
+            if not every:
+                tried |= {adj[v], adj[v] | 1 << v}
+            if not _fill(adj, rows, every, found,
+                         {u: x << 1 | adj[u] >> v & 1
+                          for u, x in words.items() if u != v}, (v,) + perm):
+                return False
+    return True
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
@@ -194,13 +199,21 @@ def check_lemma_2_2(census: Census) -> Optional[CounterexampleReport]:
     """Every separating pair shares its separated component on both sides.
 
     The census reads each Sil off a component shared by both star splits,
-    so this now holds by construction; its independent evidence is the
-    comparison with the per-definition oracles in ``tests/test_census.py``.
+    so that holds by construction.  As evidence of its own, a search here
+    checks that C of {a, b | C} is a component of G minus lk(a) & lk(b).
     """
     g = census.graph
+    full = (1 << g.n) - 1
     for sil in census.sils:
+        a, b = sil.pair
+        mask = sum(1 << v for v in sil.component)
         try:
             shared_sil_component(census, sil)
+            if mask & (1 << a | 1 << b) or mask not in component_masks(
+                    g.adj, full & ~(g.adj[a] & g.adj[b])):
+                raise SharedComponentError(
+                    f"separated component of pair ({g.names[a]}, {g.names[b]}) "
+                    "is not a component of the graph minus their common link")
         except SharedComponentError as exc:
             return _report("lemma_2_2", g,
                            {"pair": vertex_names(g, sil.pair),
@@ -241,14 +254,14 @@ def check_stil_two_sils(census: Census) -> Optional[CounterexampleReport]:
 def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
-    if len(census._split(0)) > 1:
+    if len(census.split) > 1:
         return None
     sils = census.sils
     if len(sils) != 1:
         return None
     g = census.graph
     for v in sils[0].pair:
-        ncomp = len(census.star_split(v))
+        ncomp = len(census.star_splits[v])
         if ncomp != 2:
             return _report("lemma_7", g,
                            {"vertex": g.names[v], "components": ncomp},
@@ -260,19 +273,21 @@ def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
 def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
     """Two separating pairs sharing one vertex and a witness give a
     separating triple on the three vertices at that witness."""
-    if len(census._split(0)) > 1:
+    if len(census.split) > 1:
         return None
     g = census.graph
+    full = (1 << g.n) - 1
     for s1, s2 in itertools.combinations(census.sils, 2):
         common = set(s1.pair) & set(s2.pair)
-        if len(common) != 1:
+        witnesses = sorted(s1.component & s2.component)
+        if len(common) != 1 or not witnesses:
             continue
         x1 = common.pop()
         x2 = next(v for v in s1.pair if v != x1)
         x3 = next(v for v in s2.pair if v != x1)
-        shared = g.adj[x1] & g.adj[x2] & g.adj[x3]
-        for z in sorted(s1.component & s2.component):
-            for comp in census._split(shared):
+        split = component_masks(g.adj, full & ~(g.adj[x1] & g.adj[x2] & g.adj[x3]))
+        for z in witnesses:
+            for comp in split:
                 if comp >> z & 1:
                     if comp & (1 << x1 | 1 << x2 | 1 << x3):
                         return _report(
@@ -298,7 +313,7 @@ def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
 
 def check_three_components_fsil(census: Census) -> Optional[CounterexampleReport]:
     """Three or more connected components force a flexible triple."""
-    if len(census._split(0)) < 3:
+    if len(census.split) < 3:
         return None
     if not census.fsils:
         g = census.graph

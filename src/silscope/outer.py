@@ -64,9 +64,9 @@ def validate_partial_conjugation(g: LabelledGraph, v: int,
 def _component_mask(census: Census, v: int, component: frozenset) -> int:
     """The census mask of ``component`` as a component of G - St(v)."""
     census.graph.check_vertex(v)
-    for c in census.star_split(v):
-        if census._vertex_set(c) == component:
-            return c
+    mask = sum(1 << u for u in component)
+    if mask in census.star_splits[v]:
+        return mask
     raise ValueError(
         f"{sorted(component)} is not a connected component of the graph minus "
         f"St({census.graph.names[v]})")
@@ -90,7 +90,7 @@ def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bo
     :func:`silscope.sils.commute_rule`; ``ValueError`` if they may not and
     a component is not one of G minus the star of its vertex."""
     pair = (x.vertex, y.vertex) if x.vertex < y.vertex else (y.vertex, x.vertex)
-    witnesses = census._witness_masks.get(pair)
+    witnesses = census.witnesses.get(pair)
     return not witnesses or commute_rule(
         witnesses, x.vertex, _component_mask(census, x.vertex, x.component),
         y.vertex, _component_mask(census, y.vertex, y.component))

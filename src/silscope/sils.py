@@ -7,11 +7,11 @@ in which every pair is separated with the third vertex as witness.
 
 Every one of these, and every star cut, is a connected component of the
 graph minus some vertex set S: a common link of two or three vertices, or
-a star.  A :class:`Census` holds one graph and a memo from the bitmask of
-S to the component bitmasks of G - S, so each distinct S costs one BFS
-however many pairs, triples and stars share it.  The census computes the
-Sils, Stils and Fsils on first use and keeps them; every consumer of one
-graph reads the same census.
+a star.  A :class:`Census` holds one graph and the n + 1 splits it reads,
+as component bitmasks: G minus each star, and G itself.  From them it
+computes the Sils, Stils and Fsils on first use and keeps them, with one
+witness index from each separated pair to the union of its separated
+components; every consumer of one graph reads the same census.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -23,13 +23,13 @@ of some G - St(v) to the set V_C of the v it belongs to; the Sils on C are
 the non-adjacent pairs in V_C and the Stils the triples in V_C spanning
 at most one edge.
 
-Cost: n BFS, one per star, plus O(sum over C of |V_C|^2) mask operations
-and the output, which is O(n^3) at worst.
+Cost: n + 1 BFS, one per star and one of G, plus O(sum over C of |V_C|^2)
+mask operations and the output, which is O(n^3) at worst.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import LabelledGraph, _bits_to_set, component_masks
@@ -69,48 +69,43 @@ class Fsil:
     sils: tuple[Sil, Sil, Sil]
 
 
-@dataclass(frozen=True, eq=False)
 class Census:
-    """The separation census of one graph, computed lazily and once.
+    """The separation census of one graph.
 
-    The memo maps each removed-vertex bitmask to the component bitmasks
-    of the rest.  Each component mask becomes a frozenset once, on first
-    request, shared by ``components(removed)`` and the Sils and Stils
-    that hold it.  The Sils and Stils read only the n star splits,
-    through the map from each star component C to the mask V_C of the
-    vertices whose star it avoids as a component (see the module
-    docstring), so reading them adds at most n entries to the memo.  The
-    Sil, Stil and Fsil lists, the per-pair witness index, the generators
-    and their non-commutation rows are computed on first access.  Nothing
-    is shared between instances.
-
-    ``generators`` holds one ``(v, C)`` per partial conjugation chi_{v,C}
-    of the generating set (Gutierrez, Piggott and Ruane, Groups Geom. Dyn.
-    2012): for each star cut point v in turn, every component mask C of
-    G - St(v) but the first, read off the memoised star splits at the cost
-    of the output.  ``non_commuting`` holds, per generator, the mask of
-    those it does not commute with (Sale and Susse, Trans. AMS 2019), from
-    g^2 / 2 witness-index lookups for g generators.
+    The constructor stores the n + 1 splits the census reads, as component
+    masks ordered by lowest bit: ``star_splits[v]`` of G - St(v) for each
+    vertex v, and ``split`` of G.  It also stores ``generators``, one
+    ``(v, C)`` per partial conjugation chi_{v,C} of the generating set
+    (Gutierrez, Piggott and Ruane, Groups Geom. Dyn. 2012): for each star
+    cut point v in turn, every component mask C of G - St(v) but the first.
+    Each mask becomes a frozenset once, on first request, shared by every
+    reader.  The rest is computed on first access: the Sil masks, in one
+    sorted pass over the star splits (see the module docstring); from them
+    the Sils and the one witness index, ``witnesses``; the Stils; the
+    Fsils; and ``non_commuting``, per generator the mask of those it does
+    not commute with (Sale and Susse, Trans. AMS 2019), from g^2 / 2
+    witness lookups for g generators.  Nothing is shared between instances.
     """
 
-    graph: LabelledGraph
-    _masks: dict = field(default_factory=dict, init=False, repr=False)
-    _sets: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, graph: LabelledGraph) -> None:
+        self.graph = graph
+        adj = graph.adj
+        full = (1 << graph.n) - 1
+        self.split = component_masks(adj, full)
+        self.star_splits = tuple(component_masks(adj, full & ~(a | 1 << v))
+                                 for v, a in enumerate(adj))
+        self.generators = tuple((v, c) for v, split in enumerate(self.star_splits)
+                                for c in split[1:])
+        owners = self._star_owners = {}  # star component C -> V_C
+        for v, split in enumerate(self.star_splits):
+            for mask in split:
+                owners[mask] = owners.get(mask, 0) | 1 << v
+        self._sets: dict = {}
 
-    def _split(self, removed: int) -> tuple:
-        """Component bitmasks of G - removed, ordered by lowest bit."""
-        try:
-            return self._masks[removed]
-        except KeyError:
-            g = self.graph
-            masks = self._masks[removed] = component_masks(
-                g.adj, ((1 << g.n) - 1) & ~removed)
-            return masks
-
-    def components(self, removed: int = 0) -> tuple:
-        """Components of the graph minus the vertex bitmask ``removed``, as
-        ``frozenset`` vertex sets ordered by smallest contained vertex."""
-        return tuple(map(self._vertex_set, self._split(removed)))
+    def components(self) -> tuple:
+        """Components of the graph, as ``frozenset`` vertex sets ordered by
+        smallest contained vertex."""
+        return tuple(map(self._vertex_set, self.split))
 
     def _vertex_set(self, mask: int) -> frozenset:
         """The vertices of ``mask``, as one frozenset per distinct mask."""
@@ -122,21 +117,27 @@ class Census:
 
     def star_components(self, v: int) -> tuple:
         """Components of the graph minus St(v)."""
-        return self.components(self.graph.adj[v] | 1 << v)
-
-    def star_split(self, v: int) -> tuple:
-        """Component bitmasks of the graph minus St(v)."""
-        return self._split(self.graph.adj[v] | 1 << v)
+        return tuple(map(self._vertex_set, self.star_splits[v]))
 
     @cached_property
-    def _star_owners(self) -> dict:
-        """Each component mask C of some G - St(v) to the mask V_C of the
-        vertices v for which it is one."""
-        owners: dict = {}
-        for v in range(self.graph.n):
-            for mask in self.star_split(v):
-                owners[mask] = owners.get(mask, 0) | 1 << v
-        return owners
+    def _sil_masks(self) -> list:
+        """One ``(a, b, lowest bit, mask)`` per Sil {a, b | C}, sorted: one
+        per non-adjacent pair a < b of V_C for each star component C."""
+        adj = self.graph.adj
+        found = []
+        for comp, owners in self._star_owners.items():
+            low_c = comp & -comp
+            while owners:
+                low = owners & -owners
+                owners ^= low
+                a = low.bit_length() - 1
+                rest = owners & ~adj[a]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    found.append((a, low.bit_length() - 1, low_c, comp))
+        found.sort()
+        return found
 
     @cached_property
     def sils(self) -> tuple:
@@ -151,38 +152,35 @@ class Census:
         return tuple(enumerate_fsils(self))
 
     @cached_property
-    def _by_pair(self) -> dict:
-        by_pair: dict = {}
-        for sil in self.sils:
-            by_pair.setdefault(sil.pair, []).append(sil)
-        return by_pair
-
-    @cached_property
-    def _witness_masks(self) -> dict:
-        # the components of the Sils on one pair are disjoint
-        return {pair: sum(1 << v for s in sils for v in s.component)
-                for pair, sils in self._by_pair.items()}
-
-    @cached_property
-    def generators(self) -> tuple:
-        return tuple((v, c) for v in range(self.graph.n)
-                     for c in self.star_split(v)[1:])
+    def witnesses(self) -> dict:
+        """Each Sil pair (a, b), a < b, to the union of its components."""
+        out: dict = {}
+        for a, b, _, comp in self._sil_masks:
+            out[a, b] = out.get((a, b), 0) | comp
+        return out
 
     @cached_property
     def non_commuting(self) -> tuple:
-        gens = self.generators
+        gens, wit = self.generators, self.witnesses
         rows = [0] * len(gens)
         for i, (x, c) in enumerate(gens):
             for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
-                witnesses = self._witness_masks.get((y, x))
+                witnesses = wit.get((y, x))
                 if witnesses and not commute_rule(witnesses, x, c, y, d):
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         return tuple(rows)
 
-    def sils_on(self, a: int, b: int) -> list:
-        """The Sils on the pair {a, b}, in component order."""
-        return self._by_pair.get((a, b) if a < b else (b, a), [])
+    def sil_at(self, a: int, b: int, z: int) -> Sil | None:
+        """The Sil {a, b | C} with z in C, if any: C is the component of
+        G - St(a) holding z, if also one of G - St(b), and a, b non-adjacent."""
+        if a == b or self.graph.adj[a] >> b & 1:
+            return None
+        comp = next((c for c in self.star_splits[a] if c >> z & 1), 0)
+        if not self._star_owners.get(comp, 0) >> b & 1:
+            return None
+        coxeter = self.graph.orders[a] == self.graph.orders[b] == 2
+        return Sil((a, b) if a < b else (b, a), self._vertex_set(comp), coxeter)
 
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
@@ -208,24 +206,9 @@ def enumerate_sils(census: Census) -> list[Sil]:
     They are sorted by pair, then by smallest contained vertex, so the
     output order is deterministic.
     """
-    g = census.graph
-    adj = g.adj
-    found = []
-    for comp, owners in census._star_owners.items():
-        low_c = comp & -comp
-        while owners:
-            low = owners & -owners
-            owners ^= low
-            a = low.bit_length() - 1
-            rest = owners & ~adj[a]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                found.append((a, low.bit_length() - 1, low_c, comp))
-    found.sort()
-    coxeter = [m == 2 for m in g.orders]
+    coxeter = [m == 2 for m in census.graph.orders]
     return [Sil((a, b), census._vertex_set(comp), coxeter[a] and coxeter[b])
-            for a, b, _, comp in found]
+            for a, b, _, comp in census._sil_masks]
 
 
 def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
@@ -233,7 +216,7 @@ def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
     g.check_vertex(z)
     g.check_vertex(v1)
     g.check_vertex(v2)
-    return _witnessed(Census(g), v1, v2, z)
+    return Census(g).sil_at(v1, v2, z)
 
 
 def enumerate_stils(census: Census) -> list[Stil]:
@@ -272,11 +255,11 @@ def enumerate_stils(census: Census) -> list[Stil]:
 def enumerate_fsils(census: Census) -> list[Fsil]:
     """All triples in which every pair forms a Sil witnessed by the third.
 
-    Reads the census's per-pair witness masks: c witnesses {a, b} iff bit
-    c is set in the union of that pair's separated components.  Triples
-    come out in lexicographic order.
+    Reads the census's witness index: c witnesses {a, b} iff bit c is set
+    in the union of that pair's separated components.  Triples come out in
+    lexicographic order.
     """
-    wit = census._witness_masks
+    wit = census.witnesses
     out = []
     for (v1, v2), mask in sorted(wit.items()):
         rest = mask >> (v2 + 1) << (v2 + 1)  # witnesses v3 > v2
@@ -287,14 +270,10 @@ def enumerate_fsils(census: Census) -> list[Fsil]:
             if (wit.get((v1, v3), 0) >> v2 & 1
                     and wit.get((v2, v3), 0) >> v1 & 1):
                 out.append(Fsil((v1, v2, v3),
-                                (_witnessed(census, v1, v2, v3),
-                                 _witnessed(census, v1, v3, v2),
-                                 _witnessed(census, v2, v3, v1))))
+                                (census.sil_at(v1, v2, v3),
+                                 census.sil_at(v1, v3, v2),
+                                 census.sil_at(v2, v3, v1))))
     return out
-
-
-def _witnessed(census: Census, a: int, b: int, c: int) -> Sil | None:
-    return next((s for s in census.sils_on(a, b) if c in s.component), None)
 
 
 def shared_sil_component(census: Census, sil: Sil) -> frozenset:
@@ -311,7 +290,7 @@ def shared_sil_component(census: Census, sil: Sil) -> frozenset:
     z = min(sil.component)
     sides = []
     for v in (v1, v2):
-        side = next((c for c in census.star_split(v) if c >> z & 1), 0)
+        side = next((c for c in census.star_splits[v] if c >> z & 1), 0)
         if not side:
             raise SharedComponentError(
                 f"witness {g.names[z]} vanished from the graph minus St({g.names[v]})")

@@ -2,7 +2,7 @@
 
 Each isomorphism class of the two specs below is checked: the Sils, Stils
 and Fsils read from one :class:`Census` equal the per-definition scans of
-``oracles``, the memoised star components equal union-find components,
+``oracles``, the stored star components equal union-find components,
 the generator masks equal the rank sort over union-find components that
 ``build_p0`` first was, and the non-commutation rows and the commuting
 edges of the presentation, on the graph and on three seeded random
@@ -16,8 +16,9 @@ The census reads the Sils and Stils off the star splits alone, relying on
 the identity that C is a component of G minus the common link of a pair
 (or of a triple spanning at most one edge), avoiding it, iff C is a
 component of G - St(v) for each of its vertices.  The identity is checked
-from the oracles alone on the same graphs, and reading the census may add
-no more than one memo entry per vertex.
+from the oracles alone on the same graphs, and reading everything the
+census holds may search the graph n + 1 times: once per star and once
+whole, never per link.
 """
 
 import itertools
@@ -26,7 +27,8 @@ import random
 import pytest
 
 from silscope import star_cut_points
-from silscope.graphs import LabelledGraph, _bits_to_set
+from silscope import sils as sils_module
+from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
 from silscope.harness import EnumSpec, enumerate_graphs
 from silscope.outer import PartialConjugation, build_p0, presentation
 from silscope.sils import Census
@@ -37,15 +39,45 @@ SPECS = [EnumSpec(6, orders=(2,), dedup_isomorphic=True),
          EnumSpec(5, orders=(2, 3), dedup_isomorphic=True)]
 
 
-def check_against_oracles(g):
-    census = Census(g)
+def read_census(monkeypatch, g):
+    """The census of ``g`` after every read of what it holds, which must
+    have made exactly n + 1 searches: one per star, one of G, none per
+    link."""
+    calls = []
+
+    def counted(adj, keep_mask):
+        calls.append(keep_mask)
+        return component_masks(adj, keep_mask)
+
+    with monkeypatch.context() as m:
+        m.setattr(sils_module, "component_masks", counted)
+        census = Census(g)
+        census.sils, census.stils, census.fsils
+        census.generators, census.non_commuting, census.components()
+        for v in range(g.n):
+            census.star_components(v)
+    assert len(calls) == g.n + 1
+    return census
+
+
+def check_witnesses(census, sils):
+    """The witness index against the union of each pair's components in
+    ``sils`` (``oracles.sil_census`` output)."""
+    expected = {}
+    for pair, comp, _ in sils:
+        expected[pair] = expected.get(pair, 0) | sum(1 << v for v in comp)
+    assert census.witnesses == expected
+
+
+def check_against_oracles(monkeypatch, g):
+    census = read_census(monkeypatch, g)
     sils = oracles.sil_census(g)
     got = [(s.pair, s.component, s.coxeter) for s in census.sils]
     assert len(got) == len(set(got)) and set(got) == sils
     stils = [(s.triple, s.component) for s in census.stils]
     assert len(stils) == len(set(stils)) and set(stils) == oracles.stil_census(g)
     assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
-    assert len(census._masks) <= g.n  # one BFS per star, none per link
+    check_witnesses(census, sils)
     for f in census.fsils:
         for (a, b), sil in zip(itertools.combinations(f.triple, 2), f.sils):
             (third,) = set(f.triple) - {a, b}
@@ -84,10 +116,10 @@ def check_generators(g, census, sils):
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["n6_orders2", "n5_orders23"])
-def test_census_matches_oracles_on_every_class(spec):
+def test_census_matches_oracles_on_every_class(monkeypatch, spec):
     count = 0
     for g in enumerate_graphs(spec):
-        check_against_oracles(g)
+        check_against_oracles(monkeypatch, g)
         count += 1
     assert count == {6: 208, 5: 662}[spec.max_vertices]
 
@@ -119,18 +151,18 @@ def random_graph(rng, connected):
     return LabelledGraph(tuple(f"v{i}" for i in range(n)), orders, tuple(adj))
 
 
-def test_census_matches_oracles_on_random_larger_graphs():
+def test_census_matches_oracles_on_random_larger_graphs(monkeypatch):
     rng = random.Random(20261018)
     disconnected = 0
     for k in range(30):
         g = random_graph(rng, connected=k % 2 == 0)
-        census = Census(g)
+        census = read_census(monkeypatch, g)
         stils = sorted(oracles.stil_census(g), key=lambda t: (t[0], min(t[1])))
         assert [(s.triple, s.component) for s in census.stils] == stils
         sils = sorted(oracles.sil_census(g), key=lambda t: (t[0], min(t[1])))
         assert [(s.pair, s.component, s.coxeter) for s in census.sils] == sils
         assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
-        assert len(census._masks) <= g.n
+        check_witnesses(census, sils)
         disconnected += len(census.components()) > 1
         for v in range(g.n):
             keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ from silscope import from_json_dict, harness, make_graph, sils, to_json_dict
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, replay,
                               run_suite)
+from silscope.sils import Census, Sil, shared_sil_component
 
 import oracles
 
@@ -55,6 +57,20 @@ def test_enumeration_counts_with_order_alphabet():
     assert count_graphs(EnumSpec(2, orders=(2, 3))) == 2 + 2 * 4
     # dedup folds the order-swapped two-vertex assignments together
     assert count_graphs(EnumSpec(2, orders=(2, 3), dedup_isomorphic=True)) == 2 + 2 * 3
+
+
+def test_dedup_enumeration_leaves_no_reference_cycles():
+    """The automorphism search of the dedup enumeration frees what it
+    builds without the cyclic collector."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_graphs(EnumSpec(5, orders=(2, 3), dedup_isomorphic=True)) == 662
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_is_deterministic():
@@ -282,6 +298,27 @@ def test_oracle_catches_a_wrong_commutation_rule(monkeypatch, rule, expected,
         assert report.check == "lemma_1_4_oracle"
         assert report.witness["predicted_commutes"] is True
         assert report.witness["inner_witness_found"] is False
+
+
+def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
+        monkeypatch):
+    """a and b share the neighbour x, so {a, b | {c, d}} is a Sil.  A
+    fabricated Sil on the part {c} of that component passes the star-split
+    test of ``shared_sil_component``; only the search of G minus the
+    common link {x} shows that {c} is no component."""
+    g = make_graph([(n, 2) for n in "abxcd"],
+                   [("a", "x"), ("b", "x"), ("c", "d")])
+    census = Census(g)
+    assert [(s.pair, sorted(s.component)) for s in census.sils] == [((0, 1), [3, 4])]
+    assert CHECKS["lemma_2_2"](census) is None
+    fake = Sil((0, 1), frozenset({3}), True)
+    assert shared_sil_component(census, fake) == frozenset({3, 4})
+    monkeypatch.setattr(census, "sils", (fake,))
+    report = CHECKS["lemma_2_2"](census)
+    assert report is not None and report.check == "lemma_2_2"
+    assert report.witness == {"pair": ["a", "b"], "component": ["c"]}
+    assert report.message == ("separated component of pair (a, b) is not a "
+                              "component of the graph minus their common link")
 
 
 def _fails_everywhere(census):
