@@ -119,18 +119,47 @@ _GENSPEC_RE = re.compile(r"^\s*chi\s+(\S+)\s*\{([^{}]*)\}\s*$")
 
 
 def _parse_genspec(g: LabelledGraph, text: str) -> outer.PartialConjugation:
-    """Parse 'chi VERTEX {a,b,c}' into a validated partial conjugation."""
-    m = _GENSPEC_RE.match(text)
-    if not m:
-        raise GraphError(
-            f"cannot parse generator spec {text!r}; expected 'chi VERTEX {{a,b,c}}'")
-    vertex = g.index(m.group(1))
-    comp_names = [t.strip() for t in m.group(2).split(",") if t.strip()]
+    """Parse 'chi VERTEX {a,b,c}', or a JSON object as ``gens`` prints it,
+    into a validated partial conjugation."""
+    if text.lstrip().startswith("{"):
+        vertex, comp_names = _genspec_object(g, text)
+    else:
+        m = _GENSPEC_RE.match(text)
+        if not m:
+            raise GraphError(f"cannot parse generator spec {text!r}; expected "
+                             "'chi VERTEX {a,b,c}' or a line of 'gens'")
+        vertex = g.index(m.group(1))
+        comp_names = [t.strip() for t in m.group(2).split(",") if t.strip()]
     comp = frozenset(g.index(name) for name in comp_names)
     try:
         return outer.validate_partial_conjugation(g, vertex, comp)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
+
+
+def _genspec_object(g: LabelledGraph, text: str) -> tuple[int, list]:
+    """The acting vertex and component names of a ``gens`` line
+    ``{"vertex": V, "component": [...], "order": m}``; ``order`` may be
+    left out, and must otherwise be the order of V."""
+    try:
+        spec = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
+        raise GraphError(f"cannot read generator spec as JSON: {exc}") from None
+    if (not isinstance(spec, dict) or not {"vertex", "component"} <= spec.keys()
+            or not spec.keys() <= {"vertex", "component", "order"}):
+        raise GraphError(f"generator spec {text!r} must be an object with the "
+                         "keys 'vertex' and 'component', and optionally 'order'")
+    name, comp_names = spec["vertex"], spec["component"]
+    if not (isinstance(name, str) and isinstance(comp_names, list)
+            and all(isinstance(t, str) for t in comp_names)):
+        raise GraphError(f"generator spec {text!r} needs a vertex name and a "
+                         "list of component vertex names")
+    vertex = g.index(name)
+    order = spec.get("order", g.orders[vertex])
+    if type(order) is not int or order != g.orders[vertex]:
+        raise GraphError(f"generator spec order {order!r} is not the order "
+                         f"{g.orders[vertex]} of vertex {name!r}")
+    return vertex, comp_names
 
 
 def _word_json(g: LabelledGraph, w) -> dict:
@@ -270,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("act", help="apply a partial conjugation to a word")
     p.add_argument("graph")
-    p.add_argument("generator", help="generator spec, e.g. 'chi v1 {d,e,f}'")
+    p.add_argument("generator", help="generator spec, e.g. 'chi v1 {d,e,f}' "
+                   "or a line printed by 'gens'")
     p.add_argument("word")
     p.set_defaults(func=cmd_act)
     return parser

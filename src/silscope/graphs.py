@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-VertexSet = frozenset  # frozenset[int], indices into a parent graph
-
 MAX_ORDER = 2**31 - 1  # largest accepted vertex order
 
 

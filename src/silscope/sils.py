@@ -8,10 +8,12 @@ in which every pair is separated with the third vertex as witness.
 Every one of these, and every star cut, is a connected component of the
 graph minus some vertex set S: a common link of two or three vertices, or
 a star.  A :class:`Census` holds one graph and the n + 1 splits it reads,
-as component bitmasks: G minus each star, and G itself.  From them it
-computes the Sils, Stils and Fsils on first use and keeps them, with one
-witness index from each separated pair to the union of its separated
-components; every consumer of one graph reads the same census.
+as component bitmasks: G minus each star, and G itself.  When it is built
+it computes from them every bitmask fact: the generators, the Sil masks,
+one witness index from each separated pair to the union of its separated
+components, and the non-commutation rows.  Only the Sil, Stil and Fsil
+objects are built on first use and kept; every consumer of one graph
+reads the same census.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -72,19 +74,20 @@ class Fsil:
 class Census:
     """The separation census of one graph.
 
-    The constructor stores the n + 1 splits the census reads, as component
-    masks ordered by lowest bit: ``star_splits[v]`` of G - St(v) for each
-    vertex v, and ``split`` of G.  It also stores ``generators``, one
-    ``(v, C)`` per partial conjugation chi_{v,C} of the generating set
-    (Gutierrez, Piggott and Ruane, Groups Geom. Dyn. 2012): for each star
-    cut point v in turn, every component mask C of G - St(v) but the first.
-    Each mask becomes a frozenset once, on first request, shared by every
-    reader.  The rest is computed on first access: the Sil masks, in one
-    sorted pass over the star splits (see the module docstring); from them
-    the Sils and the one witness index, ``witnesses``; the Stils; the
-    Fsils; and ``non_commuting``, per generator the mask of those it does
-    not commute with (Sale and Susse, Trans. AMS 2019), from g^2 / 2
-    witness lookups for g generators.  Nothing is shared between instances.
+    The constructor computes every bitmask fact the census holds.  It
+    stores the n + 1 splits it reads, as component masks ordered by lowest
+    bit: ``star_splits[v]`` of G - St(v) for each vertex v, and ``split`` of
+    G.  It stores ``generators``, one ``(v, C)`` per partial conjugation
+    chi_{v,C} of the generating set (Gutierrez, Piggott and Ruane, Groups
+    Geom. Dyn. 2012): for each star cut point v in turn, every component
+    mask C of G - St(v) but the first.  From one sorted pass over the star
+    splits (see the module docstring) it stores the Sil masks and the one
+    witness index, ``witnesses``; and ``non_commuting``, per generator the
+    mask of those it does not commute with (Sale and Susse, Trans. AMS
+    2019), from g^2 / 2 witness lookups for g generators.  Only the object
+    views ``sils``, ``stils`` and ``fsils`` are computed on first access,
+    and each mask becomes a frozenset once, on first request, shared by
+    every reader.  Nothing is shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -94,13 +97,42 @@ class Census:
         self.split = component_masks(adj, full)
         self.star_splits = tuple(component_masks(adj, full & ~(a | 1 << v))
                                  for v, a in enumerate(adj))
-        self.generators = tuple((v, c) for v, split in enumerate(self.star_splits)
-                                for c in split[1:])
+        gens = self.generators = tuple(
+            (v, c) for v, split in enumerate(self.star_splits) for c in split[1:])
         owners = self._star_owners = {}  # star component C -> V_C
         for v, split in enumerate(self.star_splits):
             for mask in split:
                 owners[mask] = owners.get(mask, 0) | 1 << v
         self._sets: dict = {}
+        self._order_two = sum(1 << v for v, m in enumerate(graph.orders) if m == 2)
+
+        # one (a, b, lowest bit, mask) per Sil {a, b | C}, sorted: one per
+        # non-adjacent pair a < b of V_C for each star component C
+        found = self._sil_masks = []
+        for comp, vs in owners.items():
+            low_c = comp & -comp
+            while vs:
+                low = vs & -vs
+                vs ^= low
+                a = low.bit_length() - 1
+                rest = vs & ~adj[a]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    found.append((a, low.bit_length() - 1, low_c, comp))
+        found.sort()
+        # each Sil pair (a, b), a < b, to the union of its components
+        wit = self.witnesses = {}
+        for a, b, _, comp in found:
+            wit[a, b] = wit.get((a, b), 0) | comp
+        rows = [0] * len(gens)
+        for i, (x, c) in enumerate(gens):
+            for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
+                witnesses = wit.get((y, x))
+                if witnesses and not commute_rule(witnesses, x, c, y, d):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        self.non_commuting = tuple(rows)
 
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by
@@ -120,26 +152,6 @@ class Census:
         return tuple(map(self._vertex_set, self.star_splits[v]))
 
     @cached_property
-    def _sil_masks(self) -> list:
-        """One ``(a, b, lowest bit, mask)`` per Sil {a, b | C}, sorted: one
-        per non-adjacent pair a < b of V_C for each star component C."""
-        adj = self.graph.adj
-        found = []
-        for comp, owners in self._star_owners.items():
-            low_c = comp & -comp
-            while owners:
-                low = owners & -owners
-                owners ^= low
-                a = low.bit_length() - 1
-                rest = owners & ~adj[a]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    found.append((a, low.bit_length() - 1, low_c, comp))
-        found.sort()
-        return found
-
-    @cached_property
     def sils(self) -> tuple:
         return tuple(enumerate_sils(self))
 
@@ -151,26 +163,6 @@ class Census:
     def fsils(self) -> tuple:
         return tuple(enumerate_fsils(self))
 
-    @cached_property
-    def witnesses(self) -> dict:
-        """Each Sil pair (a, b), a < b, to the union of its components."""
-        out: dict = {}
-        for a, b, _, comp in self._sil_masks:
-            out[a, b] = out.get((a, b), 0) | comp
-        return out
-
-    @cached_property
-    def non_commuting(self) -> tuple:
-        gens, wit = self.generators, self.witnesses
-        rows = [0] * len(gens)
-        for i, (x, c) in enumerate(gens):
-            for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
-                witnesses = wit.get((y, x))
-                if witnesses and not commute_rule(witnesses, x, c, y, d):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return tuple(rows)
-
     def sil_at(self, a: int, b: int, z: int) -> Sil | None:
         """The Sil {a, b | C} with z in C, if any: C is the component of
         G - St(a) holding z, if also one of G - St(b), and a, b non-adjacent."""
@@ -179,8 +171,9 @@ class Census:
         comp = next((c for c in self.star_splits[a] if c >> z & 1), 0)
         if not self._star_owners.get(comp, 0) >> b & 1:
             return None
-        coxeter = self.graph.orders[a] == self.graph.orders[b] == 2
-        return Sil((a, b) if a < b else (b, a), self._vertex_set(comp), coxeter)
+        two = self._order_two
+        return Sil((a, b) if a < b else (b, a), self._vertex_set(comp),
+                   two >> a & two >> b & 1 == 1)
 
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
@@ -206,8 +199,8 @@ def enumerate_sils(census: Census) -> list[Sil]:
     They are sorted by pair, then by smallest contained vertex, so the
     output order is deterministic.
     """
-    coxeter = [m == 2 for m in census.graph.orders]
-    return [Sil((a, b), census._vertex_set(comp), coxeter[a] and coxeter[b])
+    two = census._order_two
+    return [Sil((a, b), census._vertex_set(comp), two >> a & two >> b & 1 == 1)
             for a, b, _, comp in census._sil_masks]
 
 
@@ -256,12 +249,12 @@ def enumerate_fsils(census: Census) -> list[Fsil]:
     """All triples in which every pair forms a Sil witnessed by the third.
 
     Reads the census's witness index: c witnesses {a, b} iff bit c is set
-    in the union of that pair's separated components.  Triples come out in
-    lexicographic order.
+    in the union of that pair's separated components.  The index is filled
+    in pair order, so triples come out in lexicographic order.
     """
     wit = census.witnesses
     out = []
-    for (v1, v2), mask in sorted(wit.items()):
+    for (v1, v2), mask in wit.items():
         rest = mask >> (v2 + 1) << (v2 + 1)  # witnesses v3 > v2
         while rest:
             low = rest & -rest

@@ -16,9 +16,11 @@ The census reads the Sils and Stils off the star splits alone, relying on
 the identity that C is a component of G minus the common link of a pair
 (or of a triple spanning at most one edge), avoiding it, iff C is a
 component of G - St(v) for each of its vertices.  The identity is checked
-from the oracles alone on the same graphs, and reading everything the
-census holds may search the graph n + 1 times: once per star and once
-whole, never per link.
+from the oracles alone on the same graphs.  Building the census searches
+the graph n + 1 times, once per star and once whole, never per link, and
+reading what it holds searches no more.  The generating set, the
+presentation and the word oracle read its bitmasks only, never its Sil,
+Stil or Fsil objects.
 """
 
 import itertools
@@ -29,7 +31,7 @@ import pytest
 from silscope import star_cut_points
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
-from silscope.harness import EnumSpec, enumerate_graphs
+from silscope.harness import CHECKS, EnumSpec, enumerate_graphs
 from silscope.outer import PartialConjugation, build_p0, presentation
 from silscope.sils import Census
 
@@ -40,9 +42,9 @@ SPECS = [EnumSpec(6, orders=(2,), dedup_isomorphic=True),
 
 
 def read_census(monkeypatch, g):
-    """The census of ``g`` after every read of what it holds, which must
-    have made exactly n + 1 searches: one per star, one of G, none per
-    link."""
+    """The census of ``g`` after every read of what it holds.  Building it
+    must make exactly n + 1 searches, one per star and one of G, none per
+    link; reading it must make none."""
     calls = []
 
     def counted(adj, keep_mask):
@@ -52,6 +54,7 @@ def read_census(monkeypatch, g):
     with monkeypatch.context() as m:
         m.setattr(sils_module, "component_masks", counted)
         census = Census(g)
+        assert len(calls) == g.n + 1
         census.sils, census.stils, census.fsils
         census.generators, census.non_commuting, census.components()
         for v in range(g.n):
@@ -209,3 +212,24 @@ def test_sils_and_stils_are_read_off_the_star_splits():
         assert stils == oracles.stil_census(g)
         count += 1
     assert count == 208 + 662 + 30
+
+
+def test_bitmask_readers_build_no_sil_objects(monkeypatch):
+    """The generating set, the presentation and the word oracle read the
+    census's bitmasks; none of them enumerates Sils, Stils or Fsils."""
+    calls = []
+    for name in ("enumerate_sils", "enumerate_stils", "enumerate_fsils"):
+        def counted(census, name=name, real=getattr(sils_module, name)):
+            calls.append(name)
+            return real(census)
+        monkeypatch.setattr(sils_module, name, counted)
+    count = 0
+    for g in enumerate_graphs(SPECS[1]):
+        census = Census(g)
+        build_p0(census)
+        presentation(census)
+        assert CHECKS["lemma_1_4_oracle"](census) is None
+        count += 1
+    assert count == 662 and calls == []
+    census.sils, census.stils, census.fsils
+    assert calls == ["enumerate_sils", "enumerate_stils", "enumerate_fsils"]

@@ -242,6 +242,36 @@ def test_act_command(capsys):
     assert json.loads(out)["image"]["literal"] == "a"
 
 
+@pytest.mark.parametrize("name", LISTED_FIXTURES)
+def test_act_accepts_the_lines_of_gens(capsys, name):
+    """Each line ``gens`` prints acts on every vertex as its label does."""
+    code, out, _ = run_cli(capsys, "gens", fixture(name))
+    assert code == 0
+    g = from_json(Path(fixture(name)).read_text(encoding="utf-8"))
+    for line in out.splitlines():
+        pc = json.loads(line)
+        label = f"chi {pc['vertex']} {{{','.join(pc['component'])}}}"
+        for word in g.names:
+            images = []
+            for spec in (line, label):
+                code, act_out, _ = run_cli(capsys, "act", fixture(name), spec, word)
+                assert code == 0
+                images.append(json.loads(act_out))
+            assert images[0] == images[1]
+            assert images[0]["generator"] == label
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"vertex": "c", "component": ["e", "f"], "colour": 1}', "keys"),
+    ('{"vertex": "c", "component": ["e", "f"], "order": 3}',
+     "order 3 is not the order 2 of vertex 'c'"),
+    ('{"vertex": "c", "component": ["e", "f"]', "as JSON"),
+])
+def test_exit_two_on_bad_gens_line(capsys, spec, message):
+    code, out, err = run_cli(capsys, "act", fixture("pentagon_triangle"), spec, "e")
+    assert code == 2 and out == "" and message in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

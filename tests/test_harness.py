@@ -8,6 +8,7 @@ from concurrent.futures import Future
 import pytest
 
 from silscope import from_json_dict, harness, make_graph, sils, to_json_dict
+from silscope.graphs import component_masks
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, replay,
                               run_suite)
@@ -319,6 +320,26 @@ def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
     assert report.witness == {"pair": ["a", "b"], "component": ["c"]}
     assert report.message == ("separated component of pair (a, b) is not a "
                               "component of the graph minus their common link")
+
+
+def test_lemma_2_2_searches_each_sil_pair_once(monkeypatch):
+    """In K_{2,4}, each of the six pairs of the four-vertex side has two
+    Sils, one per remaining vertex of that side, so twelve Sils need only
+    six searches of G minus a common link."""
+    g = make_graph([(n, 2) for n in "ab1234"],
+                   [(x, y) for x in "ab" for y in "1234"])
+    census = Census(g)
+    assert len(census.sils) == 12
+    assert len({s.pair for s in census.sils}) == 6
+    calls = []
+
+    def counted(adj, keep_mask):
+        calls.append(keep_mask)
+        return component_masks(adj, keep_mask)
+
+    monkeypatch.setattr(harness, "component_masks", counted)
+    assert CHECKS["lemma_2_2"](census) is None
+    assert len(calls) == 6
 
 
 def _fails_everywhere(census):
