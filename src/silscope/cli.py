@@ -222,18 +222,21 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    checked, reports = harness.run_suite(spec)
-    for report in reports:
-        print(report.to_json_line())
+    checked = failed = 0
+    for n, reports in harness.checked_chunks(spec):  # print as they come
+        checked += n
+        failed += len(reports)
+        for report in reports:
+            print(report.to_json_line())
     print(json.dumps({
         "checked_graphs": checked,
         "checks": list(spec.checks),
-        "counterexamples": len(reports),
+        "counterexamples": failed,
         "dedup": spec.dedup_isomorphic,
         "max_vertices": spec.max_vertices,
         "orders": list(spec.orders),
     }, sort_keys=True))
-    return 1 if reports else 0
+    return 1 if failed else 0
 
 
 def cmd_reduce(args) -> int:

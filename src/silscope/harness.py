@@ -7,12 +7,17 @@ The suite enumerates all graphs up to a vertex bound, optionally one
 representative per isomorphism class, runs each requested check, and
 reports counterexamples; an empty report is the expected outcome.
 
-Checks are pure functions of the graph's census (one :class:`Census` is
-built per graph and shared by every check run on it).  The suite streams:
-graphs are taken from the enumeration in fixed-size chunks, each chunk is
-checked in this process or by a worker process, and the results are joined
-in chunk order.  Reports therefore come out in enumeration order, and in
-check-id order per graph, whatever the number of workers.
+Checks are pure functions of the graph's census.  Most read only the
+adjacency (``ORDER_FREE``), and the enumeration yields all order tuples of
+one edge mask in a row, so the suite checks one mask group at a time: one
+:class:`Census` of the group's first graph serves every order-free check,
+once for the whole group.  A census per graph is built only for the checks
+that read orders, and to re-run an order-free check that failed, so that
+each graph gets its own report.  The suite streams: the enumeration is cut
+into chunks of whole mask groups, each chunk is checked in this process or
+by a worker process, and the results are joined in chunk order.  Reports
+therefore come out in enumeration order, and in check-id order per graph,
+whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -53,8 +58,10 @@ class EnumSpec:
     must be non-empty; they are stored sorted and without repeats.  With
     ``dedup_isomorphic``, one graph per order-preserving isomorphism class
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
-    (2,).  Checking n = 8 with two or more orders is impractical: (2, 3)
-    alone has 2,208,612 classes on 8 vertices (OEIS A000666)."""
+    (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
+    A000666) but only 12,346 edge masks: the order-free checks, run once
+    per mask, take under a minute for n <= 8, while ``lemma_1_4_oracle``
+    runs per graph and would take over an hour."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -370,29 +377,64 @@ CHECKS: dict = {
     "lemma_1_4_oracle": check_lemma_1_4_oracle,
 }
 
+# The checks that read only the adjacency, never a vertex order, so they
+# give one verdict per edge mask; every other check runs per graph.
+ORDER_FREE = frozenset({
+    "lemma_2_2", "lemma_4", "stil_two_sils", "lemma_7", "lemma_1_7",
+    "finite_equiv", "three_components_fsil", "fsil_three_sils",
+})
+
 
 # ---------------------------------------------------------------------------
 # Suite driver
 
 
-def _run_checks(graphs: list, spec: EnumSpec) -> tuple:
-    """Check one chunk: (number of graphs, their reports in order)."""
-    out = []
-    for g in graphs:
-        census = Census(g)
-        for check_id in spec.checks:
-            report = CHECKS[check_id](census)
-            if report is not None:
-                out.append(report)
-    return len(graphs), out
+def _run_checks(groups: list, spec: EnumSpec) -> tuple:
+    """Check one chunk of mask groups: (number of graphs, their reports in
+    order).  The order-free checks run once on a group's first graph; only
+    those that fail there, and the checks that read orders, run on each
+    graph, so that every report names its own graph."""
+    checked, out = 0, []
+    for group in groups:
+        checked += len(group)
+        census = Census(group[0])
+        first = {c: CHECKS[c](census) for c in spec.checks if c in ORDER_FREE}
+        per_graph = [c for c in spec.checks
+                     if c not in ORDER_FREE or first[c] is not None]
+        if not per_graph:
+            continue
+        for k, g in enumerate(group):
+            if k:
+                census, first = Census(g), {}
+            for check_id in per_graph:
+                report = (first[check_id] if check_id in first
+                          else CHECKS[check_id](census))
+                if report is not None:
+                    out.append(report)
+    return checked, out
 
 
-def _checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
-    """``_run_checks`` of each chunk of the enumeration, in chunk order: in
-    this process for one worker, else in a pool with at most two chunks per
-    process pending."""
-    graphs = enumerate_graphs(spec)
-    chunks = iter(lambda: list(itertools.islice(graphs, CHUNK_SIZE)), [])
+def _mask_chunks(graphs: Iterator[LabelledGraph]) -> Iterator[list]:
+    """Runs of graphs with one adjacency (mask groups), gathered into
+    chunks of whole groups of about ``CHUNK_SIZE`` graphs each."""
+    chunk, size = [], 0
+    for _, group in itertools.groupby(graphs, key=lambda g: g.adj):
+        chunk.append(list(group))
+        size += len(chunk[-1])
+        if size >= CHUNK_SIZE:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
+    """``(number of graphs, reports)`` for each chunk of the enumeration, in
+    chunk order: checked in this process for one worker, else in a pool
+    with at most two chunks per process pending.  Joining the reports of
+    every chunk gives ``run_suite``'s; reading them chunk by chunk keeps
+    only one chunk's reports in memory."""
+    chunks = _mask_chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
         yield from (_run_checks(chunk, spec) for chunk in chunks)
@@ -416,7 +458,7 @@ def run_suite(spec: EnumSpec) -> tuple:
     skip coverage.  The pool never has more processes than there are CPUs.
     """
     checked, reports = 0, []
-    for n, part in _checked_chunks(spec):
+    for n, part in checked_chunks(spec):
         checked += n
         reports.extend(part)
     return checked, reports

@@ -22,6 +22,7 @@ all 32 choices (ROADMAP open item 1).
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -63,13 +64,15 @@ def validate_partial_conjugation(g: LabelledGraph, v: int,
 
 def _component_mask(census: Census, v: int, component: frozenset) -> int:
     """The census mask of ``component`` as a component of G - St(v)."""
-    census.graph.check_vertex(v)
-    mask = sum(1 << u for u in component)
+    g = census.graph
+    g.check_vertex(v)
+    mask = sum(1 << g.check_vertex(u) for u in component)
     if mask in census.star_splits[v]:
         return mask
+    names = json.dumps(vertex_names(g, component), ensure_ascii=False)
     raise ValueError(
-        f"{sorted(component)} is not a connected component of the graph minus "
-        f"St({census.graph.names[v]})")
+        f"{names} is not a connected component of the graph minus "
+        f"St({g.names[v]})")
 
 
 def build_p0(census: Census) -> tuple[PartialConjugation, ...]:

@@ -13,13 +13,17 @@ words in the library's normal form (itself checked against the rewriting
 closure), and the commutator and innerness fold that the closed forms in
 ``silscope.words`` replaced are kept here as they were: a commutator built
 from three generic compositions, and a coset fold taken one vertex at a
-time.
+time.  So is the suite driver that mask groups replaced: it runs the
+library's checks on a census of every enumerated graph, where the library
+runs the order-free checks once per edge mask.
 """
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from silscope.graphs import LabelledGraph
+from silscope.harness import CHECKS, enumerate_graphs
+from silscope.sils import Census
 from silscope.words import (_inverse, _peel_left, _strip_right, compose,
                             image_of_vertex, pc_automorphism, reduce)
 
@@ -340,3 +344,18 @@ def dedup_by_orbit_marking(spec):
                     seen.add((pmask, tuple(porders)))
                 yield LabelledGraph(tuple(f"v{i + 1}" for i in range(n)),
                                     orders, tuple(adj))
+
+
+def run_suite_per_graph(spec):
+    """``harness.run_suite`` as it was before mask groups: one census per
+    enumerated graph and every check of ``spec`` run on it, in this
+    process.  Returns ``(checked_graphs, reports)``."""
+    checked, reports = 0, []
+    for g in enumerate_graphs(spec):
+        checked += 1
+        census = Census(g)
+        for check_id in spec.checks:
+            report = CHECKS[check_id](census)
+            if report is not None:
+                reports.append(report)
+    return checked, reports

@@ -272,6 +272,17 @@ def test_exit_two_on_bad_gens_line(capsys, spec, message):
     assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("spec", ['{"vertex": "c", "component": ["e"]}',
+                                  "chi c {e}"])
+def test_act_names_the_refused_component(capsys, spec):
+    """The refused component is named by its vertex names, as the acting
+    vertex is, not by vertex indices."""
+    code, out, err = run_cli(capsys, "act", fixture("pentagon_path"), spec, "e")
+    assert code == 2 and out == ""
+    assert err == ('error: ["e"] is not a connected component of the graph '
+                   "minus St(c)\n")
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -285,6 +296,23 @@ def test_verify_clean_run(capsys):
     assert summary["counterexamples"] == 0
     assert summary["checked_graphs"] == 7
     assert summary["max_vertices"] == 3
+
+
+def test_verify_prints_each_chunk_as_it_arrives(capsys, monkeypatch):
+    report = CounterexampleReport("lemma_4", {"vertices": [], "edges": []},
+                                  {}, "deliberately falsified")
+
+    def chunks(spec):
+        yield 1, [report]
+        # the first chunk's report is out before the next chunk is checked
+        assert capsys.readouterr().out == report.to_json_line() + "\n"
+        yield 2, []
+
+    monkeypatch.setattr("silscope.harness.checked_chunks", chunks)
+    code, out, _ = run_cli(capsys, "verify", "--max-vertices", "2")
+    assert code == 1
+    summary = json.loads(out)
+    assert (summary["checked_graphs"], summary["counterexamples"]) == (3, 1)
 
 
 def test_verify_unknown_check(capsys):
@@ -576,6 +604,8 @@ def test_main_exit_paths_on_any_argv(capsys, monkeypatch, tmp_path, argv):
     # verify's default of 5 vertices is refused here, so no example runs a
     # long enumeration
     monkeypatch.setattr("silscope.harness.MAX_ENUMERATION_VERTICES", 3)
+    # `--dot` followed by a bare token such as `reduce` writes that file
+    monkeypatch.chdir(tmp_path)
     for name in ("pentagon_triangle", "path_plus_isolated", "three_isolated"):
         (tmp_path / f"{name}.json").write_text(
             Path(fixture(name)).read_text(encoding="utf-8"), encoding="utf-8")

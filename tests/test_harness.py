@@ -232,6 +232,103 @@ def test_worker_counts_agree(falsified_check):
     assert lines1 == lines2 and lines1
 
 
+# ---------------------------------------------------------------------------
+# Mask groups: the order-free checks run once per edge mask
+
+C8 = tuple(sorted(harness.ORDER_FREE))
+ORDER_FREE_SPECS = [EnumSpec(4, orders=(2, 3, 4)),
+                    EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
+                    EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True)]
+
+
+def order_dependent_checks(spec):
+    """The checks declared order-free whose verdict, witness or message
+    differs between two order tuples of one edge mask of ``spec``."""
+    outcomes = {}  # (check id, adjacency) -> set of outcomes
+    for g in enumerate_graphs(spec):
+        census = Census(g)
+        for check_id in harness.ORDER_FREE:
+            report = CHECKS[check_id](census)
+            outcomes.setdefault((check_id, g.adj), set()).add(
+                None if report is None else
+                (json.dumps(report.witness, sort_keys=True), report.message))
+    return sorted({c for (c, _), seen in outcomes.items() if len(seen) > 1})
+
+
+def test_c8_is_the_default_checks_but_the_oracle():
+    assert harness.ORDER_FREE == set(NO_ORACLE)
+
+
+@pytest.mark.parametrize("spec", ORDER_FREE_SPECS,
+                         ids=["labelled_4_234", "dedup_6_23", "dedup_5_234"])
+def test_order_free_checks_agree_on_every_order_tuple(spec):
+    assert order_dependent_checks(spec) == []
+
+
+def _all_sils_coxeter(census):
+    """Reads ``Sil.coxeter``, so its verdict depends on the vertex orders."""
+    count = sum(not sil.coxeter for sil in census.sils)
+    if count:
+        return CounterexampleReport("all_sils_coxeter",
+                                    to_json_dict(census.graph),
+                                    {"non_coxeter_sils": count},
+                                    "a separating pair is not a Coxeter pair")
+    return None
+
+
+def test_order_free_guard_catches_a_check_that_reads_orders(monkeypatch):
+    monkeypatch.setitem(CHECKS, "all_sils_coxeter", _all_sils_coxeter)
+    monkeypatch.setattr(harness, "ORDER_FREE",
+                        harness.ORDER_FREE | {"all_sils_coxeter"})
+    assert order_dependent_checks(ORDER_FREE_SPECS[0]) == ["all_sils_coxeter"]
+    # declared order-free, it runs once per mask, on the all-2 order tuple
+    # that passes, and misses the failing tuples of the mask
+    spec = EnumSpec(3, orders=(2, 3), checks=("all_sils_coxeter",))
+    assert run_suite(spec)[1] == []
+    assert len(oracles.run_suite_per_graph(spec)[1]) > 0
+
+
+def as_lines(result):
+    checked, reports = result
+    return checked, [r.to_json_line() for r in reports]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mask_groups_match_the_per_graph_driver_on_lemma_7(workers):
+    spec = EnumSpec(7, dedup_isomorphic=True, checks=C8, workers=workers)
+    checked, lines = as_lines(run_suite(spec))
+    assert (checked, len(lines)) == (1252, 7)
+    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+
+
+def _fails_with_two_edges(census):
+    """An order-free stand-in for a C8 check that fails on some masks."""
+    g = census.graph
+    if len(g.edges()) >= 2:
+        return CounterexampleReport("lemma_4", to_json_dict(g),
+                                    {"edges": len(g.edges())}, "two or more edges")
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("other", ["lemma_1_4_oracle", "fails_on_triangles"])
+def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
+                                                     other):
+    """A C8 check failing on a mask is re-run on each of its order tuples,
+    so each report carries its own graph, in the per-graph driver's order
+    next to a check that runs per graph."""
+    monkeypatch.setitem(CHECKS, "lemma_4", _fails_with_two_edges)
+    monkeypatch.setitem(CHECKS, "fails_on_triangles", _fails_on_triangles)
+    # chunks of one whole mask group each on three vertices (8 graphs)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
+    spec = EnumSpec(3, orders=(2, 3), checks=C8 + (other,), workers=workers)
+    checked, lines = as_lines(run_suite(spec))
+    # paths and triangles: 3 + 1 masks on three vertices, 8 tuples each
+    assert checked == 74
+    assert sum('"check": "lemma_4"' in line for line in lines) == 32
+    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+
+
 # Every counterexample of dedup n <= 7, orders {2}: all are lemma_7, each a
 # connected graph with one separating pair, one vertex of which leaves three
 # components of G - St(v), not two.  Edges "ij" join vi and vj.

@@ -105,8 +105,10 @@ def test_commutes_pentagon_triangle(g_pentagon_triangle):
     assert not commutes(g, x1, x2)  # shared separated component
     assert commutes(g, x1, hinge)   # adjacent acting vertices: no pair Sil
     assert commutes(g, x2, hinge)
-    with pytest.raises(ValueError, match="not a connected component"):
+    with pytest.raises(ValueError, match=r'\["d"\] is not a connected component'):
         commutes(g, PartialConjugation(g.index("v1"), vset(g, "d")), x2)
+    with pytest.raises(ValueError, match="vertex index out of range: 99"):
+        commutes(g, PartialConjugation(g.index("v1"), frozenset({99})), x2)
 
 
 def test_commutes_same_acting_vertex(g_pentagon_fork):
