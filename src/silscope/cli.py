@@ -132,7 +132,7 @@ def _parse_genspec(g: LabelledGraph, text: str) -> outer.PartialConjugation:
         comp_names = [t.strip() for t in m.group(2).split(",") if t.strip()]
     comp = frozenset(g.index(name) for name in comp_names)
     try:
-        return outer.validate_partial_conjugation(g, vertex, comp)
+        return outer.validate_partial_conjugation(sils.Census(g), vertex, comp)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
 

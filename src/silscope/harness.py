@@ -27,7 +27,7 @@ import json
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, component_masks, from_json_dict,
@@ -96,8 +96,8 @@ class CounterexampleReport:
     """A failed check, with enough data to replay it."""
 
     check: str
-    graph: dict = field(compare=False)
-    witness: dict = field(compare=False)
+    graph: dict
+    witness: dict
     message: str
 
     def to_json_dict(self) -> dict:
@@ -178,9 +178,11 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
     """
     if not spec.dedup_isomorphic:
         for n in range(1, spec.max_vertices + 1):
+            tuples = list(itertools.product(spec.orders, repeat=n))
             for mask in range(1 << n * (n - 1) // 2):
-                for orders in itertools.product(spec.orders, repeat=n):
-                    yield graph_from_bits(n, mask, orders)
+                g = graph_from_bits(n, mask, tuples[0])
+                for orders in tuples:
+                    yield LabelledGraph(g.names, orders, g.adj)
         return
     level: list = [()]  # adjacency of each minimal graph on n-1 vertices
     for n in range(1, spec.max_vertices + 1):
@@ -389,26 +391,27 @@ ORDER_FREE = frozenset({
 # Suite driver
 
 
-def _run_checks(groups: list, spec: EnumSpec) -> tuple:
-    """Check one chunk of mask groups: (number of graphs, their reports in
-    order).  The order-free checks run once on a group's first graph; only
-    those that fail there, and the checks that read orders, run on each
-    graph, so that every report names its own graph."""
+def _run_checks(groups: list, checks: tuple) -> tuple:
+    """Check one chunk of mask groups with ``checks``, ``(id, function)``
+    pairs: (number of graphs, their reports in order).  The order-free
+    checks run once on a group's first graph; only those that fail there,
+    and the checks that read orders, run on each graph, so that every
+    report names its own graph."""
     checked, out = 0, []
     for group in groups:
         checked += len(group)
         census = Census(group[0])
-        first = {c: CHECKS[c](census) for c in spec.checks if c in ORDER_FREE}
-        per_graph = [c for c in spec.checks
+        first = {c: check(census) for c, check in checks if c in ORDER_FREE}
+        per_graph = [(c, check) for c, check in checks
                      if c not in ORDER_FREE or first[c] is not None]
         if not per_graph:
             continue
         for k, g in enumerate(group):
             if k:
                 census, first = Census(g), {}
-            for check_id in per_graph:
+            for check_id, check in per_graph:
                 report = (first[check_id] if check_id in first
-                          else CHECKS[check_id](census))
+                          else check(census))
                 if report is not None:
                     out.append(report)
     return checked, out
@@ -433,16 +436,20 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     chunk order: checked in this process for one worker, else in a pool
     with at most two chunks per process pending.  Joining the reports of
     every chunk gives ``run_suite``'s; reading them chunk by chunk keeps
-    only one chunk's reports in memory."""
+    only one chunk's reports in memory.  The check ids are resolved in
+    this process, and workers get the functions, so a check registered in
+    ``CHECKS`` at run time reaches workers that import the package afresh
+    (the ``spawn`` and ``forkserver`` start methods)."""
+    checks = tuple((c, CHECKS[c]) for c in spec.checks)
     chunks = _mask_chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, spec) for chunk in chunks)
+        yield from (_run_checks(chunk, checks) for chunk in chunks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, spec))
+            pending.append(pool.submit(_run_checks, chunk, checks))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

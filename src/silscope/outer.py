@@ -55,10 +55,16 @@ def partial_conjugations(census: Census, v: int) -> list[PartialConjugation]:
     return [PartialConjugation(v, comp) for comp in census.star_components(v)]
 
 
-def validate_partial_conjugation(g: LabelledGraph, v: int,
+def star_cut_points(census: Census) -> list[int]:
+    """The vertices v acting in ``census.generators``, ascending: those
+    for which removing St(v) leaves >= 2 connected components."""
+    return list(dict.fromkeys(v for v, _ in census.generators))
+
+
+def validate_partial_conjugation(census: Census, v: int,
                                  component: frozenset) -> PartialConjugation:
     """chi_{v,C} if C is a component of G - St(v), else ValueError."""
-    _component_mask(Census(g), v, component)
+    _component_mask(census, v, component)
     return PartialConjugation(v, component)
 
 
@@ -195,8 +201,9 @@ def disconnected_structure(census: Census) -> DisconnectedStructure | None:
     graph is disconnected; None for connected graphs.
 
     Three or more components always force a flexible separating triple, so
-    the group is large.  With exactly two components and no Stil, Fsil, or
-    non-Coxeter Sil, the group is the direct product of the vertex-group
+    the group is large.  With exactly two components, :func:`classify`
+    decides largeness, and its counts name what makes the group large;
+    otherwise the group is the direct product of the vertex-group
     products on each component minus its own center.
     """
     g = census.graph
@@ -208,14 +215,12 @@ def disconnected_structure(census: Census) -> DisconnectedStructure | None:
             comps, "large",
             "three or more components force a flexible separating triple",
             None, "large")
-    blockers = []
-    if any(not s.coxeter for s in census.sils):
-        blockers.append("a non-Coxeter separating pair")
-    if census.stils:
-        blockers.append("a separating triple")
-    if census.fsils:
-        blockers.append("a flexible separating triple")
-    if blockers:
+    out = classify(census)
+    if out.kind is OutKind.LARGE:
+        blockers = [why for count, why in (
+            (out.non_coxeter_sils, "a non-Coxeter separating pair"),
+            (out.stils, "a separating triple"),
+            (out.fsils, "a flexible separating triple")) if count]
         return DisconnectedStructure(
             comps, "large", " and ".join(blockers) + " make the group large",
             None, "large")

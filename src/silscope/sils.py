@@ -204,12 +204,13 @@ def enumerate_sils(census: Census) -> list[Sil]:
             for a, b, _, comp in census._sil_masks]
 
 
-def is_sil(g: LabelledGraph, v1: int, v2: int, z: int) -> Sil | None:
+def is_sil(census: Census, v1: int, v2: int, z: int) -> Sil | None:
     """The Sil {v1, v2 | C} whose component C contains z, if any."""
+    g = census.graph
     g.check_vertex(z)
     g.check_vertex(v1)
     g.check_vertex(v2)
-    return Census(g).sil_at(v1, v2, z)
+    return census.sil_at(v1, v2, z)
 
 
 def enumerate_stils(census: Census) -> list[Stil]:

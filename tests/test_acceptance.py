@@ -8,7 +8,7 @@ import json
 import random
 import time
 
-from silscope import (EPSILON, OutKind, apply, build_p0, classify,
+from silscope import (EPSILON, Census, OutKind, apply, build_p0, classify,
                       commutator_power_probe, compose, disconnected_structure,
                       enumerate_sils, identity_automorphism, invert,
                       make_word, multiply, partial_conjugations, pc_automorphism,
@@ -48,7 +48,7 @@ class Criterion:
 
 def p0_set(g):
     return {(g.names[pc.vertex], tuple(names(g, pc.component)))
-            for pc in build_p0(g)}
+            for pc in build_p0(Census(g))}
 
 
 def test_criterion_1_fixture_classifications():
@@ -56,38 +56,39 @@ def test_criterion_1_fixture_classifications():
 
     t0 = time.perf_counter()
     g1 = pentagon_triangle()
-    c.expect(classify(g1).kind is OutKind.VIRTUALLY_Z, "pentagon_triangle class")
+    census = Census(g1)
+    c.expect(classify(census).kind is OutKind.VIRTUALLY_Z, "pentagon_triangle class")
     c.expect(p0_set(g1) == {("v1", ("d", "e", "f")), ("v2", ("d", "e", "f")),
                             ("c", ("e", "f"))},
              "pentagon_triangle generating set")
-    c.expect(presentation(g1).summary == DINF + TIMES + Z2,
+    c.expect(presentation(census).summary == DINF + TIMES + Z2,
              "pentagon_triangle summary")
     c.expect(time.perf_counter() - t0 < 1.0, "pentagon_triangle runtime")
 
     t0 = time.perf_counter()
-    g2 = pentagon_path()
-    c.expect(classify(g2).kind is OutKind.VIRTUALLY_Z, "pentagon_path class")
-    c.expect(len(build_p0(g2)) == 4, "pentagon_path generating set size")
-    c.expect(presentation(g2).summary == DINF + TIMES + Z2 + TIMES + Z2,
+    census = Census(pentagon_path())
+    c.expect(classify(census).kind is OutKind.VIRTUALLY_Z, "pentagon_path class")
+    c.expect(len(build_p0(census)) == 4, "pentagon_path generating set size")
+    c.expect(presentation(census).summary == DINF + TIMES + Z2 + TIMES + Z2,
              "pentagon_path summary")
     c.expect(time.perf_counter() - t0 < 1.0, "pentagon_path runtime")
 
     t0 = time.perf_counter()
-    d1 = path_plus_isolated()
-    c.expect(classify(d1).kind is OutKind.VIRTUALLY_Z, "path_plus_isolated class")
-    c.expect(presentation(d1).summary == DINF, "path_plus_isolated summary")
-    disc = disconnected_structure(d1)
+    census = Census(path_plus_isolated())
+    c.expect(classify(census).kind is OutKind.VIRTUALLY_Z, "path_plus_isolated class")
+    c.expect(presentation(census).summary == DINF, "path_plus_isolated summary")
+    disc = disconnected_structure(census)
     c.expect(disc is not None and disc.summary == DINF,
              "path_plus_isolated disconnected structure")
     c.expect(time.perf_counter() - t0 < 1.0, "path_plus_isolated runtime")
 
     t0 = time.perf_counter()
-    c.expect(classify(three_isolated()).kind is OutKind.LARGE,
+    c.expect(classify(Census(three_isolated())).kind is OutKind.LARGE,
              "three_isolated class")
     c.expect(time.perf_counter() - t0 < 1.0, "three_isolated runtime")
 
     t0 = time.perf_counter()
-    c.expect(classify(path_mixed_orders()).kind is OutKind.FINITE,
+    c.expect(classify(Census(path_mixed_orders())).kind is OutKind.FINITE,
              "path_mixed_orders class")
     c.expect(time.perf_counter() - t0 < 1.0, "path_mixed_orders runtime")
 
@@ -105,7 +106,7 @@ def test_criterion_2_fork_divergence_flag():
              and "VirtuallyAbelianNotZ" in report["warnings"][0],
              "divergence warning must be attached")
     # independent oracle: naive per-definition scan over all pairs/components
-    got = {(s.pair, s.component, s.coxeter) for s in enumerate_sils(g)}
+    got = {(s.pair, s.component, s.coxeter) for s in enumerate_sils(Census(g))}
     c.expect(got == oracles.sil_census(g),
              "census must match the brute-force definition scan")
     c.expect(report["evidence"] == {"coxeter_sils": 4, "non_coxeter_sils": 0,
@@ -151,7 +152,8 @@ def test_criterion_5_word_engine_bulk():
     rng = random.Random(20260810)
     trials = 10_000
     for g in fixtures:
-        pcs = [pc for v in range(g.n) for pc in partial_conjugations(g, v)]
+        census = Census(g)
+        pcs = [pc for v in range(g.n) for pc in partial_conjugations(census, v)]
         bad = 0
         for _ in range(trials):
             w = make_word(g, [(rng.randrange(g.n), rng.randint(1, 4))
@@ -181,10 +183,11 @@ def test_criterion_5_word_engine_bulk():
                      f"order of {pc} on {g.names}")
 
     g1 = pentagon_triangle()
-    sil = enumerate_sils(g1)[0]
-    x = next(pc for pc in partial_conjugations(g1, sil.pair[0])
+    census = Census(g1)
+    sil = enumerate_sils(census)[0]
+    x = next(pc for pc in partial_conjugations(census, sil.pair[0])
              if pc.component == sil.component)
-    y = next(pc for pc in partial_conjugations(g1, sil.pair[1])
+    y = next(pc for pc in partial_conjugations(census, sil.pair[1])
              if pc.component == sil.component)
     probe = commutator_power_probe(g1, x, y, 4)
     c.expect(probe == 4, f"commutator power probe returned {probe}")

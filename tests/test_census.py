@@ -23,12 +23,14 @@ presentation and the word oracle read its bitmasks only, never its Sil,
 Stil or Fsil objects.
 """
 
+import inspect
 import itertools
 import random
 
 import pytest
 
-from silscope import star_cut_points
+import silscope
+from silscope import make_graph, outer, star_cut_points
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
 from silscope.harness import CHECKS, EnumSpec, enumerate_graphs
@@ -100,7 +102,7 @@ def check_generators(g, census, sils):
             for v, comp in oracles.generators_by_rank(g)]
     assert [(v, _bits_to_set(c)) for v, c in census.generators] == [
         (pc.vertex, pc.component) for pc in gens]
-    assert star_cut_points(g) == sorted({pc.vertex for pc in gens})
+    assert star_cut_points(census) == sorted({pc.vertex for pc in gens})
     assert list(census.non_commuting) == [
         sum(1 << j for j, y in enumerate(gens)
             if not oracles.commutes_by_sil_scan(g, x, y, sils))
@@ -233,3 +235,41 @@ def test_bitmask_readers_build_no_sil_objects(monkeypatch):
     assert count == 662 and calls == []
     census.sils, census.stils, census.fsils
     assert calls == ["enumerate_sils", "enumerate_stils", "enumerate_fsils"]
+
+
+# ---------------------------------------------------------------------------
+# One entry point per question
+
+READERS = {
+    sils_module: ("enumerate_sils", "enumerate_stils", "enumerate_fsils",
+                  "shared_sil_component", "is_sil"),
+    outer: ("star_cut_points", "partial_conjugations", "build_p0", "commutes",
+            "classify", "presentation", "disconnected_structure"),
+}
+MASK_READERS = {"commute_rule", "factor_summary"}  # no graph: masks only
+
+
+def test_package_exports_the_census_readers():
+    """silscope defines no function: each census reader it exports is the
+    function of ``sils`` or ``outer`` itself."""
+    assert not [name for name, value in vars(silscope).items()
+                if inspect.isfunction(value) and value.__module__ == "silscope"]
+    for module, names in READERS.items():
+        for name in names:
+            assert getattr(silscope, name) is getattr(module, name), name
+
+
+def test_every_public_graph_function_takes_a_census():
+    g = make_graph([("a", 2), ("b", 2), ("c", 2)], [])
+    for module in READERS:
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__ or name in MASK_READERS):
+                continue
+            first = next(iter(inspect.signature(fn).parameters.values()))
+            assert (first.name, first.annotation) == ("census", "Census"), name
+    # a graph where a census belongs fails loudly
+    with pytest.raises(AttributeError):
+        silscope.classify(g)
+    with pytest.raises(AttributeError):
+        silscope.is_sil(g, 0, 1, 2)

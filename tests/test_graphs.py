@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silscope import (GraphError, UnknownVertexError, center, components,
-                      from_dot, from_json, is_connected, link, make_graph,
-                      star, star_cut_points, to_dot, to_json)
+from silscope import (Census, GraphError, UnknownVertexError, center,
+                      components, from_dot, from_json, is_connected, link,
+                      make_graph, star, star_cut_points, to_dot, to_json)
 from silscope.graphs import component_masks, is_prime_power
 
 import oracles
@@ -65,10 +65,10 @@ def test_components_examples(g_pentagon_triangle, g_path_isolated, g_three_isola
 
 def test_star_cut_points_examples(g_pentagon_triangle, g_pentagon_path, g_triangle):
     g = g_pentagon_triangle
-    assert names(g, star_cut_points(g)) == ["c", "v1", "v2"]
+    assert names(g, star_cut_points(Census(g))) == ["c", "v1", "v2"]
     g2 = g_pentagon_path
-    assert names(g2, star_cut_points(g2)) == ["c", "d", "v1", "v2"]
-    assert star_cut_points(g_triangle) == []
+    assert names(g2, star_cut_points(Census(g2))) == ["c", "d", "v1", "v2"]
+    assert star_cut_points(Census(g_triangle)) == []
 
 
 def test_center_examples(g_path_mixed, g_three_isolated, g_triangle):
@@ -154,7 +154,7 @@ def test_component_masks_match_union_find(g, data):
 
 @given(labelled_graphs())
 def test_star_cut_points_consistency(g):
-    cut = star_cut_points(g)
+    cut = star_cut_points(Census(g))
     assert cut == sorted(cut)
     for v in range(g.n):
         ncomp = len(components(g, g.vertex_set() - star(g, v)))

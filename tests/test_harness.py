@@ -2,8 +2,12 @@ import gc
 import itertools
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -201,8 +205,18 @@ def test_falsified_check_self_test(falsified_check):
     # replayable: deserializing the graph and re-running reproduces it
     again = replay(report)
     assert again is not None and again.check == falsified_check
+    assert again == report
     # JSON line round-trips
     assert json.loads(report.to_json_line())["message"] == report.message
+
+
+def test_reports_compare_by_every_field():
+    empty = {"vertices": [], "edges": []}
+    one = {"vertices": [{"name": "v1", "order": 2}], "edges": []}
+    report = CounterexampleReport("c", empty, {}, "m")
+    assert report == CounterexampleReport("c", dict(empty), {}, "m")
+    assert report != CounterexampleReport("c", one, {}, "m")
+    assert report != CounterexampleReport("c", empty, {"k": 1}, "m")
 
 
 def test_reports_sorted_by_graph_then_check(falsified_check):
@@ -456,6 +470,40 @@ def test_reports_come_in_enumeration_order(workers):
     assert checked == 1099 > harness.CHUNK_SIZE
     assert [r.graph for r in reports] == [to_json_dict(g)
                                           for g in enumerate_graphs(spec)]
+
+
+def test_workers_of_a_fresh_interpreter_run_checks_registered_at_run_time(
+        tmp_path):
+    """Under the ``forkserver`` start method (the default on Linux from
+    Python 3.14) each worker imports silscope afresh, so its ``CHECKS``
+    lacks a check registered at run time; the workers are handed the
+    check functions themselves."""
+    (tmp_path / "falsified.py").write_text(textwrap.dedent("""
+        from silscope.graphs import to_json_dict
+        from silscope.harness import CounterexampleReport
+
+        def fails_everywhere(census):
+            return CounterexampleReport(
+                "fails_everywhere", to_json_dict(census.graph), {}, "x")
+        """))
+    script = textwrap.dedent("""
+        import multiprocessing, os
+        from silscope import harness
+        from falsified import fails_everywhere
+
+        multiprocessing.set_start_method("forkserver", force=True)
+        os.cpu_count = lambda: 2  # a pool of two whatever the host
+        harness.CHECKS["fails_everywhere"] = fails_everywhere
+        checked, reports = harness.run_suite(
+            harness.EnumSpec(4, checks=("fails_everywhere",), workers=2))
+        print(checked, len(reports))
+        """)
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tmp_path)]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["75", "75"]
 
 
 class RecordingPool:

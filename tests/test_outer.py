@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silscope import (OutKind, PartialConjugation, build_p0, classify,
+from silscope import (Census, OutKind, PartialConjugation, build_p0, classify,
                       commutes, disconnected_structure, enumerate_sils,
                       make_graph, partial_conjugations, presentation,
                       star_cut_points)
@@ -32,7 +32,7 @@ def gen_set(g, p0):
 
 def test_build_p0_pentagon_triangle(g_pentagon_triangle):
     g = g_pentagon_triangle
-    p0 = build_p0(g)  # input order puts a first
+    p0 = build_p0(Census(g))  # input order puts a first
     assert gen_set(g, p0) == {
         ("v1", ("d", "e", "f")),
         ("v2", ("d", "e", "f")),
@@ -42,7 +42,7 @@ def test_build_p0_pentagon_triangle(g_pentagon_triangle):
 
 def test_build_p0_pentagon_path(g_pentagon_path):
     g = g_pentagon_path
-    p0 = build_p0(g)
+    p0 = build_p0(Census(g))
     assert gen_set(g, p0) == {
         ("v1", ("d", "e", "f")),
         ("v2", ("d", "e", "f")),
@@ -53,7 +53,7 @@ def test_build_p0_pentagon_path(g_pentagon_path):
 
 def test_build_p0_pentagon_fork(g_pentagon_fork):
     g = g_pentagon_fork
-    assert gen_set(g, build_p0(g)) == {
+    assert gen_set(g, build_p0(Census(g))) == {
         ("v1", ("d", "e", "f")),
         ("v2", ("d", "e", "f")),
         ("c", ("e",)),
@@ -64,7 +64,7 @@ def test_build_p0_pentagon_fork(g_pentagon_fork):
 
 
 def test_build_p0_complete_graph_is_empty(g_triangle):
-    assert build_p0(g_triangle) == ()
+    assert build_p0(Census(g_triangle)) == ()
 
 
 def test_build_p0_respects_ordering(g_pentagon_triangle):
@@ -73,7 +73,7 @@ def test_build_p0_respects_ordering(g_pentagon_triangle):
     order = [g.index(n) for n in ("d", "e", "f", "a", "b", "c", "v1", "v2")]
     h = g.relabelled([order.index(v) for v in range(g.n)])
     assert h.names == ("d", "e", "f", "a", "b", "c", "v1", "v2")
-    assert gen_set(h, build_p0(h)) == {
+    assert gen_set(h, build_p0(Census(h))) == {
         ("v1", ("b", "v2")),
         ("v2", ("a", "v1")),
         ("c", ("a", "b")),
@@ -85,11 +85,13 @@ def test_build_p0_size_formula(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     h = g.relabelled(perm)
-    p0 = build_p0(h)
-    expected = sum(len(partial_conjugations(h, v)) - 1 for v in star_cut_points(h))
+    census = Census(h)
+    p0 = build_p0(census)
+    expected = sum(len(partial_conjugations(census, v)) - 1
+                   for v in star_cut_points(census))
     assert len(p0) == expected
     for pc in p0:
-        assert validate_partial_conjugation(h, pc.vertex, pc.component) == pc
+        assert validate_partial_conjugation(census, pc.vertex, pc.component) == pc
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +104,39 @@ def test_commutes_pentagon_triangle(g_pentagon_triangle):
     x1 = PartialConjugation(g.index("v1"), C)
     x2 = PartialConjugation(g.index("v2"), C)
     hinge = PartialConjugation(g.index("c"), vset(g, "e", "f"))
-    assert not commutes(g, x1, x2)  # shared separated component
-    assert commutes(g, x1, hinge)   # adjacent acting vertices: no pair Sil
-    assert commutes(g, x2, hinge)
+    census = Census(g)
+    assert not commutes(census, x1, x2)  # shared separated component
+    assert commutes(census, x1, hinge)   # adjacent acting vertices: no pair Sil
+    assert commutes(census, x2, hinge)
     with pytest.raises(ValueError, match=r'\["d"\] is not a connected component'):
-        commutes(g, PartialConjugation(g.index("v1"), vset(g, "d")), x2)
+        commutes(census, PartialConjugation(g.index("v1"), vset(g, "d")), x2)
     with pytest.raises(ValueError, match="vertex index out of range: 99"):
-        commutes(g, PartialConjugation(g.index("v1"), frozenset({99})), x2)
+        commutes(census, PartialConjugation(g.index("v1"), frozenset({99})), x2)
 
 
 def test_commutes_same_acting_vertex(g_pentagon_fork):
     g = g_pentagon_fork
     a = PartialConjugation(g.index("c"), vset(g, "e"))
     b = PartialConjugation(g.index("c"), vset(g, "f"))
-    assert commutes(g, a, b)
+    assert commutes(Census(g), a, b)
 
 
 def test_commutes_case_analysis_three_isolated(g_three_isolated):
     g = g_three_isolated
     x1, x2, x3 = (g.index(n) for n in ("x1", "x2", "x3"))
+    census = Census(g)
     # witness inside both components (z in C = D)
-    assert not commutes(g, PartialConjugation(x1, frozenset({x3})),
+    assert not commutes(census, PartialConjugation(x1, frozenset({x3})),
                         PartialConjugation(x2, frozenset({x3})))
     # acting vertex of one inside the other's component, witness in the first
-    assert not commutes(g, PartialConjugation(x1, frozenset({x3})),
+    assert not commutes(census, PartialConjugation(x1, frozenset({x3})),
                         PartialConjugation(x3, frozenset({x2})))
     # mutual containment of acting vertices
-    assert not commutes(g, PartialConjugation(x2, frozenset({x3})),
+    assert not commutes(census, PartialConjugation(x2, frozenset({x3})),
                         PartialConjugation(x3, frozenset({x2})))
     # no separating pair at all: same-side conjugations of a triangle
     t = triangle()
-    assert commutes(t, PartialConjugation(0, frozenset({1})),
+    assert commutes(Census(t), PartialConjugation(0, frozenset({1})),
                     PartialConjugation(0, frozenset({2})))
 
 
@@ -142,22 +146,22 @@ def test_commutes_case_analysis_three_isolated(g_three_isolated):
 
 def test_classify_fixtures(g_path_mixed, g_pentagon_triangle, g_path_isolated,
                            g_three_isolated, g_pentagon_fork):
-    assert classify(g_path_mixed).kind is OutKind.FINITE
-    assert classify(g_pentagon_triangle).kind is OutKind.VIRTUALLY_Z
-    assert classify(g_path_isolated).kind is OutKind.VIRTUALLY_Z
-    e3 = classify(g_three_isolated)
+    assert classify(Census(g_path_mixed)).kind is OutKind.FINITE
+    assert classify(Census(g_pentagon_triangle)).kind is OutKind.VIRTUALLY_Z
+    assert classify(Census(g_path_isolated)).kind is OutKind.VIRTUALLY_Z
+    e3 = classify(Census(g_three_isolated))
     assert e3.kind is OutKind.LARGE
     assert (e3.coxeter_sils, e3.non_coxeter_sils, e3.stils, e3.fsils) == (3, 0, 0, 1)
-    fork = classify(g_pentagon_fork)
+    fork = classify(Census(g_pentagon_fork))
     assert fork.kind is OutKind.LARGE
     assert (fork.coxeter_sils, fork.stils, fork.fsils) == (4, 0, 1)
 
 
 def test_classify_virtually_abelian_and_stil():
-    va = classify(two_sil_pairs_over_cliques())
+    va = classify(Census(two_sil_pairs_over_cliques()))
     assert va.kind is OutKind.VIRTUALLY_ABELIAN_NOT_Z
     assert va.coxeter_sils == 2 and va.non_coxeter_sils == 0
-    big = classify(triple_link_star_graph())
+    big = classify(Census(triple_link_star_graph()))
     assert big.kind is OutKind.LARGE
     assert big.stils >= 1
 
@@ -168,9 +172,10 @@ def test_smallest_single_non_coxeter_sil_graph_is_large():
     exist only at 4 vertices and every one of them classifies Large."""
     hits = []
     for g in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
-        sils = enumerate_sils(g)
+        census = Census(g)
+        sils = enumerate_sils(census)
         if len(sils) == 1 and not sils[0].coxeter:
-            out = classify(g)
+            out = classify(census)
             assert out.kind is OutKind.LARGE
             assert out.non_coxeter_sils == 1
             hits.append(g)
@@ -179,8 +184,9 @@ def test_smallest_single_non_coxeter_sil_graph_is_large():
 
 @given(labelled_graphs(max_n=5))
 def test_classify_consistent_with_census(g):
-    out = classify(g)
-    sils = enumerate_sils(g)
+    census = Census(g)
+    out = classify(census)
+    sils = enumerate_sils(census)
     assert out.coxeter_sils + out.non_coxeter_sils == len(sils)
     if out.kind is OutKind.FINITE:
         assert not sils
@@ -201,11 +207,13 @@ def test_classify_consistent_with_census(g):
 def test_presentation_summaries(g_pentagon_triangle, g_pentagon_path,
                                 g_path_isolated, g_path_mixed,
                                 g_three_isolated):
-    assert presentation(g_pentagon_triangle).summary == DINF + TIMES + Z2
-    assert presentation(g_pentagon_path).summary == DINF + TIMES + Z2 + TIMES + Z2
-    assert presentation(g_path_isolated).summary == DINF
-    assert presentation(g_path_mixed).summary == "1"
-    assert presentation(g_three_isolated).summary == "unfactored graph product"
+    assert presentation(Census(g_pentagon_triangle)).summary == DINF + TIMES + Z2
+    assert presentation(Census(g_pentagon_path)).summary == \
+        DINF + TIMES + Z2 + TIMES + Z2
+    assert presentation(Census(g_path_isolated)).summary == DINF
+    assert presentation(Census(g_path_mixed)).summary == "1"
+    assert presentation(Census(g_three_isolated)).summary == \
+        "unfactored graph product"
 
 
 def test_factor_summary_on_non_commutation_rows():
@@ -220,7 +228,7 @@ def test_factor_summary_on_non_commutation_rows():
 
 def test_presentation_edges_pentagon_triangle(g_pentagon_triangle):
     g = g_pentagon_triangle
-    pres = presentation(g)
+    pres = presentation(Census(g))
     gens = pres.generators
     assert len(gens) == 3
     non_edges = {frozenset(p) for p in itertools.combinations(range(3), 2)
@@ -246,9 +254,9 @@ def sample_relabellings(g, count, seed):
                                      "g_path_isolated"])
 def test_virtually_z_has_one_non_commuting_pair_any_ordering(fixture, request):
     g = request.getfixturevalue(fixture)
-    assert classify(g).kind is OutKind.VIRTUALLY_Z
+    assert classify(Census(g)).kind is OutKind.VIRTUALLY_Z
     for h in sample_relabellings(g, 24, seed=7):
-        pres = presentation(h)
+        pres = presentation(Census(h))
         total = len(pres.generators) * (len(pres.generators) - 1) // 2
         assert total - len(pres.commuting_edges) == 1
 
@@ -258,9 +266,10 @@ def test_commuting_edge_count_ordering_invariant(g_pentagon_triangle,
     # both graphs have exactly two components at every star cut point, so a
     # change of numbering only inverts generators
     for g in (g_pentagon_triangle, g_pentagon_path):
-        assert all(len(partial_conjugations(g, v)) == 2
-                   for v in star_cut_points(g))
-        counts = {len(presentation(h).commuting_edges)
+        census = Census(g)
+        assert all(len(partial_conjugations(census, v)) == 2
+                   for v in star_cut_points(census))
+        counts = {len(presentation(Census(h)).commuting_edges)
                   for h in sample_relabellings(g, 12, seed=3)}
         assert len(counts) == 1
 
@@ -268,15 +277,16 @@ def test_commuting_edge_count_ordering_invariant(g_pentagon_triangle,
 def test_conjugation_closure_in_virtually_z(g_pentagon_triangle, g_pentagon_path):
     # the unique non-commuting pair commutes with every other generator
     for g in (g_pentagon_triangle, g_pentagon_path):
-        pres = presentation(g)
+        census = Census(g)
+        pres = presentation(census)
         gens = pres.generators
         (i, j) = next((i, j) for i, j in itertools.combinations(range(len(gens)), 2)
                       if (i, j) not in pres.commuting_edges)
         for k in range(len(gens)):
             if k in (i, j):
                 continue
-            assert commutes(g, gens[k], gens[i])
-            assert commutes(g, gens[k], gens[j])
+            assert commutes(census, gens[k], gens[i])
+            assert commutes(census, gens[k], gens[j])
 
 
 def test_virtually_z_unique_pair_across_enumeration():
@@ -284,10 +294,10 @@ def test_virtually_z_unique_pair_across_enumeration():
     exactly one non-commuting generator pair, whatever the numbering."""
     rng = random.Random(11)
     for g in enumerate_graphs(EnumSpec(5, dedup_isomorphic=True)):
-        if classify(g).kind is not OutKind.VIRTUALLY_Z:
+        if classify(Census(g)).kind is not OutKind.VIRTUALLY_Z:
             continue
         for h in (g, g.relabelled(rng.sample(range(g.n), g.n))):
-            pres = presentation(h)
+            pres = presentation(Census(h))
             total = len(pres.generators) * (len(pres.generators) - 1) // 2
             assert total - len(pres.commuting_edges) == 1, g
 
@@ -304,7 +314,7 @@ def test_no_choice_of_dropped_components_factors(extra):
     factors, so no drop rule makes the presentation summary exact."""
     edges = [(e[:2], e[2:]) for e in f"{_NO_DROP_RULE_EDGES} {extra}".split()]
     g = make_graph([(f"v{i}", 2) for i in range(1, 9)], edges)
-    assert classify(g).kind is OutKind.VIRTUALLY_ABELIAN_NOT_Z
+    assert classify(Census(g)).kind is OutKind.VIRTUALLY_ABELIAN_NOT_Z
     sils = oracles.sil_census(g)
     v4, v5, v6 = g.index("v4"), g.index("v5"), g.index("v6")
     assert {(pair, comp) for pair, comp, _ in sils} == {
@@ -330,9 +340,10 @@ def test_no_choice_of_dropped_components_factors(extra):
 @given(labelled_graphs(max_n=5))
 @settings(max_examples=60)
 def test_finite_iff_all_generators_commute(g):
-    sils = enumerate_sils(g)
-    gens = build_p0(g)
-    all_commute = all(commutes(g, x, y)
+    census = Census(g)
+    sils = enumerate_sils(census)
+    gens = build_p0(census)
+    all_commute = all(commutes(census, x, y)
                       for x, y in itertools.combinations(gens, 2))
     assert (not sils) == all_commute
 
@@ -343,21 +354,21 @@ def test_finite_iff_all_generators_commute(g):
 
 def test_disconnected_structure_fixtures(g_path_isolated, g_three_isolated,
                                          g_pentagon_triangle):
-    assert disconnected_structure(g_pentagon_triangle) is None
+    assert disconnected_structure(Census(g_pentagon_triangle)) is None
 
-    d = disconnected_structure(g_path_isolated)
+    d = disconnected_structure(Census(g_path_isolated))
     assert d.status == "product"
     assert d.summary == DINF
     assert [names(g_path_isolated, q) for q in d.quotients] == [["v1", "v2"], []]
 
-    e = disconnected_structure(g_three_isolated)
+    e = disconnected_structure(Census(g_three_isolated))
     assert e.status == "large" and e.quotients is None
     assert "three or more components" in e.reason
 
 
 def test_disconnected_structure_two_sil_pairs():
     g = two_sil_pairs_over_cliques()
-    d = disconnected_structure(g)
+    d = disconnected_structure(Census(g))
     assert d.status == "product"
     assert d.summary == DINF + TIMES + DINF
     assert [names(g, q) for q in d.quotients] == [["p", "q"], ["w1", "w2"]]
@@ -366,19 +377,19 @@ def test_disconnected_structure_two_sil_pairs():
 def test_disconnected_structure_trivial_product():
     g = make_graph([("p", 2), ("q", 2), ("r", 2), ("s", 3), ("t", 3)],
                    [("p", "q"), ("q", "r"), ("p", "r"), ("s", "t")])
-    d = disconnected_structure(g)
+    d = disconnected_structure(Census(g))
     assert d.status == "product" and d.summary == "1"
-    assert classify(g).kind is OutKind.FINITE
+    assert classify(Census(g)).kind is OutKind.FINITE
 
 
 def test_disconnected_structure_blocked_cases():
     # a non-Coxeter separating pair in a two-component graph
     g = make_graph([("v1", 3), ("k", 2), ("v2", 2), ("w", 2)],
                    [("v1", "k"), ("k", "v2")])
-    d = disconnected_structure(g)
+    d = disconnected_structure(Census(g))
     assert d.status == "large" and "non-Coxeter" in d.reason
     # a separating triple across two components (path of 4 plus a point)
     h = make_graph([(n, 2) for n in "abcdw"],
                    [("a", "b"), ("b", "c"), ("c", "d")])
-    dh = disconnected_structure(h)
+    dh = disconnected_structure(Census(h))
     assert dh.status == "large"

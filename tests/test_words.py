@@ -143,7 +143,8 @@ def test_apply_is_a_homomorphism(w1, w2):
 
 
 def all_partial_conjugations(g):
-    return [pc for v in range(g.n) for pc in partial_conjugations(g, v)]
+    census = Census(g)
+    return [pc for v in range(g.n) for pc in partial_conjugations(census, v)]
 
 
 @pytest.mark.parametrize("g", [G1, D1, P3], ids=["pentagon", "path+point", "path3"])
@@ -167,7 +168,7 @@ def test_order_three_actor():
     from silscope import make_graph
     h = make_graph([("u", 3), ("k", 2), ("w", 2), ("t", 2)],
                    [("u", "k"), ("k", "w")])
-    pc = next(pc for pc in partial_conjugations(h, 0) if pc.component == {3})
+    pc = next(pc for pc in partial_conjugations(Census(h), 0) if pc.component == {3})
     phi = pc_automorphism(h, pc)
     sq = compose(h, phi, phi)
     cube = compose(h, sq, phi)
@@ -208,7 +209,7 @@ def test_compose_expansion_property(data):
 
 
 def inner_by_v1():
-    comps = partial_conjugations(G1, G1.index("v1"))
+    comps = partial_conjugations(Census(G1), G1.index("v1"))
     assert len(comps) == 2
     return compose(G1, pc_automorphism(G1, comps[0]),
                    pc_automorphism(G1, comps[1]))
