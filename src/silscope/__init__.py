@@ -7,15 +7,15 @@ Every question about one graph is read from its :class:`Census`, built
 once per graph with ``Census(g)``.  The readers exported here are the
 functions of ``sils`` and ``outer`` themselves, and each takes the census:
 ``classify(census)``, ``presentation(census)``, ``enumerate_sils(census)``
-and so on.
+and so on.  Besides them the package exports the graph model and its
+file formats, the verification suite and the word engine.  Helpers that
+only tests use, such as the brute-force innerness test, live with the
+tests' oracles.
 """
 
-from __future__ import annotations
-
 from .dot import from_dot, to_dot
-from .graphs import (GraphError, LabelledGraph, UnknownVertexError, center,
-                     components, from_json, from_json_dict, is_connected,
-                     link, load_graph, make_graph, star, to_json,
+from .graphs import (GraphError, LabelledGraph, UnknownVertexError, from_json,
+                     from_json_dict, load_graph, make_graph, to_json,
                      to_json_dict)
 from .harness import CounterexampleReport, EnumSpec, enumerate_graphs, run_suite
 from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
@@ -27,8 +27,7 @@ from .sils import (Census, Fsil, SharedComponentError, Sil, Stil,
                    shared_sil_component)
 from .words import (EPSILON, Automorphism0, WordError, apply,
                     apply_automorphism, commutator, commutator_power_probe,
-                    compose, equals, identity_automorphism, invert,
-                    is_inner_with, make_word, multiply, parse_word_literal,
-                    pc_automorphism, reduce, search_inner)
+                    compose, identity_automorphism, make_word,
+                    parse_word_literal, pc_automorphism, reduce, search_inner)
 
 __version__ = "0.1.0"

@@ -1,13 +1,17 @@
-"""Labelled graphs and the primitive queries everything else is built on.
+"""Labelled graphs, their two primitive queries, and graph JSON.
 
 A labelled graph is a finite simple graph together with an order map
 assigning each vertex a prime power >= 2 (the order of its cyclic vertex
 group).  Vertices are identified externally by unique string names and
-internally by dense indices 0..n-1 in input order; every set-valued
-operation works on indices and returns ``frozenset[int]``.
+internally by dense indices 0..n-1 in input order.
 
 Adjacency is stored as one bitmask per vertex, which keeps the exhaustive
 enumeration and word-rewriting layers cheap without any dependencies.
+The link of v is the mask ``adj[v]`` and its star ``adj[v] | 1 << v``.
+The primitive queries are :func:`vertex_names`, which turns vertex
+indices back into names, and :func:`component_masks`, the connected
+components of an induced subgraph as bitmasks; the census in
+:mod:`silscope.sils` reads every separation off the latter.
 """
 
 from __future__ import annotations
@@ -84,9 +88,6 @@ class LabelledGraph:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
                 if self.adj[u] >> v & 1]
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(range(self.n))
-
     def relabelled(self, perm: Sequence[int]) -> "LabelledGraph":
         """Image under the vertex permutation sending old index i to perm[i]."""
         n = self.n
@@ -145,18 +146,6 @@ def make_graph(vertices: Iterable[tuple[str, int]],
 # Primitive queries
 
 
-def link(g: LabelledGraph, v: int) -> frozenset:
-    """The neighbours of v (never contains v itself)."""
-    g.check_vertex(v)
-    return _bits_to_set(g.adj[v])
-
-
-def star(g: LabelledGraph, v: int) -> frozenset:
-    """link(v) together with v."""
-    g.check_vertex(v)
-    return _bits_to_set(g.adj[v] | 1 << v)
-
-
 def vertex_names(g: LabelledGraph, vertices: Iterable[int]) -> list[str]:
     """The names of ``vertices``, in index order."""
     return [g.names[v] for v in sorted(vertices)]
@@ -183,29 +172,6 @@ def component_masks(adj: Sequence[int], keep_mask: int) -> tuple[int, ...]:
             frontier |= new
         out.append(comp)
     return tuple(out)
-
-
-def components(g: LabelledGraph, keep: Iterable[int]) -> tuple[frozenset, ...]:
-    """Connected components of the subgraph induced on ``keep``.
-
-    Returns a partition of ``keep`` ordered by smallest contained index, so
-    downstream constructions are reproducible.
-    """
-    keep_mask = 0
-    for v in keep:
-        g.check_vertex(v)
-        keep_mask |= 1 << v
-    return tuple(_bits_to_set(m) for m in component_masks(g.adj, keep_mask))
-
-
-def center(g: LabelledGraph) -> frozenset:
-    """Vertices adjacent to every other vertex of the graph."""
-    full = (1 << g.n) - 1
-    return frozenset(v for v in range(g.n) if g.adj[v] == full ^ 1 << v)
-
-
-def is_connected(g: LabelledGraph) -> bool:
-    return len(component_masks(g.adj, (1 << g.n) - 1)) <= 1
 
 
 def _bits_to_set(mask: int) -> frozenset:

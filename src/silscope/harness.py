@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import (MAX_ORDER, LabelledGraph, component_masks, from_json_dict,
+from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
 from .outer import build_p0
 from .sils import Census, SharedComponentError, shared_sil_component
@@ -93,7 +93,8 @@ class EnumSpec:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """A failed check, with enough data to replay it."""
+    """A failed check, with enough data to replay it:
+    ``CHECKS[report.check](Census(from_json_dict(report.graph)))``."""
 
     check: str
     graph: dict
@@ -469,8 +470,3 @@ def run_suite(spec: EnumSpec) -> tuple:
         checked += n
         reports.extend(part)
     return checked, reports
-
-
-def replay(report: CounterexampleReport) -> Optional[CounterexampleReport]:
-    """Re-run a report's check on its deserialized graph."""
-    return CHECKS[report.check](Census(from_json_dict(report.graph)))

@@ -221,8 +221,9 @@ def disconnected_structure(census: Census) -> DisconnectedStructure | None:
             (out.non_coxeter_sils, "a non-Coxeter separating pair"),
             (out.stils, "a separating triple"),
             (out.fsils, "a flexible separating triple")) if count]
+        verb = "makes" if len(blockers) == 1 else "make"
         return DisconnectedStructure(
-            comps, "large", " and ".join(blockers) + " make the group large",
+            comps, "large", f"{' and '.join(blockers)} {verb} the group large",
             None, "large")
     quotients = tuple(_minus_local_center(g, comp) for comp in comps)
     verts = sorted(quotients[0]) + sorted(quotients[1])

@@ -121,27 +121,10 @@ def _canonical_order(g: LabelledGraph, syls: list) -> Word:
     return tuple(out)
 
 
-def multiply(g: LabelledGraph, w1: Word, w2: Word) -> Word:
-    return reduce(g, tuple(w1) + tuple(w2))
-
-
 def _inverse(g: LabelledGraph, w: Word) -> Word:
     """The syllables of w^-1, unreduced."""
     orders = g.orders
     return tuple((v, orders[v] - e) for v, e in reversed(w))
-
-
-def invert(g: LabelledGraph, w: Word) -> Word:
-    return reduce(g, _inverse(g, w))
-
-
-def equals(g: LabelledGraph, w1: Word, w2: Word) -> bool:
-    return reduce(g, w1) == reduce(g, w2)
-
-
-def conjugate(g: LabelledGraph, gword: Word, w: Word) -> Word:
-    """reduce(gword . w . gword^-1)."""
-    return reduce(g, tuple(gword) + tuple(w) + _inverse(g, gword))
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +150,6 @@ def pc_automorphism(g: LabelledGraph, pc: PartialConjugation,
     conj = ((v, e),) if e else EPSILON
     return Automorphism0(tuple(conj if u in pc.component else EPSILON
                                for u in range(g.n)))
-
-
-def image_of_vertex(g: LabelledGraph, phi: Automorphism0, v: int) -> Word:
-    return conjugate(g, phi.conjugators[v], ((v, 1),))
 
 
 def apply(g: LabelledGraph, pc: PartialConjugation, w: Word) -> Word:
@@ -234,13 +213,6 @@ def commutator(g: LabelledGraph, x: PartialConjugation,
                                            (a, q - s), (b, t - p), (a, s - q)))
         conj.append(w)
     return Automorphism0(tuple(conj))
-
-
-def is_inner_with(g: LabelledGraph, phi: Automorphism0, gword: Word) -> bool:
-    """True iff phi agrees with conjugation by gword on every vertex."""
-    gword = reduce(g, gword)
-    return all(conjugate(g, gword, ((v, 1),)) == image_of_vertex(g, phi, v)
-               for v in range(g.n))
 
 
 def _peel_left(g: LabelledGraph, w: Word, allowed: int) -> tuple:

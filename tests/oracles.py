@@ -15,7 +15,11 @@ closure), and the commutator and innerness fold that the closed forms in
 from three generic compositions, and a coset fold taken one vertex at a
 time.  So is the suite driver that mask groups replaced: it runs the
 library's checks on a census of every enumerated graph, where the library
-runs the order-free checks once per edge mask.
+runs the order-free checks once per edge mask.  The innerness test by
+definition lives here too, with the vertex images it compares:
+``is_inner_with`` checks a candidate word on every vertex through
+``conjugate`` and ``image_of_vertex``, and the breadth-first search
+compares the same images.
 """
 
 from functools import lru_cache
@@ -25,7 +29,7 @@ from silscope.graphs import LabelledGraph
 from silscope.harness import CHECKS, enumerate_graphs
 from silscope.sils import Census
 from silscope.words import (_inverse, _peel_left, _strip_right, compose,
-                            image_of_vertex, pc_automorphism, reduce)
+                            pc_automorphism, reduce)
 
 
 def edge_list(g):
@@ -244,6 +248,24 @@ def search_inner_by_vertex(g, phi):
             c = reduce(g, c + a)
         allowed &= star_v
     return _strip_right(g, c, allowed)
+
+
+def conjugate(g, gword, w):
+    """reduce(gword . w . gword^-1)."""
+    return reduce(g, tuple(gword) + tuple(w) + _inverse(g, gword))
+
+
+def image_of_vertex(g, phi, v):
+    """phi(v) = w_v . v . w_v^-1, reduced."""
+    return conjugate(g, phi.conjugators[v], ((v, 1),))
+
+
+def is_inner_with(g, phi, gword):
+    """True iff phi agrees with conjugation by gword on every vertex: the
+    definition of innerness, tested vertex by vertex."""
+    gword = reduce(g, gword)
+    return all(conjugate(g, gword, ((v, 1),)) == image_of_vertex(g, phi, v)
+               for v in range(g.n))
 
 
 @lru_cache(maxsize=16)

@@ -10,14 +10,14 @@ import time
 
 from silscope import (EPSILON, Census, OutKind, apply, build_p0, classify,
                       commutator_power_probe, compose, disconnected_structure,
-                      enumerate_sils, identity_automorphism, invert,
-                      make_word, multiply, partial_conjugations, pc_automorphism,
-                      presentation, reduce)
+                      enumerate_sils, identity_automorphism, make_word,
+                      partial_conjugations, pc_automorphism, presentation,
+                      reduce)
 from silscope.cli import build_report, main
 from silscope.harness import EnumSpec, enumerate_graphs, run_suite
-from silscope.words import image_of_vertex
 
 import oracles
+from oracles import image_of_vertex
 from conftest import (names, path_mixed_orders, path_plus_isolated,
                       pentagon_fork, pentagon_path, pentagon_triangle,
                       three_isolated)
@@ -162,14 +162,14 @@ def test_criterion_5_word_engine_bulk():
             if reduce(g, r) != r or len(r) > len(w):
                 bad += 1
                 continue
-            if multiply(g, w, invert(g, w)) != EPSILON:
+            if reduce(g, w + tuple((v, -e) for v, e in reversed(w))) != EPSILON:
                 bad += 1
                 continue
             if pcs:
                 pc = rng.choice(pcs)
                 k = rng.randint(0, len(w))
-                if apply(g, pc, w) != multiply(g, apply(g, pc, w[:k]),
-                                               apply(g, pc, w[k:])):
+                if apply(g, pc, w) != reduce(g, apply(g, pc, w[:k])
+                                             + apply(g, pc, w[k:])):
                     bad += 1
         c.expect(bad == 0, f"{bad} word-property failures on {g.names}")
         for pc in pcs:

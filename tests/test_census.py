@@ -247,16 +247,42 @@ READERS = {
             "classify", "presentation", "disconnected_structure"),
 }
 MASK_READERS = {"commute_rule", "factor_summary"}  # no graph: masks only
+PUBLIC_NAMES = {
+    # graph model and file formats
+    "GraphError", "LabelledGraph", "UnknownVertexError", "from_dot",
+    "from_json", "from_json_dict", "load_graph", "make_graph", "to_dot",
+    "to_json", "to_json_dict",
+    # census and its readers
+    "Census", "Fsil", "SharedComponentError", "Sil", "Stil",
+    "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
+    "shared_sil_component", "CommutationPresentation",
+    "DisconnectedStructure", "OutClass", "OutKind", "PartialConjugation",
+    "build_p0", "classify", "commutes", "disconnected_structure",
+    "partial_conjugations", "presentation", "star_cut_points",
+    # verification suite
+    "CounterexampleReport", "EnumSpec", "enumerate_graphs", "run_suite",
+    # word engine
+    "EPSILON", "Automorphism0", "WordError", "apply", "apply_automorphism",
+    "commutator", "commutator_power_probe", "compose",
+    "identity_automorphism", "make_word", "parse_word_literal",
+    "pc_automorphism", "reduce", "search_inner",
+}
 
 
 def test_package_exports_the_census_readers():
     """silscope defines no function: each census reader it exports is the
-    function of ``sils`` or ``outer`` itself."""
+    function of ``sils`` or ``outer`` itself.  Its public names are exactly
+    ``PUBLIC_NAMES`` (submodules aside), so a helper that only tests call
+    cannot be exported unnoticed."""
     assert not [name for name, value in vars(silscope).items()
                 if inspect.isfunction(value) and value.__module__ == "silscope"]
     for module, names in READERS.items():
         for name in names:
             assert getattr(silscope, name) is getattr(module, name), name
+    exported = {name for name, value in vars(silscope).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 51
 
 
 def test_every_public_graph_function_takes_a_census():

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silscope import (Census, GraphError, UnknownVertexError, center,
-                      components, from_dot, from_json, is_connected, link,
-                      make_graph, star, star_cut_points, to_dot, to_json)
+from silscope import (Census, GraphError, UnknownVertexError, from_dot,
+                      from_json, make_graph, star_cut_points, to_dot, to_json)
 from silscope.graphs import component_masks, is_prime_power
 
 import oracles
@@ -28,39 +27,47 @@ def labelled_graphs(draw, max_n=6, orders=(2, 3)):
     return make_graph([(f"u{i}", order_list[i]) for i in range(n)], edges)
 
 
+def mask(g, *vertex_names):
+    return sum(1 << g.index(x) for x in vertex_names)
+
+
 # ---------------------------------------------------------------------------
 # Examples
 
 
 def test_link_examples(g_pentagon_triangle, g_path_mixed):
+    """The link of v is the adjacency mask adj[v]."""
     g = g_pentagon_triangle
-    assert link(g, g.index("c")) == vset(g, "v1", "v2", "d")
+    assert g.adj[g.index("c")] == mask(g, "v1", "v2", "d")
     p = g_path_mixed
-    assert link(p, p.index("v1")) == vset(p, "v2", "v3")
+    assert p.adj[p.index("v1")] == mask(p, "v2", "v3")
     single = make_graph([("x", 2)], [])
-    assert link(single, 0) == frozenset()
+    assert single.adj == (0,)
 
 
 def test_star_examples(g_pentagon_triangle, g_path_mixed, g_path_isolated):
+    """The census splits the graph minus each star St(v) = adj[v] | v."""
     g = g_pentagon_triangle
-    assert star(g, g.index("d")) == vset(g, "d", "c", "e", "f")
+    assert Census(g).star_components(g.index("d")) == (
+        vset(g, "a", "b", "v1", "v2"),)
     p = g_path_mixed
-    assert star(p, p.index("v3")) == vset(p, "v3", "v1")
+    assert Census(p).star_components(p.index("v3")) == (vset(p, "v2"),)
     d = g_path_isolated
-    assert star(d, d.index("w")) == vset(d, "w")
+    assert Census(d).star_components(d.index("w")) == (vset(d, "v1", "k", "v2"),)
 
 
 def test_components_examples(g_pentagon_triangle, g_path_isolated, g_three_isolated):
     g = g_pentagon_triangle
-    keep = g.vertex_set() - {g.index("c")}
-    assert components(g, keep) == (vset(g, "a", "b", "v1", "v2"),
-                                   vset(g, "d", "e", "f"))
+    keep = (1 << g.n) - 1 ^ mask(g, "c")
+    assert component_masks(g.adj, keep) == (mask(g, "a", "b", "v1", "v2"),
+                                            mask(g, "d", "e", "f"))
     d = g_path_isolated
-    assert components(d, d.vertex_set()) == (vset(d, "v1", "k", "v2"), vset(d, "w"))
+    assert component_masks(d.adj, (1 << d.n) - 1) == (mask(d, "v1", "k", "v2"),
+                                                      mask(d, "w"))
     e = g_three_isolated
-    assert components(e, e.vertex_set()) == (vset(e, "x1"), vset(e, "x2"),
-                                             vset(e, "x3"))
-    assert components(g, ()) == ()
+    assert component_masks(e.adj, (1 << e.n) - 1) == (
+        mask(e, "x1"), mask(e, "x2"), mask(e, "x3"))
+    assert component_masks(g.adj, 0) == ()
 
 
 def test_star_cut_points_examples(g_pentagon_triangle, g_pentagon_path, g_triangle):
@@ -71,16 +78,9 @@ def test_star_cut_points_examples(g_pentagon_triangle, g_pentagon_path, g_triang
     assert star_cut_points(Census(g_triangle)) == []
 
 
-def test_center_examples(g_path_mixed, g_three_isolated, g_triangle):
-    p = g_path_mixed
-    assert center(p) == vset(p, "v1")
-    assert center(g_three_isolated) == frozenset()
-    assert center(g_triangle) == g_triangle.vertex_set()
-
-
 def test_unknown_vertex_errors(g_triangle):
     with pytest.raises(UnknownVertexError):
-        link(g_triangle, 17)
+        g_triangle.check_vertex(17)
     with pytest.raises(UnknownVertexError):
         g_triangle.index("nope")
 
@@ -119,29 +119,32 @@ def test_make_graph_rejects_bad_input():
 
 @given(labelled_graphs())
 def test_link_and_star_relation(g):
+    """Each link mask misses its vertex and matches an edge-list scan, and
+    the census splits exactly the vertices outside each star."""
+    full = (1 << g.n) - 1
+    census = Census(g)
     for v in range(g.n):
-        lk = link(g, v)
-        assert v not in lk
-        assert star(g, v) == lk | {v}
-        assert lk == oracles.neighbors_scan(g, v)
+        lk = g.adj[v]
+        assert not lk >> v & 1
+        assert {u for u in range(g.n) if lk >> u & 1} == oracles.neighbors_scan(g, v)
+        assert sum(census.star_splits[v]) == full & ~(lk | 1 << v)
 
 
 @given(labelled_graphs(), st.data())
 def test_components_partition(g, data):
-    keep = data.draw(st.sets(st.integers(0, g.n - 1)))
-    parts = components(g, keep)
-    assert sorted(parts, key=min) == list(parts)
-    seen = set()
+    keep = data.draw(st.integers(0, (1 << g.n) - 1))
+    parts = component_masks(g.adj, keep)
+    lowest = [part & -part for part in parts]
+    assert lowest == sorted(lowest)
+    seen = 0
     for part in parts:
         assert part and not part & seen
         seen |= part
     assert seen == keep
-    # independent union-find oracle agrees exactly
-    assert list(parts) == oracles.components_uf(g, keep)
     # no edges between distinct parts
     for i, part in enumerate(parts):
-        for other in parts[i + 1:]:
-            assert not any(g.adjacent(u, w) for u in part for w in other)
+        others = sum(parts[i + 1:])
+        assert not any(g.adj[u] & others for u in range(g.n) if part >> u & 1)
 
 
 @given(labelled_graphs(max_n=9), st.data())
@@ -157,15 +160,9 @@ def test_star_cut_points_consistency(g):
     cut = star_cut_points(Census(g))
     assert cut == sorted(cut)
     for v in range(g.n):
-        ncomp = len(components(g, g.vertex_set() - star(g, v)))
+        rest = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
+        ncomp = len(oracles.components_uf(g, rest))
         assert (v in cut) == (ncomp >= 2)
-
-
-@given(labelled_graphs())
-def test_center_definition(g):
-    c = center(g)
-    for v in range(g.n):
-        assert (v in c) == (link(g, v) == g.vertex_set() - {v})
 
 
 @given(labelled_graphs())
@@ -360,10 +357,13 @@ def test_dot_reader_parses_exactly_or_raises_graph_error(text):
 
 def test_fixture_shapes():
     # frozen structural facts about the shared fixtures
-    assert is_connected(pentagon_triangle())
-    assert is_connected(pentagon_path())
-    assert not is_connected(path_plus_isolated())
-    assert not is_connected(three_isolated())
+    def count_components(g):
+        return len(component_masks(g.adj, (1 << g.n) - 1))
+
+    assert count_components(pentagon_triangle()) == 1
+    assert count_components(pentagon_path()) == 1
+    assert count_components(path_plus_isolated()) == 2
+    assert count_components(three_isolated()) == 3
     assert path_mixed_orders().orders == (2, 2, 3)
     assert len(pentagon_triangle().edges()) == 9
     assert len(triangle().edges()) == 3

@@ -393,3 +393,18 @@ def test_disconnected_structure_blocked_cases():
                    [("a", "b"), ("b", "c"), ("c", "d")])
     dh = disconnected_structure(Census(h))
     assert dh.status == "large"
+
+
+def test_disconnected_structure_reason_agrees_with_its_blockers():
+    """One blocker takes "makes", two or more joined by "and" take "make"."""
+    pair = make_graph([("v1", 3), ("k", 2), ("v2", 2), ("w", 2)],
+                      [("v1", "k"), ("k", "v2")])
+    assert disconnected_structure(Census(pair)).reason == \
+        "a non-Coxeter separating pair makes the group large"
+    path = [("a", "b"), ("b", "c"), ("c", "d")]
+    triple = make_graph([(n, 2) for n in "abcdw"], path)
+    assert disconnected_structure(Census(triple)).reason == \
+        "a separating triple makes the group large"
+    both = make_graph([(n, 3 if n == "d" else 2) for n in "abcdw"], path)
+    assert disconnected_structure(Census(both)).reason == \
+        "a non-Coxeter separating pair and a separating triple make the group large"
