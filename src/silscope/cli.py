@@ -17,8 +17,8 @@ from json.encoder import encode_basestring
 
 from . import harness, outer, sils, words
 from .dot import to_dot
-from .graphs import (GraphError, LabelledGraph, load_graph, to_json_dict,
-                     vertex_names)
+from .graphs import (GraphError, LabelledGraph, _unique_keys, load_graph,
+                     to_json_dict, vertex_names)
 
 REPORT_VERSION = 2
 
@@ -142,8 +142,8 @@ def _genspec_object(g: LabelledGraph, text: str) -> tuple[int, list]:
     ``{"vertex": V, "component": [...], "order": m}``; ``order`` may be
     left out, and must otherwise be the order of V."""
     try:
-        spec = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad JSON, deep nesting
+        spec = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad JSON or keys, deep nesting
         raise GraphError(f"cannot read generator spec as JSON: {exc}") from None
     if (not isinstance(spec, dict) or not {"vertex", "component"} <= spec.keys()
             or not spec.keys() <= {"vertex", "component", "order"}):
@@ -207,11 +207,21 @@ def cmd_presentation(args) -> int:
     return 0
 
 
+def _decimal_order(token: str) -> int:
+    """An ``--orders`` entry: ASCII digits, as the DOT reader asks of
+    ``order``, so that ``1_1`` or a non-ASCII digit is no order."""
+    token = token.strip()
+    if not re.fullmatch("[0-9]+", token):
+        raise ValueError(f"order {token!r} is not a decimal integer")
+    return int(token)
+
+
 def cmd_verify(args) -> int:
     checks = (harness.DEFAULT_CHECKS if args.checks is None else
               tuple(t.strip() for t in args.checks.split(",") if t.strip()))
     try:
-        orders = tuple(int(t) for t in args.orders.split(",") if t.strip())
+        orders = tuple(_decimal_order(t) for t in args.orders.split(",")
+                       if t.strip())
         spec = harness.EnumSpec(
             max_vertices=args.max_vertices,
             orders=orders,

@@ -232,11 +232,24 @@ def to_json(g: LabelledGraph) -> str:
     return json.dumps(to_json_dict(g), ensure_ascii=False, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object as a dict, but a
+    key given twice raises GraphError, where ``dict`` keeps the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise GraphError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def from_json(text: str) -> LabelledGraph:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        raise  # the CLI reports its line and column
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, GraphError):
+        raise  # the CLI reports a decode error's line and column
     except (ValueError, RecursionError) as exc:  # an overlong number, deep nesting
         raise GraphError(f"cannot read JSON: {exc}") from None
     return from_json_dict(data)

@@ -7,17 +7,19 @@ The suite enumerates all graphs up to a vertex bound, optionally one
 representative per isomorphism class, runs each requested check, and
 reports counterexamples; an empty report is the expected outcome.
 
-Checks are pure functions of the graph's census.  Most read only the
-adjacency (``ORDER_FREE``), and the enumeration yields all order tuples of
-one edge mask in a row, so the suite checks one mask group at a time: one
-:class:`Census` of the group's first graph serves every order-free check,
-once for the whole group.  A census per graph is built only for the checks
-that read orders, and to re-run an order-free check that failed, so that
-each graph gets its own report.  The suite streams: the enumeration is cut
-into chunks of whole mask groups, each chunk is checked in this process or
-by a worker process, and the results are joined in chunk order.  Reports
-therefore come out in enumeration order, and in check-id order per graph,
-whatever the number of workers.
+Checks are pure functions of the graph's census that return a verdict:
+``None`` when the check holds, else ``(witness, message)``.  Only the suite
+driver turns a verdict into a :class:`CounterexampleReport`, naming the
+check and the graph.  Most checks read only the adjacency (``ORDER_FREE``),
+and the enumeration yields all order tuples of one edge mask in a row, so
+the suite checks one mask group at a time: one :class:`Census` of the
+group's first graph serves every order-free check, once for the whole
+group, and its verdict stands for every graph of the group.  A census per
+graph is built only for the checks that read orders.  The suite streams:
+the enumeration is cut into chunks of whole mask groups, each chunk is
+checked in this process or by a worker process, and the results are joined
+in chunk order.  Reports therefore come out in enumeration order, and in
+check-id order per graph, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -39,79 +41,22 @@ from .words import commutator, search_inner
 MAX_ENUMERATION_VERTICES = 8
 CHUNK_SIZE = 256  # graphs per task: bounds memory, amortises pickling
 
-DEFAULT_CHECKS = (
-    "lemma_2_2",
-    "lemma_4",
-    "stil_two_sils",
-    "lemma_7",
-    "lemma_1_7",
-    "finite_equiv",
-    "three_components_fsil",
-    "fsil_three_sils",
-    "lemma_1_4_oracle",
-)
-
-
-@dataclass(frozen=True)
-class EnumSpec:
-    """What to enumerate and which checks to run.  ``orders`` and ``checks``
-    must be non-empty; they are stored sorted and without repeats.  With
-    ``dedup_isomorphic``, one graph per order-preserving isomorphism class
-    is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
-    (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
-    A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take under a minute for n <= 8, while ``lemma_1_4_oracle``
-    runs per graph and would take over an hour."""
-
-    max_vertices: int
-    orders: tuple = (2,)
-    dedup_isomorphic: bool = False
-    checks: tuple = DEFAULT_CHECKS
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
-            raise ValueError(
-                f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")
-        if not self.orders:
-            raise ValueError("the order alphabet is empty")
-        for m in self.orders:
-            if not is_vertex_order(m):
-                raise ValueError(f"order alphabet entry {m} is not a prime power "
-                                 f"in 2..{MAX_ORDER}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not self.checks:
-            raise ValueError("no check ids given")
-        unknown = [c for c in self.checks if c not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown check ids: {unknown}; "
-                             f"known: {sorted(CHECKS)}")
-        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
-        object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     """A failed check, with enough data to replay it:
-    ``CHECKS[report.check](Census(from_json_dict(report.graph)))``."""
+    ``CHECKS[report.check](Census(from_json_dict(report.graph)))`` returns
+    ``(report.witness, report.message)``."""
 
     check: str
     graph: dict
     witness: dict
     message: str
 
-    def to_json_dict(self) -> dict:
-        return {"check": self.check, "graph": self.graph,
-                "witness": self.witness, "message": self.message}
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, ensure_ascii=False)
-
-
-def _report(check: str, g: LabelledGraph, witness: dict,
-            message: str) -> CounterexampleReport:
-    return CounterexampleReport(check, to_json_dict(g), witness, message)
+        return json.dumps({"check": self.check, "graph": self.graph,
+                           "witness": self.witness, "message": self.message},
+                          sort_keys=True, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +147,10 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
 
 
 # ---------------------------------------------------------------------------
-# Checks: each takes the census and returns a report or None
+# Checks: each takes the census and returns None or (witness, message)
 
 
-def check_lemma_2_2(census: Census) -> Optional[CounterexampleReport]:
+def check_lemma_2_2(census: Census) -> Optional[tuple]:
     """Every separating pair shares its separated component on both sides.
 
     The census reads each Sil off a component shared by both star splits,
@@ -229,43 +174,38 @@ def check_lemma_2_2(census: Census) -> Optional[CounterexampleReport]:
                     f"separated component of pair ({g.names[a]}, {g.names[b]}) "
                     "is not a component of the graph minus their common link")
         except SharedComponentError as exc:
-            return _report("lemma_2_2", g,
-                           {"pair": vertex_names(g, sil.pair),
-                            "component": vertex_names(g, sil.component)},
-                           str(exc))
+            return ({"pair": vertex_names(g, sil.pair),
+                     "component": vertex_names(g, sil.component)}, str(exc))
     return None
 
 
-def check_lemma_4(census: Census) -> Optional[CounterexampleReport]:
+def check_lemma_4(census: Census) -> Optional[tuple]:
     """A graph with exactly one separating pair has no separating triple."""
     if len(census.sils) != 1:
         return None
     stils = census.stils
     if stils:
         g = census.graph
-        return _report("lemma_4", g,
-                       {"triple": vertex_names(g, stils[0].triple),
-                        "component": vertex_names(g, stils[0].component)},
-                       "unique separating pair coexists with a separating triple")
+        return ({"triple": vertex_names(g, stils[0].triple),
+                 "component": vertex_names(g, stils[0].component)},
+                "unique separating pair coexists with a separating triple")
     return None
 
 
-def check_stil_two_sils(census: Census) -> Optional[CounterexampleReport]:
+def check_stil_two_sils(census: Census) -> Optional[tuple]:
     """Any separating triple forces at least two distinct separating pairs."""
     stils = census.stils
     if not stils:
         return None
     sils = census.sils
     if len(sils) < 2:
-        g = census.graph
-        return _report("stil_two_sils", g,
-                       {"triple": vertex_names(g, stils[0].triple),
-                        "sil_count": len(sils)},
-                       "separating triple with fewer than two separating pairs")
+        return ({"triple": vertex_names(census.graph, stils[0].triple),
+                 "sil_count": len(sils)},
+                "separating triple with fewer than two separating pairs")
     return None
 
 
-def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
+def check_lemma_7(census: Census) -> Optional[tuple]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
     if len(census.split) > 1:
@@ -273,18 +213,16 @@ def check_lemma_7(census: Census) -> Optional[CounterexampleReport]:
     sils = census.sils
     if len(sils) != 1:
         return None
-    g = census.graph
     for v in sils[0].pair:
         ncomp = len(census.star_splits[v])
         if ncomp != 2:
-            return _report("lemma_7", g,
-                           {"vertex": g.names[v], "components": ncomp},
-                           "puncturing a unique-pair vertex left "
-                           f"{ncomp} components instead of 2")
+            return ({"vertex": census.graph.names[v], "components": ncomp},
+                    "puncturing a unique-pair vertex left "
+                    f"{ncomp} components instead of 2")
     return None
 
 
-def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
+def check_lemma_1_7(census: Census) -> Optional[tuple]:
     """Two separating pairs sharing one vertex and a witness give a
     separating triple on the three vertices at that witness."""
     if len(census.split) > 1:
@@ -304,54 +242,48 @@ def check_lemma_1_7(census: Census) -> Optional[CounterexampleReport]:
             for comp in split:
                 if comp >> z & 1:
                     if comp & (1 << x1 | 1 << x2 | 1 << x3):
-                        return _report(
-                            "lemma_1_7", g,
-                            {"triple": vertex_names(g, (x1, x2, x3)),
-                             "witness": g.names[z]},
-                            "shared witness of two separating pairs does not "
-                            "separate the triple")
+                        return ({"triple": vertex_names(g, (x1, x2, x3)),
+                                 "witness": g.names[z]},
+                                "shared witness of two separating pairs does "
+                                "not separate the triple")
                     break
     return None
 
 
-def check_finite_equiv(census: Census) -> Optional[CounterexampleReport]:
+def check_finite_equiv(census: Census) -> Optional[tuple]:
     """No separating pair iff all generator pairs commute."""
     sils = census.sils
     all_commute = not any(census.non_commuting)
     if (not sils) != all_commute:
-        return _report("finite_equiv", census.graph,
-                       {"sil_count": len(sils), "all_commute": all_commute},
-                       "separating-pair census disagrees with generator commutation")
+        return ({"sil_count": len(sils), "all_commute": all_commute},
+                "separating-pair census disagrees with generator commutation")
     return None
 
 
-def check_three_components_fsil(census: Census) -> Optional[CounterexampleReport]:
+def check_three_components_fsil(census: Census) -> Optional[tuple]:
     """Three or more connected components force a flexible triple."""
     if len(census.split) < 3:
         return None
     if not census.fsils:
-        g = census.graph
-        comps = [vertex_names(g, c) for c in census.components()]
-        return _report("three_components_fsil", g, {"components": comps},
-                       f"{len(comps)} components but no flexible separating triple")
+        comps = [vertex_names(census.graph, c) for c in census.components()]
+        return ({"components": comps},
+                f"{len(comps)} components but no flexible separating triple")
     return None
 
 
-def check_fsil_three_sils(census: Census) -> Optional[CounterexampleReport]:
+def check_fsil_three_sils(census: Census) -> Optional[tuple]:
     """Every flexible triple induces separating pairs on all three pairs."""
     for fsil in census.fsils:
         triple = set(fsil.triple)
         pairs = {sil.pair for sil in census.sils if set(sil.pair) <= triple}
         if len(pairs) < 3:
-            g = census.graph
-            return _report("fsil_three_sils", g,
-                           {"triple": vertex_names(g, fsil.triple),
-                            "pairs": sorted(map(list, pairs))},
-                           "flexible triple with fewer than three distinct pairs")
+            return ({"triple": vertex_names(census.graph, fsil.triple),
+                     "pairs": sorted(map(list, pairs))},
+                    "flexible triple with fewer than three distinct pairs")
     return None
 
 
-def check_lemma_1_4_oracle(census: Census) -> Optional[CounterexampleReport]:
+def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators."""
     g = census.graph
@@ -360,11 +292,10 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[CounterexampleReport]:
         predicted = not rows[i] >> j & 1
         witness = search_inner(g, commutator(g, x, y))
         if predicted != (witness is not None):
-            return _report("lemma_1_4_oracle", g,
-                           {"x": x.label(g), "y": y.label(g),
-                            "predicted_commutes": predicted,
-                            "inner_witness_found": witness is not None},
-                           "commutation predicate disagrees with the word oracle")
+            return ({"x": x.label(g), "y": y.label(g),
+                     "predicted_commutes": predicted,
+                     "inner_witness_found": witness is not None},
+                    "commutation predicate disagrees with the word oracle")
     return None
 
 
@@ -379,13 +310,50 @@ CHECKS: dict = {
     "fsil_three_sils": check_fsil_three_sils,
     "lemma_1_4_oracle": check_lemma_1_4_oracle,
 }
+DEFAULT_CHECKS = tuple(CHECKS)
 
 # The checks that read only the adjacency, never a vertex order, so they
-# give one verdict per edge mask; every other check runs per graph.
-ORDER_FREE = frozenset({
-    "lemma_2_2", "lemma_4", "stil_two_sils", "lemma_7", "lemma_1_7",
-    "finite_equiv", "three_components_fsil", "fsil_three_sils",
-})
+# give one verdict per edge mask; the oracle runs per graph.
+ORDER_FREE = frozenset(CHECKS) - {"lemma_1_4_oracle"}
+
+
+@dataclass(frozen=True)
+class EnumSpec:
+    """What to enumerate and which checks to run.  ``orders`` and ``checks``
+    must be non-empty; they are stored sorted and without repeats.  With
+    ``dedup_isomorphic``, one graph per order-preserving isomorphism class
+    is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
+    (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
+    A000666) but only 12,346 edge masks: the order-free checks, run once
+    per mask, take under a minute for n <= 8, while ``lemma_1_4_oracle``
+    runs per graph and would take over an hour."""
+
+    max_vertices: int
+    orders: tuple = (2,)
+    dedup_isomorphic: bool = False
+    checks: tuple = DEFAULT_CHECKS
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
+            raise ValueError(
+                f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")
+        if not self.orders:
+            raise ValueError("the order alphabet is empty")
+        for m in self.orders:
+            if not is_vertex_order(m):
+                raise ValueError(f"order alphabet entry {m} is not a prime power "
+                                 f"in 2..{MAX_ORDER}")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if not self.checks:
+            raise ValueError("no check ids given")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown check ids: {unknown}; "
+                             f"known: {sorted(CHECKS)}")
+        object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
+        object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +363,27 @@ ORDER_FREE = frozenset({
 def _run_checks(groups: list, checks: tuple) -> tuple:
     """Check one chunk of mask groups with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  The order-free
-    checks run once on a group's first graph; only those that fail there,
-    and the checks that read orders, run on each graph, so that every
-    report names its own graph."""
+    checks run once, on a group's first graph, and their verdicts stand
+    for every graph of the group; a census per graph is built only when a
+    check reads orders.  Every report is built here, one per graph that a
+    failing verdict holds for."""
+    per_graph = any(c not in ORDER_FREE for c, _ in checks)
     checked, out = 0, []
     for group in groups:
         checked += len(group)
         census = Census(group[0])
-        first = {c: check(census) for c, check in checks if c in ORDER_FREE}
-        per_graph = [(c, check) for c, check in checks
-                     if c not in ORDER_FREE or first[c] is not None]
-        if not per_graph:
+        shared = {c: check(census) for c, check in checks if c in ORDER_FREE}
+        if not (per_graph or any(shared.values())):
             continue
         for k, g in enumerate(group):
-            if k:
-                census, first = Census(g), {}
-            for check_id, check in per_graph:
-                report = (first[check_id] if check_id in first
-                          else check(census))
-                if report is not None:
-                    out.append(report)
+            if k and per_graph:
+                census = Census(g)
+            for check_id, check in checks:
+                verdict = (shared[check_id] if check_id in shared
+                           else check(census))
+                if verdict is not None:
+                    out.append(CounterexampleReport(check_id, to_json_dict(g),
+                                                    *verdict))
     return checked, out
 
 

@@ -37,6 +37,7 @@ commutator built from the rule could not disagree with it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -317,9 +318,12 @@ def parse_word_literal(g: LabelledGraph, text: str) -> Word:
             name, sep, raw = token.rpartition("^")
             if not sep or name not in g.names:
                 raise WordError(f"cannot parse word token {token!r}")
+            # ASCII digits only: int() would also read "1_0" and "\u0661"
+            if not re.fullmatch("[+-]?[0-9]+", raw):
+                raise WordError(f"bad exponent in word token {token!r}")
             try:
                 exponent = int(raw)
-            except ValueError:
+            except ValueError:  # more digits than int() converts
                 raise WordError(f"bad exponent in word token {token!r}") from None
         syllables.append((g.index(name), exponent))
     try:

@@ -25,8 +25,8 @@ compares the same images.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from silscope.graphs import LabelledGraph
-from silscope.harness import CHECKS, enumerate_graphs
+from silscope.graphs import LabelledGraph, to_json_dict
+from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
 from silscope.sils import Census
 from silscope.words import (_inverse, _peel_left, _strip_right, compose,
                             pc_automorphism, reduce)
@@ -371,13 +371,15 @@ def dedup_by_orbit_marking(spec):
 def run_suite_per_graph(spec):
     """``harness.run_suite`` as it was before mask groups: one census per
     enumerated graph and every check of ``spec`` run on it, in this
-    process.  Returns ``(checked_graphs, reports)``."""
+    process, each failing verdict made a report of its own.  Returns
+    ``(checked_graphs, reports)``."""
     checked, reports = 0, []
     for g in enumerate_graphs(spec):
         checked += 1
         census = Census(g)
         for check_id in spec.checks:
-            report = CHECKS[check_id](census)
-            if report is not None:
-                reports.append(report)
+            verdict = CHECKS[check_id](census)
+            if verdict is not None:
+                reports.append(CounterexampleReport(check_id, to_json_dict(g),
+                                                    *verdict))
     return checked, reports

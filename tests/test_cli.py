@@ -343,8 +343,7 @@ def test_verify_folds_repeated_orders_and_checks(capsys):
 
 def test_verify_reports_failures_with_exit_one(capsys):
     def bad(census):
-        return CounterexampleReport("always_fails", {"vertices": [], "edges": []},
-                                    {}, "forced failure")
+        return {}, "forced failure"
     CHECKS["always_fails"] = bad
     try:
         code, out, _ = run_cli(capsys, "verify", "--max-vertices", "1",
@@ -395,6 +394,47 @@ def test_exit_two_on_bad_verify_order(capsys):
                              "--orders", "x")
     assert code == 2 and out == ""
     assert "error:" in err and "'x'" in err
+
+
+@pytest.mark.parametrize("orders, token", [
+    ("2,1_1", "1_1"), ("2,\u0663", "\u0663"), ("2,+3", "+3"), ("2,-3", "-3"),
+])
+def test_exit_two_on_a_verify_order_that_is_no_ascii_decimal(capsys, orders,
+                                                             token):
+    # int() reads "1_1" as 11 and the Arabic-Indic digit three as 3
+    code, out, err = run_cli(capsys, "verify", "--max-vertices", "2",
+                             "--orders", orders)
+    assert code == 2 and out == ""
+    assert err == f"error: order {token!r} is not a decimal integer\n"
+
+
+def test_verify_orders_may_be_padded_with_whitespace(capsys):
+    _, padded, _ = run_cli(capsys, "verify", "--max-vertices", "3",
+                           "--orders", " 2 , 3 ", "--checks", "lemma_4")
+    _, plain, _ = run_cli(capsys, "verify", "--max-vertices", "3",
+                          "--orders", "2,3", "--checks", "lemma_4")
+    assert padded == plain and json.loads(plain)["orders"] == [2, 3]
+
+
+def test_exit_two_on_a_word_exponent_that_is_no_ascii_decimal(capsys):
+    # "v1^1_0" would read as v1^10, the empty word on an order-2 vertex
+    code, out, err = run_cli(capsys, "reduce", fixture("pentagon_triangle"),
+                             "v1^1_0")
+    assert code == 2 and out == "" and "'v1^1_0'" in err
+
+
+def test_exit_two_on_a_json_key_given_twice(capsys, tmp_path):
+    bad = tmp_path / "twice.json"
+    bad.write_text('{"vertices": [{"name": "a", "order": 3, "order": 2}], '
+                   '"edges": []}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate key 'order' in a JSON object\n"
+    code, out, err = run_cli(
+        capsys, "act", fixture("pentagon_triangle"),
+        '{"vertex": "v1", "component": ["d", "e", "f"], "vertex": "v2"}', "d")
+    assert code == 2 and out == ""
+    assert "duplicate key 'vertex'" in err
 
 
 def test_exit_two_on_order_too_long_for_int(capsys, tmp_path):

@@ -218,6 +218,18 @@ def test_json_rejects_unknown_vertex_keys():
                   '"colour": 1}], "edges": []}')
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"vertices": [{"name": "a", "order": 3, "order": 2}], "edges": []}',
+     "order"),
+    ('{"vertices": [{"name": "a"}, {"name": "b"}], "edges": [], '
+     '"edges": [["a", "b"]]}', "edges"),
+], ids=["vertex_order", "edges"])
+def test_json_refuses_a_key_given_twice(text, key):
+    # json.loads alone keeps the last value: an order-2 vertex, an edge
+    with pytest.raises(GraphError, match=f"duplicate key '{key}'"):
+        from_json(text)
+
+
 def test_json_default_order_is_two():
     g = from_json('{"vertices": [{"name": "a"}, {"name": "b", "order": 9}], '
                   '"edges": [["a", "b"]]}')

@@ -178,12 +178,7 @@ def test_run_suite_rejects_unknown_check():
 def _fails_on_triangles(census):
     g = census.graph
     if g.n == 3 and len(g.edges()) == 3:
-        return CounterexampleReport(
-            "fails_on_triangles", json.loads(json.dumps(
-                {"vertices": [{"name": n, "order": o}
-                              for n, o in zip(g.names, g.orders)],
-                 "edges": [[g.names[u], g.names[v]] for u, v in g.edges()]})),
-            {"edges": len(g.edges())}, "deliberately falsified check")
+        return {"edges": len(g.edges())}, "deliberately falsified check"
     return None
 
 
@@ -201,10 +196,12 @@ def test_falsified_check_self_test(falsified_check):
     assert len(reports) == 1
     report = reports[0]
     assert report.check == falsified_check
+    assert report.graph == {"vertices": [{"name": f"v{i}", "order": 2}
+                                         for i in (1, 2, 3)],
+                            "edges": [["v1", "v2"], ["v1", "v3"], ["v2", "v3"]]}
     # replayable: deserializing the graph and re-running reproduces it
     again = CHECKS[report.check](Census(from_json_dict(report.graph)))
-    assert again is not None and again.check == falsified_check
-    assert again == report
+    assert again == (report.witness, report.message)
     # JSON line round-trips
     assert json.loads(report.to_json_line())["message"] == report.message
 
@@ -220,8 +217,7 @@ def test_reports_compare_by_every_field():
 
 def test_reports_sorted_by_graph_then_check(falsified_check):
     def _fails_everywhere(census):
-        return CounterexampleReport("a_fails_first", {"vertices": [], "edges": []},
-                                    {}, "x")
+        return {}, "x"
     CHECKS["a_fails_first"] = _fails_everywhere
     try:
         _, reports = run_suite(EnumSpec(3, checks=(falsified_check, "a_fails_first")))
@@ -261,10 +257,10 @@ def order_dependent_checks(spec):
     for g in enumerate_graphs(spec):
         census = Census(g)
         for check_id in harness.ORDER_FREE:
-            report = CHECKS[check_id](census)
+            verdict = CHECKS[check_id](census)
             outcomes.setdefault((check_id, g.adj), set()).add(
-                None if report is None else
-                (json.dumps(report.witness, sort_keys=True), report.message))
+                None if verdict is None else
+                (json.dumps(verdict[0], sort_keys=True), verdict[1]))
     return sorted({c for (c, _), seen in outcomes.items() if len(seen) > 1})
 
 
@@ -282,10 +278,8 @@ def _all_sils_coxeter(census):
     """Reads ``Sil.coxeter``, so its verdict depends on the vertex orders."""
     count = sum(not sil.coxeter for sil in census.sils)
     if count:
-        return CounterexampleReport("all_sils_coxeter",
-                                    to_json_dict(census.graph),
-                                    {"non_coxeter_sils": count},
-                                    "a separating pair is not a Coxeter pair")
+        return ({"non_coxeter_sils": count},
+                "a separating pair is not a Coxeter pair")
     return None
 
 
@@ -316,10 +310,9 @@ def test_mask_groups_match_the_per_graph_driver_on_lemma_7(workers):
 
 def _fails_with_two_edges(census):
     """An order-free stand-in for a C8 check that fails on some masks."""
-    g = census.graph
-    if len(g.edges()) >= 2:
-        return CounterexampleReport("lemma_4", to_json_dict(g),
-                                    {"edges": len(g.edges())}, "two or more edges")
+    edges = len(census.graph.edges())
+    if edges >= 2:
+        return {"edges": edges}, "two or more edges"
     return None
 
 
@@ -327,9 +320,10 @@ def _fails_with_two_edges(census):
 @pytest.mark.parametrize("other", ["lemma_1_4_oracle", "fails_on_triangles"])
 def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
                                                      other):
-    """A C8 check failing on a mask is re-run on each of its order tuples,
-    so each report carries its own graph, in the per-graph driver's order
-    next to a check that runs per graph."""
+    """A C8 check failing on a mask is reported for each of its order
+    tuples, from the one verdict of the mask, so each report carries its
+    own graph, in the per-graph driver's order next to a check that runs
+    per graph."""
     monkeypatch.setitem(CHECKS, "lemma_4", _fails_with_two_edges)
     monkeypatch.setitem(CHECKS, "fails_on_triangles", _fails_on_triangles)
     # chunks of one whole mask group each on three vertices (8 graphs)
@@ -340,6 +334,23 @@ def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
     assert checked == 74
     assert sum('"check": "lemma_4"' in line for line in lines) == 32
     assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+
+
+def test_order_free_verdicts_are_shared_by_the_mask_group(monkeypatch):
+    """A failing order-free verdict stands for every order tuple of its
+    mask: the check runs once per edge mask, not again per graph."""
+    masks = []
+
+    def counted(census):
+        masks.append(census.graph.adj)
+        return _fails_with_two_edges(census)
+
+    monkeypatch.setitem(CHECKS, "lemma_4", counted)
+    checked, reports = run_suite(EnumSpec(3, orders=(2, 3), checks=C8))
+    # 1 + 2 + 8 masks on one to three vertices
+    assert len(masks) == len(set(masks)) == 11
+    assert checked == 74
+    assert [r.check for r in reports] == ["lemma_4"] * 32
 
 
 # Every counterexample of dedup n <= 7, orders {2}: all are lemma_7, each a
@@ -425,11 +436,10 @@ def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
     fake = Sil((0, 1), frozenset({3}), True)
     assert shared_sil_component(census, fake) == frozenset({3, 4})
     monkeypatch.setattr(census, "sils", (fake,))
-    report = CHECKS["lemma_2_2"](census)
-    assert report is not None and report.check == "lemma_2_2"
-    assert report.witness == {"pair": ["a", "b"], "component": ["c"]}
-    assert report.message == ("separated component of pair (a, b) is not a "
-                              "component of the graph minus their common link")
+    assert CHECKS["lemma_2_2"](census) == (
+        {"pair": ["a", "b"], "component": ["c"]},
+        "separated component of pair (a, b) is not a component of the graph "
+        "minus their common link")
 
 
 def test_lemma_2_2_searches_each_sil_pair_once(monkeypatch):
@@ -453,8 +463,7 @@ def test_lemma_2_2_searches_each_sil_pair_once(monkeypatch):
 
 
 def _fails_everywhere(census):
-    return CounterexampleReport("fails_everywhere", to_json_dict(census.graph),
-                                {}, "deliberately falsified check")
+    return {}, "deliberately falsified check"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -478,12 +487,8 @@ def test_workers_of_a_fresh_interpreter_run_checks_registered_at_run_time(
     lacks a check registered at run time; the workers are handed the
     check functions themselves."""
     (tmp_path / "falsified.py").write_text(textwrap.dedent("""
-        from silscope.graphs import to_json_dict
-        from silscope.harness import CounterexampleReport
-
         def fails_everywhere(census):
-            return CounterexampleReport(
-                "fails_everywhere", to_json_dict(census.graph), {}, "x")
+            return {}, "x"
         """))
     script = textwrap.dedent("""
         import multiprocessing, os

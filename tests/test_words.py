@@ -394,5 +394,19 @@ def test_parse_rejects_bad_tokens():
         lit(G1, "nope")
     with pytest.raises(WordError):
         lit(G1, "v1^x")
+
+
+@pytest.mark.parametrize("token", ["v1^1_0", "v1^\u0661", "v1^\uff11",
+                                   "v1^1.0", "v1^--1", "v1^"])
+def test_parse_takes_only_ascii_decimal_exponents(token):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1
+    with pytest.raises(WordError) as exc:
+        lit(G1, token)
+    assert str(exc.value) == f"bad exponent in word token {token!r}"
+
+
+def test_parse_takes_a_signed_exponent():
+    assert lit(P3, "v3^+1") == lit(P3, "v3") == ((P3.index("v3"), 1),)
+    assert lit(P3, "v3^-1") == lit(P3, "v3^2")
     with pytest.raises(Exception):
         make_word(G1, [(99, 1)])
