@@ -17,8 +17,8 @@ from json.encoder import encode_basestring
 
 from . import harness, outer, sils, words
 from .dot import to_dot
-from .graphs import (GraphError, LabelledGraph, _unique_keys, load_graph,
-                     to_json_dict, vertex_names)
+from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _unique_keys,
+                     load_graph, to_json_dict, vertex_names)
 
 REPORT_VERSION = 2
 
@@ -207,27 +207,38 @@ def cmd_presentation(args) -> int:
     return 0
 
 
-def _decimal_order(token: str) -> int:
-    """An ``--orders`` entry: ASCII digits, as the DOT reader asks of
-    ``order``, so that ``1_1`` or a non-ASCII digit is no order."""
+def _ascii_decimal(token: str, what: str, limit: str) -> int:
+    """``token`` read as ASCII decimal digits, as the DOT reader reads
+    ``order``, so that ``1_1`` or a non-ASCII digit is no number.  ``what``
+    names the value in messages, and ``limit`` says how large it may be
+    when it has more digits than ``int()`` converts."""
     token = token.strip()
     if not re.fullmatch("[0-9]+", token):
-        raise ValueError(f"order {token!r} is not a decimal integer")
-    return int(token)
+        raise ValueError(f"{what} {token!r} is not a decimal integer")
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"{what} has {len(token)} digits; {limit}") from None
 
 
 def cmd_verify(args) -> int:
     checks = (harness.DEFAULT_CHECKS if args.checks is None else
               tuple(t.strip() for t in args.checks.split(",") if t.strip()))
     try:
-        orders = tuple(_decimal_order(t) for t in args.orders.split(",")
-                       if t.strip())
+        max_vertices = _ascii_decimal(
+            args.max_vertices, "--max-vertices",
+            f"it is at most {harness.MAX_ENUMERATION_VERTICES}")
+        workers = _ascii_decimal(args.workers, "--workers",
+                                 "the pool has at most one process per CPU")
+        orders = tuple(_ascii_decimal(t, "order",
+                                      f"orders are at most {MAX_ORDER}")
+                       for t in args.orders.split(",") if t.strip())
         spec = harness.EnumSpec(
-            max_vertices=args.max_vertices,
+            max_vertices=max_vertices,
             orders=orders,
             dedup_isomorphic=args.dedup,
             checks=checks,
-            workers=args.workers,
+            workers=workers,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -294,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                   "commutation presentation and factored summary")
 
     p = sub.add_parser("verify", help="run the exhaustive small-graph property suite")
-    p.add_argument("--max-vertices", type=int, default=5)
+    p.add_argument("--max-vertices", default="5",
+                   help="largest number of vertices, a decimal in "
+                        f"1..{harness.MAX_ENUMERATION_VERTICES} (default: 5)")
     p.add_argument("--orders", default="2",
                    help="comma-separated prime-power vertex orders (default: 2)")
     p.add_argument("--dedup", action="store_true",
@@ -302,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=None,
                    help=f"comma-separated check ids (default: all: "
                         f"{','.join(harness.DEFAULT_CHECKS)})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", default="1",
+                   help="worker processes, a decimal >= 1 (default: 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="canonical normal form of a word")

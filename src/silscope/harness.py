@@ -11,15 +11,17 @@ Checks are pure functions of the graph's census that return a verdict:
 ``None`` when the check holds, else ``(witness, message)``.  Only the suite
 driver turns a verdict into a :class:`CounterexampleReport`, naming the
 check and the graph.  Most checks read only the adjacency (``ORDER_FREE``),
-and the enumeration yields all order tuples of one edge mask in a row, so
-the suite checks one mask group at a time: one :class:`Census` of the
-group's first graph serves every order-free check, once for the whole
-group, and its verdict stands for every graph of the group.  A census per
-graph is built only for the checks that read orders.  The suite streams:
-the enumeration is cut into chunks of whole mask groups, each chunk is
-checked in this process or by a worker process, and the results are joined
-in chunk order.  Reports therefore come out in enumeration order, and in
-check-id order per graph, whatever the number of workers.
+so the enumeration yields mask records, one per edge mask: the mask's
+first graph and the list of its kept order tuples.  With dedup, the rows
+of a new vertex that an automorphism of the smaller graph lowers are
+pruned before any search.  One :class:`Census` of a record's graph serves
+every order-free check, once for the whole mask, and its verdict stands
+for every order tuple.  A graph and a census per order tuple are built
+only for the checks that read orders, and a graph for each report.  The
+suite streams: the records are cut into chunks of whole masks, each chunk
+is checked in this process or by a worker process, and the results are
+joined in chunk order.  Reports therefore come out in enumeration order,
+and in check-id order per graph, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
@@ -39,7 +42,7 @@ from .sils import Census, SharedComponentError, shared_sil_component
 from .words import commutator, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
-CHUNK_SIZE = 256  # graphs per task: bounds memory, amortises pickling
+CHUNK_SIZE = 256  # order tuples per task: bounds memory, amortises pickling
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,9 @@ def _automorphisms(adj: tuple, every: bool) -> Optional[list]:
     search fills positions n-1, n-2, ...: a free vertex whose row against
     the placed ones is below the graph's disproves minimality, one above
     ends its branch.  Unless ``every``, one of two twins is tried (swapping
-    them fixes the placed vertices), so not every automorphism is listed."""
+    them fixes the placed vertices), so not every automorphism is listed.
+    The search tries the graph's own numbering first, so the identity comes
+    first."""
     rows = [a >> p + 1 for p, a in enumerate(adj)]
     found: list = []
     # starting from the graph's own numbering halves the time of n <= 7 {2}
@@ -110,39 +115,72 @@ def _fill(adj: tuple, rows: list, every: bool, found: list, words: dict,
     return True
 
 
-def enumerate_graphs(spec: EnumSpec) -> Iterator[LabelledGraph]:
+def _child_rows(padj: tuple, auts: list, ones: list) -> Iterator[int]:
+    """The rows of a new vertex 0 over the minimal graph ``padj``, but for
+    those that one of ``auts``, the automorphisms its own search listed,
+    or a swap of two twins of ``padj`` maps to a smaller row.  The parent
+    prefix of the mask stays, so the smaller row gives a smaller mask of
+    the same graph, and the child is not minimal.  ``ones[row]`` lists the
+    set bits of ``row``."""
+    swaps = [(1 << i | 1 << j, 1 << j)
+             for i, j in itertools.combinations(range(len(padj)), 2)
+             if padj[i] & ~(1 << j) == padj[j] & ~(1 << i)]
+    images = [[1 << v for v in a] for a in auts[1:]]  # auts[0] is the identity
+    for row in range(1 << len(padj)):
+        if any(row & pair == high for pair, high in swaps):
+            continue
+        bits = ones[row]
+        if not any(sum([image[i] for i in bits]) < row for image in images):
+            yield row
+
+
+def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     """All labelled graphs up to the vertex bound, in ascending (n, edge
-    mask, order tuple); bit k of the mask is the k-th pair (i, j), i < j.
+    mask, order tuple), as one mask record per edge mask; bit k of the mask
+    is the k-th pair (i, j), i < j.  A mask record is a pair: the mask's
+    first graph and the list of its kept order tuples, that graph's first.
+    Without dedup every mask on n vertices shares one list of all order
+    tuples.  The suite driver builds a graph per order tuple only for a
+    report and for a check that reads orders.
 
     With dedup, each class comes once, as its minimal encoding, by orderly
     generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
     1998).  The pairs without vertex 0 are the high bits, so mask(G) =
     mask(G - v0) << n-1 | row(v0), and G - v0 is minimal when G is.  So each
-    minimal (n-1)-mask, ascending, is extended by every row of v0 in turn
-    and kept if still minimal; an order tuple is kept iff no automorphism
-    of the mask makes it lexicographically smaller.
+    minimal (n-1)-mask, ascending, is extended by each row of v0 in turn
+    and kept if still minimal; rows that an automorphism of the parent
+    lowers are not tried (see ``_child_rows``).  An order tuple is kept iff
+    no automorphism of the mask makes it lexicographically smaller; a mask
+    whose search lists only the identity keeps the shared list of them all.
     """
     if not spec.dedup_isomorphic:
         for n in range(1, spec.max_vertices + 1):
             tuples = list(itertools.product(spec.orders, repeat=n))
             for mask in range(1 << n * (n - 1) // 2):
-                g = graph_from_bits(n, mask, tuples[0])
-                for orders in tuples:
-                    yield LabelledGraph(g.names, orders, g.adj)
+                yield graph_from_bits(n, mask, tuples[0]), tuples
         return
-    level: list = [()]  # adjacency of each minimal graph on n-1 vertices
+    every = len(spec.orders) > 1
+    level: list = [((), [()])]  # each minimal graph on n-1 vertices, its auts
     for n in range(1, spec.max_vertices + 1):
         names = tuple(f"v{i + 1}" for i in range(n))
+        tuples = list(itertools.product(spec.orders, repeat=n))
+        ones = [[i for i in range(n - 1) if row >> i & 1]
+                for row in range(1 << n - 1)]
         minimal = []
-        for padj, row in itertools.product(level, range(1 << n - 1)):
-            adj = (row << 1,) + tuple(a << 1 | row >> i & 1
-                                      for i, a in enumerate(padj))
-            auts = _automorphisms(adj, len(spec.orders) > 1)
-            if auts is not None:
-                minimal.append(adj)
-                for orders in itertools.product(spec.orders, repeat=n):
-                    if all(tuple(orders[v] for v in a) >= orders for a in auts):
-                        yield LabelledGraph(names, orders, adj)
+        for padj, pauts in level:
+            for row in _child_rows(padj, pauts, ones):
+                adj = (row << 1,) + tuple(a << 1 | row >> i & 1
+                                          for i, a in enumerate(padj))
+                auts = _automorphisms(adj, every)
+                if auts is None:
+                    continue
+                if n < spec.max_vertices:  # the next level's parents
+                    minimal.append((adj, auts))
+                kept = tuples
+                for a in auts[1:]:  # auts[0] is the identity
+                    image = itemgetter(*a)
+                    kept = [orders for orders in kept if image(orders) >= orders]
+                yield LabelledGraph(names, kept[0], adj), kept
         level = minimal
 
 
@@ -325,8 +363,9 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take under a minute for n <= 8, while ``lemma_1_4_oracle``
-    runs per graph and would take over an hour."""
+    per mask, take about 25 s for n <= 8 in one process, while
+    ``lemma_1_4_oracle`` runs per graph and takes about 7 minutes with two
+    workers (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -360,22 +399,24 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(groups: list, checks: tuple) -> tuple:
-    """Check one chunk of mask groups with ``checks``, ``(id, function)``
+def _run_checks(records: list, checks: tuple) -> tuple:
+    """Check one chunk of mask records with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  The order-free
-    checks run once, on a group's first graph, and their verdicts stand
-    for every graph of the group; a census per graph is built only when a
-    check reads orders.  Every report is built here, one per graph that a
+    checks run once, on a record's graph, and their verdicts stand for
+    every order tuple of the record; a graph and a census per order tuple
+    are built only when a check reads orders, and a graph to report when
+    a verdict fails.  Every report is built here, one per graph that a
     failing verdict holds for."""
     per_graph = any(c not in ORDER_FREE for c, _ in checks)
     checked, out = 0, []
-    for group in groups:
-        checked += len(group)
-        census = Census(group[0])
+    for first, tuples in records:
+        checked += len(tuples)
+        census = Census(first)
         shared = {c: check(census) for c, check in checks if c in ORDER_FREE}
         if not (per_graph or any(shared.values())):
             continue
-        for k, g in enumerate(group):
+        for k, orders in enumerate(tuples):
+            g = LabelledGraph(first.names, orders, first.adj) if k else first
             if k and per_graph:
                 census = Census(g)
             for check_id, check in checks:
@@ -387,13 +428,13 @@ def _run_checks(groups: list, checks: tuple) -> tuple:
     return checked, out
 
 
-def _mask_chunks(graphs: Iterator[LabelledGraph]) -> Iterator[list]:
-    """Runs of graphs with one adjacency (mask groups), gathered into
-    chunks of whole groups of about ``CHUNK_SIZE`` graphs each."""
+def _chunks(records: Iterator[tuple]) -> Iterator[list]:
+    """Whole mask records, gathered into chunks of about ``CHUNK_SIZE``
+    order tuples each."""
     chunk, size = [], 0
-    for _, group in itertools.groupby(graphs, key=lambda g: g.adj):
-        chunk.append(list(group))
-        size += len(chunk[-1])
+    for record in records:
+        chunk.append(record)
+        size += len(record[1])
         if size >= CHUNK_SIZE:
             yield chunk
             chunk, size = [], 0
@@ -411,7 +452,7 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     ``CHECKS`` at run time reaches workers that import the package afresh
     (the ``spawn`` and ``forkserver`` start methods)."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
-    chunks = _mask_chunks(enumerate_graphs(spec))
+    chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
         yield from (_run_checks(chunk, checks) for chunk in chunks)

@@ -13,9 +13,12 @@ words in the library's normal form (itself checked against the rewriting
 closure), and the commutator and innerness fold that the closed forms in
 ``silscope.words`` replaced are kept here as they were: a commutator built
 from three generic compositions, and a coset fold taken one vertex at a
-time.  So is the suite driver that mask groups replaced: it runs the
-library's checks on a census of every enumerated graph, where the library
-runs the order-free checks once per edge mask.  The innerness test by
+time.  So are the enumerator and the suite driver that mask records
+replaced: the enumerator yields one graph per order tuple and tries every
+row of a new vertex, where the library yields one record per edge mask and
+prunes the rows that an automorphism of the parent lowers, and the driver
+runs the library's checks on a census of every enumerated graph, where the
+library runs the order-free checks once per edge mask.  The innerness test by
 definition lives here too, with the vertex images it compares:
 ``is_inner_with`` checks a candidate word on every vertex through
 ``conjugate`` and ``image_of_vertex``, and the breadth-first search
@@ -25,6 +28,7 @@ compares the same images.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from silscope import harness
 from silscope.graphs import LabelledGraph, to_json_dict
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
 from silscope.sils import Census
@@ -368,13 +372,50 @@ def dedup_by_orbit_marking(spec):
                                     orders, tuple(adj))
 
 
+def graphs_of(spec):
+    """Every graph of ``enumerate_graphs(spec)``: each mask record's graph
+    with each of its order tuples, in order."""
+    for first, tuples in enumerate_graphs(spec):
+        for orders in tuples:
+            yield LabelledGraph(first.names, orders, first.adj)
+
+
+def enumerate_graphs_per_graph(spec):
+    """``harness.enumerate_graphs`` as it was before mask records: one
+    graph per kept order tuple, and with dedup every row of vertex 0 tried
+    on every minimal parent.  Calls ``harness._automorphisms`` through the
+    module, so a test can count the searches."""
+    if not spec.dedup_isomorphic:
+        for n in range(1, spec.max_vertices + 1):
+            tuples = list(product(spec.orders, repeat=n))
+            for mask in range(1 << n * (n - 1) // 2):
+                g = harness.graph_from_bits(n, mask, tuples[0])
+                for orders in tuples:
+                    yield LabelledGraph(g.names, orders, g.adj)
+        return
+    level = [()]  # adjacency of each minimal graph on n-1 vertices
+    for n in range(1, spec.max_vertices + 1):
+        names = tuple(f"v{i + 1}" for i in range(n))
+        minimal = []
+        for padj, row in product(level, range(1 << n - 1)):
+            adj = (row << 1,) + tuple(a << 1 | row >> i & 1
+                                      for i, a in enumerate(padj))
+            auts = harness._automorphisms(adj, len(spec.orders) > 1)
+            if auts is not None:
+                minimal.append(adj)
+                for orders in product(spec.orders, repeat=n):
+                    if all(tuple(orders[v] for v in a) >= orders for a in auts):
+                        yield LabelledGraph(names, orders, adj)
+        level = minimal
+
+
 def run_suite_per_graph(spec):
     """``harness.run_suite`` as it was before mask groups: one census per
     enumerated graph and every check of ``spec`` run on it, in this
     process, each failing verdict made a report of its own.  Returns
     ``(checked_graphs, reports)``."""
     checked, reports = 0, []
-    for g in enumerate_graphs(spec):
+    for g in enumerate_graphs_per_graph(spec):
         checked += 1
         census = Census(g)
         for check_id in spec.checks:

@@ -33,7 +33,7 @@ import silscope
 from silscope import make_graph, outer, star_cut_points
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
-from silscope.harness import CHECKS, EnumSpec, enumerate_graphs
+from silscope.harness import CHECKS, EnumSpec
 from silscope.outer import PartialConjugation, build_p0, presentation
 from silscope.sils import Census
 
@@ -123,7 +123,7 @@ def check_generators(g, census, sils):
 @pytest.mark.parametrize("spec", SPECS, ids=["n6_orders2", "n5_orders23"])
 def test_census_matches_oracles_on_every_class(monkeypatch, spec):
     count = 0
-    for g in enumerate_graphs(spec):
+    for g in oracles.graphs_of(spec):
         check_against_oracles(monkeypatch, g)
         count += 1
     assert count == {6: 208, 5: 662}[spec.max_vertices]
@@ -200,7 +200,7 @@ def star_split_census(g):
 
 
 def identity_graphs():
-    yield from itertools.chain.from_iterable(map(enumerate_graphs, SPECS))
+    yield from itertools.chain.from_iterable(map(oracles.graphs_of, SPECS))
     rng = random.Random(20261018)
     for k in range(30):
         yield random_graph(rng, connected=k % 2 == 0)
@@ -226,7 +226,7 @@ def test_bitmask_readers_build_no_sil_objects(monkeypatch):
             return real(census)
         monkeypatch.setattr(sils_module, name, counted)
     count = 0
-    for g in enumerate_graphs(SPECS[1]):
+    for g in oracles.graphs_of(SPECS[1]):
         census = Census(g)
         build_p0(census)
         presentation(census)

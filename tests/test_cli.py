@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from silscope import from_dot, from_json, from_json_dict, to_json
 from silscope.cli import _indented, build_report, main
+from silscope.graphs import MAX_ORDER
 from silscope.harness import CHECKS, CounterexampleReport
 
 import conftest as fx
@@ -406,6 +408,39 @@ def test_exit_two_on_a_verify_order_that_is_no_ascii_decimal(capsys, orders,
                              "--orders", orders)
     assert code == 2 and out == ""
     assert err == f"error: order {token!r} is not a decimal integer\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-vertices", "--workers"])
+@pytest.mark.parametrize("token", ["0_3", "\u0663", "+3", "3.0", ""])
+def test_exit_two_on_a_verify_count_that_is_no_ascii_decimal(capsys, flag,
+                                                            token):
+    # int() reads "0_3" as 3 and the Arabic-Indic digit three as 3
+    argv = {"--max-vertices": "3", "--workers": "1", flag: token}
+    code, out, err = run_cli(capsys, "verify", *itertools.chain(*argv.items()))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} {token!r} is not a decimal integer\n"
+
+
+@pytest.mark.parametrize("flag, limit", [
+    ("--orders", f"orders are at most {MAX_ORDER}"),
+    ("--max-vertices", "it is at most 8"),
+    ("--workers", "the pool has at most one process per CPU"),
+])
+def test_exit_two_on_a_verify_number_too_long_for_int(capsys, flag, limit):
+    digits = "7" * 5000  # more digits than int() converts
+    argv = {"--max-vertices": "3", "--orders": "2", flag: digits}
+    code, out, err = run_cli(capsys, "verify", *itertools.chain(*argv.items()))
+    what = "order" if flag == "--orders" else flag
+    assert code == 2 and out == ""
+    assert err == f"error: {what} has 5000 digits; {limit}\n"
+
+
+def test_verify_counts_may_be_padded_with_whitespace(capsys):
+    _, padded, _ = run_cli(capsys, "verify", "--max-vertices", " 3 ",
+                           "--workers", " 1 ", "--checks", "lemma_4")
+    _, plain, _ = run_cli(capsys, "verify", "--max-vertices", "3",
+                          "--checks", "lemma_4")
+    assert padded == plain and json.loads(plain)["max_vertices"] == 3
 
 
 def test_verify_orders_may_be_padded_with_whitespace(capsys):

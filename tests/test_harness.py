@@ -23,11 +23,11 @@ NO_ORACLE = tuple(c for c in CHECKS if c != "lemma_1_4_oracle")
 
 
 def exactly_n(spec, n):
-    return [g for g in enumerate_graphs(spec) if g.n == n]
+    return [g for g in oracles.graphs_of(spec) if g.n == n]
 
 
 def count_graphs(spec):
-    return len(list(enumerate_graphs(spec)))
+    return len(list(oracles.graphs_of(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_enumeration_counts_dedup():
     assert len(exactly_n(spec, 3)) == 4
     assert count_graphs(spec) == 1 + 2 + 4
     # graphs on n unlabelled vertices, OEIS A000088
-    per_n = Counter(g.n for g in enumerate_graphs(EnumSpec(7, dedup_isomorphic=True)))
+    per_n = Counter(g.n for g in oracles.graphs_of(EnumSpec(7, dedup_isomorphic=True)))
     assert [per_n[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
     # two vertex orders behave as graphs with loops allowed, OEIS A000666:
     # 2 + 6 + 20 + 90 + 544 + 5096 classes on 1..6 vertices
@@ -121,10 +121,10 @@ def encoding(g):
 
 def test_dedup_representatives_are_minimal_encodings():
     # an unsorted alphabet must still give the minimal representatives
-    reps = list(enumerate_graphs(EnumSpec(3, orders=(3, 2), dedup_isomorphic=True)))
+    reps = list(oracles.graphs_of(EnumSpec(3, orders=(3, 2), dedup_isomorphic=True)))
     # n=3: empty 4, one edge 3*2, path 2*3, triangle 4
     assert len(reps) == 2 + 2 * 3 + (4 + 6 + 6 + 4)
-    reps += enumerate_graphs(EnumSpec(5, orders=(2, 3), dedup_isomorphic=True))
+    reps += oracles.graphs_of(EnumSpec(5, orders=(2, 3), dedup_isomorphic=True))
     for g in reps:
         assert all(encoding(g) <= encoding(g.relabelled(perm))
                    for perm in itertools.permutations(range(g.n))), g
@@ -134,7 +134,48 @@ def test_dedup_representatives_are_minimal_encodings():
     (6, (2,)), (5, (2, 3)), (5, (2, 4)), (4, (2, 3, 4)), (3, (2, 3, 5))])
 def test_orderly_generation_matches_orbit_marking(max_vertices, orders):
     spec = EnumSpec(max_vertices, orders=orders, dedup_isomorphic=True)
-    assert list(enumerate_graphs(spec)) == list(oracles.dedup_by_orbit_marking(spec))
+    assert list(oracles.graphs_of(spec)) == list(oracles.dedup_by_orbit_marking(spec))
+
+
+@pytest.mark.parametrize("spec", [
+    EnumSpec(7, dedup_isomorphic=True),
+    EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
+    EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True),
+    EnumSpec(5, orders=(2, 3)),
+], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234", "labelled_5_23"])
+def test_mask_records_flatten_to_the_per_graph_enumeration(spec):
+    assert list(oracles.graphs_of(spec)) == list(
+        oracles.enumerate_graphs_per_graph(spec))
+    masks = [(g.n, encoding(g)[0]) for g, _ in enumerate_graphs(spec)]
+    assert masks == sorted(set(masks))  # one record per mask, ascending
+    for g, tuples in enumerate_graphs(spec):
+        assert g.orders == tuples[0]
+
+
+def test_labelled_masks_share_one_list_of_order_tuples():
+    lists = {}
+    for g, tuples in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
+        lists.setdefault(g.n, set()).add(id(tuples))
+    assert {n: len(ids) for n, ids in lists.items()} == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def test_parent_automorphisms_prune_the_minimality_searches(monkeypatch):
+    """A row of vertex 0 that an automorphism of the parent, or a swap of
+    two of its twins, lowers gives no minimal child, so it is not searched."""
+    calls = []
+
+    def counted(adj, every):
+        calls.append(adj)
+        return automorphisms(adj, every)
+
+    automorphisms = harness._automorphisms
+    monkeypatch.setattr(harness, "_automorphisms", counted)
+    spec = EnumSpec(7, dedup_isomorphic=True)
+    assert sum(1 for _ in oracles.enumerate_graphs_per_graph(spec)) == 1252
+    assert len(calls) == 11291
+    calls.clear()
+    assert sum(len(tuples) for _, tuples in enumerate_graphs(spec)) == 1252
+    assert len(calls) == 5759
 
 
 def test_enum_spec_sorts_and_folds_repeats():
@@ -254,7 +295,7 @@ def order_dependent_checks(spec):
     """The checks declared order-free whose verdict, witness or message
     differs between two order tuples of one edge mask of ``spec``."""
     outcomes = {}  # (check id, adjacency) -> set of outcomes
-    for g in enumerate_graphs(spec):
+    for g in oracles.graphs_of(spec):
         census = Census(g)
         for check_id in harness.ORDER_FREE:
             verdict = CHECKS[check_id](census)
@@ -477,7 +518,7 @@ def test_reports_come_in_enumeration_order(workers):
     # 1,099 graphs span several chunks, so the pool joins them in order
     assert checked == 1099 > harness.CHUNK_SIZE
     assert [r.graph for r in reports] == [to_json_dict(g)
-                                          for g in enumerate_graphs(spec)]
+                                          for g in oracles.graphs_of(spec)]
 
 
 def test_workers_of_a_fresh_interpreter_run_checks_registered_at_run_time(

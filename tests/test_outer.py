@@ -9,7 +9,7 @@ from silscope import (Census, OutKind, PartialConjugation, build_p0, classify,
                       commutes, disconnected_structure, enumerate_sils,
                       make_graph, partial_conjugations, presentation,
                       star_cut_points)
-from silscope.harness import EnumSpec, enumerate_graphs
+from silscope.harness import EnumSpec
 from silscope.outer import factor_summary, validate_partial_conjugation
 
 import oracles
@@ -171,7 +171,7 @@ def test_smallest_single_non_coxeter_sil_graph_is_large():
     for those whose census is exactly one non-Coxeter separating pair; they
     exist only at 4 vertices and every one of them classifies Large."""
     hits = []
-    for g in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
+    for g in oracles.graphs_of(EnumSpec(4, orders=(2, 3))):
         census = Census(g)
         sils = enumerate_sils(census)
         if len(sils) == 1 and not sils[0].coxeter:
@@ -293,7 +293,7 @@ def test_virtually_z_unique_pair_across_enumeration():
     """Every graph on <= 5 vertices that classifies virtually cyclic has
     exactly one non-commuting generator pair, whatever the numbering."""
     rng = random.Random(11)
-    for g in enumerate_graphs(EnumSpec(5, dedup_isomorphic=True)):
+    for g in oracles.graphs_of(EnumSpec(5, dedup_isomorphic=True)):
         if classify(Census(g)).kind is not OutKind.VIRTUALLY_Z:
             continue
         for h in (g, g.relabelled(rng.sample(range(g.n), g.n))):

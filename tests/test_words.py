@@ -11,7 +11,7 @@ from silscope import (EPSILON, PartialConjugation, WordError, apply,
                       parse_word_literal, partial_conjugations,
                       pc_automorphism, reduce, search_inner)
 from silscope.graphs import LabelledGraph
-from silscope.harness import EnumSpec, enumerate_graphs, graph_from_bits
+from silscope.harness import EnumSpec, graph_from_bits
 from silscope.outer import build_p0
 from silscope.sils import Census
 from silscope.words import Automorphism0, format_word
@@ -239,7 +239,7 @@ def within_four(w):
 
 
 def p0_commutators(spec):
-    for g in enumerate_graphs(spec):
+    for g in oracles.graphs_of(spec):
         gens = build_p0(Census(g))
         for x, y in itertools.combinations(gens, 2):
             yield g, commutator(g, x, y)
@@ -310,7 +310,7 @@ def test_closed_forms_match_the_compose_path(spec, expected):
     the fold by conjugator class equals the fold by vertex, on every pair
     of generators."""
     count = 0
-    for g in enumerate_graphs(spec):
+    for g in oracles.graphs_of(spec):
         for x, y in itertools.combinations(build_p0(Census(g)), 2):
             k = commutator(g, x, y)
             assert k == oracles.commutator_by_compose(g, x, y)
