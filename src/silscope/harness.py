@@ -16,8 +16,12 @@ first graph and the list of its kept order tuples.  With dedup, the rows
 of a new vertex that an automorphism of the smaller graph lowers are
 pruned before any search.  One :class:`Census` of a record's graph serves
 every order-free check, once for the whole mask, and its verdict stands
-for every order tuple.  A graph and a census per order tuple are built
-only for the checks that read orders, and a graph for each report.  The
+for every order tuple.  Only for the checks that read orders does each
+further order tuple get a census, copied from the mask's without a
+component search (:meth:`Census.with_orders_of`).  The copies share one
+store of word-oracle verdicts, so the oracle decides each commutator once
+per edge mask and pair of acting orders, not once per graph; the store
+is dropped with the record.  A graph is built for each report.  The
 suite streams: the records are cut into chunks of whole masks, each chunk
 is checked in this process or by a worker process, and the results are
 joined in chunk order.  Reports therefore come out in enumeration order,
@@ -323,16 +327,39 @@ def check_fsil_three_sils(census: Census) -> Optional[tuple]:
 
 def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     """Commutation predicate agrees with the word engine's exact innerness
-    decision for every commutator of two generators."""
+    decision for every commutator of two generators.
+
+    With x = chi_{a,C} and y = chi_{b,D}, every conjugator of [x, y] is a
+    word in a and b alone (see :func:`silscope.words.commutator`).
+    ``reduce``, ``_inverse`` and ``search_inner`` read the order of a
+    vertex only where it occurs in a word, and otherwise only the
+    adjacency.  So on one adjacency, whether [x, y] is inner depends only
+    on the pair and on (m(a), m(b)).  The decision is stored in
+    ``census.inner_verdicts`` under (i, j, m(a), m(b)), i and j the
+    indices of x and y among the generators, and every census of the same
+    adjacency made by :meth:`Census.with_orders_of` reads it there.  The
+    prediction is read afresh from ``census.non_commuting``, and the pairs
+    are scanned in the same order on every census, so the first failing
+    pair is the same as without the store.
+    """
     g = census.graph
     rows = census.non_commuting
-    for (i, x), (j, y) in itertools.combinations(enumerate(build_p0(census)), 2):
+    inner = census.inner_verdicts
+    acting = [g.orders[v] for v, _ in census.generators]
+    p0 = None
+    for i, j in itertools.combinations(range(len(acting)), 2):
+        key = (i, j, acting[i], acting[j])
+        found = inner.get(key)
+        if found is None:
+            p0 = p0 or build_p0(census)
+            found = inner[key] = search_inner(
+                g, commutator(g, p0[i], p0[j])) is not None
         predicted = not rows[i] >> j & 1
-        witness = search_inner(g, commutator(g, x, y))
-        if predicted != (witness is not None):
-            return ({"x": x.label(g), "y": y.label(g),
+        if predicted != found:
+            p0 = p0 or build_p0(census)
+            return ({"x": p0[i].label(g), "y": p0[j].label(g),
                      "predicted_commutes": predicted,
-                     "inner_witness_found": witness is not None},
+                     "inner_witness_found": found},
                     "commutation predicate disagrees with the word oracle")
     return None
 
@@ -363,9 +390,10 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take about 25 s for n <= 8 in one process, while
-    ``lemma_1_4_oracle`` runs per graph and takes about 7 minutes with two
-    workers (Python 3.11, 2 CPUs)."""
+    per mask, take about 25 s for n <= 8 in one process, and
+    ``lemma_1_4_oracle`` decides each commutator once per mask and pair of
+    acting orders, so all nine checks take about 50 s with two workers
+    and about 65 s with one (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -403,10 +431,14 @@ def _run_checks(records: list, checks: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  The order-free
     checks run once, on a record's graph, and their verdicts stand for
-    every order tuple of the record; a graph and a census per order tuple
-    are built only when a check reads orders, and a graph to report when
-    a verdict fails.  Every report is built here, one per graph that a
-    failing verdict holds for."""
+    every order tuple of the record; a graph per order tuple is built only
+    when a check reads orders, and to report when a verdict fails.  A
+    check that reads orders gets a census per order tuple, made from the
+    mask's by :meth:`Census.with_orders_of`: it shares the mask's
+    ``inner_verdicts``, so the oracle decides each commutator once per
+    pair of acting orders, and the store is dropped with the record.
+    Every report is built here, one per graph that a failing verdict
+    holds for."""
     per_graph = any(c not in ORDER_FREE for c, _ in checks)
     checked, out = 0, []
     for first, tuples in records:
@@ -418,7 +450,7 @@ def _run_checks(records: list, checks: tuple) -> tuple:
         for k, orders in enumerate(tuples):
             g = LabelledGraph(first.names, orders, first.adj) if k else first
             if k and per_graph:
-                census = Census(g)
+                census = census.with_orders_of(g)
             for check_id, check in checks:
                 verdict = (shared[check_id] if check_id in shared
                            else check(census))

@@ -87,7 +87,10 @@ class Census:
     2019), from g^2 / 2 witness lookups for g generators.  Only the object
     views ``sils``, ``stils`` and ``fsils`` are computed on first access,
     and each mask becomes a frozenset once, on first request, shared by
-    every reader.  Nothing is shared between instances.
+    every reader.  ``inner_verdicts`` starts empty; the oracle check of
+    :mod:`silscope.harness` stores in it, per pair of generators and pair
+    of acting orders, whether their commutator is inner.  Nothing is
+    shared between instances, but for those made by :meth:`with_orders_of`.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -104,7 +107,8 @@ class Census:
             for mask in split:
                 owners[mask] = owners.get(mask, 0) | 1 << v
         self._sets: dict = {}
-        self._order_two = sum(1 << v for v, m in enumerate(graph.orders) if m == 2)
+        self._order_two = _order_two(graph.orders)
+        self.inner_verdicts: dict = {}
 
         # one (a, b, lowest bit, mask) per Sil {a, b | C}, sorted: one per
         # non-adjacent pair a < b of V_C for each star component C
@@ -133,6 +137,24 @@ class Census:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
         self.non_commuting = tuple(rows)
+
+    def with_orders_of(self, graph: LabelledGraph) -> Census:
+        """The census of ``graph``, which has this census's names and
+        adjacency but other vertex orders, built without a component
+        search.  The graph, the mask of order-2 vertices and the ``sils``
+        and ``fsils`` objects read orders, so they are the new graph's own.
+        All else is read off the adjacency and shared: the splits, the
+        generators, the Sil masks, the witness index, the non-commutation
+        rows, the vertex sets, the ``stils`` if built, and
+        ``inner_verdicts``, whose keys name the orders they depend on."""
+        other = object.__new__(Census)
+        state = vars(other)
+        state.update(vars(self))
+        state.pop("sils", None)
+        state.pop("fsils", None)
+        other.graph = graph
+        other._order_two = _order_two(graph.orders)
+        return other
 
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by
@@ -174,6 +196,11 @@ class Census:
         two = self._order_two
         return Sil((a, b) if a < b else (b, a), self._vertex_set(comp),
                    two >> a & two >> b & 1 == 1)
+
+
+def _order_two(orders: tuple) -> int:
+    """The mask of the vertices of order 2."""
+    return sum(1 << v for v, m in enumerate(orders) if m == 2)
 
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:

@@ -33,7 +33,7 @@ import silscope
 from silscope import make_graph, outer, star_cut_points
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
-from silscope.harness import CHECKS, EnumSpec
+from silscope.harness import CHECKS, EnumSpec, enumerate_graphs
 from silscope.outer import PartialConjugation, build_p0, presentation
 from silscope.sils import Census
 
@@ -214,6 +214,40 @@ def test_sils_and_stils_are_read_off_the_star_splits():
         assert stils == oracles.stil_census(g)
         count += 1
     assert count == 208 + 662 + 30
+
+
+def census_fields(census):
+    return (census.graph, census.split, census.star_splits, census.generators,
+            census._sil_masks, census.witnesses, census.non_commuting,
+            census._order_two, census.sils, census.stils, census.fsils)
+
+
+def test_a_census_with_other_orders_equals_a_fresh_one(monkeypatch):
+    """``with_orders_of`` searches nothing: it keeps what the adjacency gives,
+    shares the oracle's verdict store, and rebuilds what reads orders.  The
+    Sil and Fsil objects hold Coxeter flags, so one read before the copy
+    must not leak into it."""
+    calls = []
+
+    def counted(adj, keep_mask):
+        calls.append(keep_mask)
+        return component_masks(adj, keep_mask)
+
+    count = 0
+    for first, tuples in enumerate_graphs(EnumSpec(5, orders=(2, 3, 4),
+                                                   dedup_isomorphic=True)):
+        census = Census(first)
+        census.sils, census.fsils
+        with monkeypatch.context() as m:
+            m.setattr(sils_module, "component_masks", counted)
+            graphs = [LabelledGraph(first.names, orders, first.adj)
+                      for orders in tuples]
+            copies = [census.with_orders_of(g) for g in graphs]
+        for g, copy in zip(graphs, copies):
+            assert copy.inner_verdicts is census.inner_verdicts
+            assert census_fields(copy) == census_fields(Census(g))
+            count += 1
+    assert count == 3686 and calls == []
 
 
 def test_bitmask_readers_build_no_sil_objects(monkeypatch):

@@ -16,6 +16,7 @@ from silscope.graphs import component_masks
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, run_suite)
 from silscope.sils import Census, Sil, shared_sil_component
+from silscope.words import search_inner
 
 import oracles
 
@@ -461,6 +462,51 @@ def test_oracle_catches_a_wrong_commutation_rule(monkeypatch, rule, expected,
         assert report.check == "lemma_1_4_oracle"
         assert report.witness["predicted_commutes"] is True
         assert report.witness["inner_witness_found"] is False
+
+
+WRONG_RULES = {"crossed_clause_dropped": _commute_rule_without_the_crossed_clause,
+               "always_commute": lambda witnesses, x, c, y, d: True}
+
+
+@pytest.mark.parametrize("rule", WRONG_RULES)
+@pytest.mark.parametrize("spec, expected", [
+    (EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
+              checks=("lemma_1_4_oracle",)),
+     {"crossed_clause_dropped": 196, "always_commute": 330}),
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True,
+              checks=("lemma_1_4_oracle",), workers=2),
+     {"crossed_clause_dropped": 1036, "always_commute": 1882}),
+    (EnumSpec(4, orders=(2, 3), checks=("lemma_1_4_oracle",)),
+     {"crossed_clause_dropped": 248, "always_commute": 376}),
+], ids=["dedup_5_23", "dedup_5_234_two_workers", "labelled_4_23"])
+def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
+                                                         spec, expected):
+    """The oracle decides each commutator once per edge mask and pair of
+    acting orders.  Under a wrong rule, many order tuples of a mask fail,
+    and each must report the same first failing pair, with the same
+    verdicts, as a fresh census of its own graph."""
+    monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
+    checked, lines = as_lines(run_suite(spec))
+    assert len(lines) == expected[rule]
+    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+
+
+def test_oracle_decides_each_commutator_once_per_pair_of_acting_orders(
+        monkeypatch):
+    """On dedup n <= 6 {2, 3}, 5,758 graphs over 208 edge masks, deciding every
+    P0 commutator of every graph takes 43,812 innerness searches.  Stored
+    per mask under (pair, m(a), m(b)), they take 6,890."""
+    calls = []
+
+    def counted(g, phi):
+        calls.append(g.adj)
+        return search_inner(g, phi)
+
+    monkeypatch.setattr(harness, "search_inner", counted)
+    spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
+                    checks=("lemma_1_4_oracle",))
+    assert run_suite(spec) == (5758, [])
+    assert len(calls) == 6890
 
 
 def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(

@@ -257,6 +257,29 @@ def test_search_inner_matches_bfs_on_every_commutator(spec, expected):
     assert count == expected
 
 
+ORDERS = (2, 3, 4, 5, 7, 8, 9)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_commutator_innerness_reads_only_the_acting_orders(data):
+    """Two order maps that agree on a and b give [chi_{a,C}, chi_{b,D}] the
+    same conjugators and the same innerness witness, for every P0 pair:
+    the oracle check stores one verdict per pair and (m(a), m(b))."""
+    n = data.draw(st.integers(2, 7))
+    mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    order_map = st.lists(st.sampled_from(ORDERS), min_size=n, max_size=n)
+    g = graph_from_bits(n, mask, data.draw(order_map))
+    other = data.draw(order_map)
+    for x, y in itertools.combinations(build_p0(Census(g)), 2):
+        a, b = x.vertex, y.vertex
+        orders = [g.orders[v] if v in (a, b) else m for v, m in enumerate(other)]
+        h = LabelledGraph(g.names, tuple(orders), g.adj)
+        k = commutator(g, x, y)
+        assert commutator(h, x, y) == k
+        assert search_inner(h, k) == search_inner(g, k)
+
+
 def test_search_inner_matches_bfs_on_random_automorphisms():
     """Random conjugators make mostly non-inner automorphisms: a witness
     must be sound, and the answer must equal the BFS at depth 4."""
