@@ -16,7 +16,9 @@ first graph and the list of its kept order tuples.  With dedup, the rows
 of a new vertex that an automorphism of the smaller graph lowers are
 pruned before any search.  One :class:`Census` of a record's graph serves
 every order-free check, once for the whole mask, and its verdict stands
-for every order tuple.  Only for the checks that read orders does each
+for every order tuple.  These checks decide on the census's bitmasks,
+and read its Sil, Stil and Fsil objects only to word a failing verdict.
+Only for the checks that read orders does each
 further order tuple get a census, copied from the mask's without a
 component search (:meth:`Census.with_orders_of`).  The copies share one
 store of word-oracle verdicts, so the oracle decides each commutator once
@@ -42,7 +44,8 @@ from typing import Iterator, Optional, Sequence
 from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
 from .outer import build_p0
-from .sils import Census, SharedComponentError, shared_sil_component
+from .sils import (Census, SharedComponentError, Sil, _fsil_triples,
+                   _stil_masks, shared_sil_component)
 from .words import commutator, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
@@ -90,32 +93,55 @@ def _automorphisms(adj: tuple, every: bool) -> Optional[list]:
     them fixes the placed vertices), so not every automorphism is listed.
     The search tries the graph's own numbering first, so the identity comes
     first."""
+    n = len(adj)
     rows = [a >> p + 1 for p, a in enumerate(adj)]
+    # skip[v]: the vertices not to try after v, v itself and unless every
+    # its twins, those with v's open or closed neighbourhood (no vertex's
+    # open neighbourhood is another's closed one)
+    if every:
+        skip = [1 << v for v in range(n)]
+    else:
+        twins: dict = {}
+        for v, a in enumerate(adj):
+            for nbhd in (a, a | 1 << v):
+                twins[nbhd] = twins.get(nbhd, 0) | 1 << v
+        skip = [twins[a] | twins[a | 1 << v] for v, a in enumerate(adj)]
     found: list = []
-    # starting from the graph's own numbering halves the time of n <= 7 {2}
-    start = dict.fromkeys(reversed(range(len(adj))), 0)
-    return found if _fill(adj, rows, every, found, start, ()) else None
+    return found if _fill(adj, rows, skip, found, [], (1 << n) - 1) else None
 
 
-def _fill(adj: tuple, rows: list, every: bool, found: list, words: dict,
-          perm: tuple) -> bool:
-    """One step of ``_automorphisms``: place a vertex at position
-    len(words) - 1.  Not a closure, so that no call leaves a cycle."""
-    if not words:
-        found.append(perm)
+def _fill(adj: tuple, rows: list, skip: list, found: list, placed: list,
+          free: int) -> bool:
+    """One step of ``_automorphisms``: place one of the vertices of the
+    mask ``free`` at the highest empty position p, after ``placed``, the
+    vertices of positions n-1, n-2, ..., p+1.  Bit k of row p stands for
+    position p+1+k, so ``placed`` meets the row's bits from the highest
+    down: one AND per placed vertex narrows the free vertices that tie with
+    the row so far, and a tie with a 0 where the row has a 1 is below the
+    row, which disproves minimality.  The ties left are tried from the
+    highest vertex down.  Not a closure, so that no call leaves a cycle."""
+    if not free:
+        found.append(tuple(reversed(placed)))
         return True
-    row = rows[len(words) - 1]
-    if min(words.values()) < row:
-        return False
-    tried: set = set()
-    for v, w in words.items():
-        if w == row and not {adj[v], adj[v] | 1 << v} & tried:
-            if not every:
-                tried |= {adj[v], adj[v] | 1 << v}
-            if not _fill(adj, rows, every, found,
-                         {u: x << 1 | adj[u] >> v & 1
-                          for u, x in words.items() if u != v}, (v,) + perm):
+    bit = len(placed)
+    row = rows[-1 - bit]
+    tie = free
+    for u in placed:
+        bit -= 1
+        if row >> bit & 1:
+            if tie & ~adj[u]:
                 return False
+            tie &= adj[u]
+        else:
+            tie &= ~adj[u]
+    while tie:
+        v = tie.bit_length() - 1
+        tie &= ~skip[v]
+        placed.append(v)
+        kept = _fill(adj, rows, skip, found, placed, free ^ 1 << v)
+        placed.pop()
+        if not kept:
+            return False
     return True
 
 
@@ -198,64 +224,75 @@ def check_lemma_2_2(census: Census) -> Optional[tuple]:
     The census reads each Sil off a component shared by both star splits,
     so that holds by construction.  As evidence of its own, a search here
     checks that C of {a, b | C} is a component of G minus lk(a) & lk(b):
-    one search per pair, as the Sils come sorted by pair.
+    one search per pair, as the Sils come sorted by pair.  It reads the Sil
+    masks, or the ``sils`` objects if a reader has built them, and only a
+    Sil that fails on masks is checked and worded as an object.
     """
     g = census.graph
     full = (1 << g.n) - 1
+    owners = census._star_owners
+    built = vars(census).get("sils")
+    masks = census._sil_masks if built is None else [
+        (*sil.pair, 0, sum(1 << v for v in sil.component)) for sil in built]
     pair = None
-    for sil in census.sils:
-        a, b = sil.pair
-        if sil.pair != pair:
-            pair = sil.pair
+    for k, (a, b, _, mask) in enumerate(masks):
+        if (a, b) != pair:
+            pair = a, b
             split = component_masks(g.adj, full & ~(g.adj[a] & g.adj[b]))
-        mask = sum(1 << v for v in sil.component)
-        try:
-            shared_sil_component(census, sil)
-            if mask & (1 << a | 1 << b) or mask not in split:
-                raise SharedComponentError(
-                    f"separated component of pair ({g.names[a]}, {g.names[b]}) "
-                    "is not a component of the graph minus their common link")
-        except SharedComponentError as exc:
-            return ({"pair": vertex_names(g, sil.pair),
-                     "component": vertex_names(g, sil.component)}, str(exc))
+        ends = 1 << a | 1 << b
+        if (owners.get(mask, 0) & ends != ends or mask & ends
+                or mask not in split):
+            verdict = _lemma_2_2_verdict(census, census.sils[k], split)
+            if verdict:
+                return verdict
+    return None
+
+
+def _lemma_2_2_verdict(census: Census, sil: Sil,
+                       split: tuple) -> Optional[tuple]:
+    """``check_lemma_2_2`` on one Sil object, with ``split`` the components
+    of G minus the common link of its pair."""
+    g = census.graph
+    a, b = sil.pair
+    mask = sum(1 << v for v in sil.component)
+    try:
+        shared_sil_component(census, sil)
+        if mask & (1 << a | 1 << b) or mask not in split:
+            raise SharedComponentError(
+                f"separated component of pair ({g.names[a]}, {g.names[b]}) "
+                "is not a component of the graph minus their common link")
+    except SharedComponentError as exc:
+        return ({"pair": vertex_names(g, sil.pair),
+                 "component": vertex_names(g, sil.component)}, str(exc))
     return None
 
 
 def check_lemma_4(census: Census) -> Optional[tuple]:
     """A graph with exactly one separating pair has no separating triple."""
-    if len(census.sils) != 1:
+    if len(census._sil_masks) != 1 or next(_stil_masks(census), None) is None:
         return None
-    stils = census.stils
-    if stils:
-        g = census.graph
-        return ({"triple": vertex_names(g, stils[0].triple),
-                 "component": vertex_names(g, stils[0].component)},
-                "unique separating pair coexists with a separating triple")
-    return None
+    g, stil = census.graph, census.stils[0]
+    return ({"triple": vertex_names(g, stil.triple),
+             "component": vertex_names(g, stil.component)},
+            "unique separating pair coexists with a separating triple")
 
 
 def check_stil_two_sils(census: Census) -> Optional[tuple]:
     """Any separating triple forces at least two distinct separating pairs."""
-    stils = census.stils
-    if not stils:
+    count = len(census._sil_masks)
+    if count >= 2 or next(_stil_masks(census), None) is None:
         return None
-    sils = census.sils
-    if len(sils) < 2:
-        return ({"triple": vertex_names(census.graph, stils[0].triple),
-                 "sil_count": len(sils)},
-                "separating triple with fewer than two separating pairs")
-    return None
+    return ({"triple": vertex_names(census.graph, census.stils[0].triple),
+             "sil_count": count},
+            "separating triple with fewer than two separating pairs")
 
 
 def check_lemma_7(census: Census) -> Optional[tuple]:
     """Connected with a unique separating pair: both punctured graphs have
     exactly two components."""
-    if len(census.split) > 1:
+    if len(census.split) > 1 or len(census._sil_masks) != 1:
         return None
-    sils = census.sils
-    if len(sils) != 1:
-        return None
-    for v in sils[0].pair:
+    for v in census._sil_masks[0][:2]:
         ncomp = len(census.star_splits[v])
         if ncomp != 2:
             return ({"vertex": census.graph.names[v], "components": ncomp},
@@ -270,57 +307,60 @@ def check_lemma_1_7(census: Census) -> Optional[tuple]:
     if len(census.split) > 1:
         return None
     g = census.graph
+    adj = g.adj
     full = (1 << g.n) - 1
-    for s1, s2 in itertools.combinations(census.sils, 2):
-        common = set(s1.pair) & set(s2.pair)
-        witnesses = sorted(s1.component & s2.component)
-        if len(common) != 1 or not witnesses:
+    for (a1, b1, _, c1), (a2, b2, _, c2) in itertools.combinations(
+            census._sil_masks, 2):
+        witnesses = c1 & c2
+        p1, p2 = 1 << a1 | 1 << b1, 1 << a2 | 1 << b2
+        common = p1 & p2
+        if not witnesses or not common or common & common - 1:
             continue
-        x1 = common.pop()
-        x2 = next(v for v in s1.pair if v != x1)
-        x3 = next(v for v in s2.pair if v != x1)
-        split = component_masks(g.adj, full & ~(g.adj[x1] & g.adj[x2] & g.adj[x3]))
-        for z in witnesses:
-            for comp in split:
-                if comp >> z & 1:
-                    if comp & (1 << x1 | 1 << x2 | 1 << x3):
-                        return ({"triple": vertex_names(g, (x1, x2, x3)),
-                                 "witness": g.names[z]},
-                                "shared witness of two separating pairs does "
-                                "not separate the triple")
-                    break
+        triple = p1 | p2
+        x1, x2, x3 = (m.bit_length() - 1 for m in (common, p1 ^ common,
+                                                    p2 ^ common))
+        split = component_masks(adj, full & ~(adj[x1] & adj[x2] & adj[x3]))
+        # a witness fails if its component of the split meets the triple
+        failed = witnesses & sum(c for c in split if c & triple)
+        if failed:
+            z = (failed & -failed).bit_length() - 1
+            return ({"triple": vertex_names(g, (x1, x2, x3)),
+                     "witness": g.names[z]},
+                    "shared witness of two separating pairs does "
+                    "not separate the triple")
     return None
 
 
 def check_finite_equiv(census: Census) -> Optional[tuple]:
     """No separating pair iff all generator pairs commute."""
-    sils = census.sils
+    count = len(census._sil_masks)
     all_commute = not any(census.non_commuting)
-    if (not sils) != all_commute:
-        return ({"sil_count": len(sils), "all_commute": all_commute},
+    if (not count) != all_commute:
+        return ({"sil_count": count, "all_commute": all_commute},
                 "separating-pair census disagrees with generator commutation")
     return None
 
 
 def check_three_components_fsil(census: Census) -> Optional[tuple]:
     """Three or more connected components force a flexible triple."""
-    if len(census.split) < 3:
+    if len(census.split) < 3 or next(_fsil_triples(census), None):
         return None
-    if not census.fsils:
-        comps = [vertex_names(census.graph, c) for c in census.components()]
-        return ({"components": comps},
-                f"{len(comps)} components but no flexible separating triple")
-    return None
+    comps = [vertex_names(census.graph, c) for c in census.components()]
+    return ({"components": comps},
+            f"{len(comps)} components but no flexible separating triple")
 
 
 def check_fsil_three_sils(census: Census) -> Optional[tuple]:
     """Every flexible triple induces separating pairs on all three pairs."""
-    for fsil in census.fsils:
-        triple = set(fsil.triple)
-        pairs = {sil.pair for sil in census.sils if set(sil.pair) <= triple}
-        if len(pairs) < 3:
-            return ({"triple": vertex_names(census.graph, fsil.triple),
-                     "pairs": sorted(map(list, pairs))},
+    pairs = None
+    for v1, v2, v3 in _fsil_triples(census):
+        if pairs is None:
+            pairs = {(a, b) for a, b, _, _ in census._sil_masks}
+        found = [[x, y] for x, y in ((v1, v2), (v1, v3), (v2, v3))
+                 if (x, y) in pairs]
+        if len(found) < 3:
+            return ({"triple": vertex_names(census.graph, (v1, v2, v3)),
+                     "pairs": found},
                     "flexible triple with fewer than three distinct pairs")
     return None
 
@@ -390,10 +430,10 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take about 25 s for n <= 8 in one process, and
+    per mask, take about 7 s for n <= 8 in one process, and
     ``lemma_1_4_oracle`` decides each commutator once per mask and pair of
-    acting orders, so all nine checks take about 50 s with two workers
-    and about 65 s with one (Python 3.11, 2 CPUs)."""
+    acting orders, so all nine checks take about 26 s with two workers
+    and about 41 s with one (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -402,6 +442,14 @@ class EnumSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("max_vertices", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not "
+                                 f"{type(value).__name__} {value!r}")
+        for name in ("orders", "checks"):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, not a str")
         if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
             raise ValueError(
                 f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")

@@ -13,7 +13,9 @@ it computes from them every bitmask fact: the generators, the Sil masks,
 one witness index from each separated pair to the union of its separated
 components, and the non-commutation rows.  Only the Sil, Stil and Fsil
 objects are built on first use and kept; every consumer of one graph
-reads the same census.
+reads the same census.  The checks of :mod:`silscope.harness` decide on
+the masks, and build an object only to word a failing verdict; the
+object views serve reports, the classifier and the CLI.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .graphs import LabelledGraph, _bits_to_set, component_masks
 
@@ -240,16 +243,15 @@ def is_sil(census: Census, v1: int, v2: int, z: int) -> Sil | None:
     return census.sil_at(v1, v2, z)
 
 
-def enumerate_stils(census: Census) -> list[Stil]:
-    """All Stils, one per (triple spanning <= 1 edge, separated component).
-
-    Each star component C gives a Stil for every triple of V_C spanning at
-    most one edge.  Triples come out in lexicographic order, components in
-    order of smallest contained vertex.
-    """
+def _stil_masks(census: Census) -> Iterator[tuple]:
+    """One (a, b, c, lowest bit, mask) per Stil {a, b, c | C}, a < b < c,
+    unsorted: for each star component C, the triples of V_C spanning at
+    most one edge.  A check that asks whether a Stil exists takes the
+    first."""
     adj = census.graph.adj
-    found = []
     for comp, owners in census._star_owners.items():
+        if owners.bit_count() < 3:
+            continue
         low_c = comp & -comp
         while owners:
             low = owners & -owners
@@ -267,21 +269,29 @@ def enumerate_stils(census: Census) -> list[Stil]:
                 while thirds:
                     low = thirds & -thirds
                     thirds ^= low
-                    found.append((a, b, low.bit_length() - 1, low_c, comp))
-    found.sort()
+                    yield a, b, low.bit_length() - 1, low_c, comp
+
+
+def enumerate_stils(census: Census) -> list[Stil]:
+    """All Stils, one per (triple spanning <= 1 edge, separated component).
+
+    Each star component C gives a Stil for every triple of V_C spanning at
+    most one edge.  Triples come out in lexicographic order, components in
+    order of smallest contained vertex.
+    """
     return [Stil((a, b, c), census._vertex_set(comp))
-            for a, b, c, _, comp in found]
+            for a, b, c, _, comp in sorted(_stil_masks(census))]
 
 
-def enumerate_fsils(census: Census) -> list[Fsil]:
-    """All triples in which every pair forms a Sil witnessed by the third.
+def _fsil_triples(census: Census) -> Iterator[tuple]:
+    """Each triple (v1, v2, v3), v1 < v2 < v3, in which every pair forms a
+    Sil witnessed by the third, in lexicographic order.
 
     Reads the census's witness index: c witnesses {a, b} iff bit c is set
     in the union of that pair's separated components.  The index is filled
-    in pair order, so triples come out in lexicographic order.
+    in pair order, so the triples come out sorted.
     """
     wit = census.witnesses
-    out = []
     for (v1, v2), mask in wit.items():
         rest = mask >> (v2 + 1) << (v2 + 1)  # witnesses v3 > v2
         while rest:
@@ -290,11 +300,16 @@ def enumerate_fsils(census: Census) -> list[Fsil]:
             v3 = low.bit_length() - 1
             if (wit.get((v1, v3), 0) >> v2 & 1
                     and wit.get((v2, v3), 0) >> v1 & 1):
-                out.append(Fsil((v1, v2, v3),
-                                (census.sil_at(v1, v2, v3),
-                                 census.sil_at(v1, v3, v2),
-                                 census.sil_at(v2, v3, v1))))
-    return out
+                yield v1, v2, v3
+
+
+def enumerate_fsils(census: Census) -> list[Fsil]:
+    """All triples in which every pair forms a Sil witnessed by the third,
+    in lexicographic order (see ``_fsil_triples``)."""
+    return [Fsil((v1, v2, v3), (census.sil_at(v1, v2, v3),
+                                census.sil_at(v1, v3, v2),
+                                census.sil_at(v2, v3, v1)))
+            for v1, v2, v3 in _fsil_triples(census)]
 
 
 def shared_sil_component(census: Census, sil: Sil) -> frozenset:

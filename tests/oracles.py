@@ -18,7 +18,12 @@ replaced: the enumerator yields one graph per order tuple and tries every
 row of a new vertex, where the library yields one record per edge mask and
 prunes the rows that an automorphism of the parent lowers, and the driver
 runs the library's checks on a census of every enumerated graph, where the
-library runs the order-free checks once per edge mask.  The innerness test by
+library runs the order-free checks once per edge mask.  The minimality
+search of orderly generation is kept as it was, a dict of per-vertex words
+copied at every node, where the library keeps the free vertices as a mask
+and meets a row with one AND per placed vertex.  So are the eight
+order-free checks, which read the Sil, Stil and Fsil objects where the
+library reads the census's masks.  The innerness test by
 definition lives here too, with the vertex images it compares:
 ``is_inner_with`` checks a candidate word on every vertex through
 ``conjugate`` and ``image_of_vertex``, and the breadth-first search
@@ -29,9 +34,10 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from silscope import harness
-from silscope.graphs import LabelledGraph, to_json_dict
+from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
+                             vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
-from silscope.sils import Census
+from silscope.sils import Census, SharedComponentError, shared_sil_component
 from silscope.words import (_inverse, _peel_left, _strip_right, compose,
                             pc_automorphism, reduce)
 
@@ -424,3 +430,173 @@ def run_suite_per_graph(spec):
                 reports.append(CounterexampleReport(check_id, to_json_dict(g),
                                                     *verdict))
     return checked, reports
+
+
+def automorphisms_by_words(adj, every):
+    """``harness._automorphisms`` as it was before the bit-parallel search:
+    each free vertex carries its word, its row against the placed vertices,
+    in a dict copied at every node.  The automorphisms (position -> vertex)
+    of a graph whose edge mask no relabelling lowers, else None.  The
+    search fills positions n-1, n-2, ...: a free vertex whose word is below
+    the graph's row disproves minimality, one above ends its branch.
+    Unless ``every``, one of two twins is tried.  The graph's own numbering
+    is tried first, so the identity comes first."""
+    rows = [a >> p + 1 for p, a in enumerate(adj)]
+    found = []
+    start = dict.fromkeys(reversed(range(len(adj))), 0)
+    return found if _fill_by_words(adj, rows, every, found, start, ()) else None
+
+
+def _fill_by_words(adj, rows, every, found, words, perm):
+    """One step of ``automorphisms_by_words``: place a vertex at position
+    len(words) - 1."""
+    if not words:
+        found.append(perm)
+        return True
+    row = rows[len(words) - 1]
+    if min(words.values()) < row:
+        return False
+    tried = set()
+    for v, w in words.items():
+        if w == row and not {adj[v], adj[v] | 1 << v} & tried:
+            if not every:
+                tried |= {adj[v], adj[v] | 1 << v}
+            if not _fill_by_words(adj, rows, every, found,
+                                  {u: x << 1 | adj[u] >> v & 1
+                                   for u, x in words.items() if u != v},
+                                  (v,) + perm):
+                return False
+    return True
+
+
+# The eight order-free checks as they were before they read the census's
+# masks: each reads the Sil, Stil and Fsil objects.
+
+
+def lemma_2_2_on_objects(census):
+    g = census.graph
+    full = (1 << g.n) - 1
+    pair = None
+    for sil in census.sils:
+        a, b = sil.pair
+        if sil.pair != pair:
+            pair = sil.pair
+            split = component_masks(g.adj, full & ~(g.adj[a] & g.adj[b]))
+        mask = sum(1 << v for v in sil.component)
+        try:
+            shared_sil_component(census, sil)
+            if mask & (1 << a | 1 << b) or mask not in split:
+                raise SharedComponentError(
+                    f"separated component of pair ({g.names[a]}, {g.names[b]}) "
+                    "is not a component of the graph minus their common link")
+        except SharedComponentError as exc:
+            return ({"pair": vertex_names(g, sil.pair),
+                     "component": vertex_names(g, sil.component)}, str(exc))
+    return None
+
+
+def lemma_4_on_objects(census):
+    if len(census.sils) != 1:
+        return None
+    stils = census.stils
+    if stils:
+        g = census.graph
+        return ({"triple": vertex_names(g, stils[0].triple),
+                 "component": vertex_names(g, stils[0].component)},
+                "unique separating pair coexists with a separating triple")
+    return None
+
+
+def stil_two_sils_on_objects(census):
+    stils = census.stils
+    if not stils:
+        return None
+    sils = census.sils
+    if len(sils) < 2:
+        return ({"triple": vertex_names(census.graph, stils[0].triple),
+                 "sil_count": len(sils)},
+                "separating triple with fewer than two separating pairs")
+    return None
+
+
+def lemma_7_on_objects(census):
+    if len(census.split) > 1:
+        return None
+    sils = census.sils
+    if len(sils) != 1:
+        return None
+    for v in sils[0].pair:
+        ncomp = len(census.star_splits[v])
+        if ncomp != 2:
+            return ({"vertex": census.graph.names[v], "components": ncomp},
+                    "puncturing a unique-pair vertex left "
+                    f"{ncomp} components instead of 2")
+    return None
+
+
+def lemma_1_7_on_objects(census):
+    if len(census.split) > 1:
+        return None
+    g = census.graph
+    full = (1 << g.n) - 1
+    for s1, s2 in combinations(census.sils, 2):
+        common = set(s1.pair) & set(s2.pair)
+        witnesses = sorted(s1.component & s2.component)
+        if len(common) != 1 or not witnesses:
+            continue
+        x1 = common.pop()
+        x2 = next(v for v in s1.pair if v != x1)
+        x3 = next(v for v in s2.pair if v != x1)
+        split = component_masks(g.adj, full & ~(g.adj[x1] & g.adj[x2] & g.adj[x3]))
+        for z in witnesses:
+            for comp in split:
+                if comp >> z & 1:
+                    if comp & (1 << x1 | 1 << x2 | 1 << x3):
+                        return ({"triple": vertex_names(g, (x1, x2, x3)),
+                                 "witness": g.names[z]},
+                                "shared witness of two separating pairs does "
+                                "not separate the triple")
+                    break
+    return None
+
+
+def finite_equiv_on_objects(census):
+    sils = census.sils
+    all_commute = not any(census.non_commuting)
+    if (not sils) != all_commute:
+        return ({"sil_count": len(sils), "all_commute": all_commute},
+                "separating-pair census disagrees with generator commutation")
+    return None
+
+
+def three_components_fsil_on_objects(census):
+    if len(census.split) < 3:
+        return None
+    if not census.fsils:
+        comps = [vertex_names(census.graph, c) for c in census.components()]
+        return ({"components": comps},
+                f"{len(comps)} components but no flexible separating triple")
+    return None
+
+
+def fsil_three_sils_on_objects(census):
+    for fsil in census.fsils:
+        triple = set(fsil.triple)
+        pairs = {sil.pair for sil in census.sils if set(sil.pair) <= triple}
+        if len(pairs) < 3:
+            return ({"triple": vertex_names(census.graph, fsil.triple),
+                     "pairs": sorted(map(list, pairs))},
+                    "flexible triple with fewer than three distinct pairs")
+    return None
+
+
+ORDER_FREE_ON_OBJECTS = {
+    "lemma_2_2": lemma_2_2_on_objects,
+    "lemma_4": lemma_4_on_objects,
+    "stil_two_sils": stil_two_sils_on_objects,
+    "lemma_7": lemma_7_on_objects,
+    "lemma_1_7": lemma_1_7_on_objects,
+    "finite_equiv": finite_equiv_on_objects,
+    "three_components_fsil": three_components_fsil_on_objects,
+    "fsil_three_sils": fsil_three_sils_on_objects,
+}

@@ -202,6 +202,13 @@ def test_enum_spec_validation():
         EnumSpec(3, orders=(2, 6))
     with pytest.raises(ValueError):
         EnumSpec(3, workers=0)
+    # a wrong type is refused by name, not deep in the enumeration; a bool
+    # is no count, and a string is no list of orders or check ids
+    for field, value in [("max_vertices", 3.0), ("max_vertices", True),
+                         ("workers", 1.5), ("workers", True),
+                         ("orders", "2"), ("checks", "lemma_4")]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EnumSpec(**{"max_vertices": 3, field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +400,139 @@ def test_order_free_verdicts_are_shared_by_the_mask_group(monkeypatch):
     assert len(masks) == len(set(masks)) == 11
     assert checked == 74
     assert [r.check for r in reports] == ["lemma_4"] * 32
+
+
+# ---------------------------------------------------------------------------
+# The bitmask search and checks against the references they replaced
+
+
+@pytest.mark.parametrize("spec, searches", [
+    (EnumSpec(7, dedup_isomorphic=True), 5759),
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 663),
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 119),
+], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234"])
+def test_minimality_search_lists_the_automorphisms_of_the_word_search(
+        monkeypatch, spec, searches):
+    """The bit-parallel search lists the same automorphisms as the search
+    over per-vertex words, in the same order, identity first, and refuses
+    the same graphs."""
+    calls = []
+
+    def compared(adj, every):
+        calls.append(adj)
+        found = automorphisms(adj, every)
+        assert found == oracles.automorphisms_by_words(adj, every), adj
+        return found
+
+    automorphisms = harness._automorphisms
+    monkeypatch.setattr(harness, "_automorphisms", compared)
+    for _ in enumerate_graphs(spec):
+        pass
+    assert len(calls) == searches
+
+
+def verdicts_against_references(spec, alter=lambda census: None):
+    """Run each order-free check on a census of every record of ``spec``,
+    and each reference in ``oracles.ORDER_FREE_ON_OBJECTS`` on a second
+    census, both changed by ``alter`` first; assert that the verdicts are
+    equal and count the failing ones per check."""
+    failed = Counter()
+    for first, _ in enumerate_graphs(spec):
+        census, reference = Census(first), Census(first)
+        alter(census)
+        alter(reference)
+        for check_id in C8:
+            verdict = CHECKS[check_id](census)
+            assert verdict == oracles.ORDER_FREE_ON_OBJECTS[check_id](
+                reference), (check_id, first)
+            failed[check_id] += verdict is not None
+    return +failed
+
+
+@pytest.mark.parametrize("spec, failed", [
+    (EnumSpec(7, dedup_isomorphic=True), {"lemma_7": 7}),
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), {}),
+    (EnumSpec(5, orders=(2, 3)), {}),
+], ids=["dedup_7_2", "dedup_6_23", "labelled_5_23"])
+def test_order_free_checks_match_the_object_reading_references(spec, failed):
+    assert verdicts_against_references(spec) == failed
+
+
+def _replace_sil_masks(census, new):
+    census._sil_masks = [new(a, b, low, mask)
+                         for a, b, low, mask in census._sil_masks]
+
+
+def _objects_built_first(census):
+    """Lowest-vertex components, with the Sil objects built before any check
+    runs: ``lemma_2_2`` then reads the objects, not the masks."""
+    _replace_sil_masks(census, lambda a, b, low, mask: (a, b, low, low))
+    assert isinstance(census.sils, tuple)
+
+
+# Changes to a census that make the order-free checks fail: each check
+# must still give the reference's verdict, witness and message.
+ALTERATIONS = {
+    "one_sil": lambda census: setattr(census, "_sil_masks",
+                                      census._sil_masks[:1]),
+    "no_sils": lambda census: setattr(census, "_sil_masks", []),
+    "no_witnesses": lambda census: setattr(census, "witnesses", {}),
+    "all_commute": lambda census: setattr(
+        census, "non_commuting", (0,) * len(census.non_commuting)),
+    "whole_components": lambda census: _replace_sil_masks(
+        census, lambda a, b, low, mask: (a, b, 1, (1 << census.graph.n) - 1)),
+    "lowest_vertex_components": lambda census: _replace_sil_masks(
+        census, lambda a, b, low, mask: (a, b, low, low)),
+    "objects_built_first": _objects_built_first,
+}
+# the failing verdicts of each change on dedup n <= 6 {2}, per check: between
+# them, every one of the eight checks fails
+ALTERED_FAILURES = {
+    "one_sil": {"fsil_three_sils": 63, "lemma_4": 67, "lemma_7": 12,
+                "stil_two_sils": 67},
+    "no_sils": {"finite_equiv": 120, "fsil_three_sils": 63,
+                "stil_two_sils": 67},
+    "no_witnesses": {"three_components_fsil": 22},
+    "all_commute": {"finite_equiv": 120},
+    "whole_components": {"lemma_1_7": 38, "lemma_2_2": 120},
+    "lowest_vertex_components": {"lemma_2_2": 55},
+    "objects_built_first": {"lemma_2_2": 55},
+}
+
+
+@pytest.mark.parametrize("alteration, failed", ALTERED_FAILURES.items(),
+                         ids=list(ALTERED_FAILURES))
+def test_order_free_checks_match_the_references_on_altered_censuses(
+        alteration, failed):
+    spec = EnumSpec(6, dedup_isomorphic=True)
+    assert verdicts_against_references(spec, ALTERATIONS[alteration]) == failed
+
+
+def test_lemma_2_2_on_a_patched_sil_matches_the_reference():
+    g = make_graph([(n, 2) for n in "abxcd"],
+                   [("a", "x"), ("b", "x"), ("c", "d")])
+    census, reference = Census(g), Census(g)
+    for c in (census, reference):
+        c.sils = (Sil((0, 1), frozenset({3}), True),)
+    assert CHECKS["lemma_2_2"](census) == oracles.lemma_2_2_on_objects(
+        reference) is not None
+
+
+def test_passing_order_free_checks_build_no_census_objects(monkeypatch):
+    """The order-free checks decide on the census's masks: a record whose
+    checks all pass never builds the Sil, Stil or Fsil objects."""
+    made = []
+
+    class Recorded(Census):
+        def __init__(self, graph):
+            super().__init__(graph)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Census", Recorded)
+    assert run_suite(EnumSpec(6, dedup_isomorphic=True, checks=C8)) == (208, [])
+    assert len(made) == 208
+    for census in made:
+        assert not {"sils", "stils", "fsils"} & vars(census).keys()
 
 
 # Every counterexample of dedup n <= 7, orders {2}: all are lemma_7, each a
