@@ -4,13 +4,15 @@ verification suite, and word-engine access.
 Subcommands: classify | sils | gens | presentation | verify | reduce | act.
 Graphs are read from JSON ({"vertices": [{"name", "order"}], "edges": [...]})
 or DOT files with an ``order`` vertex attribute.  Exit codes: 0 success,
-1 verification found counterexamples, 2 malformed input.
+1 verification found counterexamples, 2 malformed input, 141 stdout was
+closed before the output was written (as by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring
@@ -46,7 +48,9 @@ def _indented(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte, for
     JSON values with string keys.  ``indent`` makes ``json`` fall back to
     its pure-Python encoder, about half as fast as this on a classify
-    report; strings, the bulk of a report, skip the recursive call."""
+    report.  Strings, the bulk of a report, skip the recursive call, and
+    a list of ``[int, int]`` pairs, such as the presentation's commuting
+    edges, is written from one template per pair."""
     if type(obj) is str:
         return encode_basestring(obj)
     if type(obj) is int:
@@ -61,6 +65,12 @@ def _indented(obj, pad: str = "\n") -> str:
             encode_basestring(k) + ": " + _indented(v, inner)
             for k, v in obj.items()]) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
+        if type(obj[0]) is list and all(
+                type(v) is list and len(v) == 2 and type(v[0]) is int
+                and type(v[1]) is int for v in obj):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            return "[" + inner + ("," + inner).join([
+                pair % (a, b) for a, b in obj]) + pad + "]"
         return "[" + inner + ("," + inner).join([
             encode_basestring(v) if type(v) is str else _indented(v, inner)
             for v in obj]) + pad + "]"
@@ -279,63 +289,108 @@ def cmd_act(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_GRAPH = ("graph", {"help": "path to a graph JSON or DOT file"})
+
+# Every subcommand: name, help, handler, and the (flag, options) of each
+# argument.  ``build_parser`` walks this table.
+_COMMANDS = (
+    ("classify", "full classification report as JSON", cmd_classify, (
+        _GRAPH,
+        ("--dot", {"default": None, "metavar": "PATH",
+                   "help": "also write a DOT rendering with separating pairs "
+                           "and components highlighted"}))),
+    ("sils", "list separating pairs, one JSON line each", cmd_sils, (_GRAPH,)),
+    ("gens", "list the generating set, one JSON line each", cmd_gens,
+     (_GRAPH,)),
+    ("presentation", "commutation presentation and factored summary",
+     cmd_presentation, (_GRAPH,)),
+    ("verify", "run the exhaustive small-graph property suite", cmd_verify, (
+        ("--max-vertices", {
+            "default": "5",
+            "help": "largest number of vertices, a decimal in "
+                    f"1..{harness.MAX_ENUMERATION_VERTICES} (default: 5)"}),
+        ("--orders", {"default": "2", "help": "comma-separated prime-power "
+                                              "vertex orders (default: 2)"}),
+        ("--dedup", {"action": "store_true",
+                     "help": "one representative per isomorphism class"}),
+        ("--checks", {"default": None,
+                      "help": "comma-separated check ids (default: all: "
+                              f"{','.join(harness.DEFAULT_CHECKS)})"}),
+        ("--workers", {"default": "1",
+                       "help": "worker processes, a decimal >= 1 "
+                               "(default: 1)"}))),
+    ("reduce", "canonical normal form of a word", cmd_reduce, (
+        ("graph", {}),
+        ("word", {"help": "space-separated name^k tokens, e.g. 'v1 d v1'"}))),
+    ("act", "apply a partial conjugation to a word", cmd_act, (
+        ("graph", {}),
+        ("generator", {"help": "generator spec, e.g. 'chi v1 {d,e,f}' or a "
+                               "line printed by 'gens'"}),
+        ("word", {}))),
+)
+_COMMAND_NAMES = frozenset(name for name, *_ in _COMMANDS)
+
+
+class _ParseError(Exception):
+    pass
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser built with one subcommand.  Any parse error raises
+    ``_ParseError``, so that ``main`` parses again with every subcommand
+    and prints exactly the usage and message the full parser prints."""
+
+    def error(self, message):
+        raise _ParseError(message)
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; with ``only``, a ``_OneCommandParser``
+    holding just that subcommand, whose own parser and ``-h`` output are
+    the full parser's."""
+    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="silscope",
         description="Separating-intersection analysis of labelled graphs: "
                     "detect separating pairs/triples, build the partial-"
                     "conjugation generators, and classify the outer "
                     "automorphism group of the associated graph product.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_graph_cmd(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("graph", help="path to a graph JSON or DOT file")
-        p.set_defaults(func=func)
-        return p
-
-    p = add_graph_cmd("classify", cmd_classify,
-                      "full classification report as JSON")
-    p.add_argument("--dot", default=None, metavar="PATH",
-                   help="also write a DOT rendering with separating pairs "
-                        "and components highlighted")
-    add_graph_cmd("sils", cmd_sils, "list separating pairs, one JSON line each")
-    add_graph_cmd("gens", cmd_gens, "list the generating set, one JSON line each")
-    add_graph_cmd("presentation", cmd_presentation,
-                  "commutation presentation and factored summary")
-
-    p = sub.add_parser("verify", help="run the exhaustive small-graph property suite")
-    p.add_argument("--max-vertices", default="5",
-                   help="largest number of vertices, a decimal in "
-                        f"1..{harness.MAX_ENUMERATION_VERTICES} (default: 5)")
-    p.add_argument("--orders", default="2",
-                   help="comma-separated prime-power vertex orders (default: 2)")
-    p.add_argument("--dedup", action="store_true",
-                   help="one representative per isomorphism class")
-    p.add_argument("--checks", default=None,
-                   help=f"comma-separated check ids (default: all: "
-                        f"{','.join(harness.DEFAULT_CHECKS)})")
-    p.add_argument("--workers", default="1",
-                   help="worker processes, a decimal >= 1 (default: 1)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("reduce", help="canonical normal form of a word")
-    p.add_argument("graph")
-    p.add_argument("word", help="space-separated name^k tokens, e.g. 'v1 d v1'")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("act", help="apply a partial conjugation to a word")
-    p.add_argument("graph")
-    p.add_argument("generator", help="generator spec, e.g. 'chi v1 {d,e,f}' "
-                   "or a line printed by 'gens'")
-    p.add_argument("word")
-    p.set_defaults(func=cmd_act)
+    for name, help_text, func, arguments in _COMMANDS:
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    subcommand ``argv`` names unless parsing fails."""
+    if argv and argv[0] in _COMMAND_NAMES:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _ParseError:
+            pass
+    return build_parser().parse_args(argv)
+
+
+def _stdout_to_devnull() -> None:
+    """Point the file descriptor under ``sys.stdout`` at the null device,
+    so that flushing what is left of the output cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # not backed by a file descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # argparse before Python 3.12 reads `--opt=--` as an empty list
     for key, value in vars(args).items():
         if isinstance(value, list):
@@ -343,7 +398,9 @@ def main(argv=None) -> int:
                   "value", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
@@ -351,6 +408,11 @@ def main(argv=None) -> int:
     except (GraphError, words.WordError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone, as with `| head`: exit with the
+        # status a shell shows for SIGPIPE
+        _stdout_to_devnull()
+        return 141
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

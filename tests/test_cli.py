@@ -1,13 +1,21 @@
+import argparse
+import importlib
+import io
 import itertools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from silscope import from_dot, from_json, from_json_dict, to_json
-from silscope.cli import _indented, build_report, main
+import silscope
+from silscope import cli, from_dot, from_json, from_json_dict, to_json
+from silscope.cli import _indented, build_parser, build_report, main
 from silscope.graphs import MAX_ORDER
 from silscope.harness import CHECKS, CounterexampleReport
 
@@ -119,7 +127,10 @@ def test_indented_writer_matches_json_on_goldens_and_fixture_reports():
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(alphabet=st.characters(exclude_categories=("Cs",)))
-    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\u2028", "é ✓ 𝄞", ""]),
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\u2028", "é ✓ 𝄞", ""])
+    # lists of pairs, such as commuting edges; bools are no integers there
+    | st.lists(st.lists(st.integers(), min_size=2, max_size=2)
+               | st.lists(st.booleans(), min_size=2, max_size=2), max_size=4),
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=20)
@@ -686,10 +697,97 @@ def test_main_exit_paths_on_any_argv(capsys, monkeypatch, tmp_path, argv):
             Path(fixture(name)).read_text(encoding="utf-8"), encoding="utf-8")
     argv = [t.replace("FIXTURE", str(tmp_path))
             .replace("=OUT", "=" + str(tmp_path / "out.dot")) for t in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        assert exc.code in (0, 2)
-    else:
+    expected = _outcome(capsys, _main_with_full_parser, monkeypatch, argv)
+    outcome = _outcome(capsys, main, argv)
+    assert outcome == expected
+    code = outcome[0]
+    if type(code) is int:
         assert code in (0, 1, 2)
+    else:
+        assert code[1] in (0, 2)
+
+
+def _outcome(capsys, run, *args):
+    """The exit code, or ``("SystemExit", code)``, then stdout and stderr
+    of ``run(*args)``."""
+    try:
+        code = run(*args)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _main_with_full_parser(monkeypatch, argv):
+    """``main(argv)`` parsing with every subcommand's parser, the reference
+    for the parser ``main`` builds for the one subcommand it runs."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda only=None: build_parser())
+        return main(argv)
+
+
+@pytest.mark.parametrize("command", [
+    [], ["classify"], ["sils"], ["gens"], ["presentation"], ["verify"],
+    ["reduce"], ["act"]])
+def test_help_equals_the_full_parsers(capsys, monkeypatch, command):
+    argv = command + ["-h"]
+    expected = _outcome(capsys, _main_with_full_parser, monkeypatch, argv)
+    assert expected[0] == ("SystemExit", 0) and expected[1]
+    assert _outcome(capsys, main, argv) == expected
+
+
+def test_a_call_builds_only_its_subcommands_parsers(capsys, monkeypatch):
+    # a later change must neither rebuild every subcommand's parser per
+    # call nor move the build into import
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    importlib.reload(cli)
+    assert built == []
+    for argv in (["classify", fixture("pentagon_triangle")],
+                 ["verify", "--max-vertices", "2"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) <= 2, built
     capsys.readouterr()
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_closed_stdout_exits_141_without_a_message(capsys, monkeypatch,
+                                                     workers):
+    # the first report of this run is written while later chunks are
+    # still pending in the pool
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["verify", "--max-vertices", "7", "--dedup", "--checks",
+                 "lemma_7", "--workers", workers]) == 141
+    assert capsys.readouterr().err == ""
+    assert multiprocessing.active_children() == []
+
+
+def test_a_closed_pipe_ends_the_console_entry_with_141():
+    # 896 reports, more than a pipe holds: the writer is still running when
+    # the reader goes, and the interpreter's final flush must not fail
+    src = str(Path(silscope.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "silscope.cli", "verify", "--max-vertices",
+             "7", "--orders", "2,3", "--dedup", "--checks", "lemma_7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b'{"check": "lemma_7"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
