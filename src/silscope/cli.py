@@ -3,14 +3,17 @@ verification suite, and word-engine access.
 
 Subcommands: classify | sils | gens | presentation | verify | reduce | act.
 Graphs are read from JSON ({"vertices": [{"name", "order"}], "edges": [...]})
-or DOT files with an ``order`` vertex attribute.  Exit codes: 0 success,
-1 verification found counterexamples, 2 malformed input, 141 stdout was
-closed before the output was written (as by ``| head``).
+or DOT files with an ``order`` vertex attribute.  ``classify`` writes the
+text ``json.dumps(indent=2, ensure_ascii=False)`` makes of its report, from
+one ``%`` template per section item.  Exit codes: 0 success, 1 verification
+found counterexamples, 2 malformed input, 141 stdout was closed before the
+output was written (as by ``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -20,7 +23,7 @@ from json.encoder import encode_basestring
 from . import harness, outer, sils, words
 from .dot import to_dot
 from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _unique_keys,
-                     load_graph, to_json_dict, vertex_names)
+                     load_graph, vertex_names)
 
 REPORT_VERSION = 2
 
@@ -44,85 +47,84 @@ def _presentation_dict(g: LabelledGraph,
             "summary": pres.summary}
 
 
-def _indented(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte, for
-    JSON values with string keys.  ``indent`` makes ``json`` fall back to
-    its pure-Python encoder, about half as fast as this on a classify
-    report.  Strings, the bulk of a report, skip the recursive call, and
-    a list of ``[int, int]`` pairs, such as the presentation's commuting
-    edges, is written from one template per pair."""
-    if type(obj) is str:
-        return encode_basestring(obj)
-    if type(obj) is int:
-        return int.__repr__(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
+def _template(shape, pad: str) -> str:
+    """``json.dumps(shape, indent=2)`` closed at ``pad``, its "%s" strings
+    unquoted: a ``%`` template for one item of the report."""
+    return json.dumps(shape, indent=2).replace("\n", pad).replace('"%s"', "%s")
+
+
+_REPORT = _template({
+    "version": REPORT_VERSION, "graph": {"vertices": "%s", "edges": "%s"},
+    "class": "%s", "evidence": dict.fromkeys(
+        ("coxeter_sils", "non_coxeter_sils", "stils", "fsils"), "%s"),
+    "sils": "%s", "stils": "%s", "fsils": "%s", "presentation": dict.fromkeys(
+        ("generators", "commuting_edges", "summary"), "%s"),
+    "disconnected": "%s", "warnings": "%s"}, "\n")
+_VERTEX = _template(dict(name="%s", order="%s"), "\n      ")
+_EDGE = _template(["%s"] * 2, "\n      ")
+_SIL = _template(dict(pair=["%s"] * 2, component="%s", coxeter="%s"), "\n    ")
+_STIL = _template(dict(triple=["%s"] * 3, component="%s"), "\n    ")
+_FSIL = _template(dict(triple=["%s"] * 3, witnesses=["%s"] * 3), "\n    ")
+_GENERATOR = _template(dict(vertex="%s", component="%s", order="%s"), "\n      ")
+_FSIL_ONLY_WARNING = json.dumps([
+    "largeness rests solely on a flexible separating triple: every "
+    "separating pair here is a Coxeter pair and there is no separating "
+    "triple, so a census that ignored flexible triples would report "
+    "VirtuallyAbelianNotZ instead of Large"], indent=2).replace("\n", "\n  ")
+
+
+def _listed(items: list, pad: str) -> str:
+    """A JSON list of the written ``items``, closed at ``pad``."""
     inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        return "{" + inner + ("," + inner).join([
-            encode_basestring(k) + ": " + _indented(v, inner)
-            for k, v in obj.items()]) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if type(obj[0]) is list and all(
-                type(v) is list and len(v) == 2 and type(v[0]) is int
-                and type(v[1]) is int for v in obj):
-            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-            return "[" + inner + ("," + inner).join([
-                pair % (a, b) for a, b in obj]) + pad + "]"
-        return "[" + inner + ("," + inner).join([
-            encode_basestring(v) if type(v) is str else _indented(v, inner)
-            for v in obj]) + pad + "]"
-    return json.dumps(obj, ensure_ascii=False)
+    return f"[{inner}{(',' + inner).join(items)}{pad}]" if items else "[]"
 
 
-def build_report(g: LabelledGraph) -> dict:
-    """The full classification report as a JSON-ready dict, read from one
-    census of ``g``."""
-    census = sils.Census(g)
-    out_class = outer.classify(census)
-    pres = outer.presentation(census)
+def build_report(census: sils.Census) -> str:
+    """The version-2 report of the census's graph, equal to the text of
+    ``json.dumps(report, indent=2, ensure_ascii=False)`` for the dict that
+    ``tests/oracles.py`` builds: one ``%`` template per section item, each
+    vertex name encoded once, each component's name list once per depth."""
+    g, rows, out = census.graph, census.non_commuting, outer.classify(census)
+    names = [encode_basestring(name) for name in g.names]
     disc = outer.disconnected_structure(census)
-
-    warnings = []
-    if (out_class.kind is outer.OutKind.LARGE and out_class.fsils
-            and not out_class.stils and not out_class.non_coxeter_sils):
-        warnings.append(
-            "largeness rests solely on a flexible separating triple: every "
-            "separating pair here is a Coxeter pair and there is no separating "
-            "triple, so a census that ignored flexible triples would report "
-            "VirtuallyAbelianNotZ instead of Large")
-
-    report = {
-        "version": REPORT_VERSION,
-        "graph": to_json_dict(g),
-        "class": out_class.kind.value,
-        "evidence": {
-            "coxeter_sils": out_class.coxeter_sils,
-            "non_coxeter_sils": out_class.non_coxeter_sils,
-            "stils": out_class.stils,
-            "fsils": out_class.fsils,
-        },
-        "sils": [_sil_dict(g, s) for s in census.sils],
-        "stils": [{"triple": [g.names[v] for v in s.triple],
-                   "component": vertex_names(g, s.component)}
-                  for s in census.stils],
-        "fsils": [{"triple": [g.names[v] for v in f.triple],
-                   "witnesses": [_sil_dict(g, s) for s in f.sils]}
-                  for f in census.fsils],
-        "presentation": _presentation_dict(g, pres),
-        "disconnected": None if disc is None else {
-            "components": [vertex_names(g, c) for c in disc.components],
-            "status": disc.status,
-            "reason": disc.reason,
-            "quotients": (None if disc.quotients is None
-                          else [vertex_names(g, q) for q in disc.quotients]),
-            "summary": disc.summary,
-        },
-        "warnings": warnings,
-    }
-    return report
+    component = functools.cache(lambda vertices, pad: _listed(
+        [names[v] for v in sorted(vertices)], pad))
+    pad = "\n    "  # two levels deep: a Sil item, the list in "graph"
+    sil_items = [_SIL % (names[s.pair[0]], names[s.pair[1]],
+                         component(s.component, pad + "  "),
+                         "true" if s.coxeter else "false") for s in census.sils]
+    # a witness is its Sil's item two levels down; no name holds a newline
+    witness = dict(zip(census.sils, sil_items)) if census.fsils else {}
+    # a commuting pair i < j is the head of row i and the tail of j
+    tails = ["%d\n      ]" % j for j in range(len(rows))]
+    edges = [head + tails[j] for i, row in enumerate(rows)
+             for head in ["[\n        %d,\n        " % i]
+             for j in range(i + 1, len(rows)) if not row >> j & 1]
+    large_on_fsils_alone = out.fsils and not (out.stils or out.non_coxeter_sils)
+    return _REPORT % (
+        _listed([_VERTEX % item for item in zip(names, g.orders)], pad),
+        _listed([_EDGE % (names[u], names[v]) for u, v in g.edges()], pad),
+        encode_basestring(out.kind.value), out.coxeter_sils,
+        out.non_coxeter_sils, out.stils, out.fsils,
+        _listed(sil_items, "\n  "),
+        _listed([_STIL % (*[names[v] for v in s.triple],
+                          component(s.component, pad + "  "))
+                 for s in census.stils], "\n  "),
+        _listed([_FSIL % (*[names[v] for v in f.triple],
+                          *[witness[s].replace("\n", pad) for s in f.sils])
+                 for f in census.fsils], "\n  "),
+        _listed([_GENERATOR % (names[v], component(census._vertex_set(c),
+                                                   pad + "    "), g.orders[v])
+                 for v, c in census.generators], pad),
+        _listed(edges, pad),
+        encode_basestring(outer.factor_summary(
+            [g.orders[v] for v, _ in census.generators], rows)),
+        "null" if disc is None else json.dumps(dict(
+            vars(disc), components=[vertex_names(g, c) for c in disc.components],
+            quotients=disc.quotients and [
+                vertex_names(g, q) for q in disc.quotients]),
+            indent=2, ensure_ascii=False).replace("\n", "\n  "),
+        _FSIL_ONLY_WARNING if large_on_fsils_alone else "[]")
 
 
 _GENSPEC_RE = re.compile(r"^\s*chi\s+(\S+)\s*\{([^{}]*)\}\s*$")
@@ -183,16 +185,14 @@ def _word_json(g: LabelledGraph, w) -> dict:
 
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
-    report = build_report(g)
+    census = sils.Census(g)
     if args.dot:
-        # the report's Sils are the census's; read them back, not recompute.
-        # The file is written first, so a failed write prints no report.
-        acting = {g.index(name) for s in report["sils"] for name in s["pair"]}
-        separated = {g.index(name) for s in report["sils"]
-                     for name in s["component"]} - acting
+        # the file is written first, so a failed write prints no report
+        acting = {v for s in census.sils for v in s.pair}
+        separated = {v for s in census.sils for v in s.component} - acting
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, acting, separated))
-    print(_indented(report))
+    print(build_report(census))
     return 0
 
 

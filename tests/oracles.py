@@ -33,7 +33,8 @@ compares the same images.
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from silscope import harness
+from silscope import harness, outer
+from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
 from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
                              vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
@@ -600,3 +601,50 @@ ORDER_FREE_ON_OBJECTS = {
     "three_components_fsil": three_components_fsil_on_objects,
     "fsil_three_sils": fsil_three_sils_on_objects,
 }
+
+
+def build_report(g):
+    """The full classification report as a JSON-ready dict, read from one
+    census of ``g``."""
+    census = Census(g)
+    out_class = outer.classify(census)
+    pres = outer.presentation(census)
+    disc = outer.disconnected_structure(census)
+
+    warnings = []
+    if (out_class.kind is outer.OutKind.LARGE and out_class.fsils
+            and not out_class.stils and not out_class.non_coxeter_sils):
+        warnings.append(
+            "largeness rests solely on a flexible separating triple: every "
+            "separating pair here is a Coxeter pair and there is no separating "
+            "triple, so a census that ignored flexible triples would report "
+            "VirtuallyAbelianNotZ instead of Large")
+
+    return {
+        "version": REPORT_VERSION,
+        "graph": to_json_dict(g),
+        "class": out_class.kind.value,
+        "evidence": {
+            "coxeter_sils": out_class.coxeter_sils,
+            "non_coxeter_sils": out_class.non_coxeter_sils,
+            "stils": out_class.stils,
+            "fsils": out_class.fsils,
+        },
+        "sils": [_sil_dict(g, s) for s in census.sils],
+        "stils": [{"triple": [g.names[v] for v in s.triple],
+                   "component": vertex_names(g, s.component)}
+                  for s in census.stils],
+        "fsils": [{"triple": [g.names[v] for v in f.triple],
+                   "witnesses": [_sil_dict(g, s) for s in f.sils]}
+                  for f in census.fsils],
+        "presentation": _presentation_dict(g, pres),
+        "disconnected": None if disc is None else {
+            "components": [vertex_names(g, c) for c in disc.components],
+            "status": disc.status,
+            "reason": disc.reason,
+            "quotients": (None if disc.quotients is None
+                          else [vertex_names(g, q) for q in disc.quotients]),
+            "summary": disc.summary,
+        },
+        "warnings": warnings,
+    }

@@ -98,7 +98,7 @@ def test_criterion_1_fixture_classifications():
 def test_criterion_2_fork_divergence_flag():
     c = Criterion(2, "definitional census of the fork fixture")
     g = pentagon_fork()
-    report = build_report(g)
+    report = json.loads(build_report(Census(g)))
     c.expect(report["class"] == "Large", "class must be Large")
     c.expect([f["triple"] for f in report["fsils"]] == [["c", "e", "f"]],
              "flexible triple {c,e,f} must be reported")

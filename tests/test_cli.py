@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import silscope
-from silscope import cli, from_dot, from_json, from_json_dict, to_json
-from silscope.cli import _indented, build_parser, build_report, main
+from silscope import (Census, cli, from_dot, from_json, from_json_dict,
+                      make_graph, to_json)
+from silscope.cli import build_parser, build_report, main
 from silscope.graphs import MAX_ORDER
-from silscope.harness import CHECKS, CounterexampleReport
+from silscope.harness import CHECKS, CounterexampleReport, EnumSpec
 
 import conftest as fx
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,44 +106,65 @@ def test_classify_reads_numbering_from_vertex_list(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["pentagon_triangle", "three_isolated",
-                                  "pentagon_fork"])
+                                  "pentagon_fork", "path_mixed_orders",
+                                  "path_plus_isolated", "pentagon_path"])
 def test_classify_matches_golden_report(capsys, name):
     code, out, _ = run_cli(capsys, "classify", fixture(name))
     assert code == 0
     assert out == (GOLDEN / f"{name}.report.json").read_text()
 
 
-def _dumps_indented(value):
-    return json.dumps(value, indent=2, ensure_ascii=False)
+def _oracle_text(g):
+    return json.dumps(oracles.build_report(g), indent=2, ensure_ascii=False)
 
 
-def test_indented_writer_matches_json_on_goldens_and_fixture_reports():
-    for path in sorted(GOLDEN.glob("*.json")):
-        value = json.loads(path.read_text(encoding="utf-8"))
-        assert _indented(value) == _dumps_indented(value)
+def test_report_writer_matches_the_oracle_on_every_fixture():
     for path in sorted(FIXTURES.glob("*.json")):
-        report = build_report(from_json(path.read_text(encoding="utf-8")))
-        assert _indented(report) == _dumps_indented(report)
+        g = from_json(path.read_text(encoding="utf-8"))
+        assert build_report(Census(g)) == _oracle_text(g)
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(alphabet=st.characters(exclude_categories=("Cs",)))
-    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\u2028", "é ✓ 𝄞", ""])
-    # lists of pairs, such as commuting edges; bools are no integers there
-    | st.lists(st.lists(st.integers(), min_size=2, max_size=2)
-               | st.lists(st.booleans(), min_size=2, max_size=2), max_size=4),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=20)
+def test_report_writer_matches_the_oracle_on_every_class():
+    statuses, filled = set(), set()
+    for g in oracles.graphs_of(EnumSpec(5, orders=(2, 3), dedup_isomorphic=True)):
+        text = build_report(Census(g))
+        assert text == _oracle_text(g)
+        report = json.loads(text)
+        statuses.add(report["disconnected"] and report["disconnected"]["status"])
+        sections = dict(report, **report["presentation"])
+        filled.update((key, bool(sections[key])) for key in (
+            "sils", "stils", "fsils", "generators", "commuting_edges",
+            "warnings"))
+    # every section both empty and not, both statuses, and the Fsil-only
+    # warning
+    assert statuses == {None, "product", "large"}
+    assert len(filled) == 12
 
 
-@settings(max_examples=300, deadline=None)
-@given(value=_JSON_VALUES)
-def test_indented_writer_matches_json_on_any_value(value):
-    # non-ASCII, control characters, quotes, NaN and infinities, empty and
-    # nested containers all come from these strategies
-    assert _indented(value) == _dumps_indented(value)
+_NAMES = (st.text(alphabet=st.characters(exclude_categories=("Cs",)),
+                  min_size=1, max_size=5)
+          | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "𝄞",
+                             "é ✓", '{"name": "x"}', '["a", 1]', "null"]))
+
+
+@st.composite
+def _named_graphs(draw):
+    # from 10 vertices on, a frozenset of indices need not iterate sorted
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.lists(_NAMES, min_size=n, max_size=n, unique=True))
+    orders = draw(st.lists(st.sampled_from((2, 3, 4)), min_size=n, max_size=n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [(names[i], names[j]) for i, j in draw(st.lists(
+        st.sampled_from(pairs), max_size=2 * n, unique=True))] if pairs else []
+    return make_graph(zip(names, orders), edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_named_graphs())
+def test_report_writer_matches_the_oracle_on_any_names(g):
+    # quotes, backslashes, control characters, U+2028, astral characters
+    # and names that read as JSON are all written as json writes them
+    assert build_report(Census(g)) == _oracle_text(g)
 
 
 def test_classify_dot_export(capsys, tmp_path):
@@ -150,6 +173,7 @@ def test_classify_dot_export(capsys, tmp_path):
                          "--dot", str(dot))
     assert code == 0
     text = dot.read_text()
+    assert text == (GOLDEN / "pentagon_triangle.dot").read_text()
     assert 'color=red' in text and 'color=blue' in text
     assert from_dot(text) == fx.pentagon_triangle()
 
