@@ -85,8 +85,16 @@ class LabelledGraph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                if self.adj[u] >> v & 1]
+        """The edges (u, v), u < v, ascending, read off the set bits of
+        each adjacency mask above u."""
+        out = []
+        for u, a in enumerate(self.adj):
+            higher = a >> u + 1 << u + 1
+            while higher:
+                low = higher & -higher
+                higher ^= low
+                out.append((u, low.bit_length() - 1))
+        return out
 
     def relabelled(self, perm: Sequence[int]) -> "LabelledGraph":
         """Image under the vertex permutation sending old index i to perm[i]."""

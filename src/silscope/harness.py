@@ -18,12 +18,16 @@ pruned before any search.  One :class:`Census` of a record's graph serves
 every order-free check, once for the whole mask, and its verdict stands
 for every order tuple.  These checks decide on the census's bitmasks,
 and read its Sil, Stil and Fsil objects only to word a failing verdict.
-Only for the checks that read orders does each
-further order tuple get a census, copied from the mask's without a
-component search (:meth:`Census.with_orders_of`).  The copies share one
-store of word-oracle verdicts, so the oracle decides each commutator once
-per edge mask and pair of acting orders, not once per graph; the store
-is dropped with the record.  A graph is built for each report.  The
+The word oracle reads orders, but whether a commutator of two generators
+is inner depends only on its shape (:func:`silscope.words.commutator_shape`),
+so each shape is decided once per suite run and each process keeps its
+own store of verdicts.  The commutation prediction reads no orders, so
+when the stored verdicts of every generator pair, under every pair of
+acting orders from the alphabet, match it, the oracle holds for every
+order tuple of the mask at once.  Only otherwise, and for a check that
+reads orders, does each further order tuple get a census, copied from the
+mask's without a component search (:meth:`Census.with_orders_of`).  A
+graph is built for each report.  The
 suite streams: the records are cut into chunks of whole masks, each chunk
 is checked in this process or by a worker process, and the results are
 joined in chunk order.  Reports therefore come out in enumeration order,
@@ -43,13 +47,16 @@ from typing import Iterator, Optional, Sequence
 
 from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
-from .outer import build_p0
+from .outer import PartialConjugation
 from .sils import (Census, SharedComponentError, Sil, _fsil_triples,
                    _stil_masks, shared_sil_component)
-from .words import commutator, search_inner
+from .words import commutator, commutator_shape, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
 CHUNK_SIZE = 256  # order tuples per task: bounds memory, amortises pickling
+# commutator shape -> whether the commutator is inner, for the oracle
+# check: cleared when a suite run starts, filled by each process for itself
+_INNER: dict = {}
 
 
 @dataclass(frozen=True)
@@ -369,39 +376,66 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators.
 
-    With x = chi_{a,C} and y = chi_{b,D}, every conjugator of [x, y] is a
-    word in a and b alone (see :func:`silscope.words.commutator`).
-    ``reduce``, ``_inverse`` and ``search_inner`` read the order of a
-    vertex only where it occurs in a word, and otherwise only the
-    adjacency.  So on one adjacency, whether [x, y] is inner depends only
-    on the pair and on (m(a), m(b)).  The decision is stored in
-    ``census.inner_verdicts`` under (i, j, m(a), m(b)), i and j the
-    indices of x and y among the generators, and every census of the same
-    adjacency made by :meth:`Census.with_orders_of` reads it there.  The
-    prediction is read afresh from ``census.non_commuting``, and the pairs
-    are scanned in the same order on every census, so the first failing
-    pair is the same as without the store.
+    Whether the commutator of x = chi_{a,C} and y = chi_{b,D} is inner
+    depends only on its shape (:func:`silscope.words.commutator_shape`),
+    which reads the adjacency and m(a) and m(b) alone.  So each shape is
+    decided once, on the first graph that has it, and stored in the
+    process's store of the suite run; every later pair of that shape, in
+    any graph, reads it there.  The prediction is read afresh from
+    ``census.non_commuting``, and the pairs are scanned in order, so the
+    first failing pair is the same as without the store.
     """
+    failed = _oracle_disagreement(census)
+    if failed is None:
+        return None
+    g = census.graph
+    i, j, found = failed
+    x, y = _generator_pair(census, i, j)
+    return ({"x": x.label(g), "y": y.label(g),
+             "predicted_commutes": not found, "inner_witness_found": found},
+            "commutation predicate disagrees with the word oracle")
+
+
+def _oracle_disagreement(census: Census,
+                         alphabet: Optional[tuple] = None) -> Optional[tuple]:
+    """The first pair of generators i < j of ``census`` whose commutator's
+    innerness, ``found``, is not the commutation that ``non_commuting``
+    predicts, as ``(i, j, found)``, else None.  The innerness is read under
+    the graph's own orders or, given ``alphabet``, under every pair of
+    acting orders from it: the prediction reads no orders, so None then
+    means the check holds on every graph of the adjacency with orders from
+    the alphabet.  A shape not yet stored is decided on the census's graph
+    with a and b given those orders."""
     g = census.graph
     rows = census.non_commuting
-    inner = census.inner_verdicts
-    acting = [g.orders[v] for v, _ in census.generators]
-    p0 = None
-    for i, j in itertools.combinations(range(len(acting)), 2):
-        key = (i, j, acting[i], acting[j])
-        found = inner.get(key)
-        if found is None:
-            p0 = p0 or build_p0(census)
-            found = inner[key] = search_inner(
-                g, commutator(g, p0[i], p0[j])) is not None
+    gens = census.generators
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        (a, c), (b, d) = gens[i], gens[j]
+        m_a, m_b, rest = commutator_shape(g, a, c, b, d)
         predicted = not rows[i] >> j & 1
-        if predicted != found:
-            p0 = p0 or build_p0(census)
-            return ({"x": p0[i].label(g), "y": p0[j].label(g),
-                     "predicted_commutes": predicted,
-                     "inner_witness_found": found},
-                    "commutation predicate disagrees with the word oracle")
+        for ma, mb in (((m_a, m_b),) if alphabet is None
+                       else zip(alphabet, alphabet) if a == b
+                       else itertools.product(alphabet, repeat=2)):
+            key = ma, mb, rest
+            found = _INNER.get(key)
+            if found is None:
+                h = g
+                if (ma, mb) != (m_a, m_b):
+                    orders = list(g.orders)
+                    orders[a], orders[b] = ma, mb
+                    h = LabelledGraph(g.names, tuple(orders), g.adj)
+                x, y = _generator_pair(census, i, j)
+                found = _INNER[key] = search_inner(
+                    h, commutator(h, x, y)) is not None
+            if found != predicted:
+                return i, j, found
     return None
+
+
+def _generator_pair(census: Census, i: int, j: int) -> tuple:
+    """Generators i and j of ``census`` as partial conjugations."""
+    return tuple(PartialConjugation(v, census._vertex_set(c))
+                 for v, c in (census.generators[i], census.generators[j]))
 
 
 CHECKS: dict = {
@@ -418,7 +452,8 @@ CHECKS: dict = {
 DEFAULT_CHECKS = tuple(CHECKS)
 
 # The checks that read only the adjacency, never a vertex order, so they
-# give one verdict per edge mask; the oracle runs per graph.
+# give one verdict per edge mask; the oracle reads orders, and its verdict
+# stands for a whole mask only when it holds under every pair of orders.
 ORDER_FREE = frozenset(CHECKS) - {"lemma_1_4_oracle"}
 
 
@@ -430,10 +465,11 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take about 7 s for n <= 8 in one process, and
-    ``lemma_1_4_oracle`` decides each commutator once per mask and pair of
-    acting orders, so all nine checks take about 26 s with two workers
-    and about 41 s with one (Python 3.11, 2 CPUs)."""
+    per mask, take about 8 s for n <= 8 in one process, and
+    ``lemma_1_4_oracle`` decides each commutator shape once per run and
+    passes a whole mask at once where the rule holds, so all nine checks
+    take about 10 s in one process and about 15 s with two workers
+    (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -475,24 +511,28 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(records: list, checks: tuple) -> tuple:
+def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
-    pairs: (number of graphs, their reports in order).  The order-free
-    checks run once, on a record's graph, and their verdicts stand for
-    every order tuple of the record; a graph per order tuple is built only
-    when a check reads orders, and to report when a verdict fails.  A
-    check that reads orders gets a census per order tuple, made from the
-    mask's by :meth:`Census.with_orders_of`: it shares the mask's
-    ``inner_verdicts``, so the oracle decides each commutator once per
-    pair of acting orders, and the store is dropped with the record.
-    Every report is built here, one per graph that a failing verdict
-    holds for."""
-    per_graph = any(c not in ORDER_FREE for c, _ in checks)
+    pairs, over the order alphabet ``alphabet``: (number of graphs, their
+    reports in order).  The order-free checks run once, on a record's
+    graph, and their verdicts stand for every order tuple of the record;
+    so does the oracle's when ``_oracle_disagreement`` finds none over the
+    whole alphabet; a pair of orders that no kept tuple uses can only send
+    the mask to the check per graph, never make a report.  A graph per
+    order tuple is built only when a check still reads orders, and to
+    report when a verdict fails; such a check gets a census per order
+    tuple, made from the mask's by :meth:`Census.with_orders_of`.  Every
+    report is built here, one per graph that a failing verdict holds
+    for."""
+    oracle = any(c == "lemma_1_4_oracle" for c, _ in checks)
     checked, out = 0, []
     for first, tuples in records:
         checked += len(tuples)
         census = Census(first)
         shared = {c: check(census) for c, check in checks if c in ORDER_FREE}
+        if oracle and _oracle_disagreement(census, alphabet) is None:
+            shared["lemma_1_4_oracle"] = None
+        per_graph = len(shared) < len(checks)
         if not (per_graph or any(shared.values())):
             continue
         for k, orders in enumerate(tuples):
@@ -530,17 +570,22 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     only one chunk's reports in memory.  The check ids are resolved in
     this process, and workers get the functions, so a check registered in
     ``CHECKS`` at run time reaches workers that import the package afresh
-    (the ``spawn`` and ``forkserver`` start methods)."""
+    (the ``spawn`` and ``forkserver`` start methods).  The oracle's store
+    of verdicts is emptied first, so a run reads only verdicts it decided
+    itself; a worker forked from this process starts from that empty
+    store, and keeps its own."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
+    _INNER.clear()
     chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, checks) for chunk in chunks)
+        yield from (_run_checks(chunk, checks, spec.orders) for chunk in chunks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, checks))
+            pending.append(pool.submit(_run_checks, chunk, checks,
+                                       spec.orders))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

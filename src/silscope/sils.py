@@ -90,10 +90,8 @@ class Census:
     2019), from g^2 / 2 witness lookups for g generators.  Only the object
     views ``sils``, ``stils`` and ``fsils`` are computed on first access,
     and each mask becomes a frozenset once, on first request, shared by
-    every reader.  ``inner_verdicts`` starts empty; the oracle check of
-    :mod:`silscope.harness` stores in it, per pair of generators and pair
-    of acting orders, whether their commutator is inner.  Nothing is
-    shared between instances, but for those made by :meth:`with_orders_of`.
+    every reader.  Nothing is shared between instances, but for those made
+    by :meth:`with_orders_of`.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -111,7 +109,6 @@ class Census:
                 owners[mask] = owners.get(mask, 0) | 1 << v
         self._sets: dict = {}
         self._order_two = _order_two(graph.orders)
-        self.inner_verdicts: dict = {}
 
         # one (a, b, lowest bit, mask) per Sil {a, b | C}, sorted: one per
         # non-adjacent pair a < b of V_C for each star component C
@@ -148,8 +145,7 @@ class Census:
         and ``fsils`` objects read orders, so they are the new graph's own.
         All else is read off the adjacency and shared: the splits, the
         generators, the Sil masks, the witness index, the non-commutation
-        rows, the vertex sets, the ``stils`` if built, and
-        ``inner_verdicts``, whose keys name the orders they depend on."""
+        rows, the vertex sets and the ``stils`` if built."""
         other = object.__new__(Census)
         state = vars(other)
         state.update(vars(self))

@@ -32,7 +32,10 @@ word depends on u only through (s, t), so :func:`commutator` reduces at
 most three words.  It is derived from the definition of the
 automorphisms alone and never reads :func:`silscope.sils.commute_rule`:
 the oracle check compares that rule against these commutators, and a
-commutator built from the rule could not disagree with it.
+commutator built from the rule could not disagree with it.  Whether such
+a commutator is inner depends only on a small shape of the pair, read off
+masks by :func:`commutator_shape`, so the oracle check decides it once per
+shape.
 """
 
 from __future__ import annotations
@@ -214,6 +217,46 @@ def commutator(g: LabelledGraph, x: PartialConjugation,
                                            (a, q - s), (b, t - p), (a, s - q)))
         conj.append(w)
     return Automorphism0(tuple(conj))
+
+
+def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
+                     d: int) -> tuple:
+    """What decides whether [chi_{a,C}, chi_{b,D}] is inner, on masks:
+    ``c`` and ``d`` are the masks of C and D.  The shape is
+    ``(m(a), m(b), rest)``, and ``rest`` reads no vertex order: whether a
+    and b are adjacent, the sign of a - b, p = [a in D], q = [b in C], and
+    for each non-empty class (s, t) = ([u in C], [u in D]) of vertices u,
+    in order of its lowest vertex, (s, t, class in St(a), class in
+    St(b)).  Like :func:`commutator`, it never reads
+    :func:`silscope.sils.commute_rule`.
+
+    ``search_inner(g, commutator(g, x, y)) is not None`` depends only on
+    the shape.  By the closed form of :func:`commutator`, the conjugator
+    at u is the reduced word W(s, t) over a and b, and ``reduce`` reads a
+    word over a and b only through m(a), m(b), whether a and b are
+    adjacent or equal, and which is smaller (the early exit of
+    ``_canonical_order`` ends a scan in which no syllable is free, so it
+    changes nothing).  So each W(s, t) is fixed by the shape, up to the
+    names a and b.  ``search_inner`` groups the vertices by conjugator in
+    order of first appearance: each group is the union of the classes with
+    one word, and the groups come in the order of their lowest classes.
+    Its fold multiplies and reduces only words over a and b, and reads a
+    group's star mask, the AND of St(u) over its vertices, only at the
+    vertices of such a word, in ``_peel_left``, ``_strip_right`` and
+    ``allowed &= star``; bit a of that mask is set iff every class of the
+    group lies in St(a), and so for b.  So the whole fold, and whether it
+    returns None, is fixed by the shape.
+    """
+    adj = g.adj
+    star_a = adj[a] | 1 << a
+    star_b = adj[b] | 1 << b
+    outside = (1 << g.n) - 1 & ~(c | d)
+    classes = sorted((m & -m, s, t, not m & ~star_a, not m & ~star_b)
+                     for m, s, t in ((outside, 0, 0), (c & ~d, 1, 0),
+                                     (d & ~c, 0, 1), (c & d, 1, 1)) if m)
+    return (g.orders[a], g.orders[b],
+            (adj[a] >> b & 1, (a > b) - (a < b), d >> a & 1, c >> b & 1,
+             tuple(cls[1:] for cls in classes)))
 
 
 def _peel_left(g: LabelledGraph, w: Word, allowed: int) -> tuple:

@@ -18,7 +18,9 @@ replaced: the enumerator yields one graph per order tuple and tries every
 row of a new vertex, where the library yields one record per edge mask and
 prunes the rows that an automorphism of the parent lowers, and the driver
 runs the library's checks on a census of every enumerated graph, where the
-library runs the order-free checks once per edge mask.  The minimality
+library runs the order-free checks once per edge mask.  Its oracle check
+decides every commutator of every graph afresh, where the library decides
+each commutator shape once per suite run.  The minimality
 search of orderly generation is kept as it was, a dict of per-vertex words
 copied at every node, where the library keeps the free vertices as a mask
 and meets a row with one AND per placed vertex.  So are the eight
@@ -39,8 +41,8 @@ from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
                              vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
 from silscope.sils import Census, SharedComponentError, shared_sil_component
-from silscope.words import (_inverse, _peel_left, _strip_right, compose,
-                            pc_automorphism, reduce)
+from silscope.words import (_inverse, _peel_left, _strip_right, commutator,
+                            compose, pc_automorphism, reduce, search_inner)
 
 
 def edge_list(g):
@@ -419,18 +421,38 @@ def enumerate_graphs_per_graph(spec):
 def run_suite_per_graph(spec):
     """``harness.run_suite`` as it was before mask groups: one census per
     enumerated graph and every check of ``spec`` run on it, in this
-    process, each failing verdict made a report of its own.  Returns
-    ``(checked_graphs, reports)``."""
+    process, each failing verdict made a report of its own; the oracle
+    check is ``lemma_1_4_oracle_per_graph``, which stores nothing.
+    Returns ``(checked_graphs, reports)``."""
     checked, reports = 0, []
     for g in enumerate_graphs_per_graph(spec):
         checked += 1
         census = Census(g)
         for check_id in spec.checks:
-            verdict = CHECKS[check_id](census)
+            check = (lemma_1_4_oracle_per_graph if check_id == "lemma_1_4_oracle"
+                     else CHECKS[check_id])
+            verdict = check(census)
             if verdict is not None:
                 reports.append(CounterexampleReport(check_id, to_json_dict(g),
                                                     *verdict))
     return checked, reports
+
+
+def lemma_1_4_oracle_per_graph(census):
+    """``harness.check_lemma_1_4_oracle`` as it was before its store of
+    verdicts: every pair of generators of the census's graph decided
+    afresh, by the innerness search on their commutator."""
+    g = census.graph
+    p0 = outer.build_p0(census)
+    for i, j in combinations(range(len(p0)), 2):
+        found = search_inner(g, commutator(g, p0[i], p0[j])) is not None
+        predicted = not census.non_commuting[i] >> j & 1
+        if predicted != found:
+            return ({"x": p0[i].label(g), "y": p0[j].label(g),
+                     "predicted_commutes": predicted,
+                     "inner_witness_found": found},
+                    "commutation predicate disagrees with the word oracle")
+    return None
 
 
 def automorphisms_by_words(adj, every):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from silscope import (Census, GraphError, UnknownVertexError, from_dot,
                       from_json, make_graph, star_cut_points, to_dot, to_json)
 from silscope.graphs import component_masks, is_prime_power
+from silscope.harness import graph_from_bits
 
 import oracles
 from conftest import (names, path_mixed_orders, path_plus_isolated,
-                      pentagon_path, pentagon_triangle, three_isolated,
-                      triangle, vset)
+                      pentagon_fork, pentagon_path, pentagon_triangle,
+                      three_isolated, triangle, two_sil_pairs_over_cliques,
+                      vset)
 
 
 @st.composite
@@ -379,3 +382,15 @@ def test_fixture_shapes():
     assert path_mixed_orders().orders == (2, 2, 3)
     assert len(pentagon_triangle().edges()) == 9
     assert len(triangle().edges()) == 3
+
+
+def test_edges_walk_the_masks_in_the_order_of_the_pair_scan():
+    fixtures = [make() for make in (
+        pentagon_triangle, pentagon_path, pentagon_fork, path_mixed_orders,
+        path_plus_isolated, three_isolated, triangle,
+        two_sil_pairs_over_cliques)]
+    rng = random.Random(23)
+    drawn = [graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), (2,) * n)
+             for n in (rng.randint(1, 36) for _ in range(200))]
+    for g in fixtures + drawn:
+        assert g.edges() == oracles.edge_list(g)

@@ -15,8 +15,9 @@ from silscope import from_json_dict, harness, make_graph, sils, to_json_dict
 from silscope.graphs import component_masks
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, run_suite)
+from silscope.outer import build_p0
 from silscope.sils import Census, Sil, shared_sil_component
-from silscope.words import search_inner
+from silscope.words import commutator, commutator_shape, search_inner
 
 import oracles
 
@@ -631,11 +632,13 @@ def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
     assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
 
 
-def test_oracle_decides_each_commutator_once_per_pair_of_acting_orders(
-        monkeypatch):
+def test_oracle_decides_each_commutator_shape_once_per_run(monkeypatch):
     """On dedup n <= 6 {2, 3}, 5,758 graphs over 208 edge masks, deciding every
     P0 commutator of every graph takes 43,812 innerness searches.  Stored
-    per mask under (pair, m(a), m(b)), they take 6,890."""
+    per mask under (pair, m(a), m(b)), they took 6,890.  Stored per run
+    under the commutator's shape, and decided for every pair of acting
+    orders from the alphabet, they take 78, and a second run decides them
+    all again."""
     calls = []
 
     def counted(g, phi):
@@ -646,7 +649,57 @@ def test_oracle_decides_each_commutator_once_per_pair_of_acting_orders(
     spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == 6890
+    assert len(calls) == len(harness._INNER) == 78
+    assert run_suite(spec) == (5758, [])
+    assert len(calls) == 2 * 78
+
+
+EXACTNESS_SPECS = [
+    EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
+             checks=("lemma_1_4_oracle",)),
+    EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True,
+             checks=("lemma_1_4_oracle",)),
+    EnumSpec(5, orders=(4, 8, 9), dedup_isomorphic=True,
+             checks=("lemma_1_4_oracle",)),
+    EnumSpec(4, orders=(2, 3), checks=("lemma_1_4_oracle",)),
+]
+
+
+@pytest.mark.parametrize("spec", EXACTNESS_SPECS,
+                         ids=["dedup_6_23", "dedup_5_234", "dedup_5_489",
+                              "labelled_4_23"])
+def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
+    """After an oracle run, the verdict stored under the shape of each P0
+    pair of each graph is the innerness of that pair's own commutator."""
+    assert run_suite(spec)[1] == []
+    stored, decisions = dict(harness._INNER), 0
+    for g in oracles.graphs_of(spec):
+        census = Census(g)
+        p0 = build_p0(census)
+        for (i, (a, c)), (j, (b, d)) in itertools.combinations(
+                enumerate(census.generators), 2):
+            fresh = search_inner(g, commutator(g, p0[i], p0[j])) is not None
+            assert stored[commutator_shape(g, a, c, b, d)] == fresh, (g, i, j)
+            decisions += 1
+    assert decisions > 10 * len(stored)
+
+
+@pytest.mark.parametrize("rule", WRONG_RULES)
+def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
+    """Each oracle report of a run under a wrong rule gives back its
+    witness and message when its graph is checked alone, from an empty
+    store of verdicts."""
+    monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
+    spec = EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
+                    checks=("lemma_1_4_oracle",))
+    reports = run_suite(spec)[1]
+    assert len(reports) == {"crossed_clause_dropped": 196,
+                            "always_commute": 330}[rule]
+    for report in reports:
+        harness._INNER.clear()
+        census = Census(from_json_dict(report.graph))
+        assert CHECKS[report.check](census) == (report.witness,
+                                                report.message)
 
 
 def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
