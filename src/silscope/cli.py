@@ -83,8 +83,12 @@ def build_report(census: sils.Census) -> str:
     """The version-2 report of the census's graph, equal to the text of
     ``json.dumps(report, indent=2, ensure_ascii=False)`` for the dict that
     ``tests/oracles.py`` builds: one ``%`` template per section item, each
-    vertex name encoded once, each component's name list once per depth."""
+    vertex name encoded once, each component's name list once per depth.
+    The Sils, Stils and Fsils are enumerated once each; the counts are
+    ``outer.classify``'s, read off the masks."""
     g, rows, out = census.graph, census.non_commuting, outer.classify(census)
+    sil_list = sils.enumerate_sils(census)
+    fsil_list = sils.enumerate_fsils(census)
     names = [encode_basestring(name) for name in g.names]
     disc = outer.disconnected_structure(census)
     component = functools.cache(lambda vertices, pad: _listed(
@@ -92,9 +96,9 @@ def build_report(census: sils.Census) -> str:
     pad = "\n    "  # two levels deep: a Sil item, the list in "graph"
     sil_items = [_SIL % (names[s.pair[0]], names[s.pair[1]],
                          component(s.component, pad + "  "),
-                         "true" if s.coxeter else "false") for s in census.sils]
+                         "true" if s.coxeter else "false") for s in sil_list]
     # a witness is its Sil's item two levels down; no name holds a newline
-    witness = dict(zip(census.sils, sil_items)) if census.fsils else {}
+    witness = dict(zip(sil_list, sil_items)) if fsil_list else {}
     # a commuting pair i < j is the head of row i and the tail of j
     tails = ["%d\n      ]" % j for j in range(len(rows))]
     edges = [head + tails[j] for i, row in enumerate(rows)
@@ -109,10 +113,10 @@ def build_report(census: sils.Census) -> str:
         _listed(sil_items, "\n  "),
         _listed([_STIL % (*[names[v] for v in s.triple],
                           component(s.component, pad + "  "))
-                 for s in census.stils], "\n  "),
+                 for s in sils.enumerate_stils(census)], "\n  "),
         _listed([_FSIL % (*[names[v] for v in f.triple],
                           *[witness[s].replace("\n", pad) for s in f.sils])
-                 for f in census.fsils], "\n  "),
+                 for f in fsil_list], "\n  "),
         _listed([_GENERATOR % (names[v], component(census._vertex_set(c),
                                                    pad + "    "), g.orders[v])
                  for v, c in census.generators], pad),
@@ -188,8 +192,9 @@ def cmd_classify(args) -> int:
     census = sils.Census(g)
     if args.dot:
         # the file is written first, so a failed write prints no report
-        acting = {v for s in census.sils for v in s.pair}
-        separated = {v for s in census.sils for v in s.component} - acting
+        sil_list = sils.enumerate_sils(census)
+        acting = {v for s in sil_list for v in s.pair}
+        separated = {v for s in sil_list for v in s.component} - acting
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, acting, separated))
     print(build_report(census))
@@ -198,7 +203,7 @@ def cmd_classify(args) -> int:
 
 def cmd_sils(args) -> int:
     g = load_graph(args.graph)
-    for s in sils.Census(g).sils:
+    for s in sils.enumerate_sils(sils.Census(g)):
         print(json.dumps(_sil_dict(g, s), ensure_ascii=False))
     return 0
 
@@ -308,7 +313,9 @@ _COMMANDS = (
         ("--max-vertices", {
             "default": "5",
             "help": "largest number of vertices, a decimal in "
-                    f"1..{harness.MAX_ENUMERATION_VERTICES} (default: 5)"}),
+                    f"1..{harness.MAX_ENUMERATION_VERTICES} with --dedup, "
+                    f"else in 1..{harness.MAX_LABELLED_VERTICES} "
+                    "(default: 5)"}),
         ("--orders", {"default": "2", "help": "comma-separated prime-power "
                                               "vertex orders (default: 2)"}),
         ("--dedup", {"action": "store_true",

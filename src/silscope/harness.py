@@ -17,7 +17,7 @@ of a new vertex that an automorphism of the smaller graph lowers are
 pruned before any search.  One :class:`Census` of a record's graph serves
 every order-free check, once for the whole mask, and its verdict stands
 for every order tuple.  These checks decide on the census's bitmasks,
-and read its Sil, Stil and Fsil objects only to word a failing verdict.
+and build Sil or Stil objects only to word a failing verdict.
 The word oracle reads orders, but whether a commutator of two generators
 is inner depends only on its shape (:func:`silscope.words.commutator_shape`),
 so each shape is decided once per suite run and each process keeps its
@@ -25,13 +25,12 @@ own store of verdicts.  The commutation prediction reads no orders, so
 when the stored verdicts of every generator pair, under every pair of
 acting orders from the alphabet, match it, the oracle holds for every
 order tuple of the mask at once.  Only otherwise, and for a check that
-reads orders, does each further order tuple get a census, copied from the
-mask's without a component search (:meth:`Census.with_orders_of`).  A
-graph is built for each report.  The
-suite streams: the records are cut into chunks of whole masks, each chunk
-is checked in this process or by a worker process, and the results are
-joined in chunk order.  Reports therefore come out in enumeration order,
-and in check-id order per graph, whatever the number of workers.
+reads orders, does each further order tuple get a census of its own.  A
+graph is built for each report.  The suite streams: the records are cut
+into chunks of whole masks, each chunk is checked in this process or by a
+worker process, and the results are joined in chunk order.  Reports
+therefore come out in enumeration order, and in check-id order per
+graph, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -49,10 +48,14 @@ from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
 from .outer import PartialConjugation
 from .sils import (Census, SharedComponentError, Sil, _fsil_triples,
-                   _stil_masks, shared_sil_component)
+                   _stil_masks, enumerate_sils, enumerate_stils,
+                   shared_sil_component)
 from .words import commutator, commutator_shape, search_inner
 
 MAX_ENUMERATION_VERTICES = 8
+# without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
+# and n = 8 has 2^28, hours
+MAX_LABELLED_VERTICES = 7
 CHUNK_SIZE = 256  # order tuples per task: bounds memory, amortises pickling
 # commutator shape -> whether the commutator is inner, for the oracle
 # check: cleared when a suite run starts, filled by each process for itself
@@ -232,24 +235,22 @@ def check_lemma_2_2(census: Census) -> Optional[tuple]:
     so that holds by construction.  As evidence of its own, a search here
     checks that C of {a, b | C} is a component of G minus lk(a) & lk(b):
     one search per pair, as the Sils come sorted by pair.  It reads the Sil
-    masks, or the ``sils`` objects if a reader has built them, and only a
-    Sil that fails on masks is checked and worded as an object.
+    masks, and only a Sil that fails on masks is checked and worded as an
+    object.
     """
     g = census.graph
     full = (1 << g.n) - 1
     owners = census._star_owners
-    built = vars(census).get("sils")
-    masks = census._sil_masks if built is None else [
-        (*sil.pair, 0, sum(1 << v for v in sil.component)) for sil in built]
     pair = None
-    for k, (a, b, _, mask) in enumerate(masks):
+    for k, (a, b, _, mask) in enumerate(census._sil_masks):
         if (a, b) != pair:
             pair = a, b
             split = component_masks(g.adj, full & ~(g.adj[a] & g.adj[b]))
         ends = 1 << a | 1 << b
         if (owners.get(mask, 0) & ends != ends or mask & ends
                 or mask not in split):
-            verdict = _lemma_2_2_verdict(census, census.sils[k], split)
+            verdict = _lemma_2_2_verdict(census, enumerate_sils(census)[k],
+                                         split)
             if verdict:
                 return verdict
     return None
@@ -278,7 +279,7 @@ def check_lemma_4(census: Census) -> Optional[tuple]:
     """A graph with exactly one separating pair has no separating triple."""
     if len(census._sil_masks) != 1 or next(_stil_masks(census), None) is None:
         return None
-    g, stil = census.graph, census.stils[0]
+    g, stil = census.graph, enumerate_stils(census)[0]
     return ({"triple": vertex_names(g, stil.triple),
              "component": vertex_names(g, stil.component)},
             "unique separating pair coexists with a separating triple")
@@ -289,7 +290,8 @@ def check_stil_two_sils(census: Census) -> Optional[tuple]:
     count = len(census._sil_masks)
     if count >= 2 or next(_stil_masks(census), None) is None:
         return None
-    return ({"triple": vertex_names(census.graph, census.stils[0].triple),
+    stil = enumerate_stils(census)[0]
+    return ({"triple": vertex_names(census.graph, stil.triple),
              "sil_count": count},
             "separating triple with fewer than two separating pairs")
 
@@ -460,7 +462,10 @@ ORDER_FREE = frozenset(CHECKS) - {"lemma_1_4_oracle"}
 @dataclass(frozen=True)
 class EnumSpec:
     """What to enumerate and which checks to run.  ``orders`` and ``checks``
-    must be non-empty; they are stored sorted and without repeats.  With
+    must be non-empty; they are stored sorted and without repeats.
+    ``max_vertices`` is at most ``MAX_ENUMERATION_VERTICES`` with dedup,
+    and at most ``MAX_LABELLED_VERTICES`` too without: every labelled graph
+    on 7 vertices is one of 2^21 edge masks, on 8 one of 2^28.  With
     ``dedup_isomorphic``, one graph per order-preserving isomorphism class
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
@@ -486,9 +491,12 @@ class EnumSpec:
         for name in ("orders", "checks"):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not a str")
-        if not 1 <= self.max_vertices <= MAX_ENUMERATION_VERTICES:
-            raise ValueError(
-                f"max_vertices must be in 1..{MAX_ENUMERATION_VERTICES}")
+        bound = (MAX_ENUMERATION_VERTICES if self.dedup_isomorphic
+                 else min(MAX_ENUMERATION_VERTICES, MAX_LABELLED_VERTICES))
+        if not 1 <= self.max_vertices <= bound:
+            raise ValueError(f"max_vertices must be in 1..{bound}"
+                             + ("" if self.dedup_isomorphic else
+                                " without dedup"))
         if not self.orders:
             raise ValueError("the order alphabet is empty")
         for m in self.orders:
@@ -520,10 +528,10 @@ def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
     whole alphabet; a pair of orders that no kept tuple uses can only send
     the mask to the check per graph, never make a report.  A graph per
     order tuple is built only when a check still reads orders, and to
-    report when a verdict fails; such a check gets a census per order
-    tuple, made from the mask's by :meth:`Census.with_orders_of`.  Every
-    report is built here, one per graph that a failing verdict holds
-    for."""
+    report when a verdict fails; such a check, one registered at run time
+    or the oracle on a mask where the rule and the word engine disagree,
+    gets a fresh census per order tuple.  Every report is built here, one
+    per graph that a failing verdict holds for."""
     oracle = any(c == "lemma_1_4_oracle" for c, _ in checks)
     checked, out = 0, []
     for first, tuples in records:
@@ -538,7 +546,7 @@ def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
         for k, orders in enumerate(tuples):
             g = LabelledGraph(first.names, orders, first.adj) if k else first
             if k and per_graph:
-                census = census.with_orders_of(g)
+                census = Census(g)
             for check_id, check in checks:
                 verdict = (shared[check_id] if check_id in shared
                            else check(census))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import LabelledGraph, component_masks, vertex_names
-from .sils import Census, commute_rule
+from .sils import Census, _fsil_triples, _stil_masks, commute_rule
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -126,10 +126,13 @@ class OutClass:
 def classify(census: Census) -> OutClass:
     """Large if any non-Coxeter Sil, Stil, or Fsil exists; otherwise finite
     with no Sil, virtually cyclic with exactly one, virtually abelian with
-    more.  Uses no vertex numbering: the census alone decides."""
-    sils, stils, fsils = census.sils, census.stils, census.fsils
-    coxeter = sum(1 for s in sils if s.coxeter)
+    more.  Uses no vertex numbering: the census alone decides.  Counts on
+    the census's masks, building no Sil, Stil or Fsil object."""
+    sils, two = census._sil_masks, census._order_two
+    coxeter = sum(two >> a & two >> b & 1 for a, b, _, _ in sils)
     non_coxeter = len(sils) - coxeter
+    stils = sum(1 for _ in _stil_masks(census))
+    fsils = sum(1 for _ in _fsil_triples(census))
     if non_coxeter or stils or fsils:
         kind = OutKind.LARGE
     elif not sils:
@@ -138,7 +141,7 @@ def classify(census: Census) -> OutClass:
         kind = OutKind.VIRTUALLY_Z
     else:
         kind = OutKind.VIRTUALLY_ABELIAN_NOT_Z
-    return OutClass(kind, coxeter, non_coxeter, len(stils), len(fsils))
+    return OutClass(kind, coxeter, non_coxeter, stils, fsils)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ a star.  A :class:`Census` holds one graph and the n + 1 splits it reads,
 as component bitmasks: G minus each star, and G itself.  When it is built
 it computes from them every bitmask fact: the generators, the Sil masks,
 one witness index from each separated pair to the union of its separated
-components, and the non-commutation rows.  Only the Sil, Stil and Fsil
-objects are built on first use and kept; every consumer of one graph
-reads the same census.  The checks of :mod:`silscope.harness` decide on
-the masks, and build an object only to word a failing verdict; the
-object views serve reports, the classifier and the CLI.
+components, and the non-commutation rows.  It holds masks only; every
+consumer of one graph reads the same census.  The Sil, Stil and Fsil
+objects are built by :func:`enumerate_sils`, :func:`enumerate_stils` and
+:func:`enumerate_fsils`, the one way to get them, each time they are
+called.  The classifier counts on the masks, and the checks of
+:mod:`silscope.harness` decide on them, building an object only to word
+a failing verdict; the objects serve reports and the CLI.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -34,7 +36,6 @@ mask operations and the output, which is O(n^3) at worst.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .graphs import LabelledGraph, _bits_to_set, component_masks
@@ -87,11 +88,9 @@ class Census:
     splits (see the module docstring) it stores the Sil masks and the one
     witness index, ``witnesses``; and ``non_commuting``, per generator the
     mask of those it does not commute with (Sale and Susse, Trans. AMS
-    2019), from g^2 / 2 witness lookups for g generators.  Only the object
-    views ``sils``, ``stils`` and ``fsils`` are computed on first access,
-    and each mask becomes a frozenset once, on first request, shared by
-    every reader.  Nothing is shared between instances, but for those made
-    by :meth:`with_orders_of`.
+    2019), from g^2 / 2 witness lookups for g generators.  Each mask
+    becomes a frozenset once, on first request, shared by every reader.
+    Nothing is shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -138,23 +137,6 @@ class Census:
                     rows[j] |= 1 << i
         self.non_commuting = tuple(rows)
 
-    def with_orders_of(self, graph: LabelledGraph) -> Census:
-        """The census of ``graph``, which has this census's names and
-        adjacency but other vertex orders, built without a component
-        search.  The graph, the mask of order-2 vertices and the ``sils``
-        and ``fsils`` objects read orders, so they are the new graph's own.
-        All else is read off the adjacency and shared: the splits, the
-        generators, the Sil masks, the witness index, the non-commutation
-        rows, the vertex sets and the ``stils`` if built."""
-        other = object.__new__(Census)
-        state = vars(other)
-        state.update(vars(self))
-        state.pop("sils", None)
-        state.pop("fsils", None)
-        other.graph = graph
-        other._order_two = _order_two(graph.orders)
-        return other
-
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by
         smallest contained vertex."""
@@ -171,18 +153,6 @@ class Census:
     def star_components(self, v: int) -> tuple:
         """Components of the graph minus St(v)."""
         return tuple(map(self._vertex_set, self.star_splits[v]))
-
-    @cached_property
-    def sils(self) -> tuple:
-        return tuple(enumerate_sils(self))
-
-    @cached_property
-    def stils(self) -> tuple:
-        return tuple(enumerate_stils(self))
-
-    @cached_property
-    def fsils(self) -> tuple:
-        return tuple(enumerate_fsils(self))
 
     def sil_at(self, a: int, b: int, z: int) -> Sil | None:
         """The Sil {a, b | C} with z in C, if any: C is the component of

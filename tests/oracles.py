@@ -40,7 +40,9 @@ from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
 from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
                              vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
-from silscope.sils import Census, SharedComponentError, shared_sil_component
+from silscope.sils import (Census, SharedComponentError, enumerate_fsils,
+                           enumerate_sils, enumerate_stils,
+                           shared_sil_component)
 from silscope.words import (_inverse, _peel_left, _strip_right, commutator,
                             compose, pc_automorphism, reduce, search_inner)
 
@@ -500,7 +502,7 @@ def lemma_2_2_on_objects(census):
     g = census.graph
     full = (1 << g.n) - 1
     pair = None
-    for sil in census.sils:
+    for sil in enumerate_sils(census):
         a, b = sil.pair
         if sil.pair != pair:
             pair = sil.pair
@@ -519,9 +521,9 @@ def lemma_2_2_on_objects(census):
 
 
 def lemma_4_on_objects(census):
-    if len(census.sils) != 1:
+    if len(enumerate_sils(census)) != 1:
         return None
-    stils = census.stils
+    stils = enumerate_stils(census)
     if stils:
         g = census.graph
         return ({"triple": vertex_names(g, stils[0].triple),
@@ -531,10 +533,10 @@ def lemma_4_on_objects(census):
 
 
 def stil_two_sils_on_objects(census):
-    stils = census.stils
+    stils = enumerate_stils(census)
     if not stils:
         return None
-    sils = census.sils
+    sils = enumerate_sils(census)
     if len(sils) < 2:
         return ({"triple": vertex_names(census.graph, stils[0].triple),
                  "sil_count": len(sils)},
@@ -545,7 +547,7 @@ def stil_two_sils_on_objects(census):
 def lemma_7_on_objects(census):
     if len(census.split) > 1:
         return None
-    sils = census.sils
+    sils = enumerate_sils(census)
     if len(sils) != 1:
         return None
     for v in sils[0].pair:
@@ -562,7 +564,7 @@ def lemma_1_7_on_objects(census):
         return None
     g = census.graph
     full = (1 << g.n) - 1
-    for s1, s2 in combinations(census.sils, 2):
+    for s1, s2 in combinations(enumerate_sils(census), 2):
         common = set(s1.pair) & set(s2.pair)
         witnesses = sorted(s1.component & s2.component)
         if len(common) != 1 or not witnesses:
@@ -584,7 +586,7 @@ def lemma_1_7_on_objects(census):
 
 
 def finite_equiv_on_objects(census):
-    sils = census.sils
+    sils = enumerate_sils(census)
     all_commute = not any(census.non_commuting)
     if (not sils) != all_commute:
         return ({"sil_count": len(sils), "all_commute": all_commute},
@@ -595,7 +597,7 @@ def finite_equiv_on_objects(census):
 def three_components_fsil_on_objects(census):
     if len(census.split) < 3:
         return None
-    if not census.fsils:
+    if not enumerate_fsils(census):
         comps = [vertex_names(census.graph, c) for c in census.components()]
         return ({"components": comps},
                 f"{len(comps)} components but no flexible separating triple")
@@ -603,9 +605,10 @@ def three_components_fsil_on_objects(census):
 
 
 def fsil_three_sils_on_objects(census):
-    for fsil in census.fsils:
+    sils = enumerate_sils(census)
+    for fsil in enumerate_fsils(census):
         triple = set(fsil.triple)
-        pairs = {sil.pair for sil in census.sils if set(sil.pair) <= triple}
+        pairs = {sil.pair for sil in sils if set(sil.pair) <= triple}
         if len(pairs) < 3:
             return ({"triple": vertex_names(census.graph, fsil.triple),
                      "pairs": sorted(map(list, pairs))},
@@ -652,13 +655,13 @@ def build_report(g):
             "stils": out_class.stils,
             "fsils": out_class.fsils,
         },
-        "sils": [_sil_dict(g, s) for s in census.sils],
+        "sils": [_sil_dict(g, s) for s in enumerate_sils(census)],
         "stils": [{"triple": [g.names[v] for v in s.triple],
                    "component": vertex_names(g, s.component)}
-                  for s in census.stils],
+                  for s in enumerate_stils(census)],
         "fsils": [{"triple": [g.names[v] for v in f.triple],
                    "witnesses": [_sil_dict(g, s) for s in f.sils]}
-                  for f in census.fsils],
+                  for f in enumerate_fsils(census)],
         "presentation": _presentation_dict(g, pres),
         "disconnected": None if disc is None else {
             "components": [vertex_names(g, c) for c in disc.components],

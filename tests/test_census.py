@@ -19,26 +19,33 @@ component of G - St(v) for each of its vertices.  The identity is checked
 from the oracles alone on the same graphs.  Building the census searches
 the graph n + 1 times, once per star and once whole, never per link, and
 reading what it holds searches no more.  The generating set, the
-presentation and the word oracle read its bitmasks only, never its Sil,
-Stil or Fsil objects.
+presentation, the classifier and the word oracle read its bitmasks only,
+never a Sil, Stil or Fsil object; the classifier's counts equal those of
+the enumerated objects, and a report enumerates each kind at most once.
 """
 
 import inspect
 import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import silscope
-from silscope import make_graph, outer, star_cut_points
+from silscope import (classify, disconnected_structure, load_graph,
+                      make_graph, outer, star_cut_points)
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
-from silscope.harness import CHECKS, EnumSpec, enumerate_graphs
+from silscope.cli import build_report
+from silscope.harness import CHECKS, EnumSpec
 from silscope.outer import PartialConjugation, build_p0, presentation
-from silscope.sils import Census
+from silscope.sils import (Census, enumerate_fsils, enumerate_sils,
+                           enumerate_stils)
 
 import oracles
 
+FIXTURES = Path(__file__).parent / "fixtures"
 SPECS = [EnumSpec(6, orders=(2,), dedup_isomorphic=True),
          EnumSpec(5, orders=(2, 3), dedup_isomorphic=True)]
 
@@ -57,7 +64,8 @@ def read_census(monkeypatch, g):
         m.setattr(sils_module, "component_masks", counted)
         census = Census(g)
         assert len(calls) == g.n + 1
-        census.sils, census.stils, census.fsils
+        enumerate_sils(census), enumerate_stils(census)
+        enumerate_fsils(census)
         census.generators, census.non_commuting, census.components()
         for v in range(g.n):
             census.star_components(v)
@@ -77,13 +85,13 @@ def check_witnesses(census, sils):
 def check_against_oracles(monkeypatch, g):
     census = read_census(monkeypatch, g)
     sils = oracles.sil_census(g)
-    got = [(s.pair, s.component, s.coxeter) for s in census.sils]
+    got = [(s.pair, s.component, s.coxeter) for s in enumerate_sils(census)]
     assert len(got) == len(set(got)) and set(got) == sils
-    stils = [(s.triple, s.component) for s in census.stils]
+    stils = [(s.triple, s.component) for s in enumerate_stils(census)]
     assert len(stils) == len(set(stils)) and set(stils) == oracles.stil_census(g)
-    assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
+    assert {f.triple for f in enumerate_fsils(census)} == oracles.fsil_census(g)
     check_witnesses(census, sils)
-    for f in census.fsils:
+    for f in enumerate_fsils(census):
         for (a, b), sil in zip(itertools.combinations(f.triple, 2), f.sils):
             (third,) = set(f.triple) - {a, b}
             assert sil.pair == (a, b) and third in sil.component
@@ -163,10 +171,13 @@ def test_census_matches_oracles_on_random_larger_graphs(monkeypatch):
         g = random_graph(rng, connected=k % 2 == 0)
         census = read_census(monkeypatch, g)
         stils = sorted(oracles.stil_census(g), key=lambda t: (t[0], min(t[1])))
-        assert [(s.triple, s.component) for s in census.stils] == stils
+        assert [(s.triple, s.component)
+                for s in enumerate_stils(census)] == stils
         sils = sorted(oracles.sil_census(g), key=lambda t: (t[0], min(t[1])))
-        assert [(s.pair, s.component, s.coxeter) for s in census.sils] == sils
-        assert {f.triple for f in census.fsils} == oracles.fsil_census(g)
+        assert [(s.pair, s.component, s.coxeter)
+                for s in enumerate_sils(census)] == sils
+        assert ({f.triple for f in enumerate_fsils(census)}
+                == oracles.fsil_census(g))
         check_witnesses(census, sils)
         disconnected += len(census.components()) > 1
         for v in range(g.n):
@@ -216,57 +227,94 @@ def test_sils_and_stils_are_read_off_the_star_splits():
     assert count == 208 + 662 + 30
 
 
-def census_fields(census):
-    return (census.graph, census.split, census.star_splits, census.generators,
-            census._sil_masks, census.witnesses, census.non_commuting,
-            census._order_two, census.sils, census.stils, census.fsils)
+ENUMERATORS = ("enumerate_sils", "enumerate_stils", "enumerate_fsils")
 
 
-def test_a_census_with_other_orders_equals_a_fresh_one(monkeypatch):
-    """``with_orders_of`` searches nothing: it keeps what the adjacency gives
-    and rebuilds what reads orders.  The Sil and Fsil objects hold Coxeter
-    flags, so one read before the copy must not leak into it."""
-    calls = []
-
-    def counted(adj, keep_mask):
-        calls.append(keep_mask)
-        return component_masks(adj, keep_mask)
-
-    count = 0
-    for first, tuples in enumerate_graphs(EnumSpec(5, orders=(2, 3, 4),
-                                                   dedup_isomorphic=True)):
-        census = Census(first)
-        census.sils, census.fsils
-        with monkeypatch.context() as m:
-            m.setattr(sils_module, "component_masks", counted)
-            graphs = [LabelledGraph(first.names, orders, first.adj)
-                      for orders in tuples]
-            copies = [census.with_orders_of(g) for g in graphs]
-        for g, copy in zip(graphs, copies):
-            assert census_fields(copy) == census_fields(Census(g))
-            count += 1
-    assert count == 3686 and calls == []
+def count_enumerations(monkeypatch):
+    """A counter of the calls to each of ``ENUMERATORS``, read through the
+    ``sils`` module as the CLI reads them."""
+    calls = Counter()
+    for name in ENUMERATORS:
+        def counted(census, name=name, real=getattr(sils_module, name)):
+            calls[name] += 1
+            return real(census)
+        monkeypatch.setattr(sils_module, name, counted)
+    return calls
 
 
 def test_bitmask_readers_build_no_sil_objects(monkeypatch):
-    """The generating set, the presentation and the word oracle read the
-    census's bitmasks; none of them enumerates Sils, Stils or Fsils."""
-    calls = []
-    for name in ("enumerate_sils", "enumerate_stils", "enumerate_fsils"):
-        def counted(census, name=name, real=getattr(sils_module, name)):
-            calls.append(name)
-            return real(census)
-        monkeypatch.setattr(sils_module, name, counted)
+    """The generating set, the presentation, the classifier, the
+    disconnected-structure report and the word oracle read the census's
+    bitmasks; none of them enumerates Sils, Stils or Fsils."""
+    calls = count_enumerations(monkeypatch)
     count = 0
     for g in oracles.graphs_of(SPECS[1]):
         census = Census(g)
         build_p0(census)
         presentation(census)
+        classify(census)
+        disconnected_structure(census)
         assert CHECKS["lemma_1_4_oracle"](census) is None
         count += 1
-    assert count == 662 and calls == []
-    census.sils, census.stils, census.fsils
-    assert calls == ["enumerate_sils", "enumerate_stils", "enumerate_fsils"]
+    assert count == 662 and not calls
+
+
+def test_a_report_enumerates_each_kind_at_most_once(monkeypatch):
+    """``build_report`` reads each of the Sil, Stil and Fsil lists from
+    its one enumeration; its classification and disconnected-structure
+    parts count on the masks."""
+    calls = count_enumerations(monkeypatch)
+    graphs = [load_graph(str(path))
+              for path in sorted(FIXTURES.glob("*.json"))]
+    for g in graphs + list(oracles.graphs_of(SPECS[1])):
+        build_report(Census(g))
+        assert max(calls.values()) <= 1, (g, calls)
+        calls.clear()
+
+
+def counts_of_objects(census):
+    """The counts of an ``OutClass``, read off the enumerated objects."""
+    sils = enumerate_sils(census)
+    coxeter = sum(s.coxeter for s in sils)
+    return (coxeter, len(sils) - coxeter, len(enumerate_stils(census)),
+            len(enumerate_fsils(census)))
+
+
+def check_counts(census):
+    out = classify(census)
+    assert (out.coxeter_sils, out.non_coxeter_sils, out.stils,
+            out.fsils) == counts_of_objects(census)
+
+
+@pytest.mark.parametrize("spec, classes", [
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 5758),
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 3686),
+], ids=["dedup_6_23", "dedup_5_234"])
+def test_classify_counts_equal_the_enumerated_objects(spec, classes):
+    count = 0
+    for g in oracles.graphs_of(spec):
+        check_counts(Census(g))
+        count += 1
+    assert count == classes
+
+
+def path_plus_isolated(n):
+    """A path on n - 1 vertices plus an isolated vertex z: {z} is a
+    component of G - St(v) for every other v, so each triple of the path
+    spanning at most one edge is a Stil, a number cubic in n."""
+    return LabelledGraph(tuple(f"v{i}" for i in range(n)), (2,) * n,
+                         tuple((1 << i - 1 if 0 < i < n - 1 else 0)
+                               | (1 << i + 1 if i < n - 2 else 0)
+                               for i in range(n)))
+
+
+def test_classify_counts_on_the_path_plus_isolated_family():
+    stils = []
+    for n in (2, 3, 4, 40, 160):
+        census = Census(path_plus_isolated(n))
+        check_counts(census)
+        stils.append(classify(census).stils)
+    assert stils[-1] == 657202
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,16 @@ def test_exit_two_on_a_verify_count_that_is_no_ascii_decimal(capsys, flag,
     assert err == f"error: {flag} {token!r} is not a decimal integer\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--max-vertices", "8"], "max_vertices must be in 1..7 without dedup"),
+    (["--max-vertices", "9", "--dedup"], "max_vertices must be in 1..8"),
+])
+def test_exit_two_on_a_vertex_bound_past_the_limit(capsys, argv, message):
+    # labelled enumeration on 8 vertices is 2^28 edge masks, hours of checks
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag, limit", [
     ("--orders", f"orders are at most {MAX_ORDER}"),
     ("--max-vertices", "it is at most 8"),

@@ -212,6 +212,25 @@ def test_enum_spec_validation():
             EnumSpec(**{"max_vertices": 3, field: value})
 
 
+def test_labelled_enumeration_is_bounded_at_seven_vertices(monkeypatch):
+    """Every labelled graph on 8 vertices is one of 2^28 edge masks, hours
+    of checks: that spec is refused, while labelled n <= 7 and dedup
+    n <= 8 are accepted.  Nothing is enumerated here."""
+    assert EnumSpec(7).max_vertices == 7
+    assert EnumSpec(8, dedup_isomorphic=True).max_vertices == 8
+    with pytest.raises(ValueError, match=r"^max_vertices must be in "
+                                         r"1\.\.7 without dedup$"):
+        EnumSpec(8)
+    with pytest.raises(ValueError, match=r"^max_vertices must be in 1\.\.8$"):
+        EnumSpec(9, dedup_isomorphic=True)
+    # a lower bound on every enumeration also caps the labelled one
+    monkeypatch.setattr(harness, "MAX_ENUMERATION_VERTICES", 3)
+    assert EnumSpec(3).max_vertices == 3
+    for dedup in (False, True):
+        with pytest.raises(ValueError, match=r"1\.\.3"):
+            EnumSpec(4, dedup_isomorphic=dedup)
+
+
 # ---------------------------------------------------------------------------
 # Suite driver
 
@@ -326,7 +345,7 @@ def test_order_free_checks_agree_on_every_order_tuple(spec):
 
 def _all_sils_coxeter(census):
     """Reads ``Sil.coxeter``, so its verdict depends on the vertex orders."""
-    count = sum(not sil.coxeter for sil in census.sils)
+    count = sum(not sil.coxeter for sil in sils.enumerate_sils(census))
     if count:
         return ({"non_coxeter_sils": count},
                 "a separating pair is not a Coxeter pair")
@@ -464,13 +483,6 @@ def _replace_sil_masks(census, new):
                          for a, b, low, mask in census._sil_masks]
 
 
-def _objects_built_first(census):
-    """Lowest-vertex components, with the Sil objects built before any check
-    runs: ``lemma_2_2`` then reads the objects, not the masks."""
-    _replace_sil_masks(census, lambda a, b, low, mask: (a, b, low, low))
-    assert isinstance(census.sils, tuple)
-
-
 # Changes to a census that make the order-free checks fail: each check
 # must still give the reference's verdict, witness and message.
 ALTERATIONS = {
@@ -484,7 +496,6 @@ ALTERATIONS = {
         census, lambda a, b, low, mask: (a, b, 1, (1 << census.graph.n) - 1)),
     "lowest_vertex_components": lambda census: _replace_sil_masks(
         census, lambda a, b, low, mask: (a, b, low, low)),
-    "objects_built_first": _objects_built_first,
 }
 # the failing verdicts of each change on dedup n <= 6 {2}, per check: between
 # them, every one of the eight checks fails
@@ -497,7 +508,6 @@ ALTERED_FAILURES = {
     "all_commute": {"finite_equiv": 120},
     "whole_components": {"lemma_1_7": 38, "lemma_2_2": 120},
     "lowest_vertex_components": {"lemma_2_2": 55},
-    "objects_built_first": {"lemma_2_2": 55},
 }
 
 
@@ -514,15 +524,16 @@ def test_lemma_2_2_on_a_patched_sil_matches_the_reference():
                    [("a", "x"), ("b", "x"), ("c", "d")])
     census, reference = Census(g), Census(g)
     for c in (census, reference):
-        c.sils = (Sil((0, 1), frozenset({3}), True),)
+        c._sil_masks = [(0, 1, 8, 8)]  # {a, b | {c}}
     assert CHECKS["lemma_2_2"](census) == oracles.lemma_2_2_on_objects(
         reference) is not None
 
 
 def test_passing_order_free_checks_build_no_census_objects(monkeypatch):
     """The order-free checks decide on the census's masks: a record whose
-    checks all pass never builds the Sil, Stil or Fsil objects."""
-    made = []
+    checks all pass never enumerates Sils, Stils or Fsils, and gets one
+    census."""
+    made, calls = [], []
 
     class Recorded(Census):
         def __init__(self, graph):
@@ -530,10 +541,15 @@ def test_passing_order_free_checks_build_no_census_objects(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(harness, "Census", Recorded)
+    for module in (harness, sils):
+        for name in ("enumerate_sils", "enumerate_stils", "enumerate_fsils"):
+            if hasattr(module, name):
+                def counted(census, name=name, real=getattr(sils, name)):
+                    calls.append(name)
+                    return real(census)
+                monkeypatch.setattr(module, name, counted)
     assert run_suite(EnumSpec(6, dedup_isomorphic=True, checks=C8)) == (208, [])
-    assert len(made) == 208
-    for census in made:
-        assert not {"sils", "stils", "fsils"} & vars(census).keys()
+    assert len(made) == 208 and calls == []
 
 
 # Every counterexample of dedup n <= 7, orders {2}: all are lemma_7, each a
@@ -711,11 +727,12 @@ def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
     g = make_graph([(n, 2) for n in "abxcd"],
                    [("a", "x"), ("b", "x"), ("c", "d")])
     census = Census(g)
-    assert [(s.pair, sorted(s.component)) for s in census.sils] == [((0, 1), [3, 4])]
+    assert [(s.pair, sorted(s.component))
+            for s in sils.enumerate_sils(census)] == [((0, 1), [3, 4])]
     assert CHECKS["lemma_2_2"](census) is None
     fake = Sil((0, 1), frozenset({3}), True)
     assert shared_sil_component(census, fake) == frozenset({3, 4})
-    monkeypatch.setattr(census, "sils", (fake,))
+    monkeypatch.setattr(census, "_sil_masks", [(0, 1, 8, 8)])  # fake's mask
     assert CHECKS["lemma_2_2"](census) == (
         {"pair": ["a", "b"], "component": ["c"]},
         "separated component of pair (a, b) is not a component of the graph "
@@ -729,8 +746,9 @@ def test_lemma_2_2_searches_each_sil_pair_once(monkeypatch):
     g = make_graph([(n, 2) for n in "ab1234"],
                    [(x, y) for x in "ab" for y in "1234"])
     census = Census(g)
-    assert len(census.sils) == 12
-    assert len({s.pair for s in census.sils}) == 6
+    found = sils.enumerate_sils(census)
+    assert len(found) == 12
+    assert len({s.pair for s in found}) == 6
     calls = []
 
     def counted(adj, keep_mask):
