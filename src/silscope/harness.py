@@ -19,18 +19,17 @@ every order-free check, once for the whole mask, and its verdict stands
 for every order tuple.  These checks decide on the census's bitmasks,
 and build Sil or Stil objects only to word a failing verdict.
 The word oracle reads orders, but whether a commutator of two generators
-is inner depends only on its shape (:func:`silscope.words.commutator_shape`),
-so each shape is decided once per suite run and each process keeps its
-own store of verdicts.  The commutation prediction reads no orders, so
-when the stored verdicts of every generator pair, under every pair of
-acting orders from the alphabet, match it, the oracle holds for every
-order tuple of the mask at once.  Only otherwise, and for a check that
-reads orders, does each further order tuple get a census of its own.  A
-graph is built for each report.  The suite streams: the records are cut
-into chunks of whole masks, each chunk is checked in this process or by a
-worker process, and the results are joined in chunk order.  Reports
-therefore come out in enumeration order, and in check-id order per
-graph, whatever the number of workers.
+is inner depends only on m(a), m(b) and its numbering-free shape, and
+:func:`silscope.words.commutator_is_inner` decides each once per process.
+The commutation prediction reads no orders, so when the verdicts of every
+generator pair, under every pair of acting orders from the alphabet,
+match it, the oracle holds for every order tuple of the mask at once.
+Only otherwise, and for a check that reads orders, does each further
+order tuple get a census of its own.  A graph is built for each report.
+The suite streams: the records are cut into chunks of whole masks, each
+chunk is checked in this process or by a worker process, and the results
+are joined in chunk order.  Reports therefore come out in enumeration
+order, and in check-id order per graph, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -50,16 +49,13 @@ from .outer import PartialConjugation
 from .sils import (Census, SharedComponentError, Sil, _fsil_triples,
                    _stil_masks, enumerate_sils, enumerate_stils,
                    shared_sil_component)
-from .words import commutator, commutator_shape, search_inner
+from .words import commutator_is_inner, commutator_shape
 
 MAX_ENUMERATION_VERTICES = 8
 # without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
 # and n = 8 has 2^28, hours
 MAX_LABELLED_VERTICES = 7
 CHUNK_SIZE = 256  # order tuples per task: bounds memory, amortises pickling
-# commutator shape -> whether the commutator is inner, for the oracle
-# check: cleared when a suite run starts, filled by each process for itself
-_INNER: dict = {}
 
 
 @dataclass(frozen=True)
@@ -378,14 +374,11 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     """Commutation predicate agrees with the word engine's exact innerness
     decision for every commutator of two generators.
 
-    Whether the commutator of x = chi_{a,C} and y = chi_{b,D} is inner
-    depends only on its shape (:func:`silscope.words.commutator_shape`),
-    which reads the adjacency and m(a) and m(b) alone.  So each shape is
-    decided once, on the first graph that has it, and stored in the
-    process's store of the suite run; every later pair of that shape, in
-    any graph, reads it there.  The prediction is read afresh from
-    ``census.non_commuting``, and the pairs are scanned in order, so the
-    first failing pair is the same as without the store.
+    The innerness of [chi_{a,C}, chi_{b,D}] is read from
+    :func:`silscope.words.commutator_is_inner` of m(a), m(b) and the
+    pair's shape, and the prediction from ``census.non_commuting``; the
+    pairs are scanned in order, so the first failing pair is the one a
+    fresh search on each pair finds first.
     """
     failed = _oracle_disagreement(census)
     if failed is None:
@@ -406,29 +399,18 @@ def _oracle_disagreement(census: Census,
     the graph's own orders or, given ``alphabet``, under every pair of
     acting orders from it: the prediction reads no orders, so None then
     means the check holds on every graph of the adjacency with orders from
-    the alphabet.  A shape not yet stored is decided on the census's graph
-    with a and b given those orders."""
+    the alphabet."""
     g = census.graph
     rows = census.non_commuting
     gens = census.generators
     for i, j in itertools.combinations(range(len(gens)), 2):
         (a, c), (b, d) = gens[i], gens[j]
-        m_a, m_b, rest = commutator_shape(g, a, c, b, d)
+        shape = commutator_shape(g, a, c, b, d)
         predicted = not rows[i] >> j & 1
-        for ma, mb in (((m_a, m_b),) if alphabet is None
+        for ma, mb in (((g.orders[a], g.orders[b]),) if alphabet is None
                        else zip(alphabet, alphabet) if a == b
                        else itertools.product(alphabet, repeat=2)):
-            key = ma, mb, rest
-            found = _INNER.get(key)
-            if found is None:
-                h = g
-                if (ma, mb) != (m_a, m_b):
-                    orders = list(g.orders)
-                    orders[a], orders[b] = ma, mb
-                    h = LabelledGraph(g.names, tuple(orders), g.adj)
-                x, y = _generator_pair(census, i, j)
-                found = _INNER[key] = search_inner(
-                    h, commutator(h, x, y)) is not None
+            found = commutator_is_inner(ma, mb, shape)
             if found != predicted:
                 return i, j, found
     return None
@@ -471,9 +453,9 @@ class EnumSpec:
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks: the order-free checks, run once
     per mask, take about 8 s for n <= 8 in one process, and
-    ``lemma_1_4_oracle`` decides each commutator shape once per run and
-    passes a whole mask at once where the rule holds, so all nine checks
-    take about 10 s in one process and about 15 s with two workers
+    ``lemma_1_4_oracle`` decides each commutator shape once per process
+    and passes a whole mask at once where the rule holds, so all nine
+    checks take about 10 s in one process and about 15 s with two workers
     (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
@@ -578,12 +560,10 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     only one chunk's reports in memory.  The check ids are resolved in
     this process, and workers get the functions, so a check registered in
     ``CHECKS`` at run time reaches workers that import the package afresh
-    (the ``spawn`` and ``forkserver`` start methods).  The oracle's store
-    of verdicts is emptied first, so a run reads only verdicts it decided
-    itself; a worker forked from this process starts from that empty
-    store, and keeps its own."""
+    (the ``spawn`` and ``forkserver`` start methods).  The oracle's
+    verdicts need no reset between runs: ``commutator_is_inner`` is a pure
+    function of its key."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
-    _INNER.clear()
     chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:

@@ -33,18 +33,19 @@ most three words.  It is derived from the definition of the
 automorphisms alone and never reads :func:`silscope.sils.commute_rule`:
 the oracle check compares that rule against these commutators, and a
 commutator built from the rule could not disagree with it.  Whether such
-a commutator is inner depends only on a small shape of the pair, read off
-masks by :func:`commutator_shape`, so the oracle check decides it once per
-shape.
+a commutator is inner depends only on m(a), m(b) and the numbering-free
+:func:`commutator_shape` of the pair, so :func:`commutator_is_inner`
+decides it once per key, on a model graph of at most six vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import LabelledGraph, UnknownVertexError
+from .graphs import LabelledGraph, UnknownVertexError, _bits_to_set
 from .outer import PartialConjugation
 
 Word = tuple  # tuple[tuple[int, int], ...]
@@ -221,42 +222,59 @@ def commutator(g: LabelledGraph, x: PartialConjugation,
 
 def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
                      d: int) -> tuple:
-    """What decides whether [chi_{a,C}, chi_{b,D}] is inner, on masks:
-    ``c`` and ``d`` are the masks of C and D.  The shape is
-    ``(m(a), m(b), rest)``, and ``rest`` reads no vertex order: whether a
-    and b are adjacent, the sign of a - b, p = [a in D], q = [b in C], and
-    for each non-empty class (s, t) = ([u in C], [u in D]) of vertices u,
-    in order of its lowest vertex, (s, t, class in St(a), class in
-    St(b)).  Like :func:`commutator`, it never reads
+    """What decides, with m(a) and m(b), whether [chi_{a,C}, chi_{b,D}] is
+    inner, read off the masks ``c`` and ``d`` of C and D.  It reads no
+    order and no numbering: whether a and b are adjacent, whether a = b,
+    p = [a in D], q = [b in C], and the sorted (s, t, class in St(a),
+    class in St(b)) of each non-empty class (s, t) = ([u in C], [u in D])
+    of vertices u.  Like :func:`commutator`, it never reads
     :func:`silscope.sils.commute_rule`.
 
-    ``search_inner(g, commutator(g, x, y)) is not None`` depends only on
-    the shape.  By the closed form of :func:`commutator`, the conjugator
-    at u is the reduced word W(s, t) over a and b, and ``reduce`` reads a
-    word over a and b only through m(a), m(b), whether a and b are
-    adjacent or equal, and which is smaller (the early exit of
-    ``_canonical_order`` ends a scan in which no syllable is free, so it
-    changes nothing).  So each W(s, t) is fixed by the shape, up to the
-    names a and b.  ``search_inner`` groups the vertices by conjugator in
-    order of first appearance: each group is the union of the classes with
-    one word, and the groups come in the order of their lowest classes.
-    Its fold multiplies and reduces only words over a and b, and reads a
-    group's star mask, the AND of St(u) over its vertices, only at the
-    vertices of such a word, in ``_peel_left``, ``_strip_right`` and
-    ``allowed &= star``; bit a of that mask is set iff every class of the
-    group lies in St(a), and so for b.  So the whole fold, and whether it
-    returns None, is fixed by the shape.
+    The commutator is inner iff the cosets W(s, t) <S(s, t)> meet, one per
+    class, with W(s, t) its conjugator and S(s, t) the vertices whose star
+    holds the class (see :func:`search_inner`).  Deleting every vertex but
+    a and b is a retraction r of W onto <a, b>; it fixes each W(s, t) and
+    sends <S> onto <S & {a, b}>.  So r maps a common element of the cosets
+    W(s, t) <S(s, t)> into every W(s, t) <S(s, t) & {a, b}>, and these lie
+    in the former: the cosets meet exactly when these do.  As an element
+    of <a, b>, W(s, t) is determined by m(a), m(b), whether a and b are
+    adjacent or equal, p and q; and a is in S(s, t) iff the class lies in
+    St(a), and so for b.
     """
     adj = g.adj
     star_a = adj[a] | 1 << a
     star_b = adj[b] | 1 << b
     outside = (1 << g.n) - 1 & ~(c | d)
-    classes = sorted((m & -m, s, t, not m & ~star_a, not m & ~star_b)
-                     for m, s, t in ((outside, 0, 0), (c & ~d, 1, 0),
-                                     (d & ~c, 0, 1), (c & d, 1, 1)) if m)
-    return (g.orders[a], g.orders[b],
-            (adj[a] >> b & 1, (a > b) - (a < b), d >> a & 1, c >> b & 1,
-             tuple(cls[1:] for cls in classes)))
+    return (adj[a] >> b & 1, a == b, d >> a & 1, c >> b & 1,
+            tuple(sorted((s, t, not m & ~star_a, not m & ~star_b)
+                         for m, s, t in ((outside, 0, 0), (c & ~d, 1, 0),
+                                         (d & ~c, 0, 1), (c & d, 1, 1))
+                         if m)))
+
+
+@functools.cache
+def commutator_is_inner(m_a: int, m_b: int, shape: tuple) -> bool:
+    """Whether a commutator of ``shape`` with m(a) = ``m_a`` and m(b) =
+    ``m_b`` is inner, by :func:`search_inner` on a model graph of the
+    shape: a, b, and one vertex per class, joined to a and b by its star
+    bits and in C and D by (s, t); b is in C iff q, and a in D iff p.
+    ``commutator`` and ``search_inner`` read only words and masks, so C
+    and D need not be components of the model."""
+    adjacent, same, p, q, classes = shape
+    b = 0 if same else 1
+    adj = [adjacent << 1, adjacent][:b + 1]
+    c, d = q << b, p
+    for k, (s, t, in_a, in_b) in enumerate(classes, b + 1):
+        adj.append(in_a | in_b << b)
+        adj[0] |= in_a << k
+        adj[b] |= in_b << k
+        c |= s << k
+        d |= t << k
+    g = LabelledGraph(tuple(f"v{v + 1}" for v in range(len(adj))),
+                      (m_a, m_b)[:b + 1] + (2,) * len(classes), tuple(adj))
+    phi = commutator(g, PartialConjugation(0, _bits_to_set(c)),
+                     PartialConjugation(b, _bits_to_set(d)))
+    return search_inner(g, phi) is not None
 
 
 def _peel_left(g: LabelledGraph, w: Word, allowed: int) -> tuple:

@@ -11,13 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from silscope import from_json_dict, harness, make_graph, sils, to_json_dict
-from silscope.graphs import component_masks
+from silscope import (from_json_dict, harness, make_graph, sils, to_json_dict,
+                      words)
+from silscope.graphs import component_masks, load_graph
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, graph_from_bits, run_suite)
 from silscope.outer import build_p0
 from silscope.sils import Census, Sil, shared_sil_component
-from silscope.words import commutator, commutator_shape, search_inner
+from silscope.words import (commutator, commutator_is_inner, commutator_shape,
+                            search_inner)
 
 import oracles
 
@@ -585,6 +587,25 @@ def test_lemma_7_counterexamples_on_seven_vertices_are_pinned():
         assert report.witness["components"] == 3
 
 
+def test_lemma_7_counterexample_on_ten_vertices_is_pinned():
+    """A connected graph on ten vertices, all orders 2, whose one Sil is
+    {v2, v10 | {v1, v6}}: G - St(v2) has two components and G - St(v10)
+    three, so lemma_7 fails at v10, and the other eight checks hold."""
+    g = load_graph(str(Path(__file__).parent / "fixtures"
+                       / "lemma_7_ten_vertices.json"))
+    assert g.orders == (2,) * 10
+    assert len(oracles.components_uf(g, range(g.n))) == 1
+    assert oracles.sil_census(g) == {((1, 9), frozenset({0, 5}), True)}
+    assert [len(oracles.components_uf(g, set(range(g.n)) - {u}
+                                      - oracles.neighbors_scan(g, u)))
+            for u in (1, 9)] == [2, 3]
+    census = Census(g)
+    assert CHECKS["lemma_7"](census) == (
+        {"vertex": "v10", "components": 3},
+        "puncturing a unique-pair vertex left 3 components instead of 2")
+    assert [c for c, check in CHECKS.items() if check(census)] == ["lemma_7"]
+
+
 def test_oracle_check_runs_on_six_vertices():
     spec = EnumSpec(6, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
     assert run_suite(spec)[1] == []
@@ -648,26 +669,26 @@ def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
     assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
 
 
-def test_oracle_decides_each_commutator_shape_once_per_run(monkeypatch):
+def test_oracle_decides_each_commutator_shape_once_per_process(monkeypatch):
     """On dedup n <= 6 {2, 3}, 5,758 graphs over 208 edge masks, deciding every
-    P0 commutator of every graph takes 43,812 innerness searches.  Stored
-    per mask under (pair, m(a), m(b)), they took 6,890.  Stored per run
-    under the commutator's shape, and decided for every pair of acting
-    orders from the alphabet, they take 78, and a second run decides them
-    all again."""
+    P0 commutator of every graph takes 43,812 innerness searches.  Cached
+    under the numbering-free shape and the acting orders, and decided for
+    every pair of acting orders from the alphabet, they take 54, and a
+    second run in the same process searches none again."""
     calls = []
 
     def counted(g, phi):
         calls.append(g.adj)
         return search_inner(g, phi)
 
-    monkeypatch.setattr(harness, "search_inner", counted)
+    monkeypatch.setattr(words, "search_inner", counted)
+    commutator_is_inner.cache_clear()
     spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == len(harness._INNER) == 78
+    assert len(calls) == commutator_is_inner.cache_info().currsize == 54
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == 2 * 78
+    assert len(calls) == 54
 
 
 EXACTNESS_SPECS = [
@@ -685,26 +706,31 @@ EXACTNESS_SPECS = [
                          ids=["dedup_6_23", "dedup_5_234", "dedup_5_489",
                               "labelled_4_23"])
 def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
-    """After an oracle run, the verdict stored under the shape of each P0
-    pair of each graph is the innerness of that pair's own commutator."""
+    """After an oracle run, the cached verdict of the shape and acting
+    orders of each P0 pair of each graph is the innerness of that pair's
+    own commutator, and the run has decided every such key."""
+    commutator_is_inner.cache_clear()
     assert run_suite(spec)[1] == []
-    stored, decisions = dict(harness._INNER), 0
+    stored, decisions = commutator_is_inner.cache_info().currsize, 0
     for g in oracles.graphs_of(spec):
         census = Census(g)
         p0 = build_p0(census)
         for (i, (a, c)), (j, (b, d)) in itertools.combinations(
                 enumerate(census.generators), 2):
             fresh = search_inner(g, commutator(g, p0[i], p0[j])) is not None
-            assert stored[commutator_shape(g, a, c, b, d)] == fresh, (g, i, j)
+            shape = commutator_shape(g, a, c, b, d)
+            found = commutator_is_inner(g.orders[a], g.orders[b], shape)
+            assert found == fresh, (g, i, j)
             decisions += 1
-    assert decisions > 10 * len(stored)
+    assert commutator_is_inner.cache_info().currsize == stored
+    assert decisions > 10 * stored
 
 
 @pytest.mark.parametrize("rule", WRONG_RULES)
 def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
     """Each oracle report of a run under a wrong rule gives back its
     witness and message when its graph is checked alone, from an empty
-    store of verdicts."""
+    cache of verdicts."""
     monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
     spec = EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
@@ -712,7 +738,7 @@ def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
     assert len(reports) == {"crossed_clause_dropped": 196,
                             "always_commute": 330}[rule]
     for report in reports:
-        harness._INNER.clear()
+        commutator_is_inner.cache_clear()
         census = Census(from_json_dict(report.graph))
         assert CHECKS[report.check](census) == (report.witness,
                                                 report.message)

@@ -14,7 +14,8 @@ from silscope.graphs import LabelledGraph
 from silscope.harness import EnumSpec, graph_from_bits
 from silscope.outer import build_p0
 from silscope.sils import Census
-from silscope.words import Automorphism0, format_word
+from silscope.words import (Automorphism0, commutator_is_inner,
+                            commutator_shape, format_word)
 
 import oracles
 from oracles import image_of_vertex, is_inner_with
@@ -279,6 +280,96 @@ def test_commutator_innerness_reads_only_the_acting_orders(data):
         assert commutator(h, x, y) == k
         assert search_inner(h, k) == search_inner(g, k)
 
+
+
+def partial_conjugation_masks(g):
+    """(v, C) for every component mask C of G - St(v), v a star cut point:
+    the generators and the component each one's P0 drops."""
+    return [(v, c) for v, split in enumerate(Census(g).star_splits)
+            if len(split) > 1 for c in split]
+
+
+def fresh_innerness(g, a, c, b, d, m_a, m_b):
+    """Whether [chi_{a,C}, chi_{b,D}] is inner in g with m(a) = m_a and
+    m(b) = m_b, by a search on that graph."""
+    orders = list(g.orders)
+    orders[a], orders[b] = m_a, m_b
+    h = LabelledGraph(g.names, tuple(orders), g.adj)
+    x, y = (PartialConjugation(v, frozenset(u for u in range(g.n)
+                                            if mask >> u & 1))
+            for v, mask in ((a, c), (b, d)))
+    return search_inner(h, commutator(h, x, y)) is not None
+
+
+def random_graph(rng):
+    """A graph on 9 to 14 vertices, sparse enough to have star cut points,
+    with orders from ORDERS but 7."""
+    n = rng.randint(9, 14)
+    density = rng.choice((0.15, 0.25, 0.4))
+    mask = sum(1 << k for k in range(n * (n - 1) // 2)
+               if rng.random() < density)
+    return graph_from_bits(n, mask, [rng.choice((2, 3, 4, 5, 8, 9))
+                                      for _ in range(n)])
+
+
+def test_model_verdict_equals_a_fresh_search_on_every_pair():
+    """``commutator_is_inner`` searches a model graph of the shape.  On
+    each ordered pair of partial conjugations of dedup n <= 5 {2}, the
+    dropped components included, under every pair of acting orders from
+    ORDERS (equal ones when a = b), it equals a search on the pair's own
+    graph."""
+    cases = 0
+    for g in oracles.graphs_of(EnumSpec(5, dedup_isomorphic=True)):
+        for (a, c), (b, d) in itertools.permutations(
+                partial_conjugation_masks(g), 2):
+            shape = commutator_shape(g, a, c, b, d)
+            for m_a, m_b in (zip(ORDERS, ORDERS) if a == b
+                             else itertools.product(ORDERS, repeat=2)):
+                assert commutator_is_inner(m_a, m_b, shape) == \
+                    fresh_innerness(g, a, c, b, d, m_a, m_b), (g, a, c, b, d)
+                cases += 1
+    assert cases == 71582
+
+
+def test_model_verdict_equals_a_fresh_search_on_random_graphs():
+    """As above, on sampled pairs of seeded random graphs on 9 to 14
+    vertices, under their own orders."""
+    rng = random.Random(20261019)
+    cases = 0
+    for _ in range(300):
+        g = random_graph(rng)
+        pcs = partial_conjugation_masks(g)
+        for _ in range(20 if pcs else 0):
+            (a, c), (b, d) = rng.sample(pcs, 2)
+            m_a, m_b = g.orders[a], g.orders[b]
+            assert commutator_is_inner(
+                m_a, m_b, commutator_shape(g, a, c, b, d)) == \
+                fresh_innerness(g, a, c, b, d, m_a, m_b), (g, a, c, b, d)
+            cases += 1
+    assert cases > 5000
+
+
+def test_commutator_shape_reads_no_numbering():
+    """The shape of each ordered pair of partial conjugations is the same
+    after a relabelling of the graph."""
+    rng = random.Random(26)
+    graphs = list(oracles.graphs_of(EnumSpec(5, dedup_isomorphic=True)))
+    pairs = 0
+    for g in graphs + [random_graph(rng) for _ in range(30)]:
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = g.relabelled(perm)
+
+            def moved(mask):
+                return sum(1 << perm[u] for u in range(g.n) if mask >> u & 1)
+
+            for (a, c), (b, d) in itertools.permutations(
+                    partial_conjugation_masks(g), 2):
+                assert commutator_shape(g, a, c, b, d) == commutator_shape(
+                    h, perm[a], moved(c), perm[b], moved(d)), (g, perm)
+                pairs += 1
+    assert pairs > 1000
 
 def test_search_inner_matches_bfs_on_random_automorphisms():
     """Random conjugators make mostly non-inner automorphisms: a witness
