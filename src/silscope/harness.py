@@ -10,22 +10,20 @@ reports counterexamples; an empty report is the expected outcome.
 Checks are pure functions of the graph's census that return a verdict:
 ``None`` when the check holds, else ``(witness, message)``.  Only the suite
 driver turns a verdict into a :class:`CounterexampleReport`, naming the
-check and the graph.  Most checks read only the adjacency (``ORDER_FREE``),
-so the enumeration yields mask records, one per edge mask: the mask's
-first graph and the list of its kept order tuples.  With dedup, the rows
-of a new vertex that an automorphism of the smaller graph lowers are
-pruned before any search.  One :class:`Census` of a record's graph serves
-every order-free check, once for the whole mask, and its verdict stands
-for every order tuple.  These checks decide on the census's bitmasks,
-and build Sil or Stil objects only to word a failing verdict.
-The word oracle reads orders, but whether a commutator of two generators
-is inner depends only on m(a), m(b) and its numbering-free shape, and
-:func:`silscope.words.commutator_is_inner` decides each once per process.
-The commutation prediction reads no orders, so when the verdicts of every
-generator pair, under every pair of acting orders from the alphabet,
-match it, the oracle holds for every order tuple of the mask at once.
-Only otherwise, and for a check that reads orders, does each further
-order tuple get a census of its own.  A graph is built for each report.
+check and the graph.  Every built-in check reads only the adjacency
+(``ORDER_FREE``), so the enumeration yields mask records, one per edge
+mask: the mask's first graph and the list of its kept order tuples.  With
+dedup, the rows of a new vertex that an automorphism of the smaller graph
+lowers are pruned before any search.  One :class:`Census` of a record's
+graph serves every order-free check, once for the whole mask, and its
+verdict stands for every order tuple.  The census checks decide on the
+census's bitmasks, and build Sil or Stil objects only to word a failing
+verdict.  The word oracle reads no vertex order either: whether a
+commutator of two generators is inner depends only on its numbering-free
+shape, and :func:`silscope.words.commutator_is_inner` decides each shape
+once per process.  Only a check registered at run time, which may
+read orders, gets a census of its own for each further order tuple.  A
+graph is built for each report.
 The suite streams: the records are cut into chunks of whole masks, each
 chunk is checked in this process or by a worker process, and the results
 are joined in chunk order.  Reports therefore come out in enumeration
@@ -375,51 +373,27 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     decision for every commutator of two generators.
 
     The innerness of [chi_{a,C}, chi_{b,D}] is read from
-    :func:`silscope.words.commutator_is_inner` of m(a), m(b) and the
-    pair's shape, and the prediction from ``census.non_commuting``; the
-    pairs are scanned in order, so the first failing pair is the one a
-    fresh search on each pair finds first.
+    :func:`silscope.words.commutator_is_inner` of the pair's shape, and
+    the prediction from ``census.non_commuting``; the pairs are scanned in
+    order, so the first failing pair is the one a fresh search on each
+    pair finds first.  Neither reads a vertex order, so the verdict holds
+    for every order tuple of the adjacency.
     """
-    failed = _oracle_disagreement(census)
-    if failed is None:
-        return None
-    g = census.graph
-    i, j, found = failed
-    x, y = _generator_pair(census, i, j)
-    return ({"x": x.label(g), "y": y.label(g),
-             "predicted_commutes": not found, "inner_witness_found": found},
-            "commutation predicate disagrees with the word oracle")
-
-
-def _oracle_disagreement(census: Census,
-                         alphabet: Optional[tuple] = None) -> Optional[tuple]:
-    """The first pair of generators i < j of ``census`` whose commutator's
-    innerness, ``found``, is not the commutation that ``non_commuting``
-    predicts, as ``(i, j, found)``, else None.  The innerness is read under
-    the graph's own orders or, given ``alphabet``, under every pair of
-    acting orders from it: the prediction reads no orders, so None then
-    means the check holds on every graph of the adjacency with orders from
-    the alphabet."""
     g = census.graph
     rows = census.non_commuting
     gens = census.generators
     for i, j in itertools.combinations(range(len(gens)), 2):
         (a, c), (b, d) = gens[i], gens[j]
-        shape = commutator_shape(g, a, c, b, d)
+        found = commutator_is_inner(commutator_shape(g, a, c, b, d))
         predicted = not rows[i] >> j & 1
-        for ma, mb in (((g.orders[a], g.orders[b]),) if alphabet is None
-                       else zip(alphabet, alphabet) if a == b
-                       else itertools.product(alphabet, repeat=2)):
-            found = commutator_is_inner(ma, mb, shape)
-            if found != predicted:
-                return i, j, found
+        if found != predicted:
+            x, y = (PartialConjugation(v, census._vertex_set(m))
+                    for v, m in (gens[i], gens[j]))
+            return ({"x": x.label(g), "y": y.label(g),
+                     "predicted_commutes": predicted,
+                     "inner_witness_found": found},
+                    "commutation predicate disagrees with the word oracle")
     return None
-
-
-def _generator_pair(census: Census, i: int, j: int) -> tuple:
-    """Generators i and j of ``census`` as partial conjugations."""
-    return tuple(PartialConjugation(v, census._vertex_set(c))
-                 for v, c in (census.generators[i], census.generators[j]))
 
 
 CHECKS: dict = {
@@ -436,9 +410,9 @@ CHECKS: dict = {
 DEFAULT_CHECKS = tuple(CHECKS)
 
 # The checks that read only the adjacency, never a vertex order, so they
-# give one verdict per edge mask; the oracle reads orders, and its verdict
-# stands for a whole mask only when it holds under every pair of orders.
-ORDER_FREE = frozenset(CHECKS) - {"lemma_1_4_oracle"}
+# give one verdict per edge mask: every built-in check.  A check registered
+# in CHECKS at run time is not among them, and runs on each graph.
+ORDER_FREE = frozenset(CHECKS)
 
 
 @dataclass(frozen=True)
@@ -451,11 +425,10 @@ class EnumSpec:
     ``dedup_isomorphic``, one graph per order-preserving isomorphism class
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
-    A000666) but only 12,346 edge masks: the order-free checks, run once
-    per mask, take about 8 s for n <= 8 in one process, and
-    ``lemma_1_4_oracle`` decides each commutator shape once per process
-    and passes a whole mask at once where the rule holds, so all nine
-    checks take about 10 s in one process and about 15 s with two workers
+    A000666) but only 12,346 edge masks.  Every built-in check is
+    order-free and runs once per mask, and ``lemma_1_4_oracle`` searches
+    each commutator shape once per process, so all nine checks take about
+    10 s for n <= 8 in one process and about 15 s with two workers
     (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
@@ -501,27 +474,20 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
+def _run_checks(records: list, checks: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
-    pairs, over the order alphabet ``alphabet``: (number of graphs, their
-    reports in order).  The order-free checks run once, on a record's
-    graph, and their verdicts stand for every order tuple of the record;
-    so does the oracle's when ``_oracle_disagreement`` finds none over the
-    whole alphabet; a pair of orders that no kept tuple uses can only send
-    the mask to the check per graph, never make a report.  A graph per
-    order tuple is built only when a check still reads orders, and to
-    report when a verdict fails; such a check, one registered at run time
-    or the oracle on a mask where the rule and the word engine disagree,
-    gets a fresh census per order tuple.  Every report is built here, one
-    per graph that a failing verdict holds for."""
-    oracle = any(c == "lemma_1_4_oracle" for c, _ in checks)
+    pairs: (number of graphs, their reports in order).  The order-free
+    checks, every built-in one, run once, on a record's graph, and their
+    verdicts stand for every order tuple of the record.  A check
+    registered at run time may read orders, so it gets a graph and a
+    fresh census per order tuple; otherwise a graph per order tuple is
+    built only to report a failing verdict.  Every report is built here,
+    one per graph that a failing verdict holds for."""
     checked, out = 0, []
     for first, tuples in records:
         checked += len(tuples)
         census = Census(first)
         shared = {c: check(census) for c, check in checks if c in ORDER_FREE}
-        if oracle and _oracle_disagreement(census, alphabet) is None:
-            shared["lemma_1_4_oracle"] = None
         per_graph = len(shared) < len(checks)
         if not (per_graph or any(shared.values())):
             continue
@@ -562,18 +528,17 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     ``CHECKS`` at run time reaches workers that import the package afresh
     (the ``spawn`` and ``forkserver`` start methods).  The oracle's
     verdicts need no reset between runs: ``commutator_is_inner`` is a pure
-    function of its key."""
+    function of the commutator's shape."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
     chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, checks, spec.orders) for chunk in chunks)
+        yield from (_run_checks(chunk, checks) for chunk in chunks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, checks,
-                                       spec.orders))
+            pending.append(pool.submit(_run_checks, chunk, checks))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

@@ -33,9 +33,10 @@ most three words.  It is derived from the definition of the
 automorphisms alone and never reads :func:`silscope.sils.commute_rule`:
 the oracle check compares that rule against these commutators, and a
 commutator built from the rule could not disagree with it.  Whether such
-a commutator is inner depends only on m(a), m(b) and the numbering-free
-:func:`commutator_shape` of the pair, so :func:`commutator_is_inner`
-decides it once per key, on a model graph of at most six vertices.
+a commutator is inner depends only on the numbering-free
+:func:`commutator_shape` of the pair, not on any vertex order, so
+:func:`commutator_is_inner` decides it once per shape, on a model graph
+of at most six vertices.
 """
 
 from __future__ import annotations
@@ -222,12 +223,12 @@ def commutator(g: LabelledGraph, x: PartialConjugation,
 
 def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
                      d: int) -> tuple:
-    """What decides, with m(a) and m(b), whether [chi_{a,C}, chi_{b,D}] is
-    inner, read off the masks ``c`` and ``d`` of C and D.  It reads no
-    order and no numbering: whether a and b are adjacent, whether a = b,
-    p = [a in D], q = [b in C], and the sorted (s, t, class in St(a),
-    class in St(b)) of each non-empty class (s, t) = ([u in C], [u in D])
-    of vertices u.  Like :func:`commutator`, it never reads
+    """What decides whether [chi_{a,C}, chi_{b,D}] is inner, read off the
+    masks ``c`` and ``d`` of C and D.  It reads no order and no numbering:
+    whether a and b are adjacent, whether a = b, p = [a in D],
+    q = [b in C], and the sorted (s, t, class in St(a), class in St(b)) of
+    each non-empty class (s, t) = ([u in C], [u in D]) of vertices u.
+    Like :func:`commutator`, it never reads
     :func:`silscope.sils.commute_rule`.
 
     The commutator is inner iff the cosets W(s, t) <S(s, t)> meet, one per
@@ -236,10 +237,29 @@ def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
     a and b is a retraction r of W onto <a, b>; it fixes each W(s, t) and
     sends <S> onto <S & {a, b}>.  So r maps a common element of the cosets
     W(s, t) <S(s, t)> into every W(s, t) <S(s, t) & {a, b}>, and these lie
-    in the former: the cosets meet exactly when these do.  As an element
-    of <a, b>, W(s, t) is determined by m(a), m(b), whether a and b are
-    adjacent or equal, p and q; and a is in S(s, t) iff the class lies in
-    St(a), and so for b.
+    in the former: the cosets meet exactly when these do.  And a is in
+    S(s, t) iff the class lies in St(a), and so for b.
+
+    Nor does the verdict read m(a) or m(b).  If a and b are adjacent or
+    equal, every W(s, t) reduces to 1, and the commutator is inner.
+    Otherwise <a, b> is the free product Z/m(a) * Z/m(b), and each W(s, t)
+    is 1 or one word V that depends only on (p, q), of four alternating
+    syllables with exponents +-1:
+
+        (p, q) = (0, 0): V = b^-1 a^-1 b a, at (s, t) = (1, 1) only;
+        (0, 1): V = b^-1 a b a^-1, at (0, 1) only;
+        (1, 0): V = b a^-1 b^-1 a, at (1, 0) only;
+        (1, 1): V = a b a^-1 b^-1, at every (s, t) but (0, 0).
+
+    Let A be the intersection of S & {a, b} over the vertices whose
+    conjugator is 1, and B the same over those whose conjugator is V, a
+    and b among them; over no vertex it is {a, b}.  The cosets meet iff
+    <A> and V <B> do, that is iff V is in <A><B>.  If A or B is {a, b},
+    <A><B> is all of <a, b>.  Otherwise every element of <A><B> has a
+    normal form of at most two syllables, and V has one of four whatever
+    m(a), m(b) >= 2 are, since +-1 is never 0 mod m.  So the commutator is
+    inner iff a and b are adjacent or equal, or A or B is {a, b}, and no
+    step reads an order.
     """
     adj = g.adj
     star_a = adj[a] | 1 << a
@@ -252,14 +272,13 @@ def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
                          if m)))
 
 
-@functools.cache
-def commutator_is_inner(m_a: int, m_b: int, shape: tuple) -> bool:
-    """Whether a commutator of ``shape`` with m(a) = ``m_a`` and m(b) =
-    ``m_b`` is inner, by :func:`search_inner` on a model graph of the
-    shape: a, b, and one vertex per class, joined to a and b by its star
-    bits and in C and D by (s, t); b is in C iff q, and a in D iff p.
-    ``commutator`` and ``search_inner`` read only words and masks, so C
-    and D need not be components of the model."""
+def _model(shape: tuple) -> tuple:
+    """``(g, x, y)``: a graph g of a, b and one vertex per class of
+    ``shape``, every vertex of order 2, and x = chi_{a,C}, y = chi_{b,D}
+    with the shape's commutator.  Each class vertex is joined to a and b
+    by its star bits and is in C and D by (s, t); b is in C iff q, and a
+    in D iff p.  ``commutator`` and ``search_inner`` read only words and
+    masks, so C and D need not be components of the model."""
     adjacent, same, p, q, classes = shape
     b = 0 if same else 1
     adj = [adjacent << 1, adjacent][:b + 1]
@@ -271,10 +290,18 @@ def commutator_is_inner(m_a: int, m_b: int, shape: tuple) -> bool:
         c |= s << k
         d |= t << k
     g = LabelledGraph(tuple(f"v{v + 1}" for v in range(len(adj))),
-                      (m_a, m_b)[:b + 1] + (2,) * len(classes), tuple(adj))
-    phi = commutator(g, PartialConjugation(0, _bits_to_set(c)),
-                     PartialConjugation(b, _bits_to_set(d)))
-    return search_inner(g, phi) is not None
+                      (2,) * len(adj), tuple(adj))
+    return (g, PartialConjugation(0, _bits_to_set(c)),
+            PartialConjugation(b, _bits_to_set(d)))
+
+
+@functools.cache
+def commutator_is_inner(shape: tuple) -> bool:
+    """Whether a commutator of ``shape`` is inner, under any vertex
+    orders, by :func:`search_inner` on the shape's :func:`_model`; the
+    :func:`commutator_shape` docstring proves that no order changes it."""
+    g, x, y = _model(shape)
+    return search_inner(g, commutator(g, x, y)) is not None
 
 
 def _peel_left(g: LabelledGraph, w: Word, allowed: int) -> tuple:

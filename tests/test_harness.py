@@ -315,7 +315,7 @@ def test_worker_counts_agree(falsified_check):
 # ---------------------------------------------------------------------------
 # Mask groups: the order-free checks run once per edge mask
 
-C8 = tuple(sorted(harness.ORDER_FREE))
+C8 = tuple(sorted(NO_ORACLE))
 ORDER_FREE_SPECS = [EnumSpec(4, orders=(2, 3, 4)),
                     EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
                     EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True)]
@@ -335,8 +335,9 @@ def order_dependent_checks(spec):
     return sorted({c for (c, _), seen in outcomes.items() if len(seen) > 1})
 
 
-def test_c8_is_the_default_checks_but_the_oracle():
-    assert harness.ORDER_FREE == set(NO_ORACLE)
+def test_every_built_in_check_is_order_free():
+    assert harness.ORDER_FREE == set(harness.DEFAULT_CHECKS) == set(CHECKS)
+    assert len(harness.ORDER_FREE) == 9
 
 
 @pytest.mark.parametrize("spec", ORDER_FREE_SPECS,
@@ -659,10 +660,11 @@ WRONG_RULES = {"crossed_clause_dropped": _commute_rule_without_the_crossed_claus
 ], ids=["dedup_5_23", "dedup_5_234_two_workers", "labelled_4_23"])
 def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
                                                          spec, expected):
-    """The oracle decides each commutator once per edge mask and pair of
-    acting orders.  Under a wrong rule, many order tuples of a mask fail,
-    and each must report the same first failing pair, with the same
-    verdicts, as a fresh census of its own graph."""
+    """The oracle decides each commutator shape once per process, and its
+    verdict on an edge mask stands for every order tuple of the mask.
+    Under a wrong rule, many order tuples of a mask fail, and each must
+    report the same first failing pair, with the same verdicts, as a fresh
+    census of its own graph."""
     monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
     checked, lines = as_lines(run_suite(spec))
     assert len(lines) == expected[rule]
@@ -672,9 +674,8 @@ def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
 def test_oracle_decides_each_commutator_shape_once_per_process(monkeypatch):
     """On dedup n <= 6 {2, 3}, 5,758 graphs over 208 edge masks, deciding every
     P0 commutator of every graph takes 43,812 innerness searches.  Cached
-    under the numbering-free shape and the acting orders, and decided for
-    every pair of acting orders from the alphabet, they take 54, and a
-    second run in the same process searches none again."""
+    under the numbering-free shape alone, whatever the alphabet, they take
+    14, and a second run in the same process searches none again."""
     calls = []
 
     def counted(g, phi):
@@ -686,9 +687,9 @@ def test_oracle_decides_each_commutator_shape_once_per_process(monkeypatch):
     spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == commutator_is_inner.cache_info().currsize == 54
+    assert len(calls) == commutator_is_inner.cache_info().currsize == 14
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == 54
+    assert len(calls) == 14
 
 
 EXACTNESS_SPECS = [
@@ -706,9 +707,9 @@ EXACTNESS_SPECS = [
                          ids=["dedup_6_23", "dedup_5_234", "dedup_5_489",
                               "labelled_4_23"])
 def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
-    """After an oracle run, the cached verdict of the shape and acting
-    orders of each P0 pair of each graph is the innerness of that pair's
-    own commutator, and the run has decided every such key."""
+    """After an oracle run, the cached verdict of the shape of each P0 pair
+    of each graph is the innerness of that pair's own commutator, under
+    the graph's own orders, and the run has decided every such shape."""
     commutator_is_inner.cache_clear()
     assert run_suite(spec)[1] == []
     stored, decisions = commutator_is_inner.cache_info().currsize, 0
@@ -718,8 +719,7 @@ def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
         for (i, (a, c)), (j, (b, d)) in itertools.combinations(
                 enumerate(census.generators), 2):
             fresh = search_inner(g, commutator(g, p0[i], p0[j])) is not None
-            shape = commutator_shape(g, a, c, b, d)
-            found = commutator_is_inner(g.orders[a], g.orders[b], shape)
+            found = commutator_is_inner(commutator_shape(g, a, c, b, d))
             assert found == fresh, (g, i, j)
             decisions += 1
     assert commutator_is_inner.cache_info().currsize == stored

@@ -14,7 +14,7 @@ from silscope.graphs import LabelledGraph
 from silscope.harness import EnumSpec, graph_from_bits
 from silscope.outer import build_p0
 from silscope.sils import Census
-from silscope.words import (Automorphism0, commutator_is_inner,
+from silscope.words import (Automorphism0, _model, commutator_is_inner,
                             commutator_shape, format_word)
 
 import oracles
@@ -263,22 +263,22 @@ ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_commutator_innerness_reads_only_the_acting_orders(data):
-    """Two order maps that agree on a and b give [chi_{a,C}, chi_{b,D}] the
-    same conjugators and the same innerness witness, for every P0 pair:
-    the oracle check stores one verdict per pair and (m(a), m(b))."""
+def test_commutator_innerness_reads_no_orders(data):
+    """Two arbitrary order maps give [chi_{a,C}, chi_{b,D}] the same
+    innerness verdict for every P0 pair, the one ``commutator_is_inner``
+    gives its shape.  Only the verdict agrees, not the witness: a^-1 is
+    the word a^2 when m(a) = 3 and a^3 when m(a) = 4."""
     n = data.draw(st.integers(2, 7))
     mask = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
     order_map = st.lists(st.sampled_from(ORDERS), min_size=n, max_size=n)
     g = graph_from_bits(n, mask, data.draw(order_map))
-    other = data.draw(order_map)
-    for x, y in itertools.combinations(build_p0(Census(g)), 2):
-        a, b = x.vertex, y.vertex
-        orders = [g.orders[v] if v in (a, b) else m for v, m in enumerate(other)]
-        h = LabelledGraph(g.names, tuple(orders), g.adj)
-        k = commutator(g, x, y)
-        assert commutator(h, x, y) == k
-        assert search_inner(h, k) == search_inner(g, k)
+    h = LabelledGraph(g.names, tuple(data.draw(order_map)), g.adj)
+    census = Census(g)
+    for ((a, c), x), ((b, d), y) in itertools.combinations(
+            zip(census.generators, build_p0(census)), 2):
+        found = search_inner(g, commutator(g, x, y)) is not None
+        assert (search_inner(h, commutator(h, x, y)) is not None) == found
+        assert commutator_is_inner(commutator_shape(g, a, c, b, d)) == found
 
 
 
@@ -312,23 +312,84 @@ def random_graph(rng):
                                       for _ in range(n)])
 
 
+def acting_order_pairs(a, b):
+    """(m(a), m(b)) from ORDERS, equal ones when a = b."""
+    return (zip(ORDERS, ORDERS) if a == b
+            else itertools.product(ORDERS, repeat=2))
+
+
 def test_model_verdict_equals_a_fresh_search_on_every_pair():
     """``commutator_is_inner`` searches a model graph of the shape.  On
     each ordered pair of partial conjugations of dedup n <= 5 {2}, the
-    dropped components included, under every pair of acting orders from
-    ORDERS (equal ones when a = b), it equals a search on the pair's own
-    graph."""
+    dropped components included, its one verdict equals a search on the
+    pair's own graph under every pair of acting orders from ORDERS."""
     cases = 0
     for g in oracles.graphs_of(EnumSpec(5, dedup_isomorphic=True)):
         for (a, c), (b, d) in itertools.permutations(
                 partial_conjugation_masks(g), 2):
-            shape = commutator_shape(g, a, c, b, d)
-            for m_a, m_b in (zip(ORDERS, ORDERS) if a == b
-                             else itertools.product(ORDERS, repeat=2)):
-                assert commutator_is_inner(m_a, m_b, shape) == \
-                    fresh_innerness(g, a, c, b, d, m_a, m_b), (g, a, c, b, d)
+            found = commutator_is_inner(commutator_shape(g, a, c, b, d))
+            for m_a, m_b in acting_order_pairs(a, b):
+                assert found == fresh_innerness(g, a, c, b, d, m_a, m_b), \
+                    (g, a, c, b, d, m_a, m_b)
                 cases += 1
     assert cases == 71582
+
+
+def syntactic_shapes():
+    """Every value of :func:`commutator_shape`'s form, realisable or not:
+    a, b adjacent or not and p, q free for a != b, or a = b with none of
+    them, and any non-empty set of classes (s, t), each with either star
+    bit.  9 * (5^4 - 1) = 5,616 keys."""
+    heads = [(adjacent, False, p, q)
+             for adjacent, p, q in itertools.product((0, 1), repeat=3)]
+    options = [None] + list(itertools.product((False, True), repeat=2))
+    for head in heads + [(0, True, 0, 0)]:
+        for picks in itertools.product(options, repeat=4):
+            classes = tuple((s, t) + bits for (s, t), bits in zip(
+                ((0, 0), (0, 1), (1, 0), (1, 1)), picks) if bits)
+            if classes:
+                yield head + (classes,)
+
+
+def closed_form_innerness(shape):
+    """The :func:`commutator_shape` docstring's verdict: inner iff a and b
+    are adjacent or equal, or the vertices whose conjugator is 1, or those
+    whose conjugator is V, all have both a and b in their stars.  The
+    class vertices count, and so do a, in class (0, p), and b, in class
+    (q, 0)."""
+    adjacent, same, p, q, classes = shape
+    if adjacent or same:
+        return True
+    at_v = {(0, 0): {(1, 1)}, (0, 1): {(0, 1)}, (1, 0): {(1, 0)},
+            (1, 1): {(0, 1), (1, 0), (1, 1)}}[p, q]
+    members = classes + ((0, p, True, False), (q, 0, False, True))
+    return any(all(in_a and in_b for s, t, in_a, in_b in members
+                   if ((s, t) in at_v) == side) for side in (False, True))
+
+
+def test_every_syntactic_shape_has_one_verdict_under_all_orders():
+    """On the model graph of every syntactic shape, a fresh search under
+    each pair of acting orders from ORDERS gives ``commutator_is_inner``'s
+    verdict, and so does the docstring's closed form: no vertex order
+    changes whether a commutator is inner."""
+    shapes = list(syntactic_shapes())
+    assert len(shapes) == len(set(shapes)) == 5616
+    cases = inner = 0
+    for shape in shapes:
+        found = commutator_is_inner(shape)
+        assert closed_form_innerness(shape) == found, shape
+        g, x, y = _model(shape)
+        a, b = x.vertex, y.vertex
+        for m_a, m_b in acting_order_pairs(a, b):
+            orders = list(g.orders)
+            orders[a], orders[b] = m_a, m_b
+            h = LabelledGraph(g.names, tuple(orders), g.adj)
+            assert (search_inner(h, commutator(h, x, y)) is not None) == \
+                found, (shape, m_a, m_b)
+            cases += 1
+        inner += found
+    assert cases == 248976
+    assert 0 < inner < len(shapes)
 
 
 def test_model_verdict_equals_a_fresh_search_on_random_graphs():
@@ -341,10 +402,9 @@ def test_model_verdict_equals_a_fresh_search_on_random_graphs():
         pcs = partial_conjugation_masks(g)
         for _ in range(20 if pcs else 0):
             (a, c), (b, d) = rng.sample(pcs, 2)
-            m_a, m_b = g.orders[a], g.orders[b]
-            assert commutator_is_inner(
-                m_a, m_b, commutator_shape(g, a, c, b, d)) == \
-                fresh_innerness(g, a, c, b, d, m_a, m_b), (g, a, c, b, d)
+            assert commutator_is_inner(commutator_shape(g, a, c, b, d)) == \
+                fresh_innerness(g, a, c, b, d, g.orders[a], g.orders[b]), \
+                (g, a, c, b, d)
             cases += 1
     assert cases > 5000
 
