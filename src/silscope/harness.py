@@ -10,20 +10,18 @@ reports counterexamples; an empty report is the expected outcome.
 Checks are pure functions of the graph's census that return a verdict:
 ``None`` when the check holds, else ``(witness, message)``.  Only the suite
 driver turns a verdict into a :class:`CounterexampleReport`, naming the
-check and the graph.  Every built-in check reads only the adjacency
-(``ORDER_FREE``), so the enumeration yields mask records, one per edge
-mask: the mask's first graph and the list of its kept order tuples.  With
-dedup, the rows of a new vertex that an automorphism of the smaller graph
-lowers are pruned before any search.  One :class:`Census` of a record's
-graph serves every order-free check, once for the whole mask, and its
-verdict stands for every order tuple.  The census checks decide on the
-census's bitmasks, and build Sil or Stil objects only to word a failing
-verdict.  The word oracle reads no vertex order either: whether a
-commutator of two generators is inner depends only on its numbering-free
-shape, and :func:`silscope.words.commutator_is_inner` decides each shape
-once per process.  Only a check registered at run time, which may
-read orders, gets a census of its own for each further order tuple.  A
-graph is built for each report.
+check and the graph.  A check reads only the adjacency, never a vertex
+order (the contract stated beside ``CHECKS``), so the enumeration yields
+mask records, one per edge mask: the mask's first graph and the list of
+its kept order tuples.  With dedup, the rows of a new vertex that an
+automorphism of the smaller graph lowers are pruned before any search.
+One :class:`Census` of a record's graph serves every check, once for the
+whole mask, and each verdict stands for every order tuple.  The census
+checks decide on the census's bitmasks, and build Sil or Stil objects only
+to word a failing verdict.  The word oracle reads no vertex order either:
+whether a commutator of two generators is inner depends only on its
+numbering-free shape, and :func:`silscope.words.commutator_is_inner`
+decides each shape once per process.  A graph is built for each report.
 The suite streams: the records are cut into chunks of whole masks, each
 chunk is checked in this process or by a worker process, and the results
 are joined in chunk order.  Reports therefore come out in enumeration
@@ -175,7 +173,7 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     first graph and the list of its kept order tuples, that graph's first.
     Without dedup every mask on n vertices shares one list of all order
     tuples.  The suite driver builds a graph per order tuple only for a
-    report and for a check that reads orders.
+    report.
 
     With dedup, each class comes once, as its minimal encoding, by orderly
     generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
@@ -396,6 +394,11 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
     return None
 
 
+# The contract of every check, one registered here at run time included:
+# it reads only the adjacency, never a vertex order, so the suite runs it
+# once per edge mask and its verdict stands for every order tuple of the
+# mask.  It runs on the census of the mask's first order tuple; a check
+# that read orders would see only that tuple.
 CHECKS: dict = {
     "lemma_2_2": check_lemma_2_2,
     "lemma_4": check_lemma_4,
@@ -409,11 +412,6 @@ CHECKS: dict = {
 }
 DEFAULT_CHECKS = tuple(CHECKS)
 
-# The checks that read only the adjacency, never a vertex order, so they
-# give one verdict per edge mask: every built-in check.  A check registered
-# in CHECKS at run time is not among them, and runs on each graph.
-ORDER_FREE = frozenset(CHECKS)
-
 
 @dataclass(frozen=True)
 class EnumSpec:
@@ -425,8 +423,8 @@ class EnumSpec:
     ``dedup_isomorphic``, one graph per order-preserving isomorphism class
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
-    A000666) but only 12,346 edge masks.  Every built-in check is
-    order-free and runs once per mask, and ``lemma_1_4_oracle`` searches
+    A000666) but only 12,346 edge masks.  Every check runs once per mask
+    (see ``CHECKS``), and ``lemma_1_4_oracle`` searches
     each commutator shape once per process, so all nine checks take about
     10 s for n <= 8 in one process and about 15 s with two workers
     (Python 3.11, 2 CPUs)."""
@@ -476,31 +474,23 @@ class EnumSpec:
 
 def _run_checks(records: list, checks: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
-    pairs: (number of graphs, their reports in order).  The order-free
-    checks, every built-in one, run once, on a record's graph, and their
-    verdicts stand for every order tuple of the record.  A check
-    registered at run time may read orders, so it gets a graph and a
-    fresh census per order tuple; otherwise a graph per order tuple is
-    built only to report a failing verdict.  Every report is built here,
-    one per graph that a failing verdict holds for."""
+    pairs: (number of graphs, their reports in order).  Each check runs
+    once per record, on one census of the record's graph, and a failing
+    verdict stands for every order tuple of the record: each tuple gets a
+    graph and a report of its own.  Every report is built here."""
     checked, out = 0, []
     for first, tuples in records:
         checked += len(tuples)
         census = Census(first)
-        shared = {c: check(census) for c, check in checks if c in ORDER_FREE}
-        per_graph = len(shared) < len(checks)
-        if not (per_graph or any(shared.values())):
+        failed = [(c, verdict) for c, check in checks
+                  if (verdict := check(census)) is not None]
+        if not failed:
             continue
-        for k, orders in enumerate(tuples):
-            g = LabelledGraph(first.names, orders, first.adj) if k else first
-            if k and per_graph:
-                census = Census(g)
-            for check_id, check in checks:
-                verdict = (shared[check_id] if check_id in shared
-                           else check(census))
-                if verdict is not None:
-                    out.append(CounterexampleReport(check_id, to_json_dict(g),
-                                                    *verdict))
+        for orders in tuples:
+            g = LabelledGraph(first.names, orders, first.adj)
+            for check_id, verdict in failed:
+                out.append(CounterexampleReport(check_id, to_json_dict(g),
+                                                *verdict))
     return checked, out
 
 

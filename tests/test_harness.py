@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -322,12 +323,12 @@ ORDER_FREE_SPECS = [EnumSpec(4, orders=(2, 3, 4)),
 
 
 def order_dependent_checks(spec):
-    """The checks declared order-free whose verdict, witness or message
-    differs between two order tuples of one edge mask of ``spec``."""
+    """The checks in ``CHECKS`` whose verdict, witness or message differs
+    between two order tuples of one edge mask of ``spec``."""
     outcomes = {}  # (check id, adjacency) -> set of outcomes
     for g in oracles.graphs_of(spec):
         census = Census(g)
-        for check_id in harness.ORDER_FREE:
+        for check_id in CHECKS:
             verdict = CHECKS[check_id](census)
             outcomes.setdefault((check_id, g.adj), set()).add(
                 None if verdict is None else
@@ -335,9 +336,9 @@ def order_dependent_checks(spec):
     return sorted({c for (c, _), seen in outcomes.items() if len(seen) > 1})
 
 
-def test_every_built_in_check_is_order_free():
-    assert harness.ORDER_FREE == set(harness.DEFAULT_CHECKS) == set(CHECKS)
-    assert len(harness.ORDER_FREE) == 9
+def test_the_default_checks_are_the_nine_built_in_ones():
+    assert harness.DEFAULT_CHECKS == tuple(CHECKS)
+    assert len(CHECKS) == 9
 
 
 @pytest.mark.parametrize("spec", ORDER_FREE_SPECS,
@@ -356,12 +357,12 @@ def _all_sils_coxeter(census):
 
 
 def test_order_free_guard_catches_a_check_that_reads_orders(monkeypatch):
+    """A check that reads orders breaks the contract stated beside
+    ``CHECKS``: the guard above names it, and the suite, which runs it once
+    per mask on the all-2 order tuple that passes, misses the failing
+    tuples of the mask."""
     monkeypatch.setitem(CHECKS, "all_sils_coxeter", _all_sils_coxeter)
-    monkeypatch.setattr(harness, "ORDER_FREE",
-                        harness.ORDER_FREE | {"all_sils_coxeter"})
     assert order_dependent_checks(ORDER_FREE_SPECS[0]) == ["all_sils_coxeter"]
-    # declared order-free, it runs once per mask, on the all-2 order tuple
-    # that passes, and misses the failing tuples of the mask
     spec = EnumSpec(3, orders=(2, 3), checks=("all_sils_coxeter",))
     assert run_suite(spec)[1] == []
     assert len(oracles.run_suite_per_graph(spec)[1]) > 0
@@ -394,8 +395,8 @@ def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
                                                      other):
     """A C8 check failing on a mask is reported for each of its order
     tuples, from the one verdict of the mask, so each report carries its
-    own graph, in the per-graph driver's order next to a check that runs
-    per graph."""
+    own graph, in the per-graph driver's order next to the oracle or a
+    check registered at run time, each also run once per mask."""
     monkeypatch.setitem(CHECKS, "lemma_4", _fails_with_two_edges)
     monkeypatch.setitem(CHECKS, "fails_on_triangles", _fails_on_triangles)
     # chunks of one whole mask group each on three vertices (8 graphs)
@@ -408,21 +409,49 @@ def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
     assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
 
 
-def test_order_free_verdicts_are_shared_by_the_mask_group(monkeypatch):
-    """A failing order-free verdict stands for every order tuple of its
-    mask: the check runs once per edge mask, not again per graph."""
-    masks = []
+def _logged(path, census):
+    """``_fails_with_two_edges``, which also appends the census's adjacency
+    to the file ``path``, so that calls in worker processes count too."""
+    with open(path, "a", encoding="utf-8") as log:
+        print(census.graph.adj, file=log)
+    return _fails_with_two_edges(census)
 
-    def counted(census):
-        masks.append(census.graph.adj)
-        return _fails_with_two_edges(census)
 
-    monkeypatch.setitem(CHECKS, "lemma_4", counted)
-    checked, reports = run_suite(EnumSpec(3, orders=(2, 3), checks=C8))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_check_registered_at_run_time_runs_once_per_edge_mask(
+        monkeypatch, tmp_path, workers):
+    """The contract beside ``CHECKS`` binds a check registered at run time
+    too: it is called once per edge mask, and a verdict that fails there is
+    reported once per order tuple of the mask, as a driver with a census
+    per graph reports it."""
+    log = tmp_path / "calls"
+    monkeypatch.setitem(CHECKS, "counted", functools.partial(_logged, str(log)))
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
+    spec = EnumSpec(3, orders=(2, 3), checks=("counted",), workers=workers)
+    checked, lines = as_lines(run_suite(spec))
+    calls = log.read_text(encoding="utf-8").splitlines()
     # 1 + 2 + 8 masks on one to three vertices
-    assert len(masks) == len(set(masks)) == 11
-    assert checked == 74
-    assert [r.check for r in reports] == ["lemma_4"] * 32
+    assert len(calls) == len(set(calls)) == 11
+    # 74 graphs; the 3 paths and the triangle fail, 8 order tuples each
+    assert (checked, len(lines)) == (74, 32)
+    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+
+
+def test_one_census_per_mask_record(monkeypatch):
+    """Every check of a record reads the one census of its first graph."""
+    built = []
+
+    def counted(graph):
+        built.append(graph.adj)
+        return Census(graph)
+
+    monkeypatch.setattr(harness, "Census", counted)
+    records = list(enumerate_graphs(EnumSpec(3, orders=(2, 3))))
+    checks = (("fails_with_two_edges", _fails_with_two_edges),
+              ("lemma_7", CHECKS["lemma_7"]))
+    checked, reports = harness._run_checks(records, checks)
+    assert built == [first.adj for first, _ in records]
+    assert (checked, len(reports)) == (74, 32)
 
 
 # ---------------------------------------------------------------------------
