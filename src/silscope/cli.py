@@ -8,22 +8,35 @@ text ``json.dumps(indent=2, ensure_ascii=False)`` makes of its report, from
 one ``%`` template per section item.  Exit codes: 0 success, 1 verification
 found counterexamples, 2 malformed input, 141 stdout was closed before the
 output was written (as by ``| head``).
+
+The arguments are read off the ``_COMMANDS`` table.  A plain argv, a
+subcommand followed by its exact flags, their values and its positionals,
+none of which starts with ``-`` unless it is a flag, is read straight into
+the namespace argparse would build, and argparse is never imported.  Any
+other argv (``-h``, ``--``, ``--flag=value``, an abbreviated or unknown
+flag, a value starting with ``-``, a wrong number of positionals) goes to
+the argparse parser of ``build_parser``, which alone writes help, usage
+and error messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
 from json.encoder import encode_basestring
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import harness, outer, sils, words
 from .dot import to_dot
 from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _unique_keys,
                      load_graph, vertex_names)
+
+if TYPE_CHECKING:
+    import argparse
 
 REPORT_VERSION = 2
 
@@ -297,7 +310,7 @@ def cmd_act(args) -> int:
 _GRAPH = ("graph", {"help": "path to a graph JSON or DOT file"})
 
 # Every subcommand: name, help, handler, and the (flag, options) of each
-# argument.  ``build_parser`` walks this table.
+# argument.  ``build_parser`` and ``_read_plain`` walk this table.
 _COMMANDS = (
     ("classify", "full classification report as JSON", cmd_classify, (
         _GRAPH,
@@ -335,27 +348,69 @@ _COMMANDS = (
                                "line printed by 'gens'"}),
         ("word", {}))),
 )
-_COMMAND_NAMES = frozenset(name for name, *_ in _COMMANDS)
 
 
-class _ParseError(Exception):
-    pass
+def _plain_reading(arguments: tuple) -> tuple:
+    """How argparse fills the namespace of a subcommand with ``arguments``:
+    each dest's default, a map from each option's flag to its dest and
+    whether it takes a value, and the positionals' dests in order."""
+    defaults, options, positionals = {}, {}, []
+    for flag, spec in arguments:
+        if not flag.startswith("-"):
+            positionals.append(flag)
+            continue
+        dest = flag.lstrip("-").replace("-", "_")
+        takes_value = spec.get("action") != "store_true"
+        defaults[dest] = spec.get("default") if takes_value else False
+        options[flag] = dest, takes_value
+    return defaults, options, positionals
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser built with one subcommand.  Any parse error raises
-    ``_ParseError``, so that ``main`` parses again with every subcommand
-    and prints exactly the usage and message the full parser prints."""
-
-    def error(self, message):
-        raise _ParseError(message)
+_PLAIN = {name: (func, *_plain_reading(arguments))
+          for name, _, func, arguments in _COMMANDS}
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with ``only``, a ``_OneCommandParser``
-    holding just that subcommand, whose own parser and ``-h`` output are
-    the full parser's."""
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+def _read_plain(argv: list) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    ``_COMMANDS`` without argparse, or None unless ``argv`` is plain: a
+    subcommand, then tokens that each equal one of its flags (followed, for
+    a flag that takes a value, by a value that does not start with ``-``)
+    or are a positional that does not start with ``-``, with exactly as
+    many positionals as the subcommand declares.  On such an argv argparse
+    has nothing to abbreviate, split or report."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    func, defaults, options, positionals = _PLAIN[argv[0]]
+    values = dict(defaults, command=argv[0], func=func)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, takes_value = options[token]
+        if not takes_value:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: the only source of help, usage and error
+    messages.  argparse is imported here, so that a plain call, read by
+    ``_read_plain``, never loads it."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
         prog="silscope",
         description="Separating-intersection analysis of labelled graphs: "
                     "detect separating pairs/triples, build the partial-"
@@ -363,23 +418,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
                     "automorphism group of the associated graph product.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, arguments in _COMMANDS:
-        if only is None or name == only:
-            p = sub.add_parser(name, help=help_text)
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
-
-
-def _parse(argv: list) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building only the parser of the
-    subcommand ``argv`` names unless parsing fails."""
-    if argv and argv[0] in _COMMAND_NAMES:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _ParseError:
-            pass
-    return build_parser().parse_args(argv)
 
 
 def _stdout_to_devnull() -> None:
@@ -397,7 +440,8 @@ def _stdout_to_devnull() -> None:
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     # argparse before Python 3.12 reads `--opt=--` as an empty list
     for key, value in vars(args).items():
         if isinstance(value, list):

@@ -753,10 +753,10 @@ def _outcome(capsys, run, *args):
 
 
 def _main_with_full_parser(monkeypatch, argv):
-    """``main(argv)`` parsing with every subcommand's parser, the reference
-    for the parser ``main`` builds for the one subcommand it runs."""
+    """``main(argv)`` parsing with ``build_parser().parse_args`` alone, the
+    argparse reference for the plain reader."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", lambda only=None: build_parser())
+        m.setattr(cli, "_read_plain", lambda argv: None)
         return main(argv)
 
 
@@ -770,9 +770,89 @@ def test_help_equals_the_full_parsers(capsys, monkeypatch, command):
     assert _outcome(capsys, main, argv) == expected
 
 
-def test_a_call_builds_only_its_subcommands_parsers(capsys, monkeypatch):
-    # a later change must neither rebuild every subcommand's parser per
-    # call nor move the build into import
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-vertices=3", "--dedup"],
+    ["verify", "--max", "3", "--dedup"],
+    ["verify", "--max-vertices", "3", "--"],
+    ["verify", "--", "--max-vertices", "3"],
+    ["classify", fixture("pentagon_triangle"), "-h"],
+    ["verify", "--max-vertices", "2", "--orders", "-1"],
+    ["classify", "-"],
+    ["classify", fixture("pentagon_triangle"), fixture("three_isolated")],
+    ["reduce", fixture("pentagon_triangle"), "v1", "d"],
+    ["reduce", fixture("pentagon_triangle")],
+    ["verify", "--max-vertices", "2", "--orders"],
+    ["classify", fixture("pentagon_triangle"), "--dot"],
+    ["verify", "--max-vertices", "2", "--dedup=1"],
+    ["verify", "--max-vertices", "2", "--dedup", "1"],
+    ["verify", "--max-vertices", "2", "--bogus"],
+    ["classify", "--dot", "--orders", fixture("pentagon_triangle")],
+    ["Classify", fixture("pentagon_triangle")],
+    [],
+])
+def test_the_plain_reader_declines_what_argparse_must_read(capsys, monkeypatch,
+                                                          argv):
+    assert cli._read_plain(argv) is None
+    expected = _outcome(capsys, _main_with_full_parser, monkeypatch, argv)
+    assert _outcome(capsys, main, argv) == expected
+
+
+@st.composite
+def _argvs_of_one_command(draw, values):
+    """A subcommand, its positionals drawn from ``values``, its flags in
+    between (each followed by a value from ``values`` if it takes one), and
+    now and then a stray token anywhere."""
+    command, _, _, arguments = draw(st.sampled_from(cli._COMMANDS))
+    items = [[draw(values)] for flag, _ in arguments if not flag.startswith("-")]
+    options = [a for a in arguments if a[0].startswith("-")]
+    for flag, spec in draw(st.lists(st.sampled_from(options), max_size=4)
+                           if options else st.just([])):
+        items.insert(draw(st.integers(0, len(items))),
+                     [flag] if spec.get("action") else [flag, draw(values)])
+    tokens = [token for item in items for token in item]
+    if draw(st.integers(0, 4)) == 0:
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(
+            ["-h", "--help", "--", "-", "-1", "--max", "--dot=x", "--dedup=1",
+             "--orders", "--dot", "--bogus", "verify", "v1", ""])))
+    return [command, *tokens]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argv=_argvs_of_one_command(st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["2", "2,3", "lemma_4", "a b", "-x", "x=y", "%s", "--"]))))
+def test_a_plain_argv_reads_as_argparse_reads_it(argv):
+    # no command runs: only the namespaces are compared
+    args = cli._read_plain(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+
+def test_every_command_table_entry_is_one_the_plain_reader_reads():
+    # the plain reader knows only this shape: a typed, multi-valued or
+    # choice option, or a renamed dest, would make argparse build another
+    # namespace than the reader's
+    for name, _, _, arguments in cli._COMMANDS:
+        assert not name.startswith("-")
+        options = [(f, o) for f, o in arguments if f.startswith("-")]
+        positionals = [(f, o) for f, o in arguments if not f.startswith("-")]
+        # argparse fills two or more positionals in chunks between options
+        assert not (options and len(positionals) >= 2), name
+        for flag, spec in options:
+            assert flag.startswith("--") and "=" not in flag, flag
+            if spec.get("action") is not None:
+                assert spec["action"] == "store_true", flag
+                assert spec.keys() <= {"action", "help"}, flag
+            else:
+                assert spec.keys() <= {"default", "metavar", "help"}, flag
+                assert spec.get("default") is None or type(spec["default"]) is str
+        for flag, spec in positionals:
+            assert spec.keys() <= {"metavar", "help"}, flag
+
+
+def test_a_plain_call_builds_no_parser(capsys, monkeypatch):
+    # a later change must neither build a parser for a plain call nor move
+    # the build into import; any other argv builds the full parser once
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -785,10 +865,38 @@ def test_a_call_builds_only_its_subcommands_parsers(capsys, monkeypatch):
     assert built == []
     for argv in (["classify", fixture("pentagon_triangle")],
                  ["verify", "--max-vertices", "2"]):
-        built.clear()
         assert main(argv) == 0
-        assert len(built) <= 2, built
+        assert built == []
+    full = ["silscope"] + [f"silscope {c[0]}" for c in cli._COMMANDS]
+    for argv in (["verify", "--max-vertices=2"], ["classify"]):
+        built.clear()
+        _outcome(capsys, main, argv)
+        assert built == full
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", fixture("pentagon_triangle")],
+    ["verify", "--max-vertices", "3", "--dedup"]])
+def test_a_plain_call_imports_no_argparse(argv):
+    # argparse and the gettext it loads take milliseconds to import
+    script = ("import sys\n"
+              "from silscope.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "assert 'argparse' not in sys.modules, 'argparse'\n"
+              "assert 'gettext' not in sys.modules, 'gettext'\n"
+              "sys.exit(code)\n")
+    run = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, env=_env_with_src(), timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout
+
+
+def _env_with_src():
+    """The environment, with silscope's source first on ``PYTHONPATH``."""
+    src = str(Path(silscope.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class _ClosedPipe(io.StringIO):
@@ -813,13 +921,11 @@ def test_a_closed_stdout_exits_141_without_a_message(capsys, monkeypatch,
 def test_a_closed_pipe_ends_the_console_entry_with_141():
     # 896 reports, more than a pipe holds: the writer is still running when
     # the reader goes, and the interpreter's final flush must not fail
-    src = str(Path(silscope.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen(
             [sys.executable, "-m", "silscope.cli", "verify", "--max-vertices",
              "7", "--orders", "2,3", "--dedup", "--checks", "lemma_7"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_env_with_src()) as proc:
         assert proc.stdout.readline().startswith(b'{"check": "lemma_7"')
         proc.stdout.close()
         err = proc.stderr.read()
