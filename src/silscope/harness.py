@@ -13,12 +13,12 @@ driver turns a verdict into a :class:`CounterexampleReport`, naming the
 check and the graph.  A check reads only the adjacency, never a vertex
 order (the contract stated beside ``CHECKS``), so the enumeration yields
 mask records, one per edge mask: the mask's first graph and the list of
-its kept order tuples.  With dedup, the rows of a new vertex that an
-automorphism of the smaller graph lowers are pruned before any search.
-One :class:`Census` of a record's graph serves every check, once for the
-whole mask, and each verdict stands for every order tuple.  The census
-checks decide on the census's bitmasks, and build Sil or Stil objects only
-to word a failing verdict.  The word oracle reads no vertex order either:
+its kept order tuples.  With dedup, one minimality search per smaller
+graph decides every row of a new vertex at once.  One :class:`Census` of
+a record's graph serves every check, once for the whole mask, and each
+verdict stands for every order tuple.  The census checks decide on the
+census's bitmasks, and build Sil or Stil objects only to word a failing
+verdict.  The word oracle reads no vertex order either:
 whether a commutator of two generators is inner depends only on its
 numbering-free shape, and :func:`silscope.words.commutator_is_inner`
 decides each shape once per process.  A graph is built for each report.
@@ -85,85 +85,214 @@ def graph_from_bits(n: int, mask: int, orders: Sequence[int]) -> LabelledGraph:
     return LabelledGraph(names, tuple(orders), tuple(adj))
 
 
-def _automorphisms(adj: tuple, every: bool) -> Optional[list]:
-    """The automorphisms (position -> vertex) of a graph whose edge mask no
-    relabelling lowers, else None.  The mask's top bits are row n-2, then
-    n-3, ..., row p holding the edges from p to p+1.. (p+1 lowest).  The
-    search fills positions n-1, n-2, ...: a free vertex whose row against
-    the placed ones is below the graph's disproves minimality, one above
-    ends its branch.  Unless ``every``, one of two twins is tried (swapping
-    them fixes the placed vertices), so not every automorphism is listed.
-    The search tries the graph's own numbering first, so the identity comes
-    first."""
-    n = len(adj)
-    rows = [a >> p + 1 for p, a in enumerate(adj)]
-    # skip[v]: the vertices not to try after v, v itself and unless every
-    # its twins, those with v's open or closed neighbourhood (no vertex's
-    # open neighbourhood is another's closed one)
+def _row_sets(m: int) -> tuple:
+    """The row sets of a level whose parents have ``m`` vertices, each a
+    set of rows of a new vertex 0 given as the bits of one int (bit r for
+    row r): all 2^m rows, and for each vertex c of the child the rows that
+    make it adjacent to vertex 0, those with bit c-1 set (entry 0 is
+    unused)."""
+    rows = range(1 << m)
+    adjacent = [0] + [sum(1 << r for r in rows if r >> i & 1)
+                      for i in range(m)]
+    return (1 << len(rows)) - 1, tuple(adjacent)
+
+
+class _RowSearch:
+    """What one ``_minimal_rows`` search reads and builds.  ``adj`` is the
+    child's adjacency without vertex 0 (vertex c is parent vertex c-1),
+    ``rows[d]`` the child's row at position n-1-d, d < n-1, which is the
+    parent's and so the same on every row of vertex 0, and ``full`` and
+    ``adjacent`` the row sets of ``_row_sets``.  ``twins[v]`` lists the
+    pairs (w, rows), w > v, of the rows on which v and w are twins of the
+    child, or is None if every automorphism is listed.  The search adds to
+    ``dead`` the rows whose child it proves not minimal, and to ``found``
+    each automorphism with the rows whose search lists it."""
+
+    __slots__ = ("adj", "rows", "full", "adjacent", "twins", "dead", "found")
+
+
+def _minimal_rows(padj: tuple, every: bool, sets: tuple) -> dict:
+    """Every row of a new vertex 0 over the minimal graph ``padj`` whose
+    child's edge mask no relabelling lowers, ascending, each with the
+    automorphisms (position -> vertex) of its child that the child's
+    minimality search lists, in the search's order.  ``sets`` is
+    ``_row_sets(len(padj))``.
+
+    The child's mask has row n-2 as its top bits, then n-3, ..., row p
+    holding the edges from p to p+1.. (p+1 lowest).  The search fills
+    positions n-1, n-2, ...: a free vertex whose row against the placed
+    ones is below the child's disproves minimality, one above ends its
+    branch.  Unless ``every``, one of two twins is tried (swapping them
+    fixes the placed vertices), so not every automorphism is listed.  The
+    child's own numbering is tried first, so the identity comes first.
+
+    One search serves all 2^(n-1) rows at once: each node carries the set
+    of rows whose own search reaches it.  In every child, rows 1..n-1 are
+    the parent's, and only vertex 0's adjacency depends on the row: to
+    vertex c on the rows with bit c-1 set.  Parent vertices i and j that
+    are twins stay twins on the rows where bits i and j agree, and vertex 0
+    is a twin of parent vertex j on the rows ``padj[j]`` and
+    ``padj[j] | 1 << j`` only.  So each row's search visits the same nodes
+    in the same order as a search of its child alone."""
+    full, adjacent = sets
+    n = len(padj) + 1
+    search = _RowSearch()
+    search.adj = (0,) + tuple(a << 1 for a in padj)
+    search.rows = [padj[p - 1] >> p for p in range(n - 1, 0, -1)]
+    search.full, search.adjacent = full, adjacent
+    search.dead, search.found = 0, []
     if every:
-        skip = [1 << v for v in range(n)]
+        search.twins = None
     else:
-        twins: dict = {}
-        for v, a in enumerate(adj):
-            for nbhd in (a, a | 1 << v):
-                twins[nbhd] = twins.get(nbhd, 0) | 1 << v
-        skip = [twins[a] | twins[a | 1 << v] for v, a in enumerate(adj)]
-    found: list = []
-    return found if _fill(adj, rows, skip, found, [], (1 << n) - 1) else None
+        search.twins = [[(j + 1, 1 << a | 1 << (a | 1 << j))
+                    for j, a in enumerate(padj)]] + [[] for _ in padj]
+        for i, j in itertools.combinations(range(n - 1), 2):
+            if padj[i] & ~(1 << j) == padj[j] & ~(1 << i):
+                search.twins[i + 1].append(
+                    (j + 1, full & ~(adjacent[i + 1] ^ adjacent[j + 1])))
+    _fill_rows(search, [], (1 << n) - 1, full)
+    alive = full & ~search.dead
+    auts: dict = {}
+    while alive:
+        low = alive & -alive
+        auts[low.bit_length() - 1] = []
+        alive ^= low
+    for rows, perm in search.found:
+        rows &= ~search.dead
+        while rows:
+            low = rows & -rows
+            auts[low.bit_length() - 1].append(perm)
+            rows ^= low
+    return auts
 
 
-def _fill(adj: tuple, rows: list, skip: list, found: list, placed: list,
-          free: int) -> bool:
-    """One step of ``_automorphisms``: place one of the vertices of the
-    mask ``free`` at the highest empty position p, after ``placed``, the
-    vertices of positions n-1, n-2, ..., p+1.  Bit k of row p stands for
-    position p+1+k, so ``placed`` meets the row's bits from the highest
-    down: one AND per placed vertex narrows the free vertices that tie with
-    the row so far, and a tie with a 0 where the row has a 1 is below the
-    row, which disproves minimality.  The ties left are tried from the
-    highest vertex down.  Not a closure, so that no call leaves a cycle."""
-    if not free:
-        found.append(tuple(reversed(placed)))
-        return True
+def _fill_rows(search: _RowSearch, placed: list, free: int, live: int) -> None:
+    """One step of ``_minimal_rows`` for the rows ``live``: place one of the
+    vertices of the mask ``free`` at the highest empty position p, after
+    ``placed``, the vertices of positions n-1, n-2, ..., p+1.  Bit k of
+    row p stands for position p+1+k, so ``placed`` meets the row's bits
+    from the highest down.  While vertex 0 is free, the parent vertices'
+    rows against the placed ones are the same on every row of vertex 0:
+    one AND per placed vertex narrows those that tie with the row, as in a
+    search of one child, and a tie below the row disproves all of
+    ``live``.  Vertex 0's own row is met by one AND per placed vertex on
+    row sets.  Once vertex 0 is placed, its bit splits each parent vertex's
+    row into two row sets.  The ties left are tried from the highest
+    vertex down, each on the rows it ties on.  Not a closure, so that no
+    call leaves a cycle."""
     bit = len(placed)
-    row = rows[-1 - bit]
-    tie = free
-    for u in placed:
-        bit -= 1
-        if row >> bit & 1:
-            if tie & ~adj[u]:
-                return False
-            tie &= adj[u]
-        else:
-            tie &= ~adj[u]
-    while tie:
-        v = tie.bit_length() - 1
-        tie &= ~skip[v]
-        placed.append(v)
-        kept = _fill(adj, rows, skip, found, placed, free ^ 1 << v)
-        placed.pop()
-        if not kept:
-            return False
-    return True
+    if not free & free - 1:
+        _fill_last(search, placed, free.bit_length() - 1, live)
+        return
+    adj, adjacent = search.adj, search.adjacent
+    row = search.rows[bit]
+    ties = {}  # vertex: the rows it ties on, highest vertex first
+    if free & 1:
+        tie = free ^ 1
+        eq0, lt0 = live, 0
+        for u in placed:
+            bit -= 1
+            a, x = adj[u], adjacent[u]
+            if row >> bit & 1:
+                if tie & ~a:
+                    search.dead |= live
+                    return
+                tie &= a
+                lt0 |= eq0 & ~x
+                eq0 &= x
+            else:
+                tie &= ~a
+                eq0 &= ~x
+        if lt0:
+            search.dead |= lt0
+            live &= ~lt0
+        while tie:
+            v = tie.bit_length() - 1
+            ties[v] = live
+            tie ^= 1 << v
+        if eq0:
+            ties[0] = eq0
+    else:
+        # before vertex 0's position a tie below the row disproves all of
+        # live; after it, only the rows on which that vertex still ties
+        tie, lt, split = free, 0, -1  # split: the row's bit at vertex 0
+        for u in placed:
+            bit -= 1
+            if not u:
+                split, pre = row >> bit & 1, tie
+                continue
+            a = adj[u]
+            if row >> bit & 1:
+                if tie & ~a:
+                    if split < 0:
+                        search.dead |= live
+                        return
+                    lt |= tie & ~a
+                tie &= a
+            else:
+                tie &= ~a
+        dead = 0
+        while pre:
+            v = pre.bit_length() - 1
+            pre ^= 1 << v
+            x = adjacent[v]
+            if split:
+                dead |= live & ~x
+                x &= live
+            else:
+                x = live & ~x
+            if lt >> v & 1:
+                dead |= x
+            elif tie >> v & 1 and x:
+                ties[v] = x
+        if dead:
+            search.dead |= dead
+    twins = search.twins
+    for v, rows in ties.items():
+        rows &= ~search.dead
+        if twins is not None:
+            for w, on in twins[v]:  # w > v, so w was tried first
+                if w in ties:
+                    rows &= ~(ties[w] & on)
+        if rows:
+            placed.append(v)
+            _fill_rows(search, placed, free ^ 1 << v, rows)
+            placed.pop()
 
 
-def _child_rows(padj: tuple, auts: list, ones: list) -> Iterator[int]:
-    """The rows of a new vertex 0 over the minimal graph ``padj``, but for
-    those that one of ``auts``, the automorphisms its own search listed,
-    or a swap of two twins of ``padj`` maps to a smaller row.  The parent
-    prefix of the mask stays, so the smaller row gives a smaller mask of
-    the same graph, and the child is not minimal.  ``ones[row]`` lists the
-    set bits of ``row``."""
-    swaps = [(1 << i | 1 << j, 1 << j)
-             for i, j in itertools.combinations(range(len(padj)), 2)
-             if padj[i] & ~(1 << j) == padj[j] & ~(1 << i)]
-    images = [[1 << v for v in a] for a in auts[1:]]  # auts[0] is the identity
-    for row in range(1 << len(padj)):
-        if any(row & pair == high for pair, high in swaps):
-            continue
-        bits = ones[row]
-        if not any(sum([image[i] for i in bits]) < row for image in images):
-            yield row
+def _fill_last(search: _RowSearch, placed: list, v: int, live: int) -> None:
+    """The last step of ``_minimal_rows``: vertex ``v`` at position 0, whose
+    row is the row r of vertex 0 itself, so it differs from row to row."""
+    adjacent = search.adjacent
+    bit = len(placed)
+    if v:
+        # v's row is fixed but for its bit at vertex 0's position, which
+        # is set on the rows adjacent to v: w0 without it, w1 with it
+        w0 = 0
+        for u in placed:
+            bit -= 1
+            if not u:
+                k0 = bit
+            elif search.adj[u] >> v & 1:
+                w0 |= 1 << bit
+        w1 = w0 | 1 << k0
+        x, full = adjacent[v], search.full
+        lt = live & (x & full >> w1 + 1 << w1 + 1
+                     | ~x & full >> w0 + 1 << w0 + 1)
+        eq = live & (x & 1 << w1 | ~x & 1 << w0)
+    else:
+        # bit k of vertex 0's row is bit u-1 of r, for u at position k+1
+        eq, lt = live, 0
+        for u in placed:
+            bit -= 1
+            if u != bit + 1:
+                a, b = adjacent[u], adjacent[bit + 1]
+                lt |= eq & b & ~a
+                eq &= ~(a ^ b)
+    if lt:
+        search.dead |= lt
+    if eq:
+        search.found.append((eq, (v,) + tuple(reversed(placed))))
 
 
 def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
@@ -179,11 +308,12 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
     1998).  The pairs without vertex 0 are the high bits, so mask(G) =
     mask(G - v0) << n-1 | row(v0), and G - v0 is minimal when G is.  So each
-    minimal (n-1)-mask, ascending, is extended by each row of v0 in turn
-    and kept if still minimal; rows that an automorphism of the parent
-    lowers are not tried (see ``_child_rows``).  An order tuple is kept iff
-    no automorphism of the mask makes it lexicographically smaller; a mask
-    whose search lists only the identity keeps the shared list of them all.
+    minimal (n-1)-mask, ascending, is extended by the rows of v0 that keep
+    it minimal, ascending: one search per parent decides all its rows (see
+    ``_minimal_rows``), and the row sets it meets are built once per level.
+    An order tuple is kept iff no automorphism of the mask makes it
+    lexicographically smaller; a mask whose search lists only the identity
+    keeps the shared list of them all.
     """
     if not spec.dedup_isomorphic:
         for n in range(1, spec.max_vertices + 1):
@@ -192,22 +322,18 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
                 yield graph_from_bits(n, mask, tuples[0]), tuples
         return
     every = len(spec.orders) > 1
-    level: list = [((), [()])]  # each minimal graph on n-1 vertices, its auts
+    level: list = [()]  # each minimal graph on n-1 vertices
     for n in range(1, spec.max_vertices + 1):
         names = tuple(f"v{i + 1}" for i in range(n))
         tuples = list(itertools.product(spec.orders, repeat=n))
-        ones = [[i for i in range(n - 1) if row >> i & 1]
-                for row in range(1 << n - 1)]
+        sets = _row_sets(n - 1)
         minimal = []
-        for padj, pauts in level:
-            for row in _child_rows(padj, pauts, ones):
+        for padj in level:
+            for row, auts in _minimal_rows(padj, every, sets).items():
                 adj = (row << 1,) + tuple(a << 1 | row >> i & 1
                                           for i, a in enumerate(padj))
-                auts = _automorphisms(adj, every)
-                if auts is None:
-                    continue
                 if n < spec.max_vertices:  # the next level's parents
-                    minimal.append((adj, auts))
+                    minimal.append(adj)
                 kept = tuples
                 for a in auts[1:]:  # auts[0] is the identity
                     image = itemgetter(*a)
@@ -426,7 +552,7 @@ class EnumSpec:
     A000666) but only 12,346 edge masks.  Every check runs once per mask
     (see ``CHECKS``), and ``lemma_1_4_oracle`` searches
     each commutator shape once per process, so all nine checks take about
-    10 s for n <= 8 in one process and about 15 s with two workers
+    9 s for n <= 8 in one process and about 14 s with two workers
     (Python 3.11, 2 CPUs)."""
 
     max_vertices: int

@@ -15,18 +15,20 @@ closure), and the commutator and innerness fold that the closed forms in
 from three generic compositions, and a coset fold taken one vertex at a
 time.  So are the enumerator and the suite driver that mask records
 replaced: the enumerator yields one graph per order tuple and tries every
-row of a new vertex, where the library yields one record per edge mask and
-prunes the rows that an automorphism of the parent lowers, and the driver
-runs the library's checks on a census of every enumerated graph, where the
-library runs the order-free checks once per edge mask.  Its oracle check
-decides every commutator of every graph afresh, where the library decides
-each commutator shape once per suite run.  The minimality
-search of orderly generation is kept as it was, a dict of per-vertex words
-copied at every node, where the library keeps the free vertices as a mask
-and meets a row with one AND per placed vertex.  So are the eight
-order-free checks, which read the Sil, Stil and Fsil objects where the
-library reads the census's masks.  The innerness test by
-definition lives here too, with the vertex images it compares:
+row of a new vertex, where the library yields one record per edge mask,
+and the driver runs the library's checks on a census of every enumerated
+graph, where the library runs the order-free checks once per edge mask.
+Its oracle check decides every commutator of every graph afresh, where
+the library decides each commutator shape once per suite run.  The
+minimality search of orderly generation is kept in both its former
+shapes, where the library runs one search per parent for all the rows of
+a new vertex at once: one search per child, which keeps the free vertices
+as a mask and meets a row with one AND per placed vertex, with the record
+enumerator that ran it on the rows an automorphism of the parent does not
+lower; and before it, a dict of per-vertex words copied at every node.
+So are the eight order-free checks, which read the Sil, Stil and Fsil
+objects where the library reads the census's masks.  The innerness test
+by definition lives here too, with the vertex images it compares:
 ``is_inner_with`` checks a candidate word on every vertex through
 ``conjugate`` and ``image_of_vertex``, and the breadth-first search
 compares the same images.
@@ -34,6 +36,7 @@ compares the same images.
 
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from silscope import harness, outer
 from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
@@ -394,8 +397,8 @@ def graphs_of(spec):
 def enumerate_graphs_per_graph(spec):
     """``harness.enumerate_graphs`` as it was before mask records: one
     graph per kept order tuple, and with dedup every row of vertex 0 tried
-    on every minimal parent.  Calls ``harness._automorphisms`` through the
-    module, so a test can count the searches."""
+    on every minimal parent by its own ``automorphisms_per_child``
+    search."""
     if not spec.dedup_isomorphic:
         for n in range(1, spec.max_vertices + 1):
             tuples = list(product(spec.orders, repeat=n))
@@ -409,15 +412,135 @@ def enumerate_graphs_per_graph(spec):
         names = tuple(f"v{i + 1}" for i in range(n))
         minimal = []
         for padj, row in product(level, range(1 << n - 1)):
-            adj = (row << 1,) + tuple(a << 1 | row >> i & 1
-                                      for i, a in enumerate(padj))
-            auts = harness._automorphisms(adj, len(spec.orders) > 1)
+            adj = child_adjacency(padj, row)
+            auts = automorphisms_per_child(adj, len(spec.orders) > 1)
             if auts is not None:
                 minimal.append(adj)
                 for orders in product(spec.orders, repeat=n):
                     if all(tuple(orders[v] for v in a) >= orders for a in auts):
                         yield LabelledGraph(names, orders, adj)
         level = minimal
+
+
+def enumerate_graphs_per_child(spec):
+    """``harness.enumerate_graphs`` with dedup as it was before one search
+    per parent: the same mask records, but each row of vertex 0 that
+    ``child_rows`` leaves is searched on its own by
+    ``automorphisms_per_child``."""
+    every = len(spec.orders) > 1
+    level = [((), [()])]  # each minimal graph on n-1 vertices, its auts
+    for n in range(1, spec.max_vertices + 1):
+        names = tuple(f"v{i + 1}" for i in range(n))
+        tuples = list(product(spec.orders, repeat=n))
+        ones = [[i for i in range(n - 1) if row >> i & 1]
+                for row in range(1 << n - 1)]
+        minimal = []
+        for padj, pauts in level:
+            for row in child_rows(padj, pauts, ones):
+                adj = child_adjacency(padj, row)
+                auts = automorphisms_per_child(adj, every)
+                if auts is None:
+                    continue
+                if n < spec.max_vertices:  # the next level's parents
+                    minimal.append((adj, auts))
+                kept = tuples
+                for a in auts[1:]:  # auts[0] is the identity
+                    image = itemgetter(*a)
+                    kept = [orders for orders in kept
+                            if image(orders) >= orders]
+                yield LabelledGraph(names, kept[0], adj), kept
+        level = minimal
+
+
+def child_adjacency(padj, row):
+    """The graph ``padj`` with a new vertex 0 of neighbourhood ``row``,
+    bit i for vertex i of ``padj``, which becomes vertex i+1."""
+    return (row << 1,) + tuple(a << 1 | row >> i & 1
+                               for i, a in enumerate(padj))
+
+
+def automorphisms_per_child(adj, every):
+    """The automorphisms (position -> vertex) of a graph whose edge mask no
+    relabelling lowers, else None.  The mask's top bits are row n-2, then
+    n-3, ..., row p holding the edges from p to p+1.. (p+1 lowest).  The
+    search fills positions n-1, n-2, ...: a free vertex whose row against
+    the placed ones is below the graph's disproves minimality, one above
+    ends its branch.  Unless ``every``, one of two twins is tried (swapping
+    them fixes the placed vertices), so not every automorphism is listed.
+    The search tries the graph's own numbering first, so the identity comes
+    first."""
+    n = len(adj)
+    rows = [a >> p + 1 for p, a in enumerate(adj)]
+    # skip[v]: the vertices not to try after v, v itself and unless every
+    # its twins, those with v's open or closed neighbourhood (no vertex's
+    # open neighbourhood is another's closed one)
+    if every:
+        skip = [1 << v for v in range(n)]
+    else:
+        twins = {}
+        for v, a in enumerate(adj):
+            for nbhd in (a, a | 1 << v):
+                twins[nbhd] = twins.get(nbhd, 0) | 1 << v
+        skip = [twins[a] | twins[a | 1 << v] for v, a in enumerate(adj)]
+    found = []
+    return (found if _fill_per_child(adj, rows, skip, found, [], (1 << n) - 1)
+            else None)
+
+
+def _fill_per_child(adj, rows, skip, found, placed, free):
+    """One step of ``automorphisms_per_child``: place one of the vertices
+    of the mask ``free`` at the highest empty position p, after
+    ``placed``, the vertices of positions n-1, n-2, ..., p+1.  Bit k of
+    row p stands for position p+1+k, so ``placed`` meets the row's bits
+    from the highest down: one AND per placed vertex narrows the free
+    vertices that tie with the row so far, and a tie with a 0 where the
+    row has a 1 is below the row, which disproves minimality.  The ties
+    left are tried from the highest vertex down.  Not a closure, so that
+    no call leaves a cycle."""
+    if not free:
+        found.append(tuple(reversed(placed)))
+        return True
+    bit = len(placed)
+    row = rows[-1 - bit]
+    tie = free
+    for u in placed:
+        bit -= 1
+        if row >> bit & 1:
+            if tie & ~adj[u]:
+                return False
+            tie &= adj[u]
+        else:
+            tie &= ~adj[u]
+    while tie:
+        v = tie.bit_length() - 1
+        tie &= ~skip[v]
+        placed.append(v)
+        kept = _fill_per_child(adj, rows, skip, found, placed, free ^ 1 << v)
+        placed.pop()
+        if not kept:
+            return False
+    return True
+
+
+def child_rows(padj, auts, ones):
+    """The rows of a new vertex 0 over the minimal graph ``padj``, but for
+    those that one of ``auts``, the automorphisms its own search listed,
+    or a swap of two twins of ``padj`` maps to a smaller row.  The parent
+    prefix of the mask stays, so the smaller row gives a smaller mask of
+    the same graph, and the child is not minimal.  ``ones[row]`` lists the
+    set bits of ``row``."""
+    swaps = [(1 << i | 1 << j, 1 << j)
+             for i, j in combinations(range(len(padj)), 2)
+             if padj[i] & ~(1 << j) == padj[j] & ~(1 << i)]
+    images = [[1 << v for v in a] for a in auts[1:]]  # auts[0] is the identity
+    for row in range(1 << len(padj)):
+        if any(row & pair == high for pair, high in swaps):
+            continue
+        bits = ones[row]
+        if not any(sum([image[i] for i in bits]) < row for image in images):
+            yield row
+
+
 
 
 def run_suite_per_graph(spec):
@@ -458,7 +581,7 @@ def lemma_1_4_oracle_per_graph(census):
 
 
 def automorphisms_by_words(adj, every):
-    """``harness._automorphisms`` as it was before the bit-parallel search:
+    """``automorphisms_per_child`` as it was before the bit-parallel search:
     each free vertex carries its word, its row against the placed vertices,
     in a dict copied at every node.  The automorphisms (position -> vertex)
     of a graph whose edge mask no relabelling lowers, else None.  The

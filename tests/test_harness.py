@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -162,25 +163,6 @@ def test_labelled_masks_share_one_list_of_order_tuples():
     for g, tuples in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
         lists.setdefault(g.n, set()).add(id(tuples))
     assert {n: len(ids) for n, ids in lists.items()} == {1: 1, 2: 1, 3: 1, 4: 1}
-
-
-def test_parent_automorphisms_prune_the_minimality_searches(monkeypatch):
-    """A row of vertex 0 that an automorphism of the parent, or a swap of
-    two of its twins, lowers gives no minimal child, so it is not searched."""
-    calls = []
-
-    def counted(adj, every):
-        calls.append(adj)
-        return automorphisms(adj, every)
-
-    automorphisms = harness._automorphisms
-    monkeypatch.setattr(harness, "_automorphisms", counted)
-    spec = EnumSpec(7, dedup_isomorphic=True)
-    assert sum(1 for _ in oracles.enumerate_graphs_per_graph(spec)) == 1252
-    assert len(calls) == 11291
-    calls.clear()
-    assert sum(len(tuples) for _, tuples in enumerate_graphs(spec)) == 1252
-    assert len(calls) == 5759
 
 
 def test_enum_spec_sorts_and_folds_repeats():
@@ -458,29 +440,55 @@ def test_one_census_per_mask_record(monkeypatch):
 # The bitmask search and checks against the references they replaced
 
 
-@pytest.mark.parametrize("spec, searches", [
-    (EnumSpec(7, dedup_isomorphic=True), 5759),
-    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 663),
-    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 119),
+@pytest.mark.parametrize("spec, parents", [
+    (EnumSpec(7, dedup_isomorphic=True), 209),
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 53),
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 19),
 ], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234"])
-def test_minimality_search_lists_the_automorphisms_of_the_word_search(
-        monkeypatch, spec, searches):
-    """The bit-parallel search lists the same automorphisms as the search
-    over per-vertex words, in the same order, identity first, and refuses
-    the same graphs."""
+def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
+                                                       parents):
+    """One minimality search per minimal parent, the empty graph first,
+    decides every row of a new vertex 0: it keeps the rows whose child's
+    own search finds the child minimal, ascending, and lists for each the
+    automorphisms of that search and of the search over per-vertex words,
+    in the same order, identity first."""
     calls = []
 
-    def compared(adj, every):
-        calls.append(adj)
-        found = automorphisms(adj, every)
-        assert found == oracles.automorphisms_by_words(adj, every), adj
+    def compared(padj, every, sets):
+        calls.append(padj)
+        found = minimal_rows(padj, every, sets)
+        assert list(found) == sorted(found)
+        for row in range(1 << len(padj)):
+            adj = oracles.child_adjacency(padj, row)
+            auts = oracles.automorphisms_per_child(adj, every)
+            assert found.get(row) == auts, (padj, row)
+            assert auts == oracles.automorphisms_by_words(adj, every), adj
         return found
 
-    automorphisms = harness._automorphisms
-    monkeypatch.setattr(harness, "_automorphisms", compared)
-    for _ in enumerate_graphs(spec):
-        pass
-    assert len(calls) == searches
+    minimal_rows = harness._minimal_rows
+    monkeypatch.setattr(harness, "_minimal_rows", compared)
+    smaller = [first.adj for first, _ in enumerate_graphs(spec)
+               if first.n < spec.max_vertices]
+    assert calls == [()] + smaller
+    assert len(calls) == parents
+
+
+def test_one_search_per_parent_beyond_the_enumeration_bound():
+    """On a seeded sample of the minimal graphs on 8 vertices, the search
+    per parent gives each of the 256 rows of a ninth vertex the verdict and
+    the automorphisms of the child's own search, listing every
+    automorphism or one per twin class."""
+    parents = [first.adj for first, _ in
+               enumerate_graphs(EnumSpec(8, dedup_isomorphic=True))
+               if first.n == 8]
+    sets = harness._row_sets(8)
+    for padj in random.Random(9).sample(parents, 100):
+        for every in (True, False):
+            found = harness._minimal_rows(padj, every, sets)
+            for row in range(256):
+                adj = oracles.child_adjacency(padj, row)
+                assert found.get(row) == oracles.automorphisms_per_child(
+                    adj, every), (padj, row, every)
 
 
 def verdicts_against_references(spec, alter=lambda census: None):
