@@ -165,6 +165,28 @@ def test_labelled_masks_share_one_list_of_order_tuples():
     assert {n: len(ids) for n, ids in lists.items()} == {1: 1, 2: 1, 3: 1, 4: 1}
 
 
+def test_parent_automorphisms_prune_the_minimality_searches(monkeypatch):
+    """In the per-child reference, a row of vertex 0 that an automorphism
+    of the parent, or a swap of two of its twins, lowers gives no minimal
+    child, so it is not searched; the per-graph reference searches every
+    row, and both keep the same graphs."""
+    calls = []
+
+    def counted(adj, every):
+        calls.append(adj)
+        return automorphisms(adj, every)
+
+    automorphisms = oracles.automorphisms_per_child
+    monkeypatch.setattr(oracles, "automorphisms_per_child", counted)
+    spec = EnumSpec(7, dedup_isomorphic=True)
+    assert sum(1 for _ in oracles.enumerate_graphs_per_graph(spec)) == 1252
+    assert len(calls) == 11291
+    calls.clear()
+    assert sum(len(tuples) for _, tuples in
+               oracles.enumerate_graphs_per_child(spec)) == 1252
+    assert len(calls) == 5759
+
+
 def test_enum_spec_sorts_and_folds_repeats():
     spec = EnumSpec(3, orders=(3, 2, 2), checks=("lemma_4", "lemma_2_2", "lemma_4"))
     assert spec.orders == (2, 3)
@@ -450,8 +472,7 @@ def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
     """One minimality search per minimal parent, the empty graph first,
     decides every row of a new vertex 0: it keeps the rows whose child's
     own search finds the child minimal, ascending, and lists for each the
-    automorphisms of that search and of the search over per-vertex words,
-    in the same order, identity first."""
+    automorphisms of that search, in the same order, identity first."""
     calls = []
 
     def compared(padj, every, sets):
@@ -460,9 +481,8 @@ def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
         assert list(found) == sorted(found)
         for row in range(1 << len(padj)):
             adj = oracles.child_adjacency(padj, row)
-            auts = oracles.automorphisms_per_child(adj, every)
-            assert found.get(row) == auts, (padj, row)
-            assert auts == oracles.automorphisms_by_words(adj, every), adj
+            assert found.get(row) == oracles.automorphisms_per_child(
+                adj, every), (padj, row)
         return found
 
     minimal_rows = harness._minimal_rows
@@ -471,6 +491,33 @@ def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
                if first.n < spec.max_vertices]
     assert calls == [()] + smaller
     assert len(calls) == parents
+
+
+@pytest.mark.parametrize("spec, records", [
+    (EnumSpec(7, dedup_isomorphic=True), 1252),
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 208),
+    (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True), 52),
+], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234"])
+def test_minimality_search_lists_the_automorphisms_of_the_word_search(
+        monkeypatch, spec, records):
+    """The bit-parallel search lists for every row of a new vertex 0 the
+    same automorphisms as the search over per-vertex words, in the same
+    order, identity first, and refuses the same children; each row it
+    keeps gives one mask record."""
+    kept = []
+
+    def compared(padj, every, sets):
+        found = minimal_rows(padj, every, sets)
+        kept.extend(found)
+        for row in range(1 << len(padj)):
+            adj = oracles.child_adjacency(padj, row)
+            assert found.get(row) == oracles.automorphisms_by_words(
+                adj, every), (padj, row)
+        return found
+
+    minimal_rows = harness._minimal_rows
+    monkeypatch.setattr(harness, "_minimal_rows", compared)
+    assert sum(1 for _ in enumerate_graphs(spec)) == len(kept) == records
 
 
 def test_one_search_per_parent_beyond_the_enumeration_bound():
