@@ -12,11 +12,14 @@ Checks are pure functions of the graph's census that return a verdict:
 driver turns a verdict into a :class:`CounterexampleReport`, naming the
 check and the graph.  A check reads only the adjacency, never a vertex
 order (the contract stated beside ``CHECKS``), so the enumeration yields
-mask records, one per edge mask: the mask's first graph and the list of
-its kept order tuples.  With dedup, one minimality search per smaller
-graph decides every row of a new vertex at once.  One :class:`Census` of
-a record's graph serves every check, once for the whole mask, and each
-verdict stands for every order tuple.  The census checks decide on the
+mask records, one per edge mask: the mask's first graph, the number of its
+kept order tuples, and the automorphisms that decide which tuples those
+are.  With dedup, one minimality search per smaller graph decides every
+row of a new vertex at once, and Burnside's lemma counts the kept tuples
+over the automorphism group the search lists.  One :class:`Census` of a
+record's graph serves every check, once for the whole mask, and each
+verdict stands for every kept order tuple; the tuples are listed only
+for a mask with a failing verdict.  The census checks decide on the
 census's bitmasks, and build Sil or Stil objects only to word a failing
 verdict.  The word oracle reads no vertex order either:
 whether a commutator of two generators is inner depends only on its
@@ -51,7 +54,7 @@ MAX_ENUMERATION_VERTICES = 8
 # without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
 # and n = 8 has 2^28, hours
 MAX_LABELLED_VERTICES = 7
-CHUNK_SIZE = 256  # order tuples per task: bounds memory, amortises pickling
+CHUNK_SIZE = 256  # order tuples per task: bounds the reports one chunk holds
 
 
 @dataclass(frozen=True)
@@ -298,11 +301,14 @@ def _fill_last(search: _RowSearch, placed: list, v: int, live: int) -> None:
 def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     """All labelled graphs up to the vertex bound, in ascending (n, edge
     mask, order tuple), as one mask record per edge mask; bit k of the mask
-    is the k-th pair (i, j), i < j.  A mask record is a pair: the mask's
-    first graph and the list of its kept order tuples, that graph's first.
-    Without dedup every mask on n vertices shares one list of all order
-    tuples.  The suite driver builds a graph per order tuple only for a
-    report.
+    is the k-th pair (i, j), i < j.  A mask record is a triple ``(first,
+    count, auts)``: the mask's graph under the all-smallest order tuple,
+    the number of its kept order tuples, and the automorphisms (position ->
+    vertex) other than the identity that decide which tuples are kept.
+    Without dedup every order tuple is kept: k^n of them for an alphabet of
+    k orders, and ``auts`` is empty.  The suite driver lists the kept
+    tuples, and builds a graph for each, only for a report (see
+    ``_kept_tuples``).
 
     With dedup, each class comes once, as its minimal encoding, by orderly
     generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
@@ -312,20 +318,24 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     it minimal, ascending: one search per parent decides all its rows (see
     ``_minimal_rows``), and the row sets it meets are built once per level.
     An order tuple is kept iff no automorphism of the mask makes it
-    lexicographically smaller; a mask whose search lists only the identity
-    keeps the shared list of them all.
+    lexicographically smaller, so the kept tuples are the least of each
+    orbit of the automorphism group.  With two or more orders the search
+    lists that whole group, each element once, and Burnside's lemma counts
+    the orbits: (1/|Aut|) sum over the group of k^cycles.  With one order
+    the all-smallest tuple is the only one, and ``auts`` is empty.
     """
+    k = len(spec.orders)
     if not spec.dedup_isomorphic:
         for n in range(1, spec.max_vertices + 1):
-            tuples = list(itertools.product(spec.orders, repeat=n))
+            orders, count = spec.orders[:1] * n, k ** n
             for mask in range(1 << n * (n - 1) // 2):
-                yield graph_from_bits(n, mask, tuples[0]), tuples
+                yield graph_from_bits(n, mask, orders), count, ()
         return
-    every = len(spec.orders) > 1
+    every = k > 1
     level: list = [()]  # each minimal graph on n-1 vertices
     for n in range(1, spec.max_vertices + 1):
         names = tuple(f"v{i + 1}" for i in range(n))
-        tuples = list(itertools.product(spec.orders, repeat=n))
+        first = spec.orders[:1] * n
         sets = _row_sets(n - 1)
         minimal = []
         for padj in level:
@@ -334,12 +344,45 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
                                           for i, a in enumerate(padj))
                 if n < spec.max_vertices:  # the next level's parents
                     minimal.append(adj)
-                kept = tuples
-                for a in auts[1:]:  # auts[0] is the identity
-                    image = itemgetter(*a)
-                    kept = [orders for orders in kept if image(orders) >= orders]
-                yield LabelledGraph(names, kept[0], adj), kept
+                if every:
+                    yield (LabelledGraph(names, first, adj),
+                           _orbit_count(k, auts), tuple(auts[1:]))
+                else:
+                    yield LabelledGraph(names, first, adj), 1, ()
         level = minimal
+
+
+def _orbit_count(k: int, group: list) -> int:
+    """The number of orbits of the permutation group ``group`` (position ->
+    vertex, each element once, the identity first) on the tuples over k
+    orders, by Burnside's lemma: a tuple is fixed by a permutation iff it
+    is constant on each of its cycles.  Each cycle is walked from its
+    lowest position, which is never marked, and every other position on it
+    takes one cycle off n."""
+    n = len(group[0])
+    total = k ** n
+    for perm in group[1:]:
+        cycles, seen = n, 0
+        for start in range(n):
+            if not seen >> start & 1:
+                v = perm[start]
+                while v != start:
+                    seen |= 1 << v
+                    cycles -= 1
+                    v = perm[v]
+        total += k ** cycles
+    return total // len(group)
+
+
+def _kept_tuples(alphabet: tuple, n: int, auts: tuple) -> list:
+    """The kept order tuples of a mask record on ``n`` vertices, ascending:
+    those over ``alphabet`` that no permutation of ``auts`` maps to a
+    lexicographically smaller tuple."""
+    kept = list(itertools.product(alphabet, repeat=n))
+    for a in auts:
+        image = itemgetter(*a)
+        kept = [orders for orders in kept if image(orders) >= orders]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +593,12 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks.  Every check runs once per mask
-    (see ``CHECKS``), and ``lemma_1_4_oracle`` searches
-    each commutator shape once per process, so all nine checks take about
-    9 s for n <= 8 in one process and about 14 s with two workers
-    (Python 3.11, 2 CPUs)."""
+    (see ``CHECKS``), ``lemma_1_4_oracle`` searches each commutator shape
+    once per process, and a mask's kept order tuples are counted, and
+    listed only for its reports.  So all nine checks take about 4.5 s for
+    n <= 8 in one process and about 9 s with two workers, and every check
+    but ``lemma_7`` on orders (2, 3, 4), 52,628,740 classes, takes about
+    3 s in one process (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -598,21 +643,22 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(records: list, checks: tuple) -> tuple:
+def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  Each check runs
     once per record, on one census of the record's graph, and a failing
-    verdict stands for every order tuple of the record: each tuple gets a
-    graph and a report of its own.  Every report is built here."""
+    verdict stands for every kept order tuple of the record.  Only then
+    are the tuples listed over ``alphabet``, and each gets a graph and a
+    report of its own.  Every report is built here."""
     checked, out = 0, []
-    for first, tuples in records:
-        checked += len(tuples)
+    for first, count, auts in records:
+        checked += count
         census = Census(first)
         failed = [(c, verdict) for c, check in checks
                   if (verdict := check(census)) is not None]
         if not failed:
             continue
-        for orders in tuples:
+        for orders in _kept_tuples(alphabet, first.n, auts):
             g = LabelledGraph(first.names, orders, first.adj)
             for check_id, verdict in failed:
                 out.append(CounterexampleReport(check_id, to_json_dict(g),
@@ -622,11 +668,11 @@ def _run_checks(records: list, checks: tuple) -> tuple:
 
 def _chunks(records: Iterator[tuple]) -> Iterator[list]:
     """Whole mask records, gathered into chunks of about ``CHUNK_SIZE``
-    order tuples each."""
+    order tuples each; a record counting more is a chunk of its own."""
     chunk, size = [], 0
     for record in records:
         chunk.append(record)
-        size += len(record[1])
+        size += record[1]
         if size >= CHUNK_SIZE:
             yield chunk
             chunk, size = [], 0
@@ -637,9 +683,11 @@ def _chunks(records: Iterator[tuple]) -> Iterator[list]:
 def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     """``(number of graphs, reports)`` for each chunk of the enumeration, in
     chunk order: checked in this process for one worker, else in a pool
-    with at most two chunks per process pending.  Joining the reports of
-    every chunk gives ``run_suite``'s; reading them chunk by chunk keeps
-    only one chunk's reports in memory.  The check ids are resolved in
+    with at most 2 * workers + 1 chunks in flight, since a chunk is
+    submitted before the oldest pending result is awaited.  Joining the
+    reports of every chunk gives ``run_suite``'s; reading them chunk by
+    chunk keeps the reports of only the chunks in flight in memory.  The
+    check ids are resolved in
     this process, and workers get the functions, so a check registered in
     ``CHECKS`` at run time reaches workers that import the package afresh
     (the ``spawn`` and ``forkserver`` start methods).  The oracle's
@@ -649,12 +697,14 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, checks) for chunk in chunks)
+        yield from (_run_checks(chunk, checks, spec.orders)
+                    for chunk in chunks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, checks))
+            pending.append(pool.submit(_run_checks, chunk, checks,
+                                       spec.orders))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

@@ -26,6 +26,9 @@ a new vertex at once: one search per child, which keeps the free vertices
 as a mask and meets a row with one AND per placed vertex, with the record
 enumerator that ran it on the rows an automorphism of the parent does not
 lower; and before it, a dict of per-vertex words copied at every node.
+That record enumerator lists each mask's kept order tuples by filtering
+all of them with every automorphism, where the library counts them by
+Burnside's lemma and lists them only for a mask that fails a check.
 So are the eight order-free checks, which read the Sil, Stil and Fsil
 objects where the library reads the census's masks.  The innerness test
 by definition lives here too, with the vertex images it compares:
@@ -388,9 +391,10 @@ def dedup_by_orbit_marking(spec):
 
 def graphs_of(spec):
     """Every graph of ``enumerate_graphs(spec)``: each mask record's graph
-    with each of its order tuples, in order."""
-    for first, tuples in enumerate_graphs(spec):
-        for orders in tuples:
+    with each of its kept order tuples, listed by the suite driver's filter,
+    in order."""
+    for first, _, auts in enumerate_graphs(spec):
+        for orders in harness._kept_tuples(spec.orders, first.n, auts):
             yield LabelledGraph(first.names, orders, first.adj)
 
 
@@ -424,9 +428,11 @@ def enumerate_graphs_per_graph(spec):
 
 def enumerate_graphs_per_child(spec):
     """``harness.enumerate_graphs`` with dedup as it was before one search
-    per parent: the same mask records, but each row of vertex 0 that
+    per parent and before counting order tuples: each row of vertex 0 that
     ``child_rows`` leaves is searched on its own by
-    ``automorphisms_per_child``."""
+    ``automorphisms_per_child``, and each mask record is a pair, the mask's
+    first graph and the list of its kept order tuples, which every
+    automorphism of the search filters in turn."""
     every = len(spec.orders) > 1
     level = [((), [()])]  # each minimal graph on n-1 vertices, its auts
     for n in range(1, spec.max_vertices + 1):

@@ -152,17 +152,86 @@ def test_orderly_generation_matches_orbit_marking(max_vertices, orders):
 def test_mask_records_flatten_to_the_per_graph_enumeration(spec):
     assert list(oracles.graphs_of(spec)) == list(
         oracles.enumerate_graphs_per_graph(spec))
-    masks = [(g.n, encoding(g)[0]) for g, _ in enumerate_graphs(spec)]
+    masks = [(g.n, encoding(g)[0]) for g, _, _ in enumerate_graphs(spec)]
     assert masks == sorted(set(masks))  # one record per mask, ascending
-    for g, tuples in enumerate_graphs(spec):
-        assert g.orders == tuples[0]
+    for g, _, auts in enumerate_graphs(spec):
+        assert g.orders == harness._kept_tuples(spec.orders, g.n, auts)[0]
 
 
-def test_labelled_masks_share_one_list_of_order_tuples():
-    lists = {}
-    for g, tuples in enumerate_graphs(EnumSpec(4, orders=(2, 3))):
-        lists.setdefault(g.n, set()).add(id(tuples))
-    assert {n: len(ids) for n, ids in lists.items()} == {1: 1, 2: 1, 3: 1, 4: 1}
+def test_labelled_records_count_every_order_tuple():
+    """Without dedup every order tuple of a mask is kept: a record counts
+    k^n of them and carries no automorphism."""
+    spec = EnumSpec(4, orders=(2, 3))
+    records = list(enumerate_graphs(spec))
+    assert len(records) == 1 + 2 + 8 + 64
+    for g, count, auts in records:
+        assert (g.orders, count, auts) == ((2,) * g.n, 2 ** g.n, ())
+
+
+def burnside_sum(k, n, auts):
+    """The sum over the identity and ``auts`` of k^cycles, with the cycles
+    counted by following each permutation from every vertex."""
+    total = 0
+    for perm in [tuple(range(n))] + list(auts):
+        cycles = set()
+        for v in range(n):
+            orbit, u = {v}, perm[v]
+            while u != v:
+                orbit.add(u)
+                u = perm[u]
+            cycles.add(frozenset(orbit))
+        total += k ** len(cycles)
+    return total
+
+
+def reference_records(spec):
+    """The mask records as the filter lists them: per-child searches with
+    dedup, else every order tuple of every mask."""
+    if spec.dedup_isomorphic:
+        return oracles.enumerate_graphs_per_child(spec)
+    return ((g, list(itertools.product(spec.orders, repeat=g.n)))
+            for g in oracles.enumerate_graphs_per_graph(spec)
+            if g.orders == spec.orders[:1] * g.n)
+
+
+@pytest.mark.parametrize("spec", [
+    EnumSpec(7, orders=(2, 3), dedup_isomorphic=True),
+    EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
+    EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True),
+    EnumSpec(5, orders=(4, 8, 9), dedup_isomorphic=True),
+    EnumSpec(4, orders=(2, 3)),
+], ids=["dedup_7_23", "dedup_6_23", "dedup_5_234", "dedup_5_489",
+        "labelled_4_23"])
+def test_burnside_counts_the_kept_order_tuples(spec):
+    """Each record's count is the number of order tuples that the
+    reference's filter keeps, and the driver's listing of them is the
+    reference's list, in order.  The Burnside sum over the identity and
+    the record's automorphisms is a multiple of the group's order."""
+    records = 0
+    for got, want in itertools.zip_longest(enumerate_graphs(spec),
+                                           reference_records(spec)):
+        (first, count, auts), (g, kept) = got, want
+        assert first == g
+        assert count == len(kept)
+        assert harness._kept_tuples(spec.orders, first.n, auts) == kept
+        assert burnside_sum(len(spec.orders), first.n, auts) % (
+            len(auts) + 1) == 0
+        records += 1
+    assert records > 50
+
+
+def test_listed_automorphisms_form_a_group():
+    """With two or more orders, a record's identity and automorphisms are
+    closed under composition, the precondition of the Burnside count."""
+    spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True)
+    groups = 0
+    for first, _, auts in enumerate_graphs(spec):
+        group = {tuple(range(first.n))} | set(auts)
+        assert len(group) == len(auts) + 1
+        for a, b in itertools.product(group, repeat=2):
+            assert tuple(a[b[p]] for p in range(first.n)) in group, first
+        groups += len(group) > 1
+    assert groups > 100
 
 
 def test_parent_automorphisms_prune_the_minimality_searches(monkeypatch):
@@ -453,8 +522,8 @@ def test_one_census_per_mask_record(monkeypatch):
     records = list(enumerate_graphs(EnumSpec(3, orders=(2, 3))))
     checks = (("fails_with_two_edges", _fails_with_two_edges),
               ("lemma_7", CHECKS["lemma_7"]))
-    checked, reports = harness._run_checks(records, checks)
-    assert built == [first.adj for first, _ in records]
+    checked, reports = harness._run_checks(records, checks, (2, 3))
+    assert built == [first.adj for first, _, _ in records]
     assert (checked, len(reports)) == (74, 32)
 
 
@@ -487,7 +556,7 @@ def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
 
     minimal_rows = harness._minimal_rows
     monkeypatch.setattr(harness, "_minimal_rows", compared)
-    smaller = [first.adj for first, _ in enumerate_graphs(spec)
+    smaller = [first.adj for first, _, _ in enumerate_graphs(spec)
                if first.n < spec.max_vertices]
     assert calls == [()] + smaller
     assert len(calls) == parents
@@ -525,7 +594,7 @@ def test_one_search_per_parent_beyond_the_enumeration_bound():
     per parent gives each of the 256 rows of a ninth vertex the verdict and
     the automorphisms of the child's own search, listing every
     automorphism or one per twin class."""
-    parents = [first.adj for first, _ in
+    parents = [first.adj for first, _, _ in
                enumerate_graphs(EnumSpec(8, dedup_isomorphic=True))
                if first.n == 8]
     sets = harness._row_sets(8)
@@ -544,7 +613,7 @@ def verdicts_against_references(spec, alter=lambda census: None):
     census, both changed by ``alter`` first; assert that the verdicts are
     equal and count the failing ones per check."""
     failed = Counter()
-    for first, _ in enumerate_graphs(spec):
+    for first, _, _ in enumerate_graphs(spec):
         census, reference = Census(first), Census(first)
         alter(census)
         alter(reference)
