@@ -13,22 +13,22 @@ driver turns a verdict into a :class:`CounterexampleReport`, naming the
 check and the graph.  A check reads only the adjacency, never a vertex
 order (the contract stated beside ``CHECKS``), so the enumeration yields
 mask records, one per edge mask: the mask's first graph, the number of its
-kept order tuples, and the automorphisms that decide which tuples those
-are.  With dedup, one minimality search per smaller graph decides every
-row of a new vertex at once, and Burnside's lemma counts the kept tuples
-over the automorphism group the search lists.  One :class:`Census` of a
-record's graph serves every check, once for the whole mask, and each
-verdict stands for every kept order tuple; the tuples are listed only
-for a mask with a failing verdict.  The census checks decide on the
-census's bitmasks, and build Sil or Stil objects only to word a failing
-verdict.  The word oracle reads no vertex order either:
-whether a commutator of two generators is inner depends only on its
-numbering-free shape, and :func:`silscope.words.commutator_is_inner`
-decides each shape once per process.  A graph is built for each report.
-The suite streams: the records are cut into chunks of whole masks, each
-chunk is checked in this process or by a worker process, and the results
-are joined in chunk order.  Reports therefore come out in enumeration
-order, and in check-id order per graph, whatever the number of workers.
+kept order tuples, and with dedup one automorphism per coset of the group
+that permutes each twin class, over which Burnside's lemma counts them.
+Each mask extends a smaller one by the row of a new vertex, and with dedup
+one minimality search per smaller graph decides every row at once.  One
+:class:`Census` of a record's graph serves every check, once for the whole
+mask, and each verdict stands for every kept order tuple; the tuples are
+listed only for a mask with a failing verdict.  The census checks decide
+on the census's bitmasks, and build Sil or Stil objects only to word a
+failing verdict.  The word oracle reads no vertex order either: whether a
+commutator of two generators is inner depends only on its numbering-free
+shape, and :func:`silscope.words.commutator_is_inner` decides each shape
+once per process.  A graph is built for each report.  The suite streams:
+the records are cut into chunks of whole masks, each chunk is checked in
+this process or by a worker process, and the results are joined in chunk
+order.  Reports therefore come out in enumeration order, and in check-id
+order per graph, whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb, prod
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
@@ -78,16 +79,6 @@ class CounterexampleReport:
 # Enumeration
 
 
-def graph_from_bits(n: int, mask: int, orders: Sequence[int]) -> LabelledGraph:
-    adj = [0] * n
-    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
-        if mask >> k & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    names = tuple(f"v{i + 1}" for i in range(n))
-    return LabelledGraph(names, tuple(orders), tuple(adj))
-
-
 def _row_sets(m: int) -> tuple:
     """The row sets of a level whose parents have ``m`` vertices, each a
     set of rows of a new vertex 0 given as the bits of one int (bit r for
@@ -107,14 +98,14 @@ class _RowSearch:
     parent's and so the same on every row of vertex 0, and ``full`` and
     ``adjacent`` the row sets of ``_row_sets``.  ``twins[v]`` lists the
     pairs (w, rows), w > v, of the rows on which v and w are twins of the
-    child, or is None if every automorphism is listed.  The search adds to
-    ``dead`` the rows whose child it proves not minimal, and to ``found``
-    each automorphism with the rows whose search lists it."""
+    child.  The search adds to ``dead`` the rows whose child it proves not
+    minimal, and to ``found`` each automorphism with the rows whose search
+    lists it."""
 
     __slots__ = ("adj", "rows", "full", "adjacent", "twins", "dead", "found")
 
 
-def _minimal_rows(padj: tuple, every: bool, sets: tuple) -> dict:
+def _minimal_rows(padj: tuple, sets: tuple) -> dict:
     """Every row of a new vertex 0 over the minimal graph ``padj`` whose
     child's edge mask no relabelling lowers, ascending, each with the
     automorphisms (position -> vertex) of its child that the child's
@@ -125,9 +116,10 @@ def _minimal_rows(padj: tuple, every: bool, sets: tuple) -> dict:
     holding the edges from p to p+1.. (p+1 lowest).  The search fills
     positions n-1, n-2, ...: a free vertex whose row against the placed
     ones is below the child's disproves minimality, one above ends its
-    branch.  Unless ``every``, one of two twins is tried (swapping them
-    fixes the placed vertices), so not every automorphism is listed.  The
-    child's own numbering is tried first, so the identity comes first.
+    branch.  Free twins tie together, and only the highest is tried, so
+    one automorphism is listed per coset of the group that permutes each
+    twin class (see ``_orbit_count``): the one increasing on every class.
+    The child's own numbering is tried first, so the identity comes first.
 
     One search serves all 2^(n-1) rows at once: each node carries the set
     of rows whose own search reaches it.  In every child, rows 1..n-1 are
@@ -144,15 +136,12 @@ def _minimal_rows(padj: tuple, every: bool, sets: tuple) -> dict:
     search.rows = [padj[p - 1] >> p for p in range(n - 1, 0, -1)]
     search.full, search.adjacent = full, adjacent
     search.dead, search.found = 0, []
-    if every:
-        search.twins = None
-    else:
-        search.twins = [[(j + 1, 1 << a | 1 << (a | 1 << j))
-                    for j, a in enumerate(padj)]] + [[] for _ in padj]
-        for i, j in itertools.combinations(range(n - 1), 2):
-            if padj[i] & ~(1 << j) == padj[j] & ~(1 << i):
-                search.twins[i + 1].append(
-                    (j + 1, full & ~(adjacent[i + 1] ^ adjacent[j + 1])))
+    search.twins = [[(j + 1, 1 << a | 1 << (a | 1 << j))
+                     for j, a in enumerate(padj)]] + [[] for _ in padj]
+    for i, j in itertools.combinations(range(n - 1), 2):
+        if padj[i] & ~(1 << j) == padj[j] & ~(1 << i):
+            search.twins[i + 1].append(
+                (j + 1, full & ~(adjacent[i + 1] ^ adjacent[j + 1])))
     _fill_rows(search, [], (1 << n) - 1, full)
     alive = full & ~search.dead
     auts: dict = {}
@@ -253,10 +242,9 @@ def _fill_rows(search: _RowSearch, placed: list, free: int, live: int) -> None:
     twins = search.twins
     for v, rows in ties.items():
         rows &= ~search.dead
-        if twins is not None:
-            for w, on in twins[v]:  # w > v, so w was tried first
-                if w in ties:
-                    rows &= ~(ties[w] & on)
+        for w, on in twins[v]:  # w > v, so w was tried first
+            if w in ties:
+                rows &= ~(ties[w] & on)
         if rows:
             placed.append(v)
             _fill_rows(search, placed, free ^ 1 << v, rows)
@@ -303,86 +291,96 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     mask, order tuple), as one mask record per edge mask; bit k of the mask
     is the k-th pair (i, j), i < j.  A mask record is a triple ``(first,
     count, auts)``: the mask's graph under the all-smallest order tuple,
-    the number of its kept order tuples, and the automorphisms (position ->
-    vertex) other than the identity that decide which tuples are kept.
-    Without dedup every order tuple is kept: k^n of them for an alphabet of
-    k orders, and ``auts`` is empty.  The suite driver lists the kept
-    tuples, and builds a graph for each, only for a report (see
-    ``_kept_tuples``).
+    the number of its kept order tuples, and, with dedup over two or more
+    orders, one automorphism (position -> vertex) per twin-class coset,
+    identity left out (see ``_orbit_count``), else ``()``.  The suite
+    driver lists the kept tuples only for a report.
 
-    With dedup, each class comes once, as its minimal encoding, by orderly
-    generation (Read, Ann. Discrete Math. 2, 1978; McKay, J. Algorithms 26,
-    1998).  The pairs without vertex 0 are the high bits, so mask(G) =
-    mask(G - v0) << n-1 | row(v0), and G - v0 is minimal when G is.  So each
-    minimal (n-1)-mask, ascending, is extended by the rows of v0 that keep
-    it minimal, ascending: one search per parent decides all its rows (see
-    ``_minimal_rows``), and the row sets it meets are built once per level.
-    An order tuple is kept iff no automorphism of the mask makes it
-    lexicographically smaller, so the kept tuples are the least of each
-    orbit of the automorphism group.  With two or more orders the search
-    lists that whole group, each element once, and Burnside's lemma counts
-    the orbits: (1/|Aut|) sum over the group of k^cycles.  With one order
-    the all-smallest tuple is the only one, and ``auts`` is empty.
+    The pairs without vertex 0 are the high bits, so mask(G) = mask(G - v0)
+    << n-1 | row(v0): each mask on n-1 vertices, ascending, is extended by
+    the rows of v0, ascending.  Without dedup every row is kept, and all
+    k^n order tuples over k orders.  With dedup, each class comes once, as
+    its minimal encoding, by orderly generation (Read, Ann. Discrete Math.
+    2, 1978; McKay, J. Algorithms 26, 1998): G - v0 is minimal when G is,
+    and one search per minimal parent keeps the rows whose child is
+    minimal (see ``_minimal_rows``).  An order tuple is kept iff no
+    automorphism makes it lexicographically smaller, so one per orbit.
     """
-    k = len(spec.orders)
-    if not spec.dedup_isomorphic:
-        for n in range(1, spec.max_vertices + 1):
-            orders, count = spec.orders[:1] * n, k ** n
-            for mask in range(1 << n * (n - 1) // 2):
-                yield graph_from_bits(n, mask, orders), count, ()
-        return
-    every = k > 1
-    level: list = [()]  # each minimal graph on n-1 vertices
+    k, dedup = len(spec.orders), spec.dedup_isomorphic
+    level: list = [()]  # each graph on n-1 vertices, minimal with dedup
     for n in range(1, spec.max_vertices + 1):
         names = tuple(f"v{i + 1}" for i in range(n))
         first = spec.orders[:1] * n
         sets = _row_sets(n - 1)
-        minimal = []
+        every_row = dict.fromkeys(range(1 << n - 1), ())  # without dedup
+        children = []
         for padj in level:
-            for row, auts in _minimal_rows(padj, every, sets).items():
+            found = _minimal_rows(padj, sets) if dedup else every_row
+            for row, auts in found.items():
                 adj = (row << 1,) + tuple(a << 1 | row >> i & 1
                                           for i, a in enumerate(padj))
                 if n < spec.max_vertices:  # the next level's parents
-                    minimal.append(adj)
-                if every:
+                    children.append(adj)
+                if dedup and k > 1:
+                    auts = tuple(auts[1:])  # auts[0] is the identity
                     yield (LabelledGraph(names, first, adj),
-                           _orbit_count(k, auts), tuple(auts[1:]))
+                           _orbit_count(k, adj, auts), auts)
                 else:
-                    yield LabelledGraph(names, first, adj), 1, ()
-        level = minimal
+                    yield LabelledGraph(names, first, adj), k ** n, ()
+        level = children
 
 
-def _orbit_count(k: int, group: list) -> int:
-    """The number of orbits of the permutation group ``group`` (position ->
-    vertex, each element once, the identity first) on the tuples over k
-    orders, by Burnside's lemma: a tuple is fixed by a permutation iff it
-    is constant on each of its cycles.  Each cycle is walked from its
-    lowest position, which is never marked, and every other position on it
-    takes one cycle off n."""
-    n = len(group[0])
-    total = k ** n
-    for perm in group[1:]:
-        cycles, seen = n, 0
-        for start in range(n):
-            if not seen >> start & 1:
-                v = perm[start]
-                while v != start:
+def _twin_lows(adj: tuple) -> list:
+    """The lowest twin of each vertex of ``adj``, which names its twin
+    class.  Twins u, v have N(u) - v = N(v) - u, an equivalence: N(u) =
+    N(v) if they are not adjacent, N[u] = N[v] if they are, and no vertex
+    has twins of both kinds."""
+    return [next(u for u in range(v + 1)
+                 if adj[u] & ~(1 << v) == a & ~(1 << u))
+            for v, a in enumerate(adj)]
+
+
+def _orbit_count(k: int, adj: tuple, auts: tuple) -> int:
+    """The number of orbits of the automorphisms of ``adj`` on the tuples
+    over k orders, by Burnside's lemma over the cosets of the normal
+    subgroup S that permutes each twin class: R, the identity and
+    ``auts``, holds one r per coset.  An orbit of S is a multiset on each
+    class, C(t + k - 1, k - 1) on t vertices, and rS fixes it iff it is
+    constant on each cycle of r on the classes, walked from its lowest."""
+    low = _twin_lows(adj)
+    weight = {u: comb(t + k - 1, k - 1) for u, t in Counter(low).items()}
+    total = prod(weight.values())
+    for perm in auts:
+        fixed, seen = 1, 0
+        for u, w in weight.items():
+            if not seen >> u & 1:
+                fixed *= w
+                v = low[perm[u]]
+                while v != u:
                     seen |= 1 << v
-                    cycles -= 1
-                    v = perm[v]
-        total += k ** cycles
-    return total // len(group)
+                    v = low[perm[v]]
+        total += fixed
+    return total // (len(auts) + 1)
 
 
-def _kept_tuples(alphabet: tuple, n: int, auts: tuple) -> list:
-    """The kept order tuples of a mask record on ``n`` vertices, ascending:
-    those over ``alphabet`` that no permutation of ``auts`` maps to a
-    lexicographically smaller tuple."""
-    kept = list(itertools.product(alphabet, repeat=n))
-    for a in auts:
-        image = itemgetter(*a)
-        kept = [orders for orders in kept if image(orders) >= orders]
-    return kept
+def _kept_tuples(alphabet: tuple, adj: tuple, auts: tuple) -> list:
+    """The kept order tuples of a dedup mask record, ascending: those over
+    ``alphabet`` that no automorphism lowers.  Under a coset rS the least
+    image of x is x[r[0]], ..., x[r[n-1]] sorted within each twin class
+    (see ``_orbit_count``), so x is kept iff no r of R sorts below it."""
+    low = _twin_lows(adj)
+    classes = [[v for v, w in enumerate(low) if w == u]
+               for u in set(low) if low.count(u) > 1]
+
+    def least(x):  # x sorted within each class
+        y = list(x)
+        for c in classes:
+            for p, m in zip(c, sorted([x[p] for p in c])):
+                y[p] = m
+        return tuple(y)
+    images = [itemgetter(*a) for a in auts]
+    return [x for x in itertools.product(alphabet, repeat=len(adj))
+            if least(x) == x and all(least(image(x)) >= x for image in images)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +593,10 @@ class EnumSpec:
     A000666) but only 12,346 edge masks.  Every check runs once per mask
     (see ``CHECKS``), ``lemma_1_4_oracle`` searches each commutator shape
     once per process, and a mask's kept order tuples are counted, and
-    listed only for its reports.  So all nine checks take about 4.5 s for
-    n <= 8 in one process and about 9 s with two workers, and every check
+    listed only for its reports.  So all nine checks take about 3.5 s for
+    n <= 8 in one process and about 5 s with two workers, and every check
     but ``lemma_7`` on orders (2, 3, 4), 52,628,740 classes, takes about
-    3 s in one process (Python 3.11, 2 CPUs)."""
+    1.6 s in one process (Python 3.11, 2 CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -643,13 +641,13 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
+def _run_checks(records: list, checks: tuple, spec: EnumSpec) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  Each check runs
     once per record, on one census of the record's graph, and a failing
     verdict stands for every kept order tuple of the record.  Only then
-    are the tuples listed over ``alphabet``, and each gets a graph and a
-    report of its own.  Every report is built here."""
+    are the tuples listed, all of them without dedup, and each gets a
+    graph and a report of its own.  Every report is built here."""
     checked, out = 0, []
     for first, count, auts in records:
         checked += count
@@ -658,7 +656,9 @@ def _run_checks(records: list, checks: tuple, alphabet: tuple) -> tuple:
                   if (verdict := check(census)) is not None]
         if not failed:
             continue
-        for orders in _kept_tuples(alphabet, first.n, auts):
+        for orders in (_kept_tuples(spec.orders, first.adj, auts)
+                       if spec.dedup_isomorphic else
+                       itertools.product(spec.orders, repeat=first.n)):
             g = LabelledGraph(first.names, orders, first.adj)
             for check_id, verdict in failed:
                 out.append(CounterexampleReport(check_id, to_json_dict(g),
@@ -697,14 +697,12 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     chunks = _chunks(enumerate_graphs(spec))
     workers = min(spec.workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, checks, spec.orders)
-                    for chunk in chunks)
+        yield from (_run_checks(chunk, checks, spec) for chunk in chunks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, checks,
-                                       spec.orders))
+            pending.append(pool.submit(_run_checks, chunk, checks, spec))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

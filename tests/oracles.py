@@ -27,8 +27,14 @@ as a mask and meets a row with one AND per placed vertex, with the record
 enumerator that ran it on the rows an automorphism of the parent does not
 lower; and before it, a dict of per-vertex words copied at every node.
 That record enumerator lists each mask's kept order tuples by filtering
-all of them with every automorphism, where the library counts them by
-Burnside's lemma and lists them only for a mask that fails a check.
+all of them with every automorphism, where the library lists one
+automorphism per coset of the group that permutes each twin class,
+counts the tuples by Burnside's lemma over those cosets, and lists them
+only for a mask that fails a check; ``automorphisms_per_child`` with
+``every`` lists the whole group the cosets must cover.  Labelled graphs
+are built here from their edge masks pair by pair (``graph_from_bits``),
+where the library extends each mask on one vertex fewer by the rows of a
+new vertex, as the dedup enumeration does.
 So are the eight order-free checks, which read the Sil, Stil and Fsil
 objects where the library reads the census's masks.  The innerness test
 by definition lives here too, with the vertex images it compares:
@@ -389,12 +395,33 @@ def dedup_by_orbit_marking(spec):
                                     orders, tuple(adj))
 
 
+def graph_from_bits(n, mask, orders):
+    """The labelled graph on v1..vn with the given orders whose edge mask
+    is ``mask``, bit k for the k-th pair (i, j), i < j: the encoding that
+    the enumeration walks, built pair by pair."""
+    adj = [0] * n
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        if mask >> k & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    names = tuple(f"v{i + 1}" for i in range(n))
+    return LabelledGraph(names, tuple(orders), tuple(adj))
+
+
+def kept_tuples(spec, first, auts):
+    """The kept order tuples of the mask record ``(first, _, auts)`` of
+    ``spec``, as the suite driver lists them: every one without dedup."""
+    if spec.dedup_isomorphic:
+        return harness._kept_tuples(spec.orders, first.adj, auts)
+    return list(product(spec.orders, repeat=first.n))
+
+
 def graphs_of(spec):
     """Every graph of ``enumerate_graphs(spec)``: each mask record's graph
-    with each of its kept order tuples, listed by the suite driver's filter,
-    in order."""
+    with each of its kept order tuples, listed as the suite driver lists
+    them, in order."""
     for first, _, auts in enumerate_graphs(spec):
-        for orders in harness._kept_tuples(spec.orders, first.n, auts):
+        for orders in kept_tuples(spec, first, auts):
             yield LabelledGraph(first.names, orders, first.adj)
 
 
@@ -407,7 +434,7 @@ def enumerate_graphs_per_graph(spec):
         for n in range(1, spec.max_vertices + 1):
             tuples = list(product(spec.orders, repeat=n))
             for mask in range(1 << n * (n - 1) // 2):
-                g = harness.graph_from_bits(n, mask, tuples[0])
+                g = graph_from_bits(n, mask, tuples[0])
                 for orders in tuples:
                     yield LabelledGraph(g.names, orders, g.adj)
         return

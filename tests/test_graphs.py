@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from silscope import (Census, GraphError, UnknownVertexError, from_dot,
                       from_json, make_graph, star_cut_points, to_dot, to_json)
 from silscope.graphs import component_masks, is_prime_power
-from silscope.harness import graph_from_bits
 
 import oracles
 from conftest import (names, path_mixed_orders, path_plus_isolated,
@@ -390,7 +389,8 @@ def test_edges_walk_the_masks_in_the_order_of_the_pair_scan():
         path_plus_isolated, three_isolated, triangle,
         two_sil_pairs_over_cliques)]
     rng = random.Random(23)
-    drawn = [graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2), (2,) * n)
+    drawn = [oracles.graph_from_bits(n, rng.getrandbits(n * (n - 1) // 2),
+                                     (2,) * n)
              for n in (rng.randint(1, 36) for _ in range(200))]
     for g in fixtures + drawn:
         assert g.edges() == oracles.edge_list(g)

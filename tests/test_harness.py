@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,7 @@ from silscope import (from_json_dict, harness, make_graph, sils, to_json_dict,
                       words)
 from silscope.graphs import component_masks, load_graph
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
-                              enumerate_graphs, graph_from_bits, run_suite)
+                              enumerate_graphs, run_suite)
 from silscope.outer import build_p0
 from silscope.sils import Census, Sil, shared_sil_component
 from silscope.words import (commutator, commutator_is_inner, commutator_shape,
@@ -117,7 +118,7 @@ def test_dedup_respects_order_labels():
 def test_graph_bits_round_trip():
     g = make_graph([("v1", 2), ("v2", 3), ("v3", 2)], [("v1", "v3")])
     # edge bits run over the pairs (0,1), (0,2), (1,2)
-    assert graph_from_bits(3, 0b010, g.orders) == g
+    assert oracles.graph_from_bits(3, 0b010, g.orders) == g
 
 
 def encoding(g):
@@ -148,14 +149,17 @@ def test_orderly_generation_matches_orbit_marking(max_vertices, orders):
     EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
     EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True),
     EnumSpec(5, orders=(2, 3)),
-], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234", "labelled_5_23"])
+    EnumSpec(6, orders=(2, 3)),
+], ids=["dedup_7_2", "dedup_6_23", "dedup_5_234", "labelled_5_23",
+        "labelled_6_23"])
 def test_mask_records_flatten_to_the_per_graph_enumeration(spec):
-    assert list(oracles.graphs_of(spec)) == list(
-        oracles.enumerate_graphs_per_graph(spec))
+    for got, want in itertools.zip_longest(
+            oracles.graphs_of(spec), oracles.enumerate_graphs_per_graph(spec)):
+        assert got == want
     masks = [(g.n, encoding(g)[0]) for g, _, _ in enumerate_graphs(spec)]
     assert masks == sorted(set(masks))  # one record per mask, ascending
     for g, _, auts in enumerate_graphs(spec):
-        assert g.orders == harness._kept_tuples(spec.orders, g.n, auts)[0]
+        assert g.orders == oracles.kept_tuples(spec, g, auts)[0]
 
 
 def test_labelled_records_count_every_order_tuple():
@@ -168,13 +172,13 @@ def test_labelled_records_count_every_order_tuple():
         assert (g.orders, count, auts) == ((2,) * g.n, 2 ** g.n, ())
 
 
-def burnside_sum(k, n, auts):
-    """The sum over the identity and ``auts`` of k^cycles, with the cycles
-    counted by following each permutation from every vertex."""
+def burnside_sum(k, group):
+    """The sum over the permutations of ``group`` of k^cycles, with the
+    cycles counted by following each permutation from every vertex."""
     total = 0
-    for perm in [tuple(range(n))] + list(auts):
+    for perm in group:
         cycles = set()
-        for v in range(n):
+        for v in range(len(perm)):
             orbit, u = {v}, perm[v]
             while u != v:
                 orbit.add(u)
@@ -182,6 +186,32 @@ def burnside_sum(k, n, auts):
             cycles.add(frozenset(orbit))
         total += k ** len(cycles)
     return total
+
+
+def twin_classes(adj):
+    """The twin class of each vertex of ``adj``, as a frozenset, by the
+    definition: u and v are twins iff N(u) - v = N(v) - u."""
+    n = len(adj)
+    return [frozenset(u for u in range(n)
+                      if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))
+            for v in range(n)]
+
+
+def coset_group(first, auts):
+    """The group of a dedup record: r composed with each permutation of
+    the twin classes within themselves, for r the identity and each of
+    ``auts``."""
+    n = first.n
+    classes = [sorted(c) for c in set(twin_classes(first.adj))]
+    inside = []
+    for shuffles in itertools.product(*map(itertools.permutations, classes)):
+        s = list(range(n))
+        for c, shuffled in zip(classes, shuffles):
+            for p, v in zip(c, shuffled):
+                s[p] = v
+        inside.append(s)
+    return [tuple(r[s[p]] for p in range(n))
+            for r in [tuple(range(n))] + list(auts) for s in inside]
 
 
 def reference_records(spec):
@@ -199,39 +229,51 @@ def reference_records(spec):
     EnumSpec(6, orders=(2, 3), dedup_isomorphic=True),
     EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True),
     EnumSpec(5, orders=(4, 8, 9), dedup_isomorphic=True),
+    EnumSpec(6, orders=(2, 3, 4, 5), dedup_isomorphic=True),
     EnumSpec(4, orders=(2, 3)),
 ], ids=["dedup_7_23", "dedup_6_23", "dedup_5_234", "dedup_5_489",
-        "labelled_4_23"])
+        "dedup_6_2345", "labelled_4_23"])
 def test_burnside_counts_the_kept_order_tuples(spec):
     """Each record's count is the number of order tuples that the
     reference's filter keeps, and the driver's listing of them is the
-    reference's list, in order.  The Burnside sum over the identity and
-    the record's automorphisms is a multiple of the group's order."""
+    reference's list, in order.  With dedup the count is also the
+    Burnside average of k^cycles over the whole group, each listed coset
+    expanded by the permutations of the twin classes; without it, no
+    permutation but the identity keeps a tuple out."""
     records = 0
     for got, want in itertools.zip_longest(enumerate_graphs(spec),
                                            reference_records(spec)):
         (first, count, auts), (g, kept) = got, want
         assert first == g
         assert count == len(kept)
-        assert harness._kept_tuples(spec.orders, first.n, auts) == kept
-        assert burnside_sum(len(spec.orders), first.n, auts) % (
-            len(auts) + 1) == 0
+        assert oracles.kept_tuples(spec, first, auts) == kept
+        group = (coset_group(first, auts) if spec.dedup_isomorphic
+                 else [tuple(range(first.n))])
+        assert burnside_sum(len(spec.orders), group) == count * len(group)
         records += 1
     assert records > 50
 
 
-def test_listed_automorphisms_form_a_group():
-    """With two or more orders, a record's identity and automorphisms are
-    closed under composition, the precondition of the Burnside count."""
+def test_listed_automorphisms_are_one_per_twin_class_coset():
+    """With two or more orders, a record lists one automorphism r of each
+    coset rS of the group S that permutes every twin class within itself,
+    the identity for S itself: |R| times the product of t! over the
+    classes of t vertices is the order of the whole group, and each of its
+    elements lies in exactly one coset rS, the one whose r sends every
+    position into the class that the element sends it to."""
     spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True)
-    groups = 0
+    cosets = 0
     for first, _, auts in enumerate_graphs(spec):
-        group = {tuple(range(first.n))} | set(auts)
-        assert len(group) == len(auts) + 1
-        for a, b in itertools.product(group, repeat=2):
-            assert tuple(a[b[p]] for p in range(first.n)) in group, first
-        groups += len(group) > 1
-    assert groups > 100
+        group = oracles.automorphisms_per_child(first.adj, True)
+        of = twin_classes(first.adj)
+        inside = math.prod(math.factorial(len(c)) for c in set(of))
+        reps = [tuple(range(first.n))] + list(auts)
+        assert len(reps) * inside == len(group), first
+        for g in group:
+            assert sum(all(of[g[p]] == of[r[p]] for p in range(first.n))
+                       for r in reps) == 1, (first, g)
+        cosets += len(reps) > 1
+    assert cosets > 20
 
 
 def test_parent_automorphisms_prune_the_minimality_searches(monkeypatch):
@@ -519,10 +561,11 @@ def test_one_census_per_mask_record(monkeypatch):
         return Census(graph)
 
     monkeypatch.setattr(harness, "Census", counted)
-    records = list(enumerate_graphs(EnumSpec(3, orders=(2, 3))))
+    spec = EnumSpec(3, orders=(2, 3))
+    records = list(enumerate_graphs(spec))
     checks = (("fails_with_two_edges", _fails_with_two_edges),
               ("lemma_7", CHECKS["lemma_7"]))
-    checked, reports = harness._run_checks(records, checks, (2, 3))
+    checked, reports = harness._run_checks(records, checks, spec)
     assert built == [first.adj for first, _, _ in records]
     assert (checked, len(reports)) == (74, 32)
 
@@ -544,14 +587,14 @@ def test_one_search_per_parent_decides_every_child_row(monkeypatch, spec,
     automorphisms of that search, in the same order, identity first."""
     calls = []
 
-    def compared(padj, every, sets):
+    def compared(padj, sets):
         calls.append(padj)
-        found = minimal_rows(padj, every, sets)
+        found = minimal_rows(padj, sets)
         assert list(found) == sorted(found)
         for row in range(1 << len(padj)):
             adj = oracles.child_adjacency(padj, row)
             assert found.get(row) == oracles.automorphisms_per_child(
-                adj, every), (padj, row)
+                adj, False), (padj, row)
         return found
 
     minimal_rows = harness._minimal_rows
@@ -575,13 +618,13 @@ def test_minimality_search_lists_the_automorphisms_of_the_word_search(
     keeps gives one mask record."""
     kept = []
 
-    def compared(padj, every, sets):
-        found = minimal_rows(padj, every, sets)
+    def compared(padj, sets):
+        found = minimal_rows(padj, sets)
         kept.extend(found)
         for row in range(1 << len(padj)):
             adj = oracles.child_adjacency(padj, row)
             assert found.get(row) == oracles.automorphisms_by_words(
-                adj, every), (padj, row)
+                adj, False), (padj, row)
         return found
 
     minimal_rows = harness._minimal_rows
@@ -592,19 +635,18 @@ def test_minimality_search_lists_the_automorphisms_of_the_word_search(
 def test_one_search_per_parent_beyond_the_enumeration_bound():
     """On a seeded sample of the minimal graphs on 8 vertices, the search
     per parent gives each of the 256 rows of a ninth vertex the verdict and
-    the automorphisms of the child's own search, listing every
-    automorphism or one per twin class."""
+    the automorphisms of the child's own search, one per twin-class
+    coset."""
     parents = [first.adj for first, _, _ in
                enumerate_graphs(EnumSpec(8, dedup_isomorphic=True))
                if first.n == 8]
     sets = harness._row_sets(8)
     for padj in random.Random(9).sample(parents, 100):
-        for every in (True, False):
-            found = harness._minimal_rows(padj, every, sets)
-            for row in range(256):
-                adj = oracles.child_adjacency(padj, row)
-                assert found.get(row) == oracles.automorphisms_per_child(
-                    adj, every), (padj, row, every)
+        found = harness._minimal_rows(padj, sets)
+        for row in range(256):
+            adj = oracles.child_adjacency(padj, row)
+            assert found.get(row) == oracles.automorphisms_per_child(
+                adj, False), (padj, row)
 
 
 def verdicts_against_references(spec, alter=lambda census: None):

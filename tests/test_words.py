@@ -11,14 +11,14 @@ from silscope import (EPSILON, PartialConjugation, WordError, apply,
                       parse_word_literal, partial_conjugations,
                       pc_automorphism, reduce, search_inner)
 from silscope.graphs import LabelledGraph
-from silscope.harness import EnumSpec, graph_from_bits
+from silscope.harness import EnumSpec
 from silscope.outer import build_p0
 from silscope.sils import Census
 from silscope.words import (Automorphism0, _model, commutator_is_inner,
                             commutator_shape, format_word)
 
 import oracles
-from oracles import image_of_vertex, is_inner_with
+from oracles import graph_from_bits, image_of_vertex, is_inner_with
 from conftest import (path_mixed_orders, path_plus_isolated,
                       pentagon_fork, pentagon_triangle, vset)
 
