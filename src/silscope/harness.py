@@ -695,7 +695,9 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     function of the commutator's shape."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
     chunks = _chunks(enumerate_graphs(spec))
-    workers = min(spec.workers, os.cpu_count() or 1)
+    workers = spec.workers
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
         yield from (_run_checks(chunk, checks, spec) for chunk in chunks)
         return

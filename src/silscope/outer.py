@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import LabelledGraph, component_masks, vertex_names
-from .sils import Census, _fsil_triples, _stil_masks, commute_rule
+from .sils import Census, _fsil_triples, _stil_count, commute_rule
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -127,11 +127,12 @@ def classify(census: Census) -> OutClass:
     """Large if any non-Coxeter Sil, Stil, or Fsil exists; otherwise finite
     with no Sil, virtually cyclic with exactly one, virtually abelian with
     more.  Uses no vertex numbering: the census alone decides.  Counts on
-    the census's masks, building no Sil, Stil or Fsil object."""
+    the census's masks, building no Sil, Stil or Fsil object, and counts
+    the Stils in closed form (``_stil_count``)."""
     sils, two = census._sil_masks, census._order_two
     coxeter = sum(two >> a & two >> b & 1 for a, b, _, _ in sils)
     non_coxeter = len(sils) - coxeter
-    stils = sum(1 for _ in _stil_masks(census))
+    stils = _stil_count(census)
     fsils = sum(1 for _ in _fsil_triples(census))
     if non_coxeter or stils or fsils:
         kind = OutKind.LARGE

@@ -30,7 +30,12 @@ the non-adjacent pairs in V_C and the Stils the triples in V_C spanning
 at most one edge.
 
 Cost: n + 1 BFS, one per star and one of G, plus O(sum over C of |V_C|^2)
-mask operations and the output, which is O(n^3) at worst.
+mask operations and the output, which is O(n^3) at worst.  Two
+generators can fail to commute only if their acting vertices form a Sil
+pair, so the non-commutation rows cost one rule test per pair of
+generators at the two vertices of each Sil pair, not per pair of all g
+generators.  The Stils are counted in closed form per star component,
+without walking them.
 """
 
 from __future__ import annotations
@@ -84,13 +89,16 @@ class Census:
     G.  It stores ``generators``, one ``(v, C)`` per partial conjugation
     chi_{v,C} of the generating set (Gutierrez, Piggott and Ruane, Groups
     Geom. Dyn. 2012): for each star cut point v in turn, every component
-    mask C of G - St(v) but the first.  From one sorted pass over the star
-    splits (see the module docstring) it stores the Sil masks and the one
-    witness index, ``witnesses``; and ``non_commuting``, per generator the
-    mask of those it does not commute with (Sale and Susse, Trans. AMS
-    2019), from g^2 / 2 witness lookups for g generators.  Each mask
-    becomes a frozenset once, on first request, shared by every reader.
-    Nothing is shared between instances.
+    mask C of G - St(v) but the first.  One loop over the vertices builds
+    the splits, the generators and each star component's owner set V_C.
+    From one sorted pass over the owner sets (see the module docstring) it
+    stores the Sil masks and the one witness index, ``witnesses``; and
+    ``non_commuting``, per generator the mask of those it does not commute
+    with (Sale and Susse, Trans. AMS 2019), testing for each Sil pair only
+    the generators at its two vertices.  The mask of the vertices of order
+    2 is computed on first read; only the Sil objects and the classifier
+    read vertex orders.  Each mask becomes a frozenset once, on first
+    request, shared by every reader.  Nothing is shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -98,21 +106,27 @@ class Census:
         adj = graph.adj
         full = (1 << graph.n) - 1
         self.split = component_masks(adj, full)
-        self.star_splits = tuple(component_masks(adj, full & ~(a | 1 << v))
-                                 for v, a in enumerate(adj))
-        gens = self.generators = tuple(
-            (v, c) for v, split in enumerate(self.star_splits) for c in split[1:])
+        splits, gens, first = [], [], []  # first[v]: v's first generator
         owners = self._star_owners = {}  # star component C -> V_C
-        for v, split in enumerate(self.star_splits):
+        for v, a in enumerate(adj):
+            split = component_masks(adj, full & ~(a | 1 << v))
+            splits.append(split)
+            first.append(len(gens))
+            bit = 1 << v
             for mask in split:
-                owners[mask] = owners.get(mask, 0) | 1 << v
+                owners[mask] = owners.get(mask, 0) | bit
+            for c in split[1:]:
+                gens.append((v, c))
+        self.star_splits = tuple(splits)
+        self.generators = tuple(gens)
         self._sets: dict = {}
-        self._order_two = _order_two(graph.orders)
 
         # one (a, b, lowest bit, mask) per Sil {a, b | C}, sorted: one per
         # non-adjacent pair a < b of V_C for each star component C
         found = self._sil_masks = []
         for comp, vs in owners.items():
+            if not vs & vs - 1:
+                continue  # one owner: no pair
             low_c = comp & -comp
             while vs:
                 low = vs & -vs
@@ -128,14 +142,27 @@ class Census:
         wit = self.witnesses = {}
         for a, b, _, comp in found:
             wit[a, b] = wit.get((a, b), 0) | comp
+        # only the generators at the two vertices of a Sil pair can fail
+        # to commute: test those at x against those at y for each (y, x)
         rows = [0] * len(gens)
-        for i, (x, c) in enumerate(gens):
-            for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
-                witnesses = wit.get((y, x))
-                if witnesses and not commute_rule(witnesses, x, c, y, d):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+        for (y, x), witnesses in wit.items():
+            at_y = splits[y][1:]
+            for i, c in enumerate(splits[x][1:], first[x]):
+                for j, d in enumerate(at_y, first[y]):
+                    if not commute_rule(witnesses, x, c, y, d):
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
         self.non_commuting = tuple(rows)
+
+    @property
+    def _order_two(self) -> int:
+        """The mask of the vertices of order 2, computed on first read."""
+        try:
+            return self._two
+        except AttributeError:
+            two = self._two = sum(1 << v for v, m in enumerate(self.graph.orders)
+                                  if m == 2)
+            return two
 
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by
@@ -165,11 +192,6 @@ class Census:
         two = self._order_two
         return Sil((a, b) if a < b else (b, a), self._vertex_set(comp),
                    two >> a & two >> b & 1 == 1)
-
-
-def _order_two(orders: tuple) -> int:
-    """The mask of the vertices of order 2."""
-    return sum(1 << v for v, m in enumerate(orders) if m == 2)
 
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
@@ -236,6 +258,34 @@ def _stil_masks(census: Census) -> Iterator[tuple]:
                     low = thirds & -thirds
                     thirds ^= low
                     yield a, b, low.bit_length() - 1, low_c, comp
+
+
+def _stil_count(census: Census) -> int:
+    """The number of Stils, in closed form per star component C: of the
+    C(k, 3) triples of V_C, k = |V_C|, those spanning two or more edges
+    number sum over v of C(d_v, 2), less 2T, where d_v is v's degree in
+    G[V_C] and T the number of triangles of G[V_C]: a triangle holds three
+    paths of length 2, and each other such triple one."""
+    adj = census.graph.adj
+    count = 0
+    for owners in census._star_owners.values():
+        k = owners.bit_count()
+        if k < 3:
+            continue
+        count += k * (k - 1) * (k - 2) // 6
+        rest = owners
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1] & owners
+            d = near.bit_count()
+            count -= d * (d - 1) // 2
+            later = near & rest  # each triangle once, from its lowest two
+            while later:
+                low = later & -later
+                later ^= low
+                count += 2 * (adj[low.bit_length() - 1] & later).bit_count()
+    return count
 
 
 def enumerate_stils(census: Census) -> list[Stil]:

@@ -35,8 +35,10 @@ only for a mask that fails a check; ``automorphisms_per_child`` with
 are built here from their edge masks pair by pair (``graph_from_bits``),
 where the library extends each mask on one vertex fewer by the rows of a
 new vertex, as the dedup enumeration does.
-So are the eight order-free checks, which read the Sil, Stil and Fsil
-objects where the library reads the census's masks.  The innerness test
+So are the census's non-commutation rows, which tested every pair of
+generators where the census tests only those at the two vertices of a
+Sil pair.  So are the eight order-free checks, which read the Sil, Stil
+and Fsil objects where the library reads the census's masks.  The innerness test
 by definition lives here too, with the vertex images it compares:
 ``is_inner_with`` checks a candidate word on every vertex through
 ``conjugate`` and ``image_of_vertex``, and the breadth-first search
@@ -52,8 +54,8 @@ from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
 from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
                              vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
-from silscope.sils import (Census, SharedComponentError, enumerate_fsils,
-                           enumerate_sils, enumerate_stils,
+from silscope.sils import (Census, SharedComponentError, commute_rule,
+                           enumerate_fsils, enumerate_sils, enumerate_stils,
                            shared_sil_component)
 from silscope.words import (_inverse, _peel_left, _strip_right, commutator,
                             compose, pc_automorphism, reduce, search_inner)
@@ -240,6 +242,22 @@ def commutes_by_sil_scan(g, x, y, sils):
     if y_in_c and ws & d:
         return False
     return not (x_in_d and y_in_c)
+
+
+def non_commuting_by_pair_scan(census):
+    """The census's non-commutation rows as it first computed them: one
+    witness lookup and one rule test for each of the g^2 / 2 pairs of its
+    g generators, where the census tests only the generators at the two
+    vertices of each Sil pair."""
+    gens, wit = census.generators, census.witnesses
+    rows = [0] * len(gens)
+    for i, (x, c) in enumerate(gens):
+        for j, (y, d) in enumerate(gens[:i]):  # generators ascend by v
+            witnesses = wit.get((y, x))
+            if witnesses and not commute_rule(witnesses, x, c, y, d):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def commutator_by_compose(g, x, y):

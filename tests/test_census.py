@@ -18,10 +18,17 @@ the identity that C is a component of G minus the common link of a pair
 component of G - St(v) for each of its vertices.  The identity is checked
 from the oracles alone on the same graphs.  Building the census searches
 the graph n + 1 times, once per star and once whole, never per link, and
-reading what it holds searches no more.  The generating set, the
-presentation, the classifier and the word oracle read its bitmasks only,
-never a Sil, Stil or Fsil object; the classifier's counts equal those of
-the enumerated objects, and a report enumerates each kind at most once.
+reading what it holds searches no more.  The census reads the
+non-commutation rows from the Sil pairs alone; they equal the scan of
+every generator pair on every class of dedup n <= 7 {2} and n <= 6
+{2, 3}, and on sparse families (trees, paths with an isolated vertex,
+matchings plus a universal vertex, G(n, p)) where most generator pairs
+are skipped, together with the rule that scans the Sils.  There, and on
+every fixture, the closed-form Stil count equals the Stils enumerated.
+The generating set, the presentation, the classifier and the word oracle
+read its bitmasks only, never a Sil, Stil or Fsil object; the
+classifier's counts equal those of the enumerated objects, and a report
+enumerates each kind at most once.
 """
 
 import inspect
@@ -315,6 +322,91 @@ def test_classify_counts_on_the_path_plus_isolated_family():
         check_counts(census)
         stils.append(classify(census).stils)
     assert stils[-1] == 657202
+
+
+@pytest.mark.parametrize("spec, classes", [
+    (EnumSpec(7, orders=(2,), dedup_isomorphic=True), 1252),
+    (EnumSpec(6, orders=(2, 3), dedup_isomorphic=True), 5758),
+], ids=["dedup_7_2", "dedup_6_23"])
+def test_non_commuting_rows_equal_the_pair_scan(spec, classes):
+    count = 0
+    for g in oracles.graphs_of(spec):
+        census = Census(g)
+        assert census.non_commuting == oracles.non_commuting_by_pair_scan(census)
+        count += 1
+    assert count == classes
+
+
+def graph_of_edges(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return LabelledGraph(tuple(f"v{i}" for i in range(n)), (2,) * n, tuple(adj))
+
+
+def matching_plus_universal(n):
+    """Disjoint edges on the first n - 1 vertices (n odd), each vertex of
+    them adjacent to the last: many Sil pairs, each with many generators."""
+    return graph_of_edges(n, [(v, v + 1) for v in range(0, n - 1, 2)]
+                          + [(v, n - 1) for v in range(n - 1)])
+
+
+def sparse_graphs():
+    """Seeded random trees on 10 to 40 vertices, paths with an isolated
+    vertex, matchings plus a universal vertex on up to 21 vertices, and
+    seeded G(n, p) on 12 to 30 vertices: graphs where most pairs of
+    generators act at two vertices that form no Sil pair."""
+    rng = random.Random(20261020)
+    for _ in range(6):
+        n = rng.randint(10, 40)
+        yield graph_of_edges(n, [(k, rng.randrange(k)) for k in range(1, n)])
+    for n in (3, 5, 12, 24):
+        yield path_plus_isolated(n)
+    for n in (3, 7, 13, 21):
+        yield matching_plus_universal(n)
+    for _ in range(6):
+        n, p = rng.randint(12, 30), rng.choice((0.08, 0.12, 0.18))
+        yield graph_of_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < p])
+
+
+def rows_by_sil_scan(g, census):
+    """The non-commutation rows of the census's generators by the rule
+    that scans the Sils, handed only those of the generators' pair."""
+    by_pair = {}
+    for sil in oracles.sil_census(g):
+        by_pair.setdefault(sil[0], []).append(sil)
+    gens = [PartialConjugation(v, _bits_to_set(c)) for v, c in census.generators]
+    assert [(pc.vertex, pc.component) for pc in gens] == (
+        oracles.generators_by_rank(g))
+    return tuple(
+        sum(1 << j for j, y in enumerate(gens) if not oracles.commutes_by_sil_scan(
+            g, x, y, by_pair.get(tuple(sorted((x.vertex, y.vertex))), ())))
+        for x in gens)
+
+
+def test_rows_and_counts_on_sparse_families():
+    """On each graph and a seeded relabelling of it, the rows read from
+    the Sil pairs equal the scan of every generator pair and the rule that
+    scans the Sils, and the classifier's counts, the closed-form Stil
+    count among them, equal those of the enumerated objects."""
+    rng = random.Random(7)
+    count = 0
+    for g in sparse_graphs():
+        for h in (g, g.relabelled(rng.sample(range(g.n), g.n))):
+            census = Census(h)
+            rows = census.non_commuting
+            assert rows == oracles.non_commuting_by_pair_scan(census)
+            assert rows == rows_by_sil_scan(h, census)
+            check_counts(census)
+        count += 1
+    assert count == 20
+
+
+def test_classify_counts_on_every_fixture():
+    for path in sorted(FIXTURES.glob("*.json")):
+        check_counts(Census(load_graph(str(path))))
 
 
 # ---------------------------------------------------------------------------
