@@ -21,7 +21,6 @@ and error messages.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -32,8 +31,8 @@ from typing import TYPE_CHECKING
 
 from . import harness, outer, sils, words
 from .dot import to_dot
-from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _unique_keys,
-                     load_graph, vertex_names)
+from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _bits_to_set,
+                     _unique_keys, load_graph, vertex_names)
 
 if TYPE_CHECKING:
     import argparse
@@ -97,21 +96,40 @@ def build_report(census: sils.Census) -> str:
     ``json.dumps(report, indent=2, ensure_ascii=False)`` for the dict that
     ``tests/oracles.py`` builds: one ``%`` template per section item, each
     vertex name encoded once, each component's name list once per depth.
-    The Sils, Stils and Fsils are enumerated once each; the counts are
-    ``outer.classify``'s, read off the masks."""
+    It builds no Sil, Stil or Fsil object and no vertex set: every item
+    is written from the census's masks, a component's names by walking
+    its mask's bits upwards, and the counts are ``outer.classify``'s."""
     g, rows, out = census.graph, census.non_commuting, outer.classify(census)
-    sil_list = sils.enumerate_sils(census)
-    fsil_list = sils.enumerate_fsils(census)
     names = [encode_basestring(name) for name in g.names]
     disc = outer.disconnected_structure(census)
-    component = functools.cache(lambda vertices, pad: _listed(
-        [names[v] for v in sorted(vertices)], pad))
+    lists: dict = {}
+
+    def component(mask: int, pad: str) -> str:
+        try:
+            return lists[mask, pad]
+        except KeyError:
+            items, rest = [], mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                items.append(names[low.bit_length() - 1])
+            text = lists[mask, pad] = _listed(items, pad)
+            return text
+
     pad = "\n    "  # two levels deep: a Sil item, the list in "graph"
-    sil_items = [_SIL % (names[s.pair[0]], names[s.pair[1]],
-                         component(s.component, pad + "  "),
-                         "true" if s.coxeter else "false") for s in sil_list]
-    # a witness is its Sil's item two levels down; no name holds a newline
-    witness = dict(zip(sil_list, sil_items)) if fsil_list else {}
+    two = census._order_two
+    sil_items = {(a, b, comp): _SIL % (
+        names[a], names[b], component(comp, pad + "  "),
+        "true" if two >> a & two >> b & 1 else "false")
+        for a, b, _, comp in census._sil_masks}
+    splits = census.star_splits
+
+    def witness(x: int, y: int, z: int) -> str:
+        """The item of the Sil {x, y | C} with z in C, two levels down; no
+        name holds a newline."""
+        c = next(c for c in splits[x] if c >> z & 1)
+        return sil_items[x, y, c].replace("\n", pad)
+
     # a commuting pair i < j is the head of row i and the tail of j
     tails = ["%d\n      ]" % j for j in range(len(rows))]
     edges = [head + tails[j] for i, row in enumerate(rows)
@@ -123,15 +141,16 @@ def build_report(census: sils.Census) -> str:
         _listed([_EDGE % (names[u], names[v]) for u, v in g.edges()], pad),
         encode_basestring(out.kind.value), out.coxeter_sils,
         out.non_coxeter_sils, out.stils, out.fsils,
-        _listed(sil_items, "\n  "),
-        _listed([_STIL % (*[names[v] for v in s.triple],
-                          component(s.component, pad + "  "))
-                 for s in sils.enumerate_stils(census)], "\n  "),
-        _listed([_FSIL % (*[names[v] for v in f.triple],
-                          *[witness[s].replace("\n", pad) for s in f.sils])
-                 for f in fsil_list], "\n  "),
-        _listed([_GENERATOR % (names[v], component(census._vertex_set(c),
-                                                   pad + "    "), g.orders[v])
+        _listed(list(sil_items.values()), "\n  "),
+        _listed([_STIL % (names[a], names[b], names[c],
+                          component(comp, pad + "  "))
+                 for a, b, c, _, comp in sorted(sils._stil_masks(census))],
+                "\n  "),
+        _listed([_FSIL % (names[x], names[y], names[z], witness(x, y, z),
+                          witness(x, z, y), witness(y, z, x))
+                 for x, y, z in sils._fsil_triples(census)], "\n  "),
+        _listed([_GENERATOR % (names[v], component(c, pad + "    "),
+                               g.orders[v])
                  for v, c in census.generators], pad),
         _listed(edges, pad),
         encode_basestring(outer.factor_summary(
@@ -205,11 +224,13 @@ def cmd_classify(args) -> int:
     census = sils.Census(g)
     if args.dot:
         # the file is written first, so a failed write prints no report
-        sil_list = sils.enumerate_sils(census)
-        acting = {v for s in sil_list for v in s.pair}
-        separated = {v for s in sil_list for v in s.component} - acting
+        acting = covered = 0
+        for a, b, _, comp in census._sil_masks:
+            acting |= 1 << a | 1 << b
+            covered |= comp
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(g, acting, separated))
+            fh.write(to_dot(g, _bits_to_set(acting),
+                            _bits_to_set(covered & ~acting)))
     print(build_report(census))
     return 0
 

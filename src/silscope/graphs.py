@@ -125,14 +125,17 @@ def make_graph(vertices: Iterable[tuple[str, int]],
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise GraphError(f"duplicate vertex names: {dupes}")
     orders = tuple(order for _, order in vertices)
+    valid = set()  # the orders found valid; only an int is looked up
     for name, order in vertices:
+        if type(order) is int and order in valid:
+            continue
         if not is_vertex_order(order):
             raise GraphError(
                 f"vertex {name!r} has order {order!r}; orders must be prime "
                 f"powers in 2..{MAX_ORDER}")
+        valid.add(order)
     idx = {name: i for i, name in enumerate(names)}
     adj = [0] * len(names)
-    seen = set()
     for a, b in edges:
         if a not in idx:
             raise UnknownVertexError(f"edge endpoint {a!r} is not a declared vertex")
@@ -141,10 +144,8 @@ def make_graph(vertices: Iterable[tuple[str, int]],
         i, j = idx[a], idx[b]
         if i == j:
             raise GraphError(f"self-loop at vertex {a!r}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
+        if adj[i] >> j & 1:
             raise GraphError(f"duplicate edge {a!r} -- {b!r}")
-        seen.add(key)
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return LabelledGraph(names, orders, tuple(adj))
@@ -196,6 +197,7 @@ def _bits_to_set(mask: int) -> frozenset:
 
 GRAPH_JSON_KEYS = ("vertices", "edges")
 VERTEX_JSON_KEYS = ("name", "order")
+_VERTEX_KEYS = frozenset(VERTEX_JSON_KEYS)
 
 
 def to_json_dict(g: LabelledGraph) -> dict:
@@ -223,17 +225,19 @@ def from_json_dict(data: object) -> LabelledGraph:
     for entry in raw_vertices:
         if not isinstance(entry, dict) or "name" not in entry:
             raise GraphError(f"bad vertex entry: {entry!r}")
-        extra = set(entry) - set(VERTEX_JSON_KEYS)
-        if extra:
+        if not entry.keys() <= _VERTEX_KEYS:
             raise GraphError(f"unexpected keys in vertex entry {entry!r}: "
-                             f"{sorted(extra)}")
+                             f"{sorted(set(entry) - _VERTEX_KEYS)}")
         vertices.append((entry["name"], entry.get("order", 2)))
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 2
+        # what json.loads builds passes the first test; a subclass the second
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is str
+                and type(e[1]) is str) and not (
+                isinstance(e, list) and len(e) == 2
                 and all(isinstance(name, str) for name in e)):
             raise GraphError(f"bad edge entry: {e!r}; expected an array of two "
                              "vertex names")
-    return make_graph(vertices, [tuple(e) for e in raw_edges])
+    return make_graph(vertices, raw_edges)
 
 
 def to_json(g: LabelledGraph) -> str:

@@ -210,10 +210,10 @@ def disconnected_structure(census: Census) -> DisconnectedStructure | None:
     otherwise the group is the direct product of the vertex-group
     products on each component minus its own center.
     """
+    if len(census.split) <= 1:
+        return None
     g = census.graph
     comps = census.components()
-    if len(comps) <= 1:
-        return None
     if len(comps) >= 3:
         return DisconnectedStructure(
             comps, "large",

@@ -15,9 +15,10 @@ components, and the non-commutation rows.  It holds masks only; every
 consumer of one graph reads the same census.  The Sil, Stil and Fsil
 objects are built by :func:`enumerate_sils`, :func:`enumerate_stils` and
 :func:`enumerate_fsils`, the one way to get them, each time they are
-called.  The classifier counts on the masks, and the checks of
-:mod:`silscope.harness` decide on them, building an object only to word
-a failing verdict; the objects serve reports and the CLI.
+called.  The classifier counts on the masks, the classification report
+is written from them, and the checks of :mod:`silscope.harness` decide
+on them, building an object only to word a failing verdict; the objects
+serve ``silscope sils``, the tests and those verdicts.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a

@@ -38,7 +38,11 @@ new vertex, as the dedup enumeration does.
 So are the census's non-commutation rows, which tested every pair of
 generators where the census tests only those at the two vertices of a
 Sil pair.  So are the eight order-free checks, which read the Sil, Stil
-and Fsil objects where the library reads the census's masks.  The innerness test
+and Fsil objects where the library reads the census's masks.  So is the
+graph JSON loader, ``from_json_dict`` with its ``make_graph``, which
+copied every edge into a tuple, built a key set per vertex entry, tested
+every vertex's order and kept a set of the edges seen, where the library
+validates in one pass over the adjacency masks.  The innerness test
 by definition lives here too, with the vertex images it compares:
 ``is_inner_with`` checks a candidate word on every vertex through
 ``conjugate`` and ``image_of_vertex``, and the breadth-first search
@@ -51,7 +55,9 @@ from operator import itemgetter
 
 from silscope import harness, outer
 from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
-from silscope.graphs import (LabelledGraph, component_masks, to_json_dict,
+from silscope.graphs import (GRAPH_JSON_KEYS, MAX_ORDER, VERTEX_JSON_KEYS,
+                             GraphError, LabelledGraph, UnknownVertexError,
+                             component_masks, is_vertex_order, to_json_dict,
                              vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
 from silscope.sils import (Census, SharedComponentError, commute_rule,
@@ -60,6 +66,73 @@ from silscope.sils import (Census, SharedComponentError, commute_rule,
 from silscope.words import (_inverse, _peel_left, _strip_right, commutator,
                             compose, pc_automorphism, reduce, search_inner)
 
+
+def make_graph(vertices, edges):
+    """Build a validated graph from (name, order) pairs and name edges."""
+    vertices = list(vertices)
+    if not vertices:
+        raise GraphError("a graph needs at least one vertex")
+    for name, _ in vertices:
+        if not isinstance(name, str) or not name:
+            raise GraphError(f"vertex name {name!r} is not a non-empty string")
+    names = tuple(name for name, _ in vertices)
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise GraphError(f"duplicate vertex names: {dupes}")
+    orders = tuple(order for _, order in vertices)
+    for name, order in vertices:
+        if not is_vertex_order(order):
+            raise GraphError(
+                f"vertex {name!r} has order {order!r}; orders must be prime "
+                f"powers in 2..{MAX_ORDER}")
+    idx = {name: i for i, name in enumerate(names)}
+    adj = [0] * len(names)
+    seen = set()
+    for a, b in edges:
+        if a not in idx:
+            raise UnknownVertexError(f"edge endpoint {a!r} is not a declared vertex")
+        if b not in idx:
+            raise UnknownVertexError(f"edge endpoint {b!r} is not a declared vertex")
+        i, j = idx[a], idx[b]
+        if i == j:
+            raise GraphError(f"self-loop at vertex {a!r}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphError(f"duplicate edge {a!r} -- {b!r}")
+        seen.add(key)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return LabelledGraph(names, orders, tuple(adj))
+
+
+def from_json_dict(data):
+    if not isinstance(data, dict):
+        raise GraphError("graph JSON must be an object")
+    extra = set(data) - set(GRAPH_JSON_KEYS)
+    if extra:
+        raise GraphError(f"unexpected keys in graph JSON: {sorted(extra)}")
+    try:
+        raw_vertices = data["vertices"]
+    except KeyError:
+        raise GraphError("graph JSON is missing the 'vertices' key") from None
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise GraphError("'vertices' and 'edges' must be JSON arrays")
+    vertices = []
+    for entry in raw_vertices:
+        if not isinstance(entry, dict) or "name" not in entry:
+            raise GraphError(f"bad vertex entry: {entry!r}")
+        extra = set(entry) - set(VERTEX_JSON_KEYS)
+        if extra:
+            raise GraphError(f"unexpected keys in vertex entry {entry!r}: "
+                             f"{sorted(extra)}")
+        vertices.append((entry["name"], entry.get("order", 2)))
+    for e in raw_edges:
+        if not (isinstance(e, list) and len(e) == 2
+                and all(isinstance(name, str) for name in e)):
+            raise GraphError(f"bad edge entry: {e!r}; expected an array of two "
+                             "vertex names")
+    return make_graph(vertices, [tuple(e) for e in raw_edges])
 
 def edge_list(g):
     return [(u, v) for u in range(g.n) for v in range(u + 1, g.n)

@@ -28,11 +28,13 @@ every fixture, the closed-form Stil count equals the Stils enumerated.
 The generating set, the presentation, the classifier and the word oracle
 read its bitmasks only, never a Sil, Stil or Fsil object; the
 classifier's counts equal those of the enumerated objects, and a report
-enumerates each kind at most once.
+is written from the masks alone, enumerating no kind and building no
+Sil.
 """
 
 import inspect
 import itertools
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -267,16 +269,39 @@ def test_bitmask_readers_build_no_sil_objects(monkeypatch):
 
 
 def test_a_report_enumerates_each_kind_at_most_once(monkeypatch):
-    """``build_report`` reads each of the Sil, Stil and Fsil lists from
-    its one enumeration; its classification and disconnected-structure
-    parts count on the masks."""
+    """``build_report`` enumerates no kind more than once; it enumerates
+    none (see the next test)."""
     calls = count_enumerations(monkeypatch)
     graphs = [load_graph(str(path))
               for path in sorted(FIXTURES.glob("*.json"))]
     for g in graphs + list(oracles.graphs_of(SPECS[1])):
         build_report(Census(g))
-        assert max(calls.values()) <= 1, (g, calls)
+        assert max(calls.values(), default=0) <= 1, (g, calls)
         calls.clear()
+
+
+def test_the_report_builds_no_census_objects(monkeypatch):
+    """``build_report`` writes every Sil, Stil and Fsil item from the
+    census's masks: with the enumerators and ``Census.sil_at`` raising,
+    the report still equals the oracle's text, and on a connected graph
+    the census has made no vertex set."""
+    graphs = [load_graph(str(path))
+              for path in sorted(FIXTURES.glob("*.json"))]
+    graphs += oracles.graphs_of(SPECS[1])
+    expected = [json.dumps(oracles.build_report(g), indent=2,
+                           ensure_ascii=False) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("the report built a census object")
+
+    for name in ENUMERATORS:
+        monkeypatch.setattr(sils_module, name, refuse)
+    monkeypatch.setattr(Census, "sil_at", refuse)
+    for g, text in zip(graphs, expected):
+        census = Census(g)
+        assert build_report(census) == text, g
+        assert len(census.split) > 1 or not census._sets, g
+    assert len(graphs) == 662 + len(list(FIXTURES.glob("*.json")))
 
 
 def counts_of_objects(census):

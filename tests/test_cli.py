@@ -426,6 +426,28 @@ def test_exit_two_on_bad_order_map(capsys, tmp_path):
     assert code == 2 and "prime power" in err
 
 
+@pytest.mark.parametrize("order", ["true", "2.0", "[2]"])
+def test_exit_two_on_an_order_that_is_no_int(capsys, tmp_path, order):
+    # true == 1 and 2.0 == 2 in Python, and a list cannot be hashed: each
+    # is still refused with the message of any bad order
+    bad = tmp_path / "bad_order.json"
+    bad.write_text('{"vertices": [{"name": "a"}, {"name": "b", "order": %s}],'
+                   ' "edges": []}' % order)
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == (f"error: vertex 'b' has order {json.loads(order)!r}; "
+                   "orders must be prime powers in 2..2147483647\n")
+
+
+def test_exit_two_on_an_edge_given_in_both_directions(capsys, tmp_path):
+    bad = tmp_path / "duplicate_edge.json"
+    bad.write_text('{"vertices": [{"name": "a"}, {"name": "b"}], '
+                   '"edges": [["a", "b"], ["b", "a"]]}')
+    code, out, err = run_cli(capsys, "classify", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: duplicate edge 'b' -- 'a'\n"
+
+
 def test_exit_two_on_bad_verify_order(capsys):
     code, out, err = run_cli(capsys, "verify", "--max-vertices", "2",
                              "--orders", "x")

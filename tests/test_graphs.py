@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silscope import (Census, GraphError, UnknownVertexError, from_dot,
-                      from_json, make_graph, star_cut_points, to_dot, to_json)
+                      from_json, from_json_dict, make_graph, star_cut_points,
+                      to_dot, to_json)
+from silscope import graphs as graphs_module
 from silscope.graphs import component_masks, is_prime_power
 
 import oracles
@@ -236,6 +238,114 @@ def test_json_default_order_is_two():
     g = from_json('{"vertices": [{"name": "a"}, {"name": "b", "order": 9}], '
                   '"edges": [["a", "b"]]}')
     assert g.orders == (2, 9)
+
+
+class _Names(list):
+    """A list subclass: an edge the loader must read as it reads a list."""
+
+
+_ORDERS = st.one_of(
+    st.integers(-2, 40),
+    st.sampled_from([2**31 - 1, 2**31, True, False, 2.0, 3.5, "2", None,
+                     [2], {"order": 2}]))
+
+
+def _rarely(draw, one_in):
+    """True about once in ``one_in`` draws; a middle value, since
+    hypothesis draws the bounds of a range more often."""
+    return draw(st.integers(0, one_in - 1)) == one_in // 2
+
+
+@st.composite
+def graph_json_like(draw):
+    """Graph-JSON-like objects, many of them malformed in one way or more:
+    vertex entries with extra keys or without a name, orders of every JSON
+    type, edges that are no lists or have the wrong length, self-loops,
+    unknown endpoints and edges given twice, in either direction."""
+    vertices = []
+    for k in range(0 if _rarely(draw, 20) else draw(st.integers(1, 5))):
+        entry = {}
+        if not _rarely(draw, 20):
+            entry["name"] = ("abcde"[k] if not _rarely(draw, 10) else draw(
+                st.sampled_from(["a", "", 7, None])))
+        if draw(st.booleans()):
+            entry["order"] = draw(_ORDERS) if _rarely(draw, 4) else draw(
+                st.sampled_from([2, 3, 4]))
+        if _rarely(draw, 30):
+            entry[draw(st.sampled_from(["ordr", "colour"]))] = 1
+        vertices.append(draw(st.sampled_from(["a", 2, None, []]))
+                        if _rarely(draw, 30) else entry)
+    known = list(dict.fromkeys(
+        v["name"] for v in vertices
+        if isinstance(v, dict) and isinstance(v.get("name"), str))) or ["a"]
+    name = st.sampled_from(known)
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 39))
+        if kind == 1:
+            edges.append(draw(st.sampled_from(["a", None, 3, {"a": "b"},
+                                               ("a", "b")])))
+        elif kind == 2:
+            edges.append(draw(st.lists(name, max_size=3).filter(
+                lambda e: len(e) != 2)))
+        elif kind == 3:
+            edges.append([draw(name), "zz"][::draw(st.sampled_from([1, -1]))])
+        elif kind == 4:
+            edges.append([draw(name), draw(st.sampled_from([5, None, ["a"]]))])
+        elif kind in (5, 6, 7) and edges:
+            again = draw(st.sampled_from(edges))
+            if isinstance(again, list):
+                edges.append(again[::draw(st.sampled_from([1, -1]))])
+        elif kind == 8:
+            edges.append(_Names([draw(name), draw(name)]))
+        else:
+            edges.append([draw(name), draw(name)])
+    data = {"vertices": vertices, "edges": edges}
+    if _rarely(draw, 20):
+        del data["edges"]
+    if _rarely(draw, 40):
+        data["extra"] = 1
+    if _rarely(draw, 40):
+        data["vertices"] = draw(st.sampled_from([None, {}, "a"]))
+    return data
+
+
+def _loaded(loader, data):
+    """The graph ``loader`` makes of ``data``, or its exception's class
+    and message."""
+    try:
+        return loader(data)
+    except Exception as exc:  # noqa: BLE001 -- the class is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=graph_json_like())
+def test_loader_matches_the_reference_loader(data):
+    """The one-pass loader makes the graph the reference loader makes, or
+    raises the same exception class with the same message: the first
+    fault either finds is the same."""
+    assert _loaded(from_json_dict, data) == _loaded(oracles.from_json_dict,
+                                                     data)
+
+
+def test_loader_reads_each_distinct_order_once(monkeypatch):
+    """Each distinct int order is tested once; an order of another type,
+    hashable or not, is tested every time."""
+    seen = []
+
+    def counted(m, real=graphs_module.is_vertex_order):
+        seen.append(m)
+        return real(m)
+
+    monkeypatch.setattr(graphs_module, "is_vertex_order", counted)
+    make_graph([(name, 3 if name in "ace" else 2) for name in "abcdef"], [])
+    assert seen == [3, 2]
+    for bad in (True, 2.0, [2], {"order": 2}, None):
+        seen.clear()
+        with pytest.raises(GraphError, match="prime powers"):
+            make_graph([("a", 2), ("b", 2), ("c", bad)], [])
+        assert seen == [2, bad]
 
 
 @given(labelled_graphs())
