@@ -11,13 +11,18 @@ and so on.  Besides them the package exports the graph model and its
 file formats, the verification suite and the word engine.  Helpers that
 only tests use, such as the brute-force innerness test, live with the
 tests' oracles.
+
+Importing the package loads ``graphs``, ``sils`` and ``outer``, which
+every command reads.  The names of ``dot``, ``harness`` and ``words`` are
+resolved on first access (PEP 562), so that a classification loads no
+DOT writer, verification suite, word engine or process pool.
 """
 
-from .dot import from_dot, to_dot
+import importlib
+
 from .graphs import (GraphError, LabelledGraph, UnknownVertexError, from_json,
                      from_json_dict, load_graph, make_graph, to_json,
                      to_json_dict)
-from .harness import CounterexampleReport, EnumSpec, enumerate_graphs, run_suite
 from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
                     OutKind, PartialConjugation, build_p0, classify, commutes,
                     disconnected_structure, partial_conjugations,
@@ -25,9 +30,46 @@ from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
 from .sils import (Census, Fsil, SharedComponentError, Sil, Stil,
                    enumerate_fsils, enumerate_sils, enumerate_stils, is_sil,
                    shared_sil_component)
-from .words import (EPSILON, Automorphism0, WordError, apply,
-                    apply_automorphism, commutator, commutator_power_probe,
-                    compose, identity_automorphism, make_word,
-                    parse_word_literal, pc_automorphism, reduce, search_inner)
+
+# each lazily exported name -> the submodule that defines it
+_LAZY = {name: module for module, names in (
+    ("dot", ("from_dot", "to_dot")),
+    ("harness", ("CounterexampleReport", "EnumSpec", "enumerate_graphs",
+                 "run_suite")),
+    ("words", ("EPSILON", "Automorphism0", "WordError", "apply",
+               "apply_automorphism", "commutator", "commutator_power_probe",
+               "compose", "identity_automorphism", "make_word",
+               "parse_word_literal", "pc_automorphism", "reduce",
+               "search_inner")),
+) for name in names}
+
+__all__ = [
+    "GraphError", "LabelledGraph", "UnknownVertexError", "from_json",
+    "from_json_dict", "load_graph", "make_graph", "to_json", "to_json_dict",
+    "CommutationPresentation", "DisconnectedStructure", "OutClass", "OutKind",
+    "PartialConjugation", "build_p0", "classify", "commutes",
+    "disconnected_structure", "partial_conjugations", "presentation",
+    "star_cut_points",
+    "Census", "Fsil", "SharedComponentError", "Sil", "Stil",
+    "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
+    "shared_sil_component",
+    *_LAZY,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A lazily exported name, its submodule imported on first access."""
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})

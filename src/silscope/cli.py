@@ -17,6 +17,14 @@ other argv (``-h``, ``--``, ``--flag=value``, an abbreviated or unknown
 flag, a value starting with ``-``, a wrong number of positionals) goes to
 the argparse parser of ``build_parser``, which alone writes help, usage
 and error messages.
+
+Each subcommand imports only the modules it runs.  ``classify``, ``sils``,
+``gens`` and ``presentation`` load ``graphs``, ``sils``, ``outer`` and this
+module; ``classify --dot`` adds ``dot``.  ``verify`` adds ``harness`` and
+the word engine ``words`` that its oracle check reads, and the process
+pool only with more than one worker.  ``reduce`` and ``act`` add ``words``.
+The argparse path adds ``argparse``, and ``harness`` with ``words``,
+since the help of ``verify`` quotes the suite's limits.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ from json.encoder import encode_basestring
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import harness, outer, sils, words
-from .dot import to_dot
+from . import outer, sils
 from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _bits_to_set,
                      _unique_keys, load_graph, vertex_names)
 
@@ -211,7 +218,9 @@ def _genspec_object(g: LabelledGraph, text: str) -> tuple[int, list]:
 
 
 def _word_json(g: LabelledGraph, w) -> dict:
-    return {"literal": words.format_word(g, w),
+    from .words import format_word
+
+    return {"literal": format_word(g, w),
             "syllables": [[g.names[v], e] for v, e in w]}
 
 
@@ -223,6 +232,8 @@ def cmd_classify(args) -> int:
     g = load_graph(args.graph)
     census = sils.Census(g)
     if args.dot:
+        from .dot import to_dot
+
         # the file is written first, so a failed write prints no report
         acting = covered = 0
         for a, b, _, comp in census._sil_masks:
@@ -271,6 +282,8 @@ def _ascii_decimal(token: str, what: str, limit: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     checks = (harness.DEFAULT_CHECKS if args.checks is None else
               tuple(t.strip() for t in args.checks.split(",") if t.strip()))
     try:
@@ -310,6 +323,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import words
+
     g = load_graph(args.graph)
     w = words.parse_word_literal(g, args.word)
     reduced = words.reduce(g, w)
@@ -319,6 +334,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_act(args) -> int:
+    from . import words
+
     g = load_graph(args.graph)
     pc = _parse_genspec(g, args.generator)
     w = words.parse_word_literal(g, args.word)
@@ -331,7 +348,9 @@ def cmd_act(args) -> int:
 _GRAPH = ("graph", {"help": "path to a graph JSON or DOT file"})
 
 # Every subcommand: name, help, handler, and the (flag, options) of each
-# argument.  ``build_parser`` and ``_read_plain`` walk this table.
+# argument.  ``build_parser`` and ``_read_plain`` walk this table.  Each
+# argument's help is a ``str.format`` template over the suite's limits,
+# filled in by ``build_parser``, so that only argparse loads the suite.
 _COMMANDS = (
     ("classify", "full classification report as JSON", cmd_classify, (
         _GRAPH,
@@ -347,16 +366,15 @@ _COMMANDS = (
         ("--max-vertices", {
             "default": "5",
             "help": "largest number of vertices, a decimal in "
-                    f"1..{harness.MAX_ENUMERATION_VERTICES} with --dedup, "
-                    f"else in 1..{harness.MAX_LABELLED_VERTICES} "
-                    "(default: 5)"}),
+                    "1..{MAX_ENUMERATION_VERTICES} with --dedup, "
+                    "else in 1..{MAX_LABELLED_VERTICES} (default: 5)"}),
         ("--orders", {"default": "2", "help": "comma-separated prime-power "
                                               "vertex orders (default: 2)"}),
         ("--dedup", {"action": "store_true",
                      "help": "one representative per isomorphism class"}),
         ("--checks", {"default": None,
                       "help": "comma-separated check ids (default: all: "
-                              f"{','.join(harness.DEFAULT_CHECKS)})"}),
+                              "{DEFAULT_CHECKS})"}),
         ("--workers", {"default": "1",
                        "help": "worker processes, a decimal >= 1 "
                                "(default: 1)"}))),
@@ -365,7 +383,7 @@ _COMMANDS = (
         ("word", {"help": "space-separated name^k tokens, e.g. 'v1 d v1'"}))),
     ("act", "apply a partial conjugation to a word", cmd_act, (
         ("graph", {}),
-        ("generator", {"help": "generator spec, e.g. 'chi v1 {d,e,f}' or a "
+        ("generator", {"help": "generator spec, e.g. 'chi v1 {{d,e,f}}' or a "
                                "line printed by 'gens'"}),
         ("word", {}))),
 )
@@ -428,8 +446,15 @@ def _read_plain(argv: list) -> SimpleNamespace | None:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser: the only source of help, usage and error
     messages.  argparse is imported here, so that a plain call, read by
-    ``_read_plain``, never loads it."""
+    ``_read_plain``, never loads it, and so is the suite, whose limits the
+    help of ``verify`` quotes."""
     import argparse
+
+    from . import harness
+
+    limits = {"MAX_ENUMERATION_VERTICES": harness.MAX_ENUMERATION_VERTICES,
+              "MAX_LABELLED_VERTICES": harness.MAX_LABELLED_VERTICES,
+              "DEFAULT_CHECKS": ",".join(harness.DEFAULT_CHECKS)}
 
     parser = argparse.ArgumentParser(
         prog="silscope",
@@ -441,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text, func, arguments in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
+            if "help" in options:
+                options = dict(options, help=options["help"].format_map(limits))
             p.add_argument(flag, **options)
         p.set_defaults(func=func)
     return parser
@@ -460,6 +487,14 @@ def _stdout_to_devnull() -> None:
         os.close(devnull)
 
 
+def _input_errors() -> tuple:
+    """The errors that ``main`` reports as malformed input: ``GraphError``,
+    and ``words.WordError`` once the word engine is loaded.  Only the
+    commands that read a word load it, so no other can raise it."""
+    words = sys.modules.get(f"{__package__}.words")
+    return (GraphError,) if words is None else (GraphError, words.WordError)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv) or build_parser().parse_args(argv)
@@ -477,7 +512,7 @@ def main(argv=None) -> int:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 2
-    except (GraphError, words.WordError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -37,7 +37,6 @@ import itertools
 import json
 import os
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, prod
 from operator import itemgetter
@@ -701,6 +700,8 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     if workers == 1:
         yield from (_run_checks(chunk, checks, spec) for chunk in chunks)
         return
+    # imported here: a one-process run loads no pool or multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:

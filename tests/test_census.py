@@ -32,6 +32,7 @@ is written from the masks alone, enumerating no kind and building no
 Sil.
 """
 
+import importlib
 import inspect
 import itertools
 import json
@@ -444,42 +445,67 @@ READERS = {
             "classify", "presentation", "disconnected_structure"),
 }
 MASK_READERS = {"commute_rule", "factor_summary"}  # no graph: masks only
-PUBLIC_NAMES = {
+# each public name of silscope, by the submodule that defines it
+EXPORTS = {
     # graph model and file formats
-    "GraphError", "LabelledGraph", "UnknownVertexError", "from_dot",
-    "from_json", "from_json_dict", "load_graph", "make_graph", "to_dot",
-    "to_json", "to_json_dict",
+    "graphs": ("GraphError", "LabelledGraph", "UnknownVertexError",
+               "from_json", "from_json_dict", "load_graph", "make_graph",
+               "to_json", "to_json_dict"),
+    "dot": ("from_dot", "to_dot"),
     # census and its readers
-    "Census", "Fsil", "SharedComponentError", "Sil", "Stil",
-    "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
-    "shared_sil_component", "CommutationPresentation",
-    "DisconnectedStructure", "OutClass", "OutKind", "PartialConjugation",
-    "build_p0", "classify", "commutes", "disconnected_structure",
-    "partial_conjugations", "presentation", "star_cut_points",
+    "sils": ("Census", "Fsil", "SharedComponentError", "Sil", "Stil",
+             "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
+             "shared_sil_component"),
+    "outer": ("CommutationPresentation", "DisconnectedStructure", "OutClass",
+              "OutKind", "PartialConjugation", "build_p0", "classify",
+              "commutes", "disconnected_structure", "partial_conjugations",
+              "presentation", "star_cut_points"),
     # verification suite
-    "CounterexampleReport", "EnumSpec", "enumerate_graphs", "run_suite",
+    "harness": ("CounterexampleReport", "EnumSpec", "enumerate_graphs",
+                "run_suite"),
     # word engine
-    "EPSILON", "Automorphism0", "WordError", "apply", "apply_automorphism",
-    "commutator", "commutator_power_probe", "compose",
-    "identity_automorphism", "make_word", "parse_word_literal",
-    "pc_automorphism", "reduce", "search_inner",
+    "words": ("EPSILON", "Automorphism0", "WordError", "apply",
+              "apply_automorphism", "commutator", "commutator_power_probe",
+              "compose", "identity_automorphism", "make_word",
+              "parse_word_literal", "pc_automorphism", "reduce",
+              "search_inner"),
 }
+PUBLIC_NAMES = {name for names in EXPORTS.values() for name in names}
 
 
 def test_package_exports_the_census_readers():
-    """silscope defines no function: each census reader it exports is the
-    function of ``sils`` or ``outer`` itself.  Its public names are exactly
-    ``PUBLIC_NAMES`` (submodules aside), so a helper that only tests call
-    cannot be exported unnoticed."""
-    assert not [name for name, value in vars(silscope).items()
-                if inspect.isfunction(value) and value.__module__ == "silscope"]
+    """silscope defines no function but the two that resolve its lazy
+    names: each name it exports is the object of the submodule that
+    defines it, each census reader the function of ``sils`` or ``outer``
+    itself.  Its public names are exactly ``PUBLIC_NAMES``, so a helper
+    that only tests call cannot be exported unnoticed."""
+    assert {name for name, value in vars(silscope).items()
+            if inspect.isfunction(value) and value.__module__ == "silscope"
+            } == {"__getattr__", "__dir__"}
+    assert set(silscope.__all__) == PUBLIC_NAMES
+    assert len(silscope.__all__) == len(PUBLIC_NAMES) == 51
+    for module_name, names in EXPORTS.items():
+        module = importlib.import_module(f"silscope.{module_name}")
+        for name in names:
+            value = getattr(silscope, name)
+            assert value is getattr(module, name), name
+            assert getattr(value, "__module__", module.__name__) == \
+                module.__name__, name
     for module, names in READERS.items():
         for name in names:
             assert getattr(silscope, name) is getattr(module, name), name
+    # each lazy name read above is now bound in the module, and no other
     exported = {name for name, value in vars(silscope).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 51
+    star: dict = {}
+    exec("from silscope import *", star)
+    del star["__builtins__"]
+    assert star.keys() == PUBLIC_NAMES
+    assert all(value is getattr(silscope, name) for name, value in star.items())
+    assert PUBLIC_NAMES <= set(dir(silscope))
+    with pytest.raises(AttributeError):
+        silscope.format_word  # a words helper the package does not export
 
 
 def test_every_public_graph_function_takes_a_census():

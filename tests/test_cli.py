@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import silscope
 from silscope import (Census, cli, from_dot, from_json, from_json_dict,
-                      make_graph, to_json)
+                      harness, make_graph, to_json)
 from silscope.cli import build_parser, build_report, main
 from silscope.graphs import MAX_ORDER
 from silscope.harness import CHECKS, CounterexampleReport, EnumSpec
@@ -912,6 +912,77 @@ def test_a_plain_call_imports_no_argparse(argv):
                          capture_output=True, env=_env_with_src(), timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
+
+
+_SUITE = ("silscope.harness", "silscope.words", "silscope.dot",
+          "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["classify", fixture("pentagon_triangle")], (), _SUITE),
+    (["classify", "--dot", "OUT", fixture("pentagon_triangle")],
+     ("silscope.dot",), ("silscope.harness", "silscope.words",
+                         "concurrent.futures")),
+    (["reduce", fixture("pentagon_triangle"), "v1 d v1"], ("silscope.words",),
+     ("silscope.harness", "silscope.dot", "concurrent.futures")),
+    (["verify", "--max-vertices", "3", "--dedup"],
+     ("silscope.harness", "silscope.words"),
+     ("silscope.dot", "concurrent.futures", "multiprocessing"))],
+    ids=["classify", "classify_dot", "reduce", "verify"])
+def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, argv,
+                                                        loaded, absent):
+    # each module compiles from source on every call when no bytecode is
+    # written, as in the benchmark
+    argv = [str(tmp_path / "out.dot") if t == "OUT" else t for t in argv]
+    script = ("import json, sys\n"
+              "from silscope.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    run = subprocess.run([sys.executable, "-c", script, *argv],
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout
+    modules = set(json.loads(run.stderr.splitlines()[-1]))
+    assert modules >= {"silscope.graphs", "silscope.sils", "silscope.outer",
+                       *loaded}
+    assert not modules & set(absent)
+
+
+def test_a_word_error_exits_2_from_a_fresh_console_entry():
+    # `python -m` runs cli as __main__, where the word engine loads late
+    run = subprocess.run(
+        [sys.executable, "-m", "silscope.cli", "reduce",
+         fixture("pentagon_triangle"), "zz"],
+        capture_output=True, text=True, env=_env_with_src(), timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        2, "", "error: cannot parse word token 'zz'\n")
+
+
+@pytest.mark.parametrize("command", [[], ["verify"], ["classify"], ["act"]])
+def test_help_from_a_fresh_console_entry(capsys, monkeypatch, command):
+    env = dict(_env_with_src(), COLUMNS="80")
+    run = subprocess.run([sys.executable, "-m", "silscope.cli", *command,
+                          "--help"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _outcome(capsys, main, [*command, "--help"]) == (
+        ("SystemExit", 0), run.stdout, run.stderr)
+    assert run.returncode == 0
+    # the help quotes the suite's limits as it did when they were read at
+    # import, and keeps the braces of a generator spec; argparse may wrap
+    # a line inside a check id
+    text = "".join(run.stdout.split())
+    quoted = {
+        "verify": ["largest number of vertices, a decimal in "
+                   f"1..{harness.MAX_ENUMERATION_VERTICES} with --dedup, "
+                   f"else in 1..{harness.MAX_LABELLED_VERTICES} (default: 5)",
+                   "comma-separated check ids (default: all: "
+                   f"{','.join(harness.DEFAULT_CHECKS)})"],
+        "act": ["generator spec, e.g. 'chi v1 {d,e,f}'"]}
+    for line in quoted.get(command[0] if command else "", []):
+        assert "".join(line.split()) in text
 
 
 def _env_with_src():

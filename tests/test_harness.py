@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import gc
 import itertools
@@ -1053,7 +1054,9 @@ class RecordingPool:
 @pytest.mark.parametrize("cpus, workers, pool_size", [
     (4, 10_000, 4), (4, 3, 3), (None, 10_000, None), (1, 2, None)])
 def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers, pool_size):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # checked_chunks imports the pool class where it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     spec = EnumSpec(5, checks=("lemma_2_2",), workers=workers)
