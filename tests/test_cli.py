@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import silscope
 from silscope import (Census, cli, from_dot, from_json, from_json_dict,
-                      harness, make_graph, to_json)
+                      harness, make_graph, to_json, to_json_dict)
 from silscope.cli import build_parser, build_report, main
 from silscope.graphs import MAX_ORDER
 from silscope.harness import CHECKS, CounterexampleReport, EnumSpec
@@ -197,6 +197,41 @@ def test_sils_listing(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert lines == [{"pair": ["v1", "v2"], "component": ["d", "e", "f"],
                       "coxeter": True}]
+
+
+def _sil_lines(g):
+    """What ``silscope sils`` prints for ``g``, built from the definition
+    scan: one JSON line per Sil, sorted by pair, then by lowest component
+    vertex."""
+    return "".join(
+        json.dumps({"pair": [g.names[a], g.names[b]],
+                    "component": [g.names[v] for v in sorted(comp)],
+                    "coxeter": coxeter}, ensure_ascii=False) + "\n"
+        for (a, b), comp, coxeter in sorted(
+            oracles.sil_census(g), key=lambda s: (s[0], min(s[1]))))
+
+
+def test_sils_listing_matches_the_definition_scan(capsys, tmp_path):
+    """Byte for byte, on every fixture, on a graph with non-ASCII and
+    escaped names, and on every class of dedup n <= 5 {2, 3}."""
+    graphs = [from_json(path.read_text(encoding="utf-8"))
+              for path in sorted(FIXTURES.glob("*.json"))]
+    # pentagon_fork, its vertices a..f renamed
+    renamed = dict(zip("abcdef", ("α", "β", '"γ"', "δ\\", "é ✓", "𝄞")))
+    g = fx.pentagon_fork()
+    graphs.append(make_graph(
+        [(renamed.get(x, x), m) for x, m in zip(g.names, g.orders)],
+        [(renamed.get(g.names[u], g.names[u]),
+          renamed.get(g.names[v], g.names[v])) for u, v in g.edges()]))
+    graphs += oracles.graphs_of(
+        EnumSpec(5, orders=(2, 3), dedup_isomorphic=True))
+    path = tmp_path / "graph.json"
+    for g in graphs:
+        path.write_text(json.dumps(to_json_dict(g), ensure_ascii=False),
+                        encoding="utf-8")
+        assert run_cli(capsys, "sils", str(path)) == (0, _sil_lines(g), "")
+    assert len(graphs) == 7 + 1 + 662
+    assert sum(bool(_sil_lines(g)) for g in graphs) > 100
 
 
 def test_gens_listing(capsys):
