@@ -4,13 +4,16 @@ partial-conjugation generating set, classify the outer automorphism group,
 and cross-check everything against an exact word-rewriting oracle.
 
 Every question about one graph is read from its :class:`Census`, built
-once per graph with ``Census(g)``.  The readers exported here are the
-functions of ``sils`` and ``outer`` themselves, and each takes the census:
-``classify(census)``, ``presentation(census)``, ``enumerate_sils(census)``
-and so on.  Besides them the package exports the graph model and its
-file formats, the verification suite and the word engine.  Helpers that
-only tests use, such as the brute-force innerness test, live with the
-tests' oracles.
+once per graph with ``Census(g)``; the census holds its separations as
+bitmasks (``census.witnesses`` maps each separated pair to the union of
+its separated components).  The readers exported here are the functions
+of ``outer`` themselves, and each takes the census: ``build_p0(census)``,
+``classify(census)``, ``presentation(census)`` and
+``disconnected_structure(census)``.  Besides them the package exports
+the graph model and its file formats, the verification suite and the
+word engine, and nothing that only tests call: the readings of the
+census as Sil, Stil and Fsil objects, the commutator power probe and the
+brute-force innerness test live with the tests' oracles.
 
 Importing the package loads ``graphs``, ``sils`` and ``outer``, which
 every command reads.  The names of ``dot``, ``harness`` and ``words`` are
@@ -21,15 +24,11 @@ DOT writer, verification suite, word engine or process pool.
 import importlib
 
 from .graphs import (GraphError, LabelledGraph, UnknownVertexError, from_json,
-                     from_json_dict, load_graph, make_graph, to_json,
-                     to_json_dict)
+                     from_json_dict, load_graph, make_graph, to_json_dict)
 from .outer import (CommutationPresentation, DisconnectedStructure, OutClass,
-                    OutKind, PartialConjugation, build_p0, classify, commutes,
-                    disconnected_structure, partial_conjugations,
-                    presentation, star_cut_points)
-from .sils import (Census, Fsil, SharedComponentError, Sil, Stil,
-                   enumerate_fsils, enumerate_sils, enumerate_stils, is_sil,
-                   shared_sil_component)
+                    OutKind, PartialConjugation, build_p0, classify,
+                    disconnected_structure, presentation)
+from .sils import Census
 
 # each lazily exported name -> the submodule that defines it
 _LAZY = {name: module for module, names in (
@@ -37,22 +36,18 @@ _LAZY = {name: module for module, names in (
     ("harness", ("CounterexampleReport", "EnumSpec", "enumerate_graphs",
                  "run_suite")),
     ("words", ("EPSILON", "Automorphism0", "WordError", "apply",
-               "apply_automorphism", "commutator", "commutator_power_probe",
-               "compose", "identity_automorphism", "make_word",
+               "apply_automorphism", "commutator", "compose", "make_word",
                "parse_word_literal", "pc_automorphism", "reduce",
                "search_inner")),
 ) for name in names}
 
 __all__ = [
     "GraphError", "LabelledGraph", "UnknownVertexError", "from_json",
-    "from_json_dict", "load_graph", "make_graph", "to_json", "to_json_dict",
+    "from_json_dict", "load_graph", "make_graph", "to_json_dict",
     "CommutationPresentation", "DisconnectedStructure", "OutClass", "OutKind",
-    "PartialConjugation", "build_p0", "classify", "commutes",
-    "disconnected_structure", "partial_conjugations", "presentation",
-    "star_cut_points",
-    "Census", "Fsil", "SharedComponentError", "Sil", "Stil",
-    "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
-    "shared_sil_component",
+    "PartialConjugation", "build_p0", "classify", "disconnected_structure",
+    "presentation",
+    "Census",
     *_LAZY,
 ]
 

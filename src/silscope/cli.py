@@ -5,9 +5,11 @@ Subcommands: classify | sils | gens | presentation | verify | reduce | act.
 Graphs are read from JSON ({"vertices": [{"name", "order"}], "edges": [...]})
 or DOT files with an ``order`` vertex attribute.  ``classify`` writes the
 text ``json.dumps(indent=2, ensure_ascii=False)`` makes of its report, from
-one ``%`` template per section item.  Exit codes: 0 success, 1 verification
-found counterexamples, 2 malformed input, 141 stdout was closed before the
-output was written (as by ``| head``).
+one ``%`` template per section item, and ``sils`` one JSON line per Sil;
+both write from the census's masks, as the checks of ``verify`` decide on
+them.  Exit codes: 0 success, 1 verification found counterexamples, 2
+malformed input, 141 stdout was closed before the output was written (as
+by ``| head``).
 
 The arguments are read off the ``_COMMANDS`` table.  A plain argv, a
 subcommand followed by its exact flags, their values and its positionals,
@@ -20,7 +22,7 @@ and error messages.
 
 Each subcommand imports only the modules it runs.  ``classify``, ``sils``,
 ``gens`` and ``presentation`` load ``graphs``, ``sils``, ``outer`` and this
-module; ``classify --dot`` adds ``dot``.  ``verify`` adds ``harness`` and
+module, and none of them ``dataclasses``; ``classify --dot`` adds ``dot``.  ``verify`` adds ``harness`` and
 the word engine ``words`` that its oracle check reads, and the process
 pool only with more than one worker.  ``reduce`` and ``act`` add ``words``.
 The argparse path adds ``argparse``, and ``harness`` with ``words``,
@@ -45,12 +47,6 @@ if TYPE_CHECKING:
     import argparse
 
 REPORT_VERSION = 2
-
-
-def _sil_dict(g: LabelledGraph, s: sils.Sil) -> dict:
-    return {"pair": [g.names[s.pair[0]], g.names[s.pair[1]]],
-            "component": vertex_names(g, s.component),
-            "coxeter": s.coxeter}
 
 
 def _pc_dict(g: LabelledGraph, pc: outer.PartialConjugation) -> dict:
@@ -103,9 +99,9 @@ def build_report(census: sils.Census) -> str:
     ``json.dumps(report, indent=2, ensure_ascii=False)`` for the dict that
     ``tests/oracles.py`` builds: one ``%`` template per section item, each
     vertex name encoded once, each component's name list once per depth.
-    It builds no Sil, Stil or Fsil object and no vertex set: every item
-    is written from the census's masks, a component's names by walking
-    its mask's bits upwards, and the counts are ``outer.classify``'s."""
+    It builds no vertex set: every item is written from the census's
+    masks, a component's names by walking its mask's bits upwards, and the
+    counts are ``outer.classify``'s."""
     g, rows, out = census.graph, census.non_commuting, outer.classify(census)
     names = [encode_basestring(name) for name in g.names]
     disc = outer.disconnected_structure(census)
@@ -163,7 +159,7 @@ def build_report(census: sils.Census) -> str:
         encode_basestring(outer.factor_summary(
             [g.orders[v] for v, _ in census.generators], rows)),
         "null" if disc is None else json.dumps(dict(
-            vars(disc), components=[vertex_names(g, c) for c in disc.components],
+            disc._asdict(), components=[vertex_names(g, c) for c in disc.components],
             quotients=disc.quotients and [
                 vertex_names(g, q) for q in disc.quotients]),
             indent=2, ensure_ascii=False).replace("\n", "\n  "),
@@ -248,8 +244,13 @@ def cmd_classify(args) -> int:
 
 def cmd_sils(args) -> int:
     g = load_graph(args.graph)
-    for s in sils.enumerate_sils(sils.Census(g)):
-        print(json.dumps(_sil_dict(g, s), ensure_ascii=False))
+    census = sils.Census(g)
+    two = census._order_two
+    for a, b, _, comp in census._sil_masks:
+        print(json.dumps({"pair": [g.names[a], g.names[b]],
+                          "component": vertex_names(g, _bits_to_set(comp)),
+                          "coxeter": two >> a & two >> b & 1 == 1},
+                         ensure_ascii=False))
     return 0
 
 

@@ -17,8 +17,7 @@ components of an induced subgraph as bitmasks; the census in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_ORDER = 2**31 - 1  # largest accepted vertex order
 
@@ -54,12 +53,12 @@ def is_vertex_order(m: object) -> bool:
     return isinstance(m, int) and 2 <= m <= MAX_ORDER and is_prime_power(m)
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
+class LabelledGraph(NamedTuple):
     """A finite simple graph with a prime-power order on each vertex.
 
     Immutable; safe to share and to use as a dict key.  ``adj[v]`` is a
-    bitmask with bit u set iff u and v are adjacent.
+    bitmask with bit u set iff u and v are adjacent.  ``index`` looks up a
+    vertex name, not a field.
     """
 
     names: tuple[str, ...]
@@ -238,10 +237,6 @@ def from_json_dict(data: object) -> LabelledGraph:
             raise GraphError(f"bad edge entry: {e!r}; expected an array of two "
                              "vertex names")
     return make_graph(vertices, raw_edges)
-
-
-def to_json(g: LabelledGraph) -> str:
-    return json.dumps(to_json_dict(g), ensure_ascii=False, indent=2) + "\n"
 
 
 def _unique_keys(pairs: list) -> dict:

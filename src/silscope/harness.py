@@ -20,10 +20,9 @@ one minimality search per smaller graph decides every row at once.  One
 :class:`Census` of a record's graph serves every check, once for the whole
 mask, and each verdict stands for every kept order tuple; the tuples are
 listed only for a mask with a failing verdict.  The census checks decide
-on the census's bitmasks, and build Sil or Stil objects only to word a
-failing verdict.  The word oracle reads no vertex order either: whether a
-commutator of two generators is inner depends only on its numbering-free
-shape, and :func:`silscope.words.commutator_is_inner` decides each shape
+on the census's bitmasks, and word a failing verdict from them too.  The
+word oracle reads no vertex order either: whether a commutator of two
+generators is inner depends only on its numbering-free shape, and :func:`silscope.words.commutator_is_inner` decides each shape
 once per process.  A graph is built for each report.  The suite streams:
 the records are cut into chunks of whole masks, each chunk is checked in
 this process or by a worker process, and the results are joined in chunk
@@ -42,12 +41,10 @@ from math import comb, prod
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .graphs import (MAX_ORDER, LabelledGraph, component_masks,
+from .graphs import (MAX_ORDER, LabelledGraph, _bits_to_set, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
 from .outer import PartialConjugation
-from .sils import (Census, SharedComponentError, Sil, _fsil_triples,
-                   _stil_masks, enumerate_sils, enumerate_stils,
-                   shared_sil_component)
+from .sils import Census, _fsil_triples, _stil_masks
 from .words import commutator_is_inner, commutator_shape
 
 MAX_ENUMERATION_VERTICES = 8
@@ -392,64 +389,79 @@ def check_lemma_2_2(census: Census) -> Optional[tuple]:
     The census reads each Sil off a component shared by both star splits,
     so that holds by construction.  As evidence of its own, a search here
     checks that C of {a, b | C} is a component of G minus lk(a) & lk(b):
-    one search per pair, as the Sils come sorted by pair.  It reads the Sil
-    masks, and only a Sil that fails on masks is checked and worded as an
-    object.
+    one search per pair, as the Sils come sorted by pair.  Only a Sil that
+    fails that test is looked at again, by ``_lemma_2_2_verdict``.
     """
     g = census.graph
     full = (1 << g.n) - 1
     owners = census._star_owners
     pair = None
-    for k, (a, b, _, mask) in enumerate(census._sil_masks):
+    for a, b, _, mask in census._sil_masks:
         if (a, b) != pair:
             pair = a, b
             split = component_masks(g.adj, full & ~(g.adj[a] & g.adj[b]))
         ends = 1 << a | 1 << b
         if (owners.get(mask, 0) & ends != ends or mask & ends
                 or mask not in split):
-            verdict = _lemma_2_2_verdict(census, enumerate_sils(census)[k],
-                                         split)
+            verdict = _lemma_2_2_verdict(census, a, b, mask, split)
             if verdict:
                 return verdict
     return None
 
 
-def _lemma_2_2_verdict(census: Census, sil: Sil,
+def _lemma_2_2_verdict(census: Census, a: int, b: int, mask: int,
                        split: tuple) -> Optional[tuple]:
-    """``check_lemma_2_2`` on one Sil object, with ``split`` the components
-    of G minus the common link of its pair."""
+    """``check_lemma_2_2`` on the Sil {a, b | C} of component mask ``mask``,
+    with ``split`` the components of G minus the common link of a and b.
+    The message names the first failure: the lowest vertex z of C is in
+    no component of G - St(v), for v = a and then b; the components of
+    G - St(a) and G - St(b) holding z differ, or the first misses part of
+    C; or C is no component of ``split``, or holds a or b."""
     g = census.graph
-    a, b = sil.pair
-    mask = sum(1 << v for v in sil.component)
-    try:
-        shared_sil_component(census, sil)
-        if mask & (1 << a | 1 << b) or mask not in split:
-            raise SharedComponentError(
-                f"separated component of pair ({g.names[a]}, {g.names[b]}) "
-                "is not a component of the graph minus their common link")
-    except SharedComponentError as exc:
-        return ({"pair": vertex_names(g, sil.pair),
-                 "component": vertex_names(g, sil.component)}, str(exc))
-    return None
+    names = g.names
+    z = (mask & -mask).bit_length() - 1
+    sides = [next((c for c in census.star_splits[v] if c >> z & 1), 0)
+             for v in (a, b)]
+    if not all(sides):
+        v = b if sides[0] else a
+        message = (f"witness {names[z]} vanished from the graph minus "
+                   f"St({names[v]})")
+    elif sides[0] != sides[1] or mask & ~sides[0]:
+        first, second = (sorted(_bits_to_set(side)) for side in sides)
+        message = (f"separated component of pair ({names[a]}, {names[b]}) "
+                   f"is not shared: {first} vs {second}")
+    elif mask & (1 << a | 1 << b) or mask not in split:
+        message = (f"separated component of pair ({names[a]}, {names[b]}) "
+                   "is not a component of the graph minus their common link")
+    else:
+        return None
+    return ({"pair": vertex_names(g, (a, b)),
+             "component": vertex_names(g, _bits_to_set(mask))}, message)
 
 
 def check_lemma_4(census: Census) -> Optional[tuple]:
     """A graph with exactly one separating pair has no separating triple."""
-    if len(census._sil_masks) != 1 or next(_stil_masks(census), None) is None:
+    if len(census._sil_masks) != 1:
         return None
-    g, stil = census.graph, enumerate_stils(census)[0]
-    return ({"triple": vertex_names(g, stil.triple),
-             "component": vertex_names(g, stil.component)},
+    stil = min(_stil_masks(census), default=None)  # the first in sorted order
+    if stil is None:
+        return None
+    g = census.graph
+    a, b, c, _, mask = stil
+    return ({"triple": vertex_names(g, (a, b, c)),
+             "component": vertex_names(g, _bits_to_set(mask))},
             "unique separating pair coexists with a separating triple")
 
 
 def check_stil_two_sils(census: Census) -> Optional[tuple]:
     """Any separating triple forces at least two distinct separating pairs."""
     count = len(census._sil_masks)
-    if count >= 2 or next(_stil_masks(census), None) is None:
+    if count >= 2:
         return None
-    stil = enumerate_stils(census)[0]
-    return ({"triple": vertex_names(census.graph, stil.triple),
+    stil = min(_stil_masks(census), default=None)
+    if stil is None:
+        return None
+    return ({"triple": vertex_names(census.graph, stil[:3]),
              "sil_count": count},
             "separating triple with fewer than two separating pairs")
 
@@ -551,7 +563,7 @@ def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
         found = commutator_is_inner(commutator_shape(g, a, c, b, d))
         predicted = not rows[i] >> j & 1
         if found != predicted:
-            x, y = (PartialConjugation(v, census._vertex_set(m))
+            x, y = (PartialConjugation(v, _bits_to_set(m))
                     for v, m in (gens[i], gens[j]))
             return ({"x": x.label(g), "y": y.label(g),
                      "predicted_commutes": predicted,

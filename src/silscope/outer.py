@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import LabelledGraph, component_masks, vertex_names
-from .sils import Census, _fsil_triples, _stil_count, commute_rule
+from .sils import Census, _fsil_triples, _stil_count
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
 _TIMES = " × "
@@ -37,8 +36,7 @@ def _cyclic(order: int) -> str:
     return f"ℤ/{order}ℤ"
 
 
-@dataclass(frozen=True)
-class PartialConjugation:
+class PartialConjugation(NamedTuple):
     """chi_{v,C}: conjugate the component C of the graph minus St(v) by v."""
 
     vertex: int
@@ -49,32 +47,13 @@ class PartialConjugation:
         return f"chi {g.names[self.vertex]} {{{names}}}"
 
 
-def partial_conjugations(census: Census, v: int) -> list[PartialConjugation]:
-    """All partial conjugations with acting vertex v, in component order."""
-    census.graph.check_vertex(v)
-    return [PartialConjugation(v, comp) for comp in census.star_components(v)]
-
-
-def star_cut_points(census: Census) -> list[int]:
-    """The vertices v acting in ``census.generators``, ascending: those
-    for which removing St(v) leaves >= 2 connected components."""
-    return list(dict.fromkeys(v for v, _ in census.generators))
-
-
 def validate_partial_conjugation(census: Census, v: int,
                                  component: frozenset) -> PartialConjugation:
     """chi_{v,C} if C is a component of G - St(v), else ValueError."""
-    _component_mask(census, v, component)
-    return PartialConjugation(v, component)
-
-
-def _component_mask(census: Census, v: int, component: frozenset) -> int:
-    """The census mask of ``component`` as a component of G - St(v)."""
     g = census.graph
     g.check_vertex(v)
-    mask = sum(1 << g.check_vertex(u) for u in component)
-    if mask in census.star_splits[v]:
-        return mask
+    if sum(1 << g.check_vertex(u) for u in component) in census.star_splits[v]:
+        return PartialConjugation(v, component)
     names = json.dumps(vertex_names(g, component), ensure_ascii=False)
     raise ValueError(
         f"{names} is not a connected component of the graph minus "
@@ -94,17 +73,6 @@ def build_p0(census: Census) -> tuple[PartialConjugation, ...]:
                  for v, c in census.generators)
 
 
-def commutes(census: Census, x: PartialConjugation, y: PartialConjugation) -> bool:
-    """Whether two partial conjugations commute in Out(W), by
-    :func:`silscope.sils.commute_rule`; ``ValueError`` if they may not and
-    a component is not one of G minus the star of its vertex."""
-    pair = (x.vertex, y.vertex) if x.vertex < y.vertex else (y.vertex, x.vertex)
-    witnesses = census.witnesses.get(pair)
-    return not witnesses or commute_rule(
-        witnesses, x.vertex, _component_mask(census, x.vertex, x.component),
-        y.vertex, _component_mask(census, y.vertex, y.component))
-
-
 class OutKind(enum.Enum):
     FINITE = "Finite"
     VIRTUALLY_Z = "VirtuallyZ"
@@ -112,8 +80,7 @@ class OutKind(enum.Enum):
     LARGE = "Large"
 
 
-@dataclass(frozen=True)
-class OutClass:
+class OutClass(NamedTuple):
     """Classification of Out(W) plus the census that decided it."""
 
     kind: OutKind
@@ -145,8 +112,7 @@ def classify(census: Census) -> OutClass:
     return OutClass(kind, coxeter, non_coxeter, stils, fsils)
 
 
-@dataclass(frozen=True)
-class CommutationPresentation:
+class CommutationPresentation(NamedTuple):
     """Generators with their orders, pairwise commutation, and a factored
     summary of the graph product they present."""
 
@@ -189,8 +155,7 @@ def factor_summary(orders: Sequence[int], rows: Sequence[int]) -> str:
     return _TIMES.join(factors) or "1"
 
 
-@dataclass(frozen=True)
-class DisconnectedStructure:
+class DisconnectedStructure(NamedTuple):
     """Structure report for a disconnected defining graph."""
 
     components: tuple[frozenset, ...]

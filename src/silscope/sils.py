@@ -11,14 +11,12 @@ a star.  A :class:`Census` holds one graph and the n + 1 splits it reads,
 as component bitmasks: G minus each star, and G itself.  When it is built
 it computes from them every bitmask fact: the generators, the Sil masks,
 one witness index from each separated pair to the union of its separated
-components, and the non-commutation rows.  It holds masks only; every
-consumer of one graph reads the same census.  The Sil, Stil and Fsil
-objects are built by :func:`enumerate_sils`, :func:`enumerate_stils` and
-:func:`enumerate_fsils`, the one way to get them, each time they are
-called.  The classifier counts on the masks, the classification report
-is written from them, and the checks of :mod:`silscope.harness` decide
-on them, building an object only to word a failing verdict; the objects
-serve ``silscope sils``, the tests and those verdicts.
+components, and the non-commutation rows.  It holds masks only, and every
+consumer of one graph reads the same census: the classifier counts on the
+masks, the classification report and the ``silscope sils`` listing are
+written from them, and the checks of :mod:`silscope.harness` decide on
+them and word a failing verdict from them.  No Sil, Stil or Fsil is ever
+built as an object.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -41,44 +39,9 @@ without walking them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import LabelledGraph, _bits_to_set, component_masks
-
-
-class SharedComponentError(RuntimeError):
-    """Internal consistency violation: a separating pair whose separated
-    component is not a common component of both punctured graphs."""
-
-
-@dataclass(frozen=True)
-class Sil:
-    """A separating intersection of links {v1, v2 | C}."""
-
-    pair: tuple[int, int]  # sorted, non-adjacent
-    component: frozenset
-    coxeter: bool
-
-
-@dataclass(frozen=True)
-class Stil:
-    """A separating triple intersection of links {v1, v2, v3 | C}."""
-
-    triple: tuple[int, int, int]  # sorted; spans at most one edge
-    component: frozenset
-
-
-@dataclass(frozen=True)
-class Fsil:
-    """A flexible triple: each pair is separated with the third as witness.
-
-    ``sils`` holds one witnessing Sil per pair, ordered like the pairs
-    (v1,v2), (v1,v3), (v2,v3).
-    """
-
-    triple: tuple[int, int, int]
-    sils: tuple[Sil, Sil, Sil]
 
 
 class Census:
@@ -97,9 +60,11 @@ class Census:
     ``non_commuting``, per generator the mask of those it does not commute
     with (Sale and Susse, Trans. AMS 2019), testing for each Sil pair only
     the generators at its two vertices.  The mask of the vertices of order
-    2 is computed on first read; only the Sil objects and the classifier
-    read vertex orders.  Each mask becomes a frozenset once, on first
-    request, shared by every reader.  Nothing is shared between instances.
+    2 is computed on first read; only the Coxeter flag of a Sil, which the
+    classifier, the report and the ``sils`` listing read, depends on
+    vertex orders.  A mask that a reader needs as a vertex set becomes a
+    frozenset once, on first request, shared by every reader.  Nothing is
+    shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -178,22 +143,6 @@ class Census:
             vertices = self._sets[mask] = _bits_to_set(mask)
             return vertices
 
-    def star_components(self, v: int) -> tuple:
-        """Components of the graph minus St(v)."""
-        return tuple(map(self._vertex_set, self.star_splits[v]))
-
-    def sil_at(self, a: int, b: int, z: int) -> Sil | None:
-        """The Sil {a, b | C} with z in C, if any: C is the component of
-        G - St(a) holding z, if also one of G - St(b), and a, b non-adjacent."""
-        if a == b or self.graph.adj[a] >> b & 1:
-            return None
-        comp = next((c for c in self.star_splits[a] if c >> z & 1), 0)
-        if not self._star_owners.get(comp, 0) >> b & 1:
-            return None
-        two = self._order_two
-        return Sil((a, b) if a < b else (b, a), self._vertex_set(comp),
-                   two >> a & two >> b & 1 == 1)
-
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
     """Whether chi_{x,C} and chi_{y,D} commute in Out(W), on masks:
@@ -211,32 +160,10 @@ def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:
     return not (y_in_c and (witnesses & d or x_in_d))
 
 
-def enumerate_sils(census: Census) -> list[Sil]:
-    """All Sils, one per (unordered pair, separated component).
-
-    Each star component C gives a Sil for every non-adjacent pair of V_C.
-    They are sorted by pair, then by smallest contained vertex, so the
-    output order is deterministic.
-    """
-    two = census._order_two
-    return [Sil((a, b), census._vertex_set(comp), two >> a & two >> b & 1 == 1)
-            for a, b, _, comp in census._sil_masks]
-
-
-def is_sil(census: Census, v1: int, v2: int, z: int) -> Sil | None:
-    """The Sil {v1, v2 | C} whose component C contains z, if any."""
-    g = census.graph
-    g.check_vertex(z)
-    g.check_vertex(v1)
-    g.check_vertex(v2)
-    return census.sil_at(v1, v2, z)
-
-
 def _stil_masks(census: Census) -> Iterator[tuple]:
     """One (a, b, c, lowest bit, mask) per Stil {a, b, c | C}, a < b < c,
     unsorted: for each star component C, the triples of V_C spanning at
-    most one edge.  A check that asks whether a Stil exists takes the
-    first."""
+    most one edge.  A check that words a Stil takes the least."""
     adj = census.graph.adj
     for comp, owners in census._star_owners.items():
         if owners.bit_count() < 3:
@@ -289,17 +216,6 @@ def _stil_count(census: Census) -> int:
     return count
 
 
-def enumerate_stils(census: Census) -> list[Stil]:
-    """All Stils, one per (triple spanning <= 1 edge, separated component).
-
-    Each star component C gives a Stil for every triple of V_C spanning at
-    most one edge.  Triples come out in lexicographic order, components in
-    order of smallest contained vertex.
-    """
-    return [Stil((a, b, c), census._vertex_set(comp))
-            for a, b, c, _, comp in sorted(_stil_masks(census))]
-
-
 def _fsil_triples(census: Census) -> Iterator[tuple]:
     """Each triple (v1, v2, v3), v1 < v2 < v3, in which every pair forms a
     Sil witnessed by the third, in lexicographic order.
@@ -318,39 +234,3 @@ def _fsil_triples(census: Census) -> Iterator[tuple]:
             if (wit.get((v1, v3), 0) >> v2 & 1
                     and wit.get((v2, v3), 0) >> v1 & 1):
                 yield v1, v2, v3
-
-
-def enumerate_fsils(census: Census) -> list[Fsil]:
-    """All triples in which every pair forms a Sil witnessed by the third,
-    in lexicographic order (see ``_fsil_triples``)."""
-    return [Fsil((v1, v2, v3), (census.sil_at(v1, v2, v3),
-                                census.sil_at(v1, v3, v2),
-                                census.sil_at(v2, v3, v1)))
-            for v1, v2, v3 in _fsil_triples(census)]
-
-
-def shared_sil_component(census: Census, sil: Sil) -> frozenset:
-    """The common connected component of both punctured graphs.
-
-    For a Sil {v1, v2 | C}, C is simultaneously a connected component of
-    the graph minus St(v1) and of the graph minus St(v2); this returns it
-    after verifying both memberships.  A mismatch would contradict the
-    correspondence between Sils and pairs of partial conjugations and is
-    raised as :class:`SharedComponentError`.
-    """
-    g = census.graph
-    v1, v2 = sil.pair
-    z = min(sil.component)
-    sides = []
-    for v in (v1, v2):
-        side = next((c for c in census.star_splits[v] if c >> z & 1), 0)
-        if not side:
-            raise SharedComponentError(
-                f"witness {g.names[z]} vanished from the graph minus St({g.names[v]})")
-        sides.append(side)
-    shared = census._vertex_set(sides[0])
-    if sides[0] != sides[1] or not sil.component <= shared:
-        raise SharedComponentError(
-            f"separated component of pair ({g.names[v1]}, {g.names[v2]}) is not shared: "
-            f"{sorted(shared)} vs {sorted(census._vertex_set(sides[1]))}")
-    return shared

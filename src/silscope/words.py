@@ -7,8 +7,7 @@ merged leftward across commuting neighbours until no merge applies, then
 the shuffle class is linearised greedily by smallest vertex index, which
 is its lexicographically least representative.  Two words are equal in the
 group iff their canonical forms coincide, so everything downstream —
-automorphism images, innerness tests, commutator order probes — compares
-tuples.
+automorphism images and innerness tests — compares tuples.
 
 Innerness is decided exactly.  A vertex-conjugating automorphism sends
 each vertex v to w_v v w_v^-1; since the centraliser of a vertex generator
@@ -142,10 +141,6 @@ class Automorphism0:
     """An automorphism sending each vertex v to w_v . v . w_v^-1."""
 
     conjugators: tuple  # tuple[Word, ...], one canonical word per vertex
-
-
-def identity_automorphism(g: LabelledGraph) -> Automorphism0:
-    return Automorphism0((EPSILON,) * g.n)
 
 
 def pc_automorphism(g: LabelledGraph, pc: PartialConjugation,
@@ -370,27 +365,6 @@ def search_inner(g: LabelledGraph, phi: Automorphism0) -> Word | None:
             c = reduce(g, c + a)
         allowed &= star
     return _strip_right(g, c, allowed)
-
-
-def commutator_power_probe(g: LabelledGraph, x: PartialConjugation,
-                           y: PartialConjugation, max_power: int) -> int:
-    """Largest N <= max_power such that none of [x, y]^1 .. [x, y]^N is
-    inner.
-
-    Each power's innerness is decided exactly, so N < max_power means
-    [x, y]^(N+1) is inner: the commutator has finite order in Out(W),
-    dividing N + 1.  N = max_power only bounds that order from below; it
-    is evidence, not proof, that the order is infinite.
-    """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
-    k = commutator(g, x, y)
-    power = identity_automorphism(g)
-    for p in range(1, max_power + 1):
-        power = compose(g, k, power)
-        if search_inner(g, power) is not None:
-            return p - 1
-    return max_power
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 Everything here recomputes from first principles over plain edge lists:
 union-find components instead of bitmask BFS, per-definition separation
-scans instead of the library's enumerators, an exhaustive rewriting
+scans instead of the library's census, an exhaustive rewriting
 closure instead of the normal-form algorithm, a breadth-first search
 over conjugating words instead of the coset fold that decides innerness,
 and isomorph rejection by marking whole orbits under all n! vertex
 permutations instead of orderly generation.
 Slow on purpose and kept free of silscope internals beyond the graph data
-fields; the exceptions are the word oracles.  The word search compares
+fields; the exceptions are the word oracles and the former library code
+kept below.  The word search compares
 words in the library's normal form (itself checked against the rewriting
 closure), and the commutator and innerness fold that the closed forms in
 ``silscope.words`` replaced are kept here as they were: a commutator built
@@ -37,8 +38,18 @@ where the library extends each mask on one vertex fewer by the rows of a
 new vertex, as the dedup enumeration does.
 So are the census's non-commutation rows, which tested every pair of
 generators where the census tests only those at the two vertices of a
-Sil pair.  So are the eight order-free checks, which read the Sil, Stil
-and Fsil objects where the library reads the census's masks.  So is the
+Sil pair.  So is the census read as Sil, Stil and Fsil objects, which the
+library no longer builds: ``enumerate_sils``, ``enumerate_stils``,
+``enumerate_fsils``, ``sil_at``, ``is_sil``, ``shared_sil_component``,
+``star_components`` and ``partial_conjugations`` read the census's
+internals ``_sil_masks``, ``_order_two``, ``_star_owners``,
+``star_splits`` and ``witnesses`` (the last two through the library's
+``_stil_masks`` and ``_fsil_triples``), never the graph, so that a census
+changed on purpose reads as its own objects.  So are the eight
+order-free checks and the report dict, which read those objects where the
+library reads the census's masks, and ``commutes``, ``star_cut_points``,
+``to_json`` and the commutator power probe, which no library code
+calls.  So is the
 graph JSON loader, ``from_json_dict`` with its ``make_graph``, which
 copied every edge into a tuple, built a key set per vertex entry, tested
 every vertex's order and kept a set of the edges seen, where the library
@@ -49,22 +60,24 @@ by definition lives here too, with the vertex images it compares:
 compares the same images.
 """
 
+import json
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
+from typing import NamedTuple
 
 from silscope import harness, outer
-from silscope.cli import REPORT_VERSION, _presentation_dict, _sil_dict
+from silscope.cli import REPORT_VERSION, _presentation_dict
 from silscope.graphs import (GRAPH_JSON_KEYS, MAX_ORDER, VERTEX_JSON_KEYS,
                              GraphError, LabelledGraph, UnknownVertexError,
-                             component_masks, is_vertex_order, to_json_dict,
-                             vertex_names)
+                             _bits_to_set, component_masks, is_vertex_order,
+                             to_json_dict, vertex_names)
 from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
-from silscope.sils import (Census, SharedComponentError, commute_rule,
-                           enumerate_fsils, enumerate_sils, enumerate_stils,
-                           shared_sil_component)
-from silscope.words import (_inverse, _peel_left, _strip_right, commutator,
-                            compose, pc_automorphism, reduce, search_inner)
+from silscope.outer import PartialConjugation, validate_partial_conjugation
+from silscope.sils import Census, _fsil_triples, _stil_masks, commute_rule
+from silscope.words import (EPSILON, Automorphism0, _inverse, _peel_left,
+                            _strip_right, commutator, compose,
+                            pc_automorphism, reduce, search_inner)
 
 
 def make_graph(vertices, edges):
@@ -741,6 +754,166 @@ def _fill_by_words(adj, rows, every, found, words, perm):
     return True
 
 
+# The census read as objects, as the package read it before it held its
+# separations as masks only.  Each reading builds its objects afresh from
+# the census's own fields, never from the graph: the Sils from
+# ``_sil_masks`` and the order-2 mask ``_order_two``, the Stils from
+# ``_star_owners`` (through ``_stil_masks``), the Fsils from ``witnesses``
+# (through ``_fsil_triples``) and each of their Sils, like ``sil_at`` and
+# ``shared_sil_component``, from ``star_splits`` and ``_star_owners``.  So
+# a census changed on purpose is read as the objects of that census.
+
+
+class SharedComponentError(RuntimeError):
+    """A separating pair whose separated component is not a common
+    component of both punctured graphs."""
+
+
+class Sil(NamedTuple):
+    """A separating intersection of links {v1, v2 | C}."""
+
+    pair: tuple  # sorted, non-adjacent
+    component: frozenset
+    coxeter: bool
+
+
+class Stil(NamedTuple):
+    """A separating triple intersection of links {v1, v2, v3 | C}."""
+
+    triple: tuple  # sorted; spans at most one edge
+    component: frozenset
+
+
+class Fsil(NamedTuple):
+    """A flexible triple, with one witnessing Sil per pair, ordered like
+    the pairs (v1,v2), (v1,v3), (v2,v3)."""
+
+    triple: tuple
+    sils: tuple
+
+
+def star_components(census, v):
+    """Components of the graph minus St(v), as vertex sets."""
+    return tuple(map(_bits_to_set, census.star_splits[v]))
+
+
+def sil_at(census, a, b, z):
+    """The Sil {a, b | C} with z in C, if any: C is the component of
+    G - St(a) holding z, if also one of G - St(b), and a, b non-adjacent."""
+    if a == b or census.graph.adj[a] >> b & 1:
+        return None
+    comp = next((c for c in census.star_splits[a] if c >> z & 1), 0)
+    if not census._star_owners.get(comp, 0) >> b & 1:
+        return None
+    two = census._order_two
+    return Sil((a, b) if a < b else (b, a), _bits_to_set(comp),
+               two >> a & two >> b & 1 == 1)
+
+
+def is_sil(census, v1, v2, z):
+    """The Sil {v1, v2 | C} whose component C contains z, if any."""
+    g = census.graph
+    g.check_vertex(z)
+    g.check_vertex(v1)
+    g.check_vertex(v2)
+    return sil_at(census, v1, v2, z)
+
+
+def enumerate_sils(census):
+    """All Sils, sorted by pair, then by smallest component vertex."""
+    two = census._order_two
+    return [Sil((a, b), _bits_to_set(comp), two >> a & two >> b & 1 == 1)
+            for a, b, _, comp in census._sil_masks]
+
+
+def enumerate_stils(census):
+    """All Stils, triples in lexicographic order, components in order of
+    smallest contained vertex."""
+    return [Stil((a, b, c), _bits_to_set(comp))
+            for a, b, c, _, comp in sorted(_stil_masks(census))]
+
+
+def enumerate_fsils(census):
+    """All flexible triples, in lexicographic order."""
+    return [Fsil((v1, v2, v3), (sil_at(census, v1, v2, v3),
+                                sil_at(census, v1, v3, v2),
+                                sil_at(census, v2, v3, v1)))
+            for v1, v2, v3 in _fsil_triples(census)]
+
+
+def shared_sil_component(census, sil):
+    """The component of both G - St(v1) and G - St(v2) that holds the
+    Sil's lowest component vertex, after checking that it is one
+    component, holding the whole of C; else SharedComponentError."""
+    g = census.graph
+    v1, v2 = sil.pair
+    z = min(sil.component)
+    sides = []
+    for v in (v1, v2):
+        side = next((c for c in census.star_splits[v] if c >> z & 1), 0)
+        if not side:
+            raise SharedComponentError(
+                f"witness {g.names[z]} vanished from the graph minus St({g.names[v]})")
+        sides.append(side)
+    shared = _bits_to_set(sides[0])
+    if sides[0] != sides[1] or not sil.component <= shared:
+        raise SharedComponentError(
+            f"separated component of pair ({g.names[v1]}, {g.names[v2]}) is not shared: "
+            f"{sorted(shared)} vs {sorted(_bits_to_set(sides[1]))}")
+    return shared
+
+
+def partial_conjugations(census, v):
+    """All partial conjugations with acting vertex v, in component order."""
+    census.graph.check_vertex(v)
+    return [PartialConjugation(v, comp) for comp in star_components(census, v)]
+
+
+def star_cut_points(census):
+    """The vertices acting in ``census.generators``, ascending."""
+    return list(dict.fromkeys(v for v, _ in census.generators))
+
+
+def commutes(census, x, y):
+    """Whether two partial conjugations commute in Out(W), by
+    ``commute_rule``; ``ValueError`` if they may not and a component is
+    not one of G minus the star of its vertex."""
+    pair = (x.vertex, y.vertex) if x.vertex < y.vertex else (y.vertex, x.vertex)
+    witnesses = census.witnesses.get(pair)
+    if not witnesses:
+        return True
+    for pc in (x, y):
+        validate_partial_conjugation(census, pc.vertex, pc.component)
+    return commute_rule(witnesses, x.vertex, sum(1 << u for u in x.component),
+                        y.vertex, sum(1 << u for u in y.component))
+
+
+def to_json(g):
+    """The graph JSON text of ``g``, as a graph file holds it."""
+    return json.dumps(to_json_dict(g), ensure_ascii=False, indent=2) + "\n"
+
+
+def identity_automorphism(g):
+    return Automorphism0((EPSILON,) * g.n)
+
+
+def commutator_power_probe(g, x, y, max_power):
+    """Largest N <= max_power such that none of [x, y]^1 .. [x, y]^N is
+    inner.  Each power's innerness is decided exactly, so N < max_power
+    means [x, y]^(N+1) is inner: the commutator has finite order in
+    Out(W), dividing N + 1.  N = max_power only bounds that order from
+    below; it is evidence, not proof, that the order is infinite."""
+    if max_power < 1:
+        raise ValueError("max_power must be >= 1")
+    k = commutator(g, x, y)
+    power = identity_automorphism(g)
+    for p in range(1, max_power + 1):
+        power = compose(g, k, power)
+        if search_inner(g, power) is not None:
+            return p - 1
+    return max_power
+
+
 # The eight order-free checks as they were before they read the census's
 # masks: each reads the Sil, Stil and Fsil objects.
 
@@ -875,9 +1048,14 @@ ORDER_FREE_ON_OBJECTS = {
 }
 
 
+def _sil_dict(g, s):
+    return {"pair": [g.names[v] for v in s.pair],
+            "component": vertex_names(g, s.component), "coxeter": s.coxeter}
+
+
 def build_report(g):
     """The full classification report as a JSON-ready dict, read from one
-    census of ``g``."""
+    census of ``g`` as objects."""
     census = Census(g)
     out_class = outer.classify(census)
     pres = outer.presentation(census)

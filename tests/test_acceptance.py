@@ -9,15 +9,15 @@ import random
 import time
 
 from silscope import (EPSILON, Census, OutKind, apply, build_p0, classify,
-                      commutator_power_probe, compose, disconnected_structure,
-                      enumerate_sils, identity_automorphism, make_word,
-                      partial_conjugations, pc_automorphism, presentation,
-                      reduce)
+                      compose, disconnected_structure, make_word,
+                      pc_automorphism, presentation, reduce)
 from silscope.cli import build_report, main
 from silscope.harness import EnumSpec, run_suite
 
 import oracles
-from oracles import image_of_vertex
+from oracles import (commutator_power_probe, enumerate_sils,
+                     identity_automorphism, image_of_vertex,
+                     partial_conjugations)
 from conftest import (names, path_mixed_orders, path_plus_isolated,
                       pentagon_fork, pentagon_path, pentagon_triangle,
                       three_isolated)

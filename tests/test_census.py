@@ -25,11 +25,12 @@ every generator pair on every class of dedup n <= 7 {2} and n <= 6
 matchings plus a universal vertex, G(n, p)) where most generator pairs
 are skipped, together with the rule that scans the Sils.  There, and on
 every fixture, the closed-form Stil count equals the Stils enumerated.
-The generating set, the presentation, the classifier and the word oracle
-read its bitmasks only, never a Sil, Stil or Fsil object; the
-classifier's counts equal those of the enumerated objects, and a report
-is written from the masks alone, enumerating no kind and building no
-Sil.
+The generating set, the presentation, the classifier, the report and the
+word oracle read its bitmasks only: no module of the package defines a
+Sil, Stil or Fsil object or a reading of the census as one.  ``oracles``
+keeps that reading as a reference; the classifier's counts equal those of
+the objects it reads, and a report written from the masks alone equals
+the one written from them.
 """
 
 import importlib
@@ -37,23 +38,23 @@ import inspect
 import itertools
 import json
 import random
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import silscope
-from silscope import (classify, disconnected_structure, load_graph,
-                      make_graph, outer, star_cut_points)
+from silscope import (classify, cli, disconnected_structure, harness,
+                      load_graph, make_graph, outer, words)
 from silscope import sils as sils_module
 from silscope.graphs import LabelledGraph, _bits_to_set, component_masks
 from silscope.cli import build_report
 from silscope.harness import CHECKS, EnumSpec
 from silscope.outer import PartialConjugation, build_p0, presentation
-from silscope.sils import (Census, enumerate_fsils, enumerate_sils,
-                           enumerate_stils)
+from silscope.sils import Census
 
 import oracles
+from oracles import (enumerate_fsils, enumerate_sils, enumerate_stils,
+                     star_components, star_cut_points)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPECS = [EnumSpec(6, orders=(2,), dedup_isomorphic=True),
@@ -78,7 +79,7 @@ def read_census(monkeypatch, g):
         enumerate_fsils(census)
         census.generators, census.non_commuting, census.components()
         for v in range(g.n):
-            census.star_components(v)
+            star_components(census, v)
     assert len(calls) == g.n + 1
     return census
 
@@ -107,7 +108,7 @@ def check_against_oracles(monkeypatch, g):
             assert sil.pair == (a, b) and third in sil.component
     for v in range(g.n):
         keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
-        assert list(census.star_components(v)) == oracles.components_uf(g, keep)
+        assert list(star_components(census, v)) == oracles.components_uf(g, keep)
     check_generators(g, census, sils)
 
 
@@ -192,7 +193,7 @@ def test_census_matches_oracles_on_random_larger_graphs(monkeypatch):
         disconnected += len(census.components()) > 1
         for v in range(g.n):
             keep = set(range(g.n)) - oracles.neighbors_scan(g, v) - {v}
-            assert list(census.star_components(v)) == oracles.components_uf(g, keep)
+            assert list(star_components(census, v)) == oracles.components_uf(g, keep)
         check_generators(g, census, sils)
     assert disconnected >= 10
 
@@ -237,26 +238,28 @@ def test_sils_and_stils_are_read_off_the_star_splits():
     assert count == 208 + 662 + 30
 
 
-ENUMERATORS = ("enumerate_sils", "enumerate_stils", "enumerate_fsils")
+# what the package once read the census as, and ``oracles`` keeps
+OBJECT_LAYER = ("Sil", "Stil", "Fsil", "SharedComponentError",
+                "enumerate_sils", "enumerate_stils", "enumerate_fsils",
+                "is_sil", "sil_at", "shared_sil_component", "star_components",
+                "commutes", "partial_conjugations", "star_cut_points")
 
 
-def count_enumerations(monkeypatch):
-    """A counter of the calls to each of ``ENUMERATORS``, read through the
-    ``sils`` module as the CLI reads them."""
-    calls = Counter()
-    for name in ENUMERATORS:
-        def counted(census, name=name, real=getattr(sils_module, name)):
-            calls[name] += 1
-            return real(census)
-        monkeypatch.setattr(sils_module, name, counted)
-    return calls
+def assert_no_object_layer():
+    """No module of the package, and no ``Census``, defines a Sil, Stil or
+    Fsil object or a reading of the census as one, so no reader of the
+    census can build one."""
+    for module in (silscope, sils_module, outer, cli, harness, words):
+        for name in OBJECT_LAYER:
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not set(OBJECT_LAYER) & set(dir(Census))
 
 
-def test_bitmask_readers_build_no_sil_objects(monkeypatch):
+def test_bitmask_readers_build_no_sil_objects():
     """The generating set, the presentation, the classifier, the
     disconnected-structure report and the word oracle read the census's
-    bitmasks; none of them enumerates Sils, Stils or Fsils."""
-    calls = count_enumerations(monkeypatch)
+    bitmasks; there is no Sil, Stil or Fsil reading for them to call."""
+    assert_no_object_layer()
     count = 0
     for g in oracles.graphs_of(SPECS[1]):
         census = Census(g)
@@ -266,38 +269,27 @@ def test_bitmask_readers_build_no_sil_objects(monkeypatch):
         disconnected_structure(census)
         assert CHECKS["lemma_1_4_oracle"](census) is None
         count += 1
-    assert count == 662 and not calls
+    assert count == 662
 
 
-def test_a_report_enumerates_each_kind_at_most_once(monkeypatch):
-    """``build_report`` enumerates no kind more than once; it enumerates
-    none (see the next test)."""
-    calls = count_enumerations(monkeypatch)
-    graphs = [load_graph(str(path))
-              for path in sorted(FIXTURES.glob("*.json"))]
-    for g in graphs + list(oracles.graphs_of(SPECS[1])):
-        build_report(Census(g))
-        assert max(calls.values(), default=0) <= 1, (g, calls)
-        calls.clear()
+def test_a_report_enumerates_each_kind_at_most_once():
+    """``build_report`` enumerates no kind of separation as objects: the
+    package has no enumerator (the next test compares the reports)."""
+    assert_no_object_layer()
 
 
-def test_the_report_builds_no_census_objects(monkeypatch):
+def test_the_report_builds_no_census_objects():
     """``build_report`` writes every Sil, Stil and Fsil item from the
-    census's masks: with the enumerators and ``Census.sil_at`` raising,
-    the report still equals the oracle's text, and on a connected graph
-    the census has made no vertex set."""
+    census's masks: with no reading of the census as objects in the
+    package, the report equals the text of the oracle, which writes it
+    from those objects, and on a connected graph the census has made no
+    vertex set."""
+    assert_no_object_layer()
     graphs = [load_graph(str(path))
               for path in sorted(FIXTURES.glob("*.json"))]
     graphs += oracles.graphs_of(SPECS[1])
     expected = [json.dumps(oracles.build_report(g), indent=2,
                            ensure_ascii=False) for g in graphs]
-
-    def refuse(*args):
-        raise AssertionError("the report built a census object")
-
-    for name in ENUMERATORS:
-        monkeypatch.setattr(sils_module, name, refuse)
-    monkeypatch.setattr(Census, "sil_at", refuse)
     for g, text in zip(graphs, expected):
         census = Census(g)
         assert build_report(census) == text, g
@@ -306,7 +298,8 @@ def test_the_report_builds_no_census_objects(monkeypatch):
 
 
 def counts_of_objects(census):
-    """The counts of an ``OutClass``, read off the enumerated objects."""
+    """The counts of an ``OutClass``, read off the objects of the oracles'
+    reading of the census."""
     sils = enumerate_sils(census)
     coxeter = sum(s.coxeter for s in sils)
     return (coxeter, len(sils) - coxeter, len(enumerate_stils(census)),
@@ -439,10 +432,8 @@ def test_classify_counts_on_every_fixture():
 # One entry point per question
 
 READERS = {
-    sils_module: ("enumerate_sils", "enumerate_stils", "enumerate_fsils",
-                  "shared_sil_component", "is_sil"),
-    outer: ("star_cut_points", "partial_conjugations", "build_p0", "commutes",
-            "classify", "presentation", "disconnected_structure"),
+    sils_module: (),  # the census itself; its public functions read masks
+    outer: ("build_p0", "classify", "presentation", "disconnected_structure"),
 }
 MASK_READERS = {"commute_rule", "factor_summary"}  # no graph: masks only
 # each public name of silscope, by the submodule that defines it
@@ -450,23 +441,19 @@ EXPORTS = {
     # graph model and file formats
     "graphs": ("GraphError", "LabelledGraph", "UnknownVertexError",
                "from_json", "from_json_dict", "load_graph", "make_graph",
-               "to_json", "to_json_dict"),
+               "to_json_dict"),
     "dot": ("from_dot", "to_dot"),
     # census and its readers
-    "sils": ("Census", "Fsil", "SharedComponentError", "Sil", "Stil",
-             "enumerate_fsils", "enumerate_sils", "enumerate_stils", "is_sil",
-             "shared_sil_component"),
+    "sils": ("Census",),
     "outer": ("CommutationPresentation", "DisconnectedStructure", "OutClass",
               "OutKind", "PartialConjugation", "build_p0", "classify",
-              "commutes", "disconnected_structure", "partial_conjugations",
-              "presentation", "star_cut_points"),
+              "disconnected_structure", "presentation"),
     # verification suite
     "harness": ("CounterexampleReport", "EnumSpec", "enumerate_graphs",
                 "run_suite"),
     # word engine
     "words": ("EPSILON", "Automorphism0", "WordError", "apply",
-              "apply_automorphism", "commutator", "commutator_power_probe",
-              "compose", "identity_automorphism", "make_word",
+              "apply_automorphism", "commutator", "compose", "make_word",
               "parse_word_literal", "pc_automorphism", "reduce",
               "search_inner"),
 }
@@ -476,14 +463,13 @@ PUBLIC_NAMES = {name for names in EXPORTS.values() for name in names}
 def test_package_exports_the_census_readers():
     """silscope defines no function but the two that resolve its lazy
     names: each name it exports is the object of the submodule that
-    defines it, each census reader the function of ``sils`` or ``outer``
-    itself.  Its public names are exactly ``PUBLIC_NAMES``, so a helper
+    defines it, each census reader the function of ``outer`` itself.  Its public names are exactly ``PUBLIC_NAMES``, so a helper
     that only tests call cannot be exported unnoticed."""
     assert {name for name, value in vars(silscope).items()
             if inspect.isfunction(value) and value.__module__ == "silscope"
             } == {"__getattr__", "__dir__"}
     assert set(silscope.__all__) == PUBLIC_NAMES
-    assert len(silscope.__all__) == len(PUBLIC_NAMES) == 51
+    assert len(silscope.__all__) == len(PUBLIC_NAMES) == 36
     for module_name, names in EXPORTS.items():
         module = importlib.import_module(f"silscope.{module_name}")
         for name in names:
@@ -521,4 +507,4 @@ def test_every_public_graph_function_takes_a_census():
     with pytest.raises(AttributeError):
         silscope.classify(g)
     with pytest.raises(AttributeError):
-        silscope.is_sil(g, 0, 1, 2)
+        silscope.presentation(g)

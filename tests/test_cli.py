@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 import silscope
 from silscope import (Census, cli, from_dot, from_json, from_json_dict,
-                      harness, make_graph, to_json, to_json_dict)
+                      harness, make_graph, to_json_dict)
 from silscope.cli import build_parser, build_report, main
 from silscope.graphs import MAX_ORDER
 from silscope.harness import CHECKS, CounterexampleReport, EnumSpec
 
 import conftest as fx
 import oracles
+from oracles import to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -951,10 +952,13 @@ def test_a_plain_call_imports_no_argparse(argv):
 
 _SUITE = ("silscope.harness", "silscope.words", "silscope.dot",
           "concurrent.futures", "multiprocessing")
+# nothing a report or a listing runs decorates a dataclass
+_LEAN = _SUITE + ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (["classify", fixture("pentagon_triangle")], (), _SUITE),
+    (["classify", fixture("pentagon_triangle")], (), _LEAN),
+    (["sils", fixture("pentagon_triangle")], (), _LEAN),
     (["classify", "--dot", "OUT", fixture("pentagon_triangle")],
      ("silscope.dot",), ("silscope.harness", "silscope.words",
                          "concurrent.futures")),
@@ -963,7 +967,7 @@ _SUITE = ("silscope.harness", "silscope.words", "silscope.dot",
     (["verify", "--max-vertices", "3", "--dedup"],
      ("silscope.harness", "silscope.words"),
      ("silscope.dot", "concurrent.futures", "multiprocessing"))],
-    ids=["classify", "classify_dot", "reduce", "verify"])
+    ids=["classify", "sils", "classify_dot", "reduce", "verify"])
 def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, argv,
                                                         loaded, absent):
     # each module compiles from source on every call when no bytecode is

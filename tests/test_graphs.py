@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silscope import (Census, GraphError, UnknownVertexError, from_dot,
-                      from_json, from_json_dict, make_graph, star_cut_points,
-                      to_dot, to_json)
+                      from_json, from_json_dict, make_graph, to_dot)
 from silscope import graphs as graphs_module
 from silscope.graphs import component_masks, is_prime_power
 
 import oracles
+from oracles import star_components, star_cut_points, to_json
 from conftest import (names, path_mixed_orders, path_plus_isolated,
                       pentagon_fork, pentagon_path, pentagon_triangle,
                       three_isolated, triangle, two_sil_pairs_over_cliques,
@@ -52,12 +52,12 @@ def test_link_examples(g_pentagon_triangle, g_path_mixed):
 def test_star_examples(g_pentagon_triangle, g_path_mixed, g_path_isolated):
     """The census splits the graph minus each star St(v) = adj[v] | v."""
     g = g_pentagon_triangle
-    assert Census(g).star_components(g.index("d")) == (
+    assert star_components(Census(g), g.index("d")) == (
         vset(g, "a", "b", "v1", "v2"),)
     p = g_path_mixed
-    assert Census(p).star_components(p.index("v3")) == (vset(p, "v2"),)
+    assert star_components(Census(p), p.index("v3")) == (vset(p, "v2"),)
     d = g_path_isolated
-    assert Census(d).star_components(d.index("w")) == (vset(d, "v1", "k", "v2"),)
+    assert star_components(Census(d), d.index("w")) == (vset(d, "v1", "k", "v2"),)
 
 
 def test_components_examples(g_pentagon_triangle, g_path_isolated, g_three_isolated):

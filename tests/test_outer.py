@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silscope import (Census, OutKind, PartialConjugation, build_p0, classify,
-                      commutes, disconnected_structure, enumerate_sils,
-                      make_graph, partial_conjugations, presentation,
-                      star_cut_points)
+                      disconnected_structure, make_graph, presentation)
 from silscope.harness import EnumSpec
 from silscope.outer import factor_summary, validate_partial_conjugation
 
 import oracles
+from oracles import (commutes, enumerate_sils, partial_conjugations,
+                     star_cut_points)
 from conftest import (names, triangle, two_sil_pairs_over_cliques, vset)
 from test_graphs import labelled_graphs
 from test_sils import triple_link_star_graph

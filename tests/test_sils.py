@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silscope import (EnumSpec, Sil, enumerate_fsils, enumerate_sils,
-                      enumerate_stils, is_sil, make_graph, shared_sil_component)
-from silscope.sils import Census, SharedComponentError
+from silscope import EnumSpec, make_graph
+from silscope.sils import Census
 
 import oracles
+from oracles import (SharedComponentError, Sil, enumerate_fsils,
+                     enumerate_sils, enumerate_stils, is_sil,
+                     shared_sil_component)
 from conftest import names, vset
 from test_graphs import labelled_graphs
 

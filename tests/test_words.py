@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silscope import (EPSILON, PartialConjugation, WordError, apply,
-                      apply_automorphism, commutator, commutator_power_probe,
-                      compose, identity_automorphism, make_word,
-                      parse_word_literal, partial_conjugations,
-                      pc_automorphism, reduce, search_inner)
+                      apply_automorphism, commutator, compose, make_word,
+                      parse_word_literal, pc_automorphism, reduce,
+                      search_inner)
 from silscope.graphs import LabelledGraph
 from silscope.harness import EnumSpec
 from silscope.outer import build_p0
@@ -18,7 +17,9 @@ from silscope.words import (Automorphism0, _model, commutator_is_inner,
                             commutator_shape, format_word)
 
 import oracles
-from oracles import graph_from_bits, image_of_vertex, is_inner_with
+from oracles import (commutator_power_probe, graph_from_bits,
+                     identity_automorphism, image_of_vertex, is_inner_with,
+                     partial_conjugations)
 from conftest import (path_mixed_orders, path_plus_isolated,
                       pentagon_fork, pentagon_triangle, vset)
 
