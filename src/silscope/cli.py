@@ -319,6 +319,7 @@ def cmd_verify(args) -> int:
         "dedup": spec.dedup_isomorphic,
         "max_vertices": spec.max_vertices,
         "orders": list(spec.orders),
+        "version": 2,  # one report per (edge mask, check), with order_tuples
     }, sort_keys=True))
     return 1 if failed else 0
 

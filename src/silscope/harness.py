@@ -18,16 +18,18 @@ that permutes each twin class, over which Burnside's lemma counts them.
 Each mask extends a smaller one by the row of a new vertex, and with dedup
 one minimality search per smaller graph decides every row at once.  One
 :class:`Census` of a record's graph serves every check, once for the whole
-mask, and each verdict stands for every kept order tuple; the tuples are
-listed only for a mask with a failing verdict.  The census checks decide
-on the census's bitmasks, and word a failing verdict from them too.  The
-word oracle reads no vertex order either: whether a commutator of two
-generators is inner depends only on its numbering-free shape, and :func:`silscope.words.commutator_is_inner` decides each shape
-once per process.  A graph is built for each report.  The suite streams:
-the records are cut into chunks of whole masks, each chunk is checked in
-this process or by a worker process, and the results are joined in chunk
-order.  Reports therefore come out in enumeration order, and in check-id
-order per graph, whatever the number of workers.
+mask, and each verdict stands for every kept order tuple, none of which
+is listed: a failing verdict is one report per (mask, check), on the
+mask's first graph, whose ``order_tuples`` is the record's count.  The
+census checks decide on the census's bitmasks, and word a failing verdict
+from them too.  The word oracle reads no vertex order either: whether a
+commutator of two generators is inner depends only on its numbering-free
+shape, and :func:`silscope.words.commutator_is_inner` decides each shape
+once per process.  The suite streams: the records are cut into chunks of
+``CHUNK_SIZE`` records, each chunk is checked in this process or by a
+worker process, and the results are joined in chunk order.  Reports
+therefore come out in enumeration order, and in check-id order per mask,
+whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import os
 from collections import Counter, deque
 from dataclasses import dataclass
 from math import comb, prod
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graphs import (MAX_ORDER, LabelledGraph, _bits_to_set, component_masks,
@@ -51,23 +52,30 @@ MAX_ENUMERATION_VERTICES = 8
 # without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
 # and n = 8 has 2^28, hours
 MAX_LABELLED_VERTICES = 7
-CHUNK_SIZE = 256  # order tuples per task: bounds the reports one chunk holds
+# mask records per task: enough checks to outweigh a round trip through
+# the pool, few enough that the chunks in flight hold little memory
+CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """A failed check, with enough data to replay it:
+    """A check that failed on an edge mask, with enough data to replay it:
     ``CHECKS[report.check](Census(from_json_dict(report.graph)))`` returns
-    ``(report.witness, report.message)``."""
+    ``(report.witness, report.message)``.  ``graph`` is the mask's graph
+    under its all-smallest order tuple, and ``order_tuples`` the number of
+    the mask's kept order tuples: a check reads no vertex order, so the
+    verdict stands for the graph under each of them."""
 
     check: str
     graph: dict
     witness: dict
     message: str
+    order_tuples: int
 
     def to_json_line(self) -> str:
         return json.dumps({"check": self.check, "graph": self.graph,
-                           "witness": self.witness, "message": self.message},
+                           "witness": self.witness, "message": self.message,
+                           "order_tuples": self.order_tuples},
                           sort_keys=True, ensure_ascii=False)
 
 
@@ -289,8 +297,8 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     count, auts)``: the mask's graph under the all-smallest order tuple,
     the number of its kept order tuples, and, with dedup over two or more
     orders, one automorphism (position -> vertex) per twin-class coset,
-    identity left out (see ``_orbit_count``), else ``()``.  The suite
-    driver lists the kept tuples only for a report.
+    identity left out (see ``_orbit_count``), else ``()``.  No kept tuple
+    is listed.
 
     The pairs without vertex 0 are the high bits, so mask(G) = mask(G - v0)
     << n-1 | row(v0): each mask on n-1 vertices, ascending, is extended by
@@ -357,26 +365,6 @@ def _orbit_count(k: int, adj: tuple, auts: tuple) -> int:
                     v = low[perm[v]]
         total += fixed
     return total // (len(auts) + 1)
-
-
-def _kept_tuples(alphabet: tuple, adj: tuple, auts: tuple) -> list:
-    """The kept order tuples of a dedup mask record, ascending: those over
-    ``alphabet`` that no automorphism lowers.  Under a coset rS the least
-    image of x is x[r[0]], ..., x[r[n-1]] sorted within each twin class
-    (see ``_orbit_count``), so x is kept iff no r of R sorts below it."""
-    low = _twin_lows(adj)
-    classes = [[v for v, w in enumerate(low) if w == u]
-               for u in set(low) if low.count(u) > 1]
-
-    def least(x):  # x sorted within each class
-        y = list(x)
-        for c in classes:
-            for p, m in zip(c, sorted([x[p] for p in c])):
-                y[p] = m
-        return tuple(y)
-    images = [itemgetter(*a) for a in auts]
-    return [x for x in itertools.product(alphabet, repeat=len(adj))
-            if least(x) == x and all(least(image(x)) >= x for image in images)]
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +591,12 @@ class EnumSpec:
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks.  Every check runs once per mask
     (see ``CHECKS``), ``lemma_1_4_oracle`` searches each commutator shape
-    once per process, and a mask's kept order tuples are counted, and
-    listed only for its reports.  So all nine checks take about 3.5 s for
-    n <= 8 in one process and about 5 s with two workers, and every check
-    but ``lemma_7`` on orders (2, 3, 4), 52,628,740 classes, takes about
-    1.6 s in one process (Python 3.11, 2 CPUs)."""
+    once per process, and a mask's kept order tuples are counted, never
+    listed: a check that fails on a mask is one report, whose
+    ``order_tuples`` is that count.  So all nine checks take 1.7-2.1 s for
+    n <= 8 in one process and 1.1-1.5 s with two workers, and 1.7-2.6 s on
+    orders (2, 3, 4), 52,628,740 classes, in one process (Python 3.11, 2
+    CPUs)."""
 
     max_vertices: int
     orders: tuple = (2,)
@@ -621,6 +610,10 @@ class EnumSpec:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an int, not "
                                  f"{type(value).__name__} {value!r}")
+        dedup = self.dedup_isomorphic
+        if not isinstance(dedup, bool):
+            raise ValueError("dedup_isomorphic must be a bool, not "
+                             f"{type(dedup).__name__} {dedup!r}")
         for name in ("orders", "checks"):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not a str")
@@ -640,6 +633,10 @@ class EnumSpec:
             raise ValueError("workers must be >= 1")
         if not self.checks:
             raise ValueError("no check ids given")
+        for c in self.checks:
+            if not isinstance(c, str):
+                raise ValueError(f"checks must be str ids, not "
+                                 f"{type(c).__name__} {c!r}")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
             raise ValueError(f"unknown check ids: {unknown}; "
@@ -652,43 +649,24 @@ class EnumSpec:
 # Suite driver
 
 
-def _run_checks(records: list, checks: tuple, spec: EnumSpec) -> tuple:
+def _run_checks(records: list, checks: tuple) -> tuple:
     """Check one chunk of mask records with ``checks``, ``(id, function)``
     pairs: (number of graphs, their reports in order).  Each check runs
-    once per record, on one census of the record's graph, and a failing
-    verdict stands for every kept order tuple of the record.  Only then
-    are the tuples listed, all of them without dedup, and each gets a
-    graph and a report of its own.  Every report is built here."""
+    once per record, on one census of the record's first graph.  A failing
+    verdict is one report on that graph, whose JSON form is built once per
+    record, and counts the record's kept order tuples, each of which the
+    verdict stands for."""
     checked, out = 0, []
-    for first, count, auts in records:
+    for first, count, _ in records:
         checked += count
         census = Census(first)
         failed = [(c, verdict) for c, check in checks
                   if (verdict := check(census)) is not None]
-        if not failed:
-            continue
-        for orders in (_kept_tuples(spec.orders, first.adj, auts)
-                       if spec.dedup_isomorphic else
-                       itertools.product(spec.orders, repeat=first.n)):
-            g = LabelledGraph(first.names, orders, first.adj)
-            for check_id, verdict in failed:
-                out.append(CounterexampleReport(check_id, to_json_dict(g),
-                                                *verdict))
+        if failed:
+            graph = to_json_dict(first)
+            out += (CounterexampleReport(check_id, graph, *verdict, count)
+                    for check_id, verdict in failed)
     return checked, out
-
-
-def _chunks(records: Iterator[tuple]) -> Iterator[list]:
-    """Whole mask records, gathered into chunks of about ``CHUNK_SIZE``
-    order tuples each; a record counting more is a chunk of its own."""
-    chunk, size = [], 0
-    for record in records:
-        chunk.append(record)
-        size += record[1]
-        if size >= CHUNK_SIZE:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
 
 
 def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
@@ -705,19 +683,20 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     verdicts need no reset between runs: ``commutator_is_inner`` is a pure
     function of the commutator's shape."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
-    chunks = _chunks(enumerate_graphs(spec))
+    records = enumerate_graphs(spec)
+    chunks = iter(lambda: list(itertools.islice(records, CHUNK_SIZE)), [])
     workers = spec.workers
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
     if workers == 1:
-        yield from (_run_checks(chunk, checks, spec) for chunk in chunks)
+        yield from (_run_checks(chunk, checks) for chunk in chunks)
         return
     # imported here: a one-process run loads no pool or multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for chunk in chunks:
-            pending.append(pool.submit(_run_checks, chunk, checks, spec))
+            pending.append(pool.submit(_run_checks, chunk, checks))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:

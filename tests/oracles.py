@@ -29,13 +29,17 @@ enumerator that ran it on the rows an automorphism of the parent does not
 lower; and before it, a dict of per-vertex words copied at every node.
 That record enumerator lists each mask's kept order tuples by filtering
 all of them with every automorphism, where the library lists one
-automorphism per coset of the group that permutes each twin class,
-counts the tuples by Burnside's lemma over those cosets, and lists them
-only for a mask that fails a check; ``automorphisms_per_child`` with
-``every`` lists the whole group the cosets must cover.  Labelled graphs
-are built here from their edge masks pair by pair (``graph_from_bits``),
-where the library extends each mask on one vertex fewer by the rows of a
-new vertex, as the dedup enumeration does.
+automorphism per coset of the group that permutes each twin class and
+counts the tuples by Burnside's lemma over those cosets;
+``automorphisms_per_child`` with ``every`` lists the whole group the
+cosets must cover.  The library lists no tuple at all: it writes one
+report per failing mask, with the count of the tuples it stands for,
+where the suite driver once listed them with ``_kept_tuples`` and wrote a
+report per tuple, in the format of ``TupleReport``; ``expand_reports``
+lists them again, and ``run_suite_per_graph`` writes that format.
+Labelled graphs are built here from their edge masks pair by pair
+(``graph_from_bits``), where the library extends each mask on one vertex
+fewer by the rows of a new vertex, as the dedup enumeration does.
 So are the census's non-commutation rows, which tested every pair of
 generators where the census tests only those at the two vertices of a
 Sil pair.  So is the census read as Sil, Stil and Fsil objects, which the
@@ -62,17 +66,17 @@ compares the same images.
 
 import json
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from operator import itemgetter
+from itertools import combinations, groupby, permutations, product
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from silscope import harness, outer
+from silscope import outer
 from silscope.cli import REPORT_VERSION, _presentation_dict
 from silscope.graphs import (GRAPH_JSON_KEYS, MAX_ORDER, VERTEX_JSON_KEYS,
                              GraphError, LabelledGraph, UnknownVertexError,
                              _bits_to_set, component_masks, is_vertex_order,
                              to_json_dict, vertex_names)
-from silscope.harness import CHECKS, CounterexampleReport, enumerate_graphs
+from silscope.harness import CHECKS, _twin_lows, enumerate_graphs
 from silscope.outer import PartialConjugation, validate_partial_conjugation
 from silscope.sils import Census, _fsil_triples, _stil_masks, commute_rule
 from silscope.words import (EPSILON, Automorphism0, _inverse, _peel_left,
@@ -512,18 +516,76 @@ def graph_from_bits(n, mask, orders):
     return LabelledGraph(names, tuple(orders), tuple(adj))
 
 
+def _kept_tuples(alphabet: tuple, adj: tuple, auts: tuple) -> list:
+    """The kept order tuples of a dedup mask record, ascending: those over
+    ``alphabet`` that no automorphism lowers.  Under a coset rS the least
+    image of x is x[r[0]], ..., x[r[n-1]] sorted within each twin class
+    (see ``harness._orbit_count``), so x is kept iff no r of R sorts below
+    it."""
+    low = _twin_lows(adj)
+    classes = [[v for v, w in enumerate(low) if w == u]
+               for u in set(low) if low.count(u) > 1]
+
+    def least(x):  # x sorted within each class
+        y = list(x)
+        for c in classes:
+            for p, m in zip(c, sorted([x[p] for p in c])):
+                y[p] = m
+        return tuple(y)
+    images = [itemgetter(*a) for a in auts]
+    return [x for x in product(alphabet, repeat=len(adj))
+            if least(x) == x and all(least(image(x)) >= x for image in images)]
+
+
 def kept_tuples(spec, first, auts):
     """The kept order tuples of the mask record ``(first, _, auts)`` of
-    ``spec``, as the suite driver lists them: every one without dedup."""
+    ``spec``, as the suite driver once listed them: every one without
+    dedup."""
     if spec.dedup_isomorphic:
-        return harness._kept_tuples(spec.orders, first.adj, auts)
+        return _kept_tuples(spec.orders, first.adj, auts)
     return list(product(spec.orders, repeat=first.n))
+
+
+class TupleReport(NamedTuple):
+    """A report as the suite driver wrote it before one report per failing
+    mask: one for each kept order tuple of the mask, with the graph under
+    that tuple, and no ``order_tuples``."""
+
+    check: str
+    graph: dict
+    witness: dict
+    message: str
+
+    def to_json_line(self):
+        return json.dumps({"check": self.check, "graph": self.graph,
+                           "witness": self.witness, "message": self.message},
+                          sort_keys=True, ensure_ascii=False)
+
+
+def expand_reports(spec, reports):
+    """The per-tuple reports that ``reports``, the suite's reports of
+    ``spec``, stand for, in the order the driver once wrote them: for each
+    mask with reports, each of its kept order tuples, ascending, and for
+    each tuple the mask's reports, in check-id order, on the graph under
+    that tuple.  The records are enumerated again for their
+    automorphisms."""
+    records = {first.adj: (first, auts)
+               for first, _, auts in enumerate_graphs(spec)}
+    out = []
+    for graph, group in groupby(reports, key=attrgetter("graph")):
+        first, auts = records[from_json_dict(graph).adj]
+        group = list(group)
+        for orders in kept_tuples(spec, first, auts):
+            g = to_json_dict(LabelledGraph(first.names, orders, first.adj))
+            out += (TupleReport(r.check, g, r.witness, r.message)
+                    for r in group)
+    return out
 
 
 def graphs_of(spec):
     """Every graph of ``enumerate_graphs(spec)``: each mask record's graph
-    with each of its kept order tuples, listed as the suite driver lists
-    them, in order."""
+    with each of its kept order tuples, listed by ``kept_tuples``, in
+    order."""
     for first, _, auts in enumerate_graphs(spec):
         for orders in kept_tuples(spec, first, auts):
             yield LabelledGraph(first.names, orders, first.adj)
@@ -683,8 +745,8 @@ def child_rows(padj, auts, ones):
 def run_suite_per_graph(spec):
     """``harness.run_suite`` as it was before mask groups: one census per
     enumerated graph and every check of ``spec`` run on it, in this
-    process, each failing verdict made a report of its own; the oracle
-    check is ``lemma_1_4_oracle_per_graph``, which stores nothing.
+    process, each failing verdict made a ``TupleReport`` of its own; the
+    oracle check is ``lemma_1_4_oracle_per_graph``, which stores nothing.
     Returns ``(checked_graphs, reports)``."""
     checked, reports = 0, []
     for g in enumerate_graphs_per_graph(spec):
@@ -695,8 +757,8 @@ def run_suite_per_graph(spec):
                      else CHECKS[check_id])
             verdict = check(census)
             if verdict is not None:
-                reports.append(CounterexampleReport(check_id, to_json_dict(g),
-                                                    *verdict))
+                reports.append(TupleReport(check_id, to_json_dict(g),
+                                           *verdict))
     return checked, reports
 
 

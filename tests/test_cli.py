@@ -369,11 +369,12 @@ def test_verify_clean_run(capsys):
     assert summary["counterexamples"] == 0
     assert summary["checked_graphs"] == 7
     assert summary["max_vertices"] == 3
+    assert summary["version"] == 2
 
 
 def test_verify_prints_each_chunk_as_it_arrives(capsys, monkeypatch):
     report = CounterexampleReport("lemma_4", {"vertices": [], "edges": []},
-                                  {}, "deliberately falsified")
+                                  {}, "deliberately falsified", 1)
 
     def chunks(spec):
         yield 1, [report]
@@ -1051,11 +1052,12 @@ def test_a_closed_stdout_exits_141_without_a_message(capsys, monkeypatch,
 
 
 def test_a_closed_pipe_ends_the_console_entry_with_141():
-    # 896 reports, more than a pipe holds: the writer is still running when
-    # the reader goes, and the interpreter's final flush must not fail
+    # 281 reports, about 165 KB, more than a pipe holds: the writer is
+    # still running when the reader goes, and the interpreter's final
+    # flush must not fail
     with subprocess.Popen(
             [sys.executable, "-m", "silscope.cli", "verify", "--max-vertices",
-             "7", "--orders", "2,3", "--dedup", "--checks", "lemma_7"],
+             "8", "--dedup", "--checks", "lemma_7"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=_env_with_src()) as proc:
         assert proc.stdout.readline().startswith(b'{"check": "lemma_7"')

@@ -324,10 +324,12 @@ def test_enum_spec_validation():
     with pytest.raises(ValueError):
         EnumSpec(3, workers=0)
     # a wrong type is refused by name, not deep in the enumeration; a bool
-    # is no count, and a string is no list of orders or check ids
+    # is no count, a string is no list of orders or check ids, a truthy
+    # string is no dedup flag, and a list is no check id
     for field, value in [("max_vertices", 3.0), ("max_vertices", True),
                          ("workers", 1.5), ("workers", True),
-                         ("orders", "2"), ("checks", "lemma_4")]:
+                         ("orders", "2"), ("checks", "lemma_4"),
+                         ("dedup_isomorphic", "no"), ("checks", [["x"]])]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             EnumSpec(**{"max_vertices": 3, field: value})
 
@@ -398,10 +400,11 @@ def test_falsified_check_self_test(falsified_check):
 def test_reports_compare_by_every_field():
     empty = {"vertices": [], "edges": []}
     one = {"vertices": [{"name": "v1", "order": 2}], "edges": []}
-    report = CounterexampleReport("c", empty, {}, "m")
-    assert report == CounterexampleReport("c", dict(empty), {}, "m")
-    assert report != CounterexampleReport("c", one, {}, "m")
-    assert report != CounterexampleReport("c", empty, {"k": 1}, "m")
+    report = CounterexampleReport("c", empty, {}, "m", 1)
+    assert report == CounterexampleReport("c", dict(empty), {}, "m", 1)
+    assert report != CounterexampleReport("c", one, {}, "m", 1)
+    assert report != CounterexampleReport("c", empty, {"k": 1}, "m", 1)
+    assert report != CounterexampleReport("c", empty, {}, "m", 2)
 
 
 def test_reports_sorted_by_graph_then_check(falsified_check):
@@ -490,12 +493,20 @@ def as_lines(result):
     return checked, [r.to_json_line() for r in reports]
 
 
+def expanded(spec, result):
+    """``as_lines`` of ``result``, a suite run of ``spec``, with each
+    report expanded into one line per order tuple it stands for."""
+    checked, reports = result
+    return as_lines((checked, oracles.expand_reports(spec, reports)))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mask_groups_match_the_per_graph_driver_on_lemma_7(workers):
     spec = EnumSpec(7, dedup_isomorphic=True, checks=C8, workers=workers)
-    checked, lines = as_lines(run_suite(spec))
+    result = run_suite(spec)
+    checked, lines = as_lines(result)
     assert (checked, len(lines)) == (1252, 7)
-    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+    assert expanded(spec, result) == as_lines(oracles.run_suite_per_graph(spec))
 
 
 def _fails_with_two_edges(census):
@@ -510,20 +521,25 @@ def _fails_with_two_edges(census):
 @pytest.mark.parametrize("other", ["lemma_1_4_oracle", "fails_on_triangles"])
 def test_mask_groups_emit_one_report_per_order_tuple(monkeypatch, workers,
                                                      other):
-    """A C8 check failing on a mask is reported for each of its order
-    tuples, from the one verdict of the mask, so each report carries its
-    own graph, in the per-graph driver's order next to the oracle or a
+    """A C8 check failing on a mask is reported once, from the one verdict
+    of the mask, and the report counts the mask's order tuples.  Expanded
+    into one report per order tuple, each on its own graph, the reports
+    are the per-graph driver's, in its order, next to the oracle or a
     check registered at run time, each also run once per mask."""
     monkeypatch.setitem(CHECKS, "lemma_4", _fails_with_two_edges)
     monkeypatch.setitem(CHECKS, "fails_on_triangles", _fails_on_triangles)
-    # chunks of one whole mask group each on three vertices (8 graphs)
+    # chunks of 5 masks: 11 masks on one to three vertices span three
     monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
     spec = EnumSpec(3, orders=(2, 3), checks=C8 + (other,), workers=workers)
-    checked, lines = as_lines(run_suite(spec))
+    result = run_suite(spec)
+    checked, lines = as_lines(result)
     # paths and triangles: 3 + 1 masks on three vertices, 8 tuples each
     assert checked == 74
-    assert sum('"check": "lemma_4"' in line for line in lines) == 32
-    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+    assert [r.order_tuples for r in result[1]
+            if r.check == "lemma_4"] == [8] * 4
+    per_tuple = expanded(spec, result)
+    assert per_tuple == as_lines(oracles.run_suite_per_graph(spec))
+    assert sum('"check": "lemma_4"' in line for line in per_tuple[1]) == 32
 
 
 def _logged(path, census):
@@ -539,19 +555,23 @@ def test_a_check_registered_at_run_time_runs_once_per_edge_mask(
         monkeypatch, tmp_path, workers):
     """The contract beside ``CHECKS`` binds a check registered at run time
     too: it is called once per edge mask, and a verdict that fails there is
-    reported once per order tuple of the mask, as a driver with a census
-    per graph reports it."""
+    reported once, counting the mask's order tuples; expanded per tuple,
+    the reports are those of a driver with a census per graph."""
     log = tmp_path / "calls"
     monkeypatch.setitem(CHECKS, "counted", functools.partial(_logged, str(log)))
     monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
     spec = EnumSpec(3, orders=(2, 3), checks=("counted",), workers=workers)
-    checked, lines = as_lines(run_suite(spec))
+    result = run_suite(spec)
+    checked, lines = as_lines(result)
     calls = log.read_text(encoding="utf-8").splitlines()
     # 1 + 2 + 8 masks on one to three vertices
     assert len(calls) == len(set(calls)) == 11
     # 74 graphs; the 3 paths and the triangle fail, 8 order tuples each
-    assert (checked, len(lines)) == (74, 32)
-    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+    assert (checked, len(lines)) == (74, 4)
+    assert [r.order_tuples for r in result[1]] == [8] * 4
+    per_tuple = expanded(spec, result)
+    assert per_tuple == as_lines(oracles.run_suite_per_graph(spec))
+    assert len(per_tuple[1]) == 32
 
 
 def test_one_census_per_mask_record(monkeypatch):
@@ -567,9 +587,38 @@ def test_one_census_per_mask_record(monkeypatch):
     records = list(enumerate_graphs(spec))
     checks = (("fails_with_two_edges", _fails_with_two_edges),
               ("lemma_7", CHECKS["lemma_7"]))
-    checked, reports = harness._run_checks(records, checks, spec)
+    checked, reports = harness._run_checks(records, checks)
     assert built == [first.adj for first, _, _ in records]
-    assert (checked, len(reports)) == (74, 32)
+    assert (checked, len(reports)) == (74, 4)
+    assert [r.order_tuples for r in reports] == [8] * 4
+    assert len(oracles.expand_reports(spec, reports)) == 32
+
+
+@pytest.mark.parametrize("spec, checks, expected", [
+    (dict(max_vertices=4, orders=(2, 3, 4)), ("fails_with_two_edges",),
+     (61, 4725)),
+    (dict(max_vertices=5, orders=(2, 3), dedup_isomorphic=True),
+     ("fails_with_two_edges",), (43, 612)),
+    (dict(max_vertices=7, orders=(2, 3), dedup_isomorphic=True), ("lemma_7",),
+     (7, 896)),
+], ids=["labelled_4_234", "dedup_5_23", "dedup_7_23_lemma_7"])
+def test_each_report_counts_the_order_tuples_it_stands_for(monkeypatch, spec,
+                                                           checks, expected):
+    """A report carries its record's first graph, its ``order_tuples`` is
+    the number of order tuples listed for the record, and it replays from
+    its graph alone.  ``expected`` counts the reports and their tuples."""
+    monkeypatch.setitem(CHECKS, "fails_with_two_edges", _fails_with_two_edges)
+    spec = EnumSpec(**spec, checks=checks)
+    records = {first.adj: (first, auts)
+               for first, _, auts in enumerate_graphs(spec)}
+    reports = run_suite(spec)[1]
+    assert (len(reports), sum(r.order_tuples for r in reports)) == expected
+    for r in reports:
+        g = from_json_dict(r.graph)
+        first, auts = records[g.adj]
+        assert g == first
+        assert r.order_tuples == len(oracles.kept_tuples(spec, first, auts))
+        assert CHECKS[r.check](Census(g)) == (r.witness, r.message)
 
 
 # ---------------------------------------------------------------------------
@@ -845,24 +894,26 @@ WRONG_RULES = {"crossed_clause_dropped": _commute_rule_without_the_crossed_claus
 @pytest.mark.parametrize("spec, expected", [
     (EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
               checks=("lemma_1_4_oracle",)),
-     {"crossed_clause_dropped": 196, "always_commute": 330}),
+     {"crossed_clause_dropped": (16, 196), "always_commute": (23, 330)}),
     (EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True,
               checks=("lemma_1_4_oracle",), workers=2),
-     {"crossed_clause_dropped": 1036, "always_commute": 1882}),
+     {"crossed_clause_dropped": (16, 1036), "always_commute": (23, 1882)}),
     (EnumSpec(4, orders=(2, 3), checks=("lemma_1_4_oracle",)),
-     {"crossed_clause_dropped": 248, "always_commute": 376}),
+     {"crossed_clause_dropped": (16, 248), "always_commute": (24, 376)}),
 ], ids=["dedup_5_23", "dedup_5_234_two_workers", "labelled_4_23"])
 def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
                                                          spec, expected):
     """The oracle decides each commutator shape once per process, and its
     verdict on an edge mask stands for every order tuple of the mask.
-    Under a wrong rule, many order tuples of a mask fail, and each must
-    report the same first failing pair, with the same verdicts, as a fresh
-    census of its own graph."""
+    Under a wrong rule, many order tuples of a mask fail: the mask's one
+    report, expanded per tuple, must give the same first failing pair,
+    with the same verdicts, as a fresh census of each tuple's graph.
+    ``expected`` counts the masks and the order tuples that fail."""
     monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
-    checked, lines = as_lines(run_suite(spec))
-    assert len(lines) == expected[rule]
-    assert (checked, lines) == as_lines(oracles.run_suite_per_graph(spec))
+    result = run_suite(spec)
+    _, lines = as_lines(result)
+    assert (len(lines), sum(r.order_tuples for r in result[1])) == expected[rule]
+    assert expanded(spec, result) == as_lines(oracles.run_suite_per_graph(spec))
 
 
 def test_oracle_decides_each_commutator_shape_once_per_process(monkeypatch):
@@ -922,16 +973,17 @@ def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
 
 @pytest.mark.parametrize("rule", WRONG_RULES)
 def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
-    """Each oracle report of a run under a wrong rule gives back its
-    witness and message when its graph is checked alone, from an empty
-    cache of verdicts."""
+    """Each oracle report of a run under a wrong rule, and each report of
+    its expansion per order tuple, gives back its witness and message when
+    its graph is checked alone, from an empty cache of verdicts."""
     monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
     spec = EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
     reports = run_suite(spec)[1]
-    assert len(reports) == {"crossed_clause_dropped": 196,
-                            "always_commute": 330}[rule]
-    for report in reports:
+    assert ((len(reports), sum(r.order_tuples for r in reports))
+            == {"crossed_clause_dropped": (16, 196),
+                "always_commute": (23, 330)}[rule])
+    for report in reports + oracles.expand_reports(spec, reports):
         commutator_is_inner.cache_clear()
         census = Census(from_json_dict(report.graph))
         assert CHECKS[report.check](census) == (report.witness,
