@@ -1,7 +1,8 @@
 """Separating-intersection analysis for graph products of primary cyclic
 groups: detect separating pairs and triples in a labelled graph, build the
 partial-conjugation generating set, classify the outer automorphism group,
-and cross-check everything against an exact word-rewriting oracle.
+verify the paper's lemmas exhaustively on small graphs, and compute in the
+group with an exact word engine.
 
 Every question about one graph is read from its :class:`Census`, built
 once per graph with ``Census(g)``; the census holds its separations as
@@ -18,7 +19,9 @@ brute-force innerness test live with the tests' oracles.
 Importing the package loads ``graphs``, ``sils`` and ``outer``, which
 every command reads.  The names of ``dot``, ``harness`` and ``words`` are
 resolved on first access (PEP 562), so that a classification loads no
-DOT writer, verification suite, word engine or process pool.
+DOT writer, verification suite, word engine or process pool.  The suite
+decides its oracle on masks, so a verification loads no word engine
+either.
 """
 
 import importlib

@@ -22,11 +22,12 @@ and error messages.
 
 Each subcommand imports only the modules it runs.  ``classify``, ``sils``,
 ``gens`` and ``presentation`` load ``graphs``, ``sils``, ``outer`` and this
-module, and none of them ``dataclasses``; ``classify --dot`` adds ``dot``.  ``verify`` adds ``harness`` and
-the word engine ``words`` that its oracle check reads, and the process
-pool only with more than one worker.  ``reduce`` and ``act`` add ``words``.
-The argparse path adds ``argparse``, and ``harness`` with ``words``,
-since the help of ``verify`` quotes the suite's limits.
+module, and none of them ``dataclasses``; ``classify --dot`` adds ``dot``.
+``verify`` adds ``harness`` only, whose oracle check decides innerness on
+masks, and the process pool only with more than one worker.  ``reduce``
+and ``act`` add the word engine ``words``.  The argparse path adds
+``argparse`` and ``harness``, since the help of ``verify`` quotes the
+suite's limits.
 """
 
 from __future__ import annotations
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser: the only source of help, usage and error
     messages.  argparse is imported here, so that a plain call, read by
     ``_read_plain``, never loads it, and so is the suite, whose limits the
-    help of ``verify`` quotes."""
+    help of ``verify`` quotes; the suite loads no word engine."""
     import argparse
 
     from . import harness

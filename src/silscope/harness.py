@@ -2,7 +2,7 @@
 
 Every check encodes a structural fact that must hold for all labelled
 graphs (shared separated components, separation counts versus triple
-separations, the commutation predicate versus the word-engine oracle, ...).
+separations, the commutation predicate versus exact innerness, ...).
 The suite enumerates all graphs up to a vertex bound, optionally one
 representative per isomorphism class, runs each requested check, and
 reports counterexamples; an empty report is the expected outcome.
@@ -22,12 +22,13 @@ mask, and each verdict stands for every kept order tuple, none of which
 is listed: a failing verdict is one report per (mask, check), on the
 mask's first graph, whose ``order_tuples`` is the record's count.  The
 census checks decide on the census's bitmasks, and word a failing verdict
-from them too.  The word oracle reads no vertex order either: whether a
-commutator of two generators is inner depends only on its numbering-free
-shape, and :func:`silscope.words.commutator_is_inner` decides each shape
-once per process.  The suite streams: the records are cut into chunks of
-``CHUNK_SIZE`` records, each chunk is checked in this process or by a
-worker process, and the results are joined in chunk order.  Reports
+from them too.  So does the Lemma 1.4 oracle: whether the commutator of
+two generators is inner has a closed form on their masks, which reads no
+vertex order (see ``_is_inner``).  The tests check that form against the
+word engine of :mod:`silscope.words` on every syntactic case, and the
+suite loads no word engine.  The suite streams: the records are cut into
+chunks of ``CHUNK_SIZE`` records, each chunk is checked in this process or
+by a worker process, and the results are joined in chunk order.  Reports
 therefore come out in enumeration order, and in check-id order per mask,
 whatever the number of workers.
 """
@@ -46,7 +47,6 @@ from .graphs import (MAX_ORDER, LabelledGraph, _bits_to_set, component_masks,
                      is_vertex_order, to_json_dict, vertex_names)
 from .outer import PartialConjugation
 from .sils import Census, _fsil_triples, _stil_masks
-from .words import commutator_is_inner, commutator_shape
 
 MAX_ENUMERATION_VERTICES = 8
 # without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
@@ -532,23 +532,71 @@ def check_fsil_three_sils(census: Census) -> Optional[tuple]:
     return None
 
 
-def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
-    """Commutation predicate agrees with the word engine's exact innerness
-    decision for every commutator of two generators.
+def _is_inner(adj: tuple, full: int, a: int, c: int, b: int, d: int) -> bool:
+    """Whether [chi_{a,C}, chi_{b,D}] is inner, on the graph of adjacency
+    ``adj`` with vertex mask ``full``, for the masks ``c`` of C and ``d``
+    of D, with a outside C and b outside D.  No vertex order is read.
 
-    The innerness of [chi_{a,C}, chi_{b,D}] is read from
-    :func:`silscope.words.commutator_is_inner` of the pair's shape, and
-    the prediction from ``census.non_commuting``; the pairs are scanned in
-    order, so the first failing pair is the one a fresh search on each
-    pair finds first.  Neither reads a vertex order, so the verdict holds
-    for every order tuple of the adjacency.
+    The commutator conjugates each vertex u by a word W(u) in a and b
+    alone (:func:`silscope.words.commutator`), and it is inner iff the
+    cosets W(u) <St(u)> have a common element, since the centraliser of u
+    is <St(u)>.  Deleting every vertex but a and b is a retraction r of the
+    group onto <a, b>; it fixes each W(u) and sends <St(u)> onto
+    <St(u) & {a, b}>.  So r maps a common element of the cosets
+    W(u) <St(u)> into every W(u) <St(u) & {a, b}>, and these lie in the
+    former: the cosets meet exactly when these do.  And a is in St(u) iff
+    u is in St(a), and so for b.
+
+    If a and b are equal or adjacent, every W(u) reduces to 1, and the
+    commutator is the identity.  Otherwise <a, b> is the free product
+    Z/m(a) * Z/m(b), and W(u) is 1 or one word V of four alternating
+    syllables with exponents +-1, which depends on p = [a in D] and
+    q = [b in C] only; V sits on the mask ``at_v``:
+
+        (p, q) = (0, 0): V = b^-1 a^-1 b a, on C & D;
+        (0, 1): V = b^-1 a b a^-1, on D - C;
+        (1, 0): V = b a^-1 b^-1 a, on C - D;
+        (1, 1): V = a b a^-1 b^-1, on C | D.
+
+    Let A be the intersection of St(u) & {a, b} over the vertices u whose
+    conjugator is 1, and B the same over ``at_v``, each {a, b} over no
+    vertex.  The cosets meet iff <A> and V <B> do, that is iff V is in
+    <A><B>.  If A or B is {a, b}, <A><B> is all of <a, b>.  Otherwise every
+    element of <A><B> has a normal form of at most two syllables, and V
+    has four whatever m(a), m(b) >= 2 are, since +-1 is never 0 mod m.  So
+    the commutator is inner iff a and b are equal or adjacent, or every
+    vertex outside ``at_v``, or every vertex of ``at_v``, lies in
+    St(a) & St(b), which is the common link of a and b when they are not
+    adjacent.  Among the vertices u, a and b need no special case: W(a) is
+    read off a's own bits of C and D, (0, p), and W(b) off (q, 0), and
+    neither is in the common link.  The tests compare this with :func:`silscope.words.search_inner`
+    on every syntactic case.
+    """
+    if a == b or adj[a] >> b & 1:
+        return True
+    common = adj[a] & adj[b]
+    at_v = (c & d, d & ~c, c & ~d, c | d)[(d >> a & 1) << 1 | c >> b & 1]
+    return not at_v & ~common or not full & ~at_v & ~common
+
+
+def check_lemma_1_4_oracle(census: Census) -> Optional[tuple]:
+    """Commutation predicate agrees with the exact innerness of every
+    commutator of two generators.
+
+    The innerness of [chi_{a,C}, chi_{b,D}] is decided on the masks of C
+    and D by ``_is_inner``, and the prediction read from
+    ``census.non_commuting``; the pairs are scanned in order, so the first
+    failing pair is the one a fresh search on each pair finds first.
+    Neither reads a vertex order, so the verdict holds for every order
+    tuple of the adjacency.
     """
     g = census.graph
+    adj, full = g.adj, (1 << g.n) - 1
     rows = census.non_commuting
     gens = census.generators
     for i, j in itertools.combinations(range(len(gens)), 2):
         (a, c), (b, d) = gens[i], gens[j]
-        found = commutator_is_inner(commutator_shape(g, a, c, b, d))
+        found = _is_inner(adj, full, a, c, b, d)
         predicted = not rows[i] >> j & 1
         if found != predicted:
             x, y = (PartialConjugation(v, _bits_to_set(m))
@@ -582,7 +630,8 @@ DEFAULT_CHECKS = tuple(CHECKS)
 @dataclass(frozen=True)
 class EnumSpec:
     """What to enumerate and which checks to run.  ``orders`` and ``checks``
-    must be non-empty; they are stored sorted and without repeats.
+    are any iterables but a str, read once, and must be non-empty; they
+    are stored sorted and without repeats.
     ``max_vertices`` is at most ``MAX_ENUMERATION_VERTICES`` with dedup,
     and at most ``MAX_LABELLED_VERTICES`` too without: every labelled graph
     on 7 vertices is one of 2^21 edge masks, on 8 one of 2^28.  With
@@ -590,11 +639,11 @@ class EnumSpec:
     is generated (see ``enumerate_graphs``): 13,598 for n <= 8 and orders
     (2,).  With (2, 3) there are 2,208,612 classes on 8 vertices (OEIS
     A000666) but only 12,346 edge masks.  Every check runs once per mask
-    (see ``CHECKS``), ``lemma_1_4_oracle`` searches each commutator shape
-    once per process, and a mask's kept order tuples are counted, never
+    (see ``CHECKS``), ``lemma_1_4_oracle`` decides each commutator on
+    masks, and a mask's kept order tuples are counted, never
     listed: a check that fails on a mask is one report, whose
-    ``order_tuples`` is that count.  So all nine checks take 1.7-2.1 s for
-    n <= 8 in one process and 1.1-1.5 s with two workers, and 1.7-2.6 s on
+    ``order_tuples`` is that count.  So all nine checks take 1.1 s for
+    n <= 8 in one process and 0.8 s with two workers, and 1.1-1.2 s on
     orders (2, 3, 4), 52,628,740 classes, in one process (Python 3.11, 2
     CPUs)."""
 
@@ -605,6 +654,17 @@ class EnumSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # one pass over each, so that a one-shot iterable is validated and
+        # stored, not used up by the validation
+        for name in ("orders", "checks"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise ValueError(f"{name} must be a sequence, not a str")
+            try:
+                object.__setattr__(self, name, tuple(value))
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence, not "
+                                 f"{type(value).__name__} {value!r}") from None
         for name in ("max_vertices", "workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -614,9 +674,6 @@ class EnumSpec:
         if not isinstance(dedup, bool):
             raise ValueError("dedup_isomorphic must be a bool, not "
                              f"{type(dedup).__name__} {dedup!r}")
-        for name in ("orders", "checks"):
-            if isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a sequence, not a str")
         bound = (MAX_ENUMERATION_VERTICES if self.dedup_isomorphic
                  else min(MAX_ENUMERATION_VERTICES, MAX_LABELLED_VERTICES))
         if not 1 <= self.max_vertices <= bound:
@@ -679,9 +736,8 @@ def checked_chunks(spec: EnumSpec) -> Iterator[tuple]:
     check ids are resolved in
     this process, and workers get the functions, so a check registered in
     ``CHECKS`` at run time reaches workers that import the package afresh
-    (the ``spawn`` and ``forkserver`` start methods).  The oracle's
-    verdicts need no reset between runs: ``commutator_is_inner`` is a pure
-    function of the commutator's shape."""
+    (the ``spawn`` and ``forkserver`` start methods).  No check keeps
+    state between chunks or runs."""
     checks = tuple((c, CHECKS[c]) for c in spec.checks)
     records = enumerate_graphs(spec)
     chunks = iter(lambda: list(itertools.islice(records, CHUNK_SIZE)), [])

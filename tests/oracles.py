@@ -20,7 +20,11 @@ row of a new vertex, where the library yields one record per edge mask,
 and the driver runs the library's checks on a census of every enumerated
 graph, where the library runs the order-free checks once per edge mask.
 Its oracle check decides every commutator of every graph afresh, where
-the library decides each commutator shape once per suite run.  The
+the library decides it by a closed form on the masks of C and D.  So is
+the per-shape verdict that closed form replaced: ``commutator_shape``,
+its model graph ``_model`` and ``commutator_is_inner``, which searched
+each numbering-free shape once per process and now check the closed form
+against the word engine on every syntactic shape.  The
 minimality search of orderly generation is kept in both its former
 shapes, where the library runs one search per parent for all the rows of
 a new vertex at once: one search per child, which keeps the free vertices
@@ -65,7 +69,7 @@ compares the same images.
 """
 
 import json
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, groupby, permutations, product
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -465,6 +469,89 @@ def bfs_inner_witness(g, phi, depth):
                    for v in check_order):
                 return cand
     return None
+
+
+def commutator_shape(g: LabelledGraph, a: int, c: int, b: int,
+                     d: int) -> tuple:
+    """What decides whether [chi_{a,C}, chi_{b,D}] is inner, read off the
+    masks ``c`` and ``d`` of C and D.  It reads no order and no numbering:
+    whether a and b are adjacent, whether a = b, p = [a in D],
+    q = [b in C], and the sorted (s, t, class in St(a), class in St(b)) of
+    each non-empty class (s, t) = ([u in C], [u in D]) of vertices u.
+    Like :func:`commutator`, it never reads
+    :func:`silscope.sils.commute_rule`.
+
+    The commutator is inner iff the cosets W(s, t) <S(s, t)> meet, one per
+    class, with W(s, t) its conjugator and S(s, t) the vertices whose star
+    holds the class (see :func:`search_inner`).  Deleting every vertex but
+    a and b is a retraction r of W onto <a, b>; it fixes each W(s, t) and
+    sends <S> onto <S & {a, b}>.  So r maps a common element of the cosets
+    W(s, t) <S(s, t)> into every W(s, t) <S(s, t) & {a, b}>, and these lie
+    in the former: the cosets meet exactly when these do.  And a is in
+    S(s, t) iff the class lies in St(a), and so for b.
+
+    Nor does the verdict read m(a) or m(b).  If a and b are adjacent or
+    equal, every W(s, t) reduces to 1, and the commutator is inner.
+    Otherwise <a, b> is the free product Z/m(a) * Z/m(b), and each W(s, t)
+    is 1 or one word V that depends only on (p, q), of four alternating
+    syllables with exponents +-1:
+
+        (p, q) = (0, 0): V = b^-1 a^-1 b a, at (s, t) = (1, 1) only;
+        (0, 1): V = b^-1 a b a^-1, at (0, 1) only;
+        (1, 0): V = b a^-1 b^-1 a, at (1, 0) only;
+        (1, 1): V = a b a^-1 b^-1, at every (s, t) but (0, 0).
+
+    Let A be the intersection of S & {a, b} over the vertices whose
+    conjugator is 1, and B the same over those whose conjugator is V, a
+    and b among them; over no vertex it is {a, b}.  The cosets meet iff
+    <A> and V <B> do, that is iff V is in <A><B>.  If A or B is {a, b},
+    <A><B> is all of <a, b>.  Otherwise every element of <A><B> has a
+    normal form of at most two syllables, and V has one of four whatever
+    m(a), m(b) >= 2 are, since +-1 is never 0 mod m.  So the commutator is
+    inner iff a and b are adjacent or equal, or A or B is {a, b}, and no
+    step reads an order.
+    """
+    adj = g.adj
+    star_a = adj[a] | 1 << a
+    star_b = adj[b] | 1 << b
+    outside = (1 << g.n) - 1 & ~(c | d)
+    return (adj[a] >> b & 1, a == b, d >> a & 1, c >> b & 1,
+            tuple(sorted((s, t, not m & ~star_a, not m & ~star_b)
+                         for m, s, t in ((outside, 0, 0), (c & ~d, 1, 0),
+                                         (d & ~c, 0, 1), (c & d, 1, 1))
+                         if m)))
+
+
+def _model(shape: tuple) -> tuple:
+    """``(g, x, y)``: a graph g of a, b and one vertex per class of
+    ``shape``, every vertex of order 2, and x = chi_{a,C}, y = chi_{b,D}
+    with the shape's commutator.  Each class vertex is joined to a and b
+    by its star bits and is in C and D by (s, t); b is in C iff q, and a
+    in D iff p.  ``commutator`` and ``search_inner`` read only words and
+    masks, so C and D need not be components of the model."""
+    adjacent, same, p, q, classes = shape
+    b = 0 if same else 1
+    adj = [adjacent << 1, adjacent][:b + 1]
+    c, d = q << b, p
+    for k, (s, t, in_a, in_b) in enumerate(classes, b + 1):
+        adj.append(in_a | in_b << b)
+        adj[0] |= in_a << k
+        adj[b] |= in_b << k
+        c |= s << k
+        d |= t << k
+    g = LabelledGraph(tuple(f"v{v + 1}" for v in range(len(adj))),
+                      (2,) * len(adj), tuple(adj))
+    return (g, PartialConjugation(0, _bits_to_set(c)),
+            PartialConjugation(b, _bits_to_set(d)))
+
+
+@cache
+def commutator_is_inner(shape: tuple) -> bool:
+    """Whether a commutator of ``shape`` is inner, under any vertex
+    orders, by :func:`search_inner` on the shape's :func:`_model`; the
+    :func:`commutator_shape` docstring proves that no order changes it."""
+    g, x, y = _model(shape)
+    return search_inner(g, commutator(g, x, y)) is not None
 
 
 def dedup_by_orbit_marking(spec):

@@ -22,8 +22,7 @@ from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, run_suite)
 from silscope.outer import build_p0
 from silscope.sils import Census
-from silscope.words import (commutator, commutator_is_inner, commutator_shape,
-                            search_inner)
+from silscope.words import commutator, search_inner
 
 import oracles
 from oracles import Sil, shared_sil_component
@@ -329,9 +328,22 @@ def test_enum_spec_validation():
     for field, value in [("max_vertices", 3.0), ("max_vertices", True),
                          ("workers", 1.5), ("workers", True),
                          ("orders", "2"), ("checks", "lemma_4"),
-                         ("dedup_isomorphic", "no"), ("checks", [["x"]])]:
+                         ("dedup_isomorphic", "no"), ("checks", [["x"]]),
+                         ("orders", 5), ("checks", 5), ("orders", None)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             EnumSpec(**{"max_vertices": 3, field: value})
+    # a one-shot iterable is read once, so the validation does not use it
+    # up and leave no orders or no checks to run
+    assert EnumSpec(8, dedup_isomorphic=True, checks=iter(["lemma_7"])) == \
+        EnumSpec(8, dedup_isomorphic=True, checks=["lemma_7"])
+    assert EnumSpec(8, dedup_isomorphic=True, checks=iter(["lemma_7"])).checks \
+        == ("lemma_7",)
+    assert EnumSpec(3, orders=iter([3, 2, 3])).orders == (2, 3)
+    assert EnumSpec(3, orders=(m for m in (2, 3))) == EnumSpec(3, orders=[2, 3])
+    with pytest.raises(ValueError, match="^the order alphabet is empty$"):
+        EnumSpec(3, orders=iter([]))
+    with pytest.raises(ValueError, match=r"^unknown check ids: \['x'\]"):
+        EnumSpec(3, checks=iter(["lemma_7", "x"]))
 
 
 def test_labelled_enumeration_is_bounded_at_seven_vertices(monkeypatch):
@@ -872,7 +884,7 @@ def _commute_rule_without_the_crossed_clause(witnesses, x, c, y, d):
 ], ids=["crossed_clause_dropped", "always_commute"])
 def test_oracle_catches_a_wrong_commutation_rule(monkeypatch, rule, expected,
                                                  first):
-    """The word oracle builds its commutators without the rule, so a rule
+    """The oracle decides innerness without reading the rule, so a rule
     that predicts commutation where there is none is reported."""
     monkeypatch.setattr(sils, "commute_rule", rule)
     spec = EnumSpec(5, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
@@ -903,8 +915,8 @@ WRONG_RULES = {"crossed_clause_dropped": _commute_rule_without_the_crossed_claus
 ], ids=["dedup_5_23", "dedup_5_234_two_workers", "labelled_4_23"])
 def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
                                                          spec, expected):
-    """The oracle decides each commutator shape once per process, and its
-    verdict on an edge mask stands for every order tuple of the mask.
+    """The oracle decides each commutator on the masks of one census per
+    edge mask, and its verdict stands for every order tuple of the mask.
     Under a wrong rule, many order tuples of a mask fail: the mask's one
     report, expanded per tuple, must give the same first failing pair,
     with the same verdicts, as a fresh census of each tuple's graph.
@@ -916,25 +928,18 @@ def test_stored_oracle_verdicts_match_a_census_per_graph(monkeypatch, rule,
     assert expanded(spec, result) == as_lines(oracles.run_suite_per_graph(spec))
 
 
-def test_oracle_decides_each_commutator_shape_once_per_process(monkeypatch):
-    """On dedup n <= 6 {2, 3}, 5,758 graphs over 208 edge masks, deciding every
-    P0 commutator of every graph takes 43,812 innerness searches.  Cached
-    under the numbering-free shape alone, whatever the alphabet, they take
-    14, and a second run in the same process searches none again."""
-    calls = []
+def test_oracle_runs_no_word_engine(monkeypatch):
+    """The oracle decides innerness on masks: with the word engine's
+    search and normal form made to raise, it still checks all 5,758 graphs
+    of dedup n <= 6 {2, 3}, without a report."""
+    def refuse(*args):
+        raise AssertionError("the oracle ran the word engine")
 
-    def counted(g, phi):
-        calls.append(g.adj)
-        return search_inner(g, phi)
-
-    monkeypatch.setattr(words, "search_inner", counted)
-    commutator_is_inner.cache_clear()
+    monkeypatch.setattr(words, "search_inner", refuse)
+    monkeypatch.setattr(words, "reduce", refuse)
     spec = EnumSpec(6, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
     assert run_suite(spec) == (5758, [])
-    assert len(calls) == commutator_is_inner.cache_info().currsize == 14
-    assert run_suite(spec) == (5758, [])
-    assert len(calls) == 14
 
 
 EXACTNESS_SPECS = [
@@ -952,30 +957,30 @@ EXACTNESS_SPECS = [
                          ids=["dedup_6_23", "dedup_5_234", "dedup_5_489",
                               "labelled_4_23"])
 def test_stored_verdicts_equal_a_fresh_search_on_every_pair(spec):
-    """After an oracle run, the cached verdict of the shape of each P0 pair
-    of each graph is the innerness of that pair's own commutator, under
-    the graph's own orders, and the run has decided every such shape."""
-    commutator_is_inner.cache_clear()
+    """After an oracle run, the oracle's verdict on the masks of each P0
+    pair of each graph is the innerness of that pair's own commutator,
+    under the graph's own orders."""
     assert run_suite(spec)[1] == []
-    stored, decisions = commutator_is_inner.cache_info().currsize, 0
+    decisions = inner = 0
     for g in oracles.graphs_of(spec):
         census = Census(g)
         p0 = build_p0(census)
+        full = (1 << g.n) - 1
         for (i, (a, c)), (j, (b, d)) in itertools.combinations(
                 enumerate(census.generators), 2):
             fresh = search_inner(g, commutator(g, p0[i], p0[j])) is not None
-            found = commutator_is_inner(commutator_shape(g, a, c, b, d))
+            found = harness._is_inner(g.adj, full, a, c, b, d)
             assert found == fresh, (g, i, j)
             decisions += 1
-    assert commutator_is_inner.cache_info().currsize == stored
-    assert decisions > 10 * stored
+            inner += found
+    assert 0 < inner < decisions
 
 
 @pytest.mark.parametrize("rule", WRONG_RULES)
 def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
     """Each oracle report of a run under a wrong rule, and each report of
     its expansion per order tuple, gives back its witness and message when
-    its graph is checked alone, from an empty cache of verdicts."""
+    its graph is checked alone."""
     monkeypatch.setattr(sils, "commute_rule", WRONG_RULES[rule])
     spec = EnumSpec(5, orders=(2, 3), dedup_isomorphic=True,
                     checks=("lemma_1_4_oracle",))
@@ -984,7 +989,6 @@ def test_oracle_reports_replay_with_a_fresh_store(monkeypatch, rule):
             == {"crossed_clause_dropped": (16, 196),
                 "always_commute": (23, 330)}[rule])
     for report in reports + oracles.expand_reports(spec, reports):
-        commutator_is_inner.cache_clear()
         census = Census(from_json_dict(report.graph))
         assert CHECKS[report.check](census) == (report.witness,
                                                 report.message)

@@ -10,14 +10,14 @@ from silscope import (EPSILON, PartialConjugation, WordError, apply,
                       parse_word_literal, pc_automorphism, reduce,
                       search_inner)
 from silscope.graphs import LabelledGraph
-from silscope.harness import EnumSpec
+from silscope.harness import EnumSpec, _is_inner
 from silscope.outer import build_p0
 from silscope.sils import Census
-from silscope.words import (Automorphism0, _model, commutator_is_inner,
-                            commutator_shape, format_word)
+from silscope.words import Automorphism0, format_word
 
 import oracles
-from oracles import (commutator_power_probe, graph_from_bits,
+from oracles import (_model, commutator_is_inner, commutator_power_probe,
+                     commutator_shape, graph_from_bits,
                      identity_automorphism, image_of_vertex, is_inner_with,
                      partial_conjugations)
 from conftest import (path_mixed_orders, path_plus_isolated,
@@ -302,6 +302,11 @@ def fresh_innerness(g, a, c, b, d, m_a, m_b):
     return search_inner(h, commutator(h, x, y)) is not None
 
 
+def mask_innerness(g, a, c, b, d):
+    """The suite oracle's closed form on the masks of C and D."""
+    return _is_inner(g.adj, (1 << g.n) - 1, a, c, b, d)
+
+
 def random_graph(rng):
     """A graph on 9 to 14 vertices, sparse enough to have star cut points,
     with orders from ORDERS but 7."""
@@ -334,6 +339,29 @@ def test_model_verdict_equals_a_fresh_search_on_every_pair():
                     (g, a, c, b, d, m_a, m_b)
                 cases += 1
     assert cases == 71582
+
+
+def test_mask_verdict_equals_a_fresh_search_on_every_pair():
+    """The suite oracle's closed form on masks reads no order.  On each
+    ordered pair of partial conjugations of dedup n <= 6 {2}, the dropped
+    components and a partial conjugation paired with itself included, it
+    equals a search on the pair's own graph: under every pair of acting
+    orders from ORDERS for n <= 5, and under the graph's own orders for
+    n = 6, the first n where a pair needs the closed form's last clause."""
+    cases = pairs = inner = 0
+    for g in oracles.graphs_of(EnumSpec(6, dedup_isomorphic=True)):
+        for (a, c), (b, d) in itertools.product(
+                partial_conjugation_masks(g), repeat=2):
+            found = mask_innerness(g, a, c, b, d)
+            for m_a, m_b in (acting_order_pairs(a, b) if g.n <= 5
+                             else [(g.orders[a], g.orders[b])]):
+                assert found == fresh_innerness(g, a, c, b, d, m_a, m_b), \
+                    (g, a, c, b, d, m_a, m_b)
+                cases += 1
+            pairs += 1
+            inner += found
+    assert cases == 83514
+    assert 0 < inner < pairs
 
 
 def syntactic_shapes():
@@ -371,8 +399,9 @@ def closed_form_innerness(shape):
 def test_every_syntactic_shape_has_one_verdict_under_all_orders():
     """On the model graph of every syntactic shape, a fresh search under
     each pair of acting orders from ORDERS gives ``commutator_is_inner``'s
-    verdict, and so does the docstring's closed form: no vertex order
-    changes whether a commutator is inner."""
+    verdict, and so do the docstring's closed form and the suite oracle's
+    closed form on the model's masks: no vertex order changes whether a
+    commutator is inner."""
     shapes = list(syntactic_shapes())
     assert len(shapes) == len(set(shapes)) == 5616
     cases = inner = 0
@@ -381,6 +410,8 @@ def test_every_syntactic_shape_has_one_verdict_under_all_orders():
         assert closed_form_innerness(shape) == found, shape
         g, x, y = _model(shape)
         a, b = x.vertex, y.vertex
+        c, d = (sum(1 << u for u in pc.component) for pc in (x, y))
+        assert mask_innerness(g, a, c, b, d) == found, shape
         for m_a, m_b in acting_order_pairs(a, b):
             orders = list(g.orders)
             orders[a], orders[b] = m_a, m_b
@@ -395,7 +426,8 @@ def test_every_syntactic_shape_has_one_verdict_under_all_orders():
 
 def test_model_verdict_equals_a_fresh_search_on_random_graphs():
     """As above, on sampled pairs of seeded random graphs on 9 to 14
-    vertices, under their own orders."""
+    vertices, under their own orders, and so does the suite oracle's
+    closed form on masks."""
     rng = random.Random(20261019)
     cases = 0
     for _ in range(300):
@@ -403,9 +435,10 @@ def test_model_verdict_equals_a_fresh_search_on_random_graphs():
         pcs = partial_conjugation_masks(g)
         for _ in range(20 if pcs else 0):
             (a, c), (b, d) = rng.sample(pcs, 2)
+            fresh = fresh_innerness(g, a, c, b, d, g.orders[a], g.orders[b])
             assert commutator_is_inner(commutator_shape(g, a, c, b, d)) == \
-                fresh_innerness(g, a, c, b, d, g.orders[a], g.orders[b]), \
-                (g, a, c, b, d)
+                fresh, (g, a, c, b, d)
+            assert mask_innerness(g, a, c, b, d) == fresh, (g, a, c, b, d)
             cases += 1
     assert cases > 5000
 
