@@ -49,8 +49,8 @@ from .outer import PartialConjugation
 from .sils import Census, _fsil_triples, _stil_masks
 
 MAX_ENUMERATION_VERTICES = 8
-# without dedup, n = 7 has 2^21 edge masks, about 5 min of all nine checks,
-# and n = 8 has 2^28, hours
+# without dedup, n = 7 has 2^21 edge masks, 73 s of all nine checks in one
+# process (Python 3.11.7, 2 CPUs), and n = 8 has 2^28, hours
 MAX_LABELLED_VERTICES = 7
 # mask records per task: enough checks to outweigh a round trip through
 # the pool, few enough that the chunks in flight hold little memory
@@ -642,10 +642,7 @@ class EnumSpec:
     (see ``CHECKS``), ``lemma_1_4_oracle`` decides each commutator on
     masks, and a mask's kept order tuples are counted, never
     listed: a check that fails on a mask is one report, whose
-    ``order_tuples`` is that count.  So all nine checks take 1.1 s for
-    n <= 8 in one process and 0.8 s with two workers, and 1.1-1.2 s on
-    orders (2, 3, 4), 52,628,740 classes, in one process (Python 3.11, 2
-    CPUs)."""
+    ``order_tuples`` is that count."""
 
     max_vertices: int
     orders: tuple = (2,)

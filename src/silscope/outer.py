@@ -25,7 +25,7 @@ import enum
 import json
 from typing import NamedTuple, Sequence
 
-from .graphs import LabelledGraph, component_masks, vertex_names
+from .graphs import LabelledGraph, _bits_to_set, component_masks, vertex_names
 from .sils import Census, _fsil_triples, _stil_count
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
@@ -69,7 +69,7 @@ def build_p0(census: Census) -> tuple[PartialConjugation, ...]:
     The numbering is the graph's own, the input order; to renumber, relabel
     the graph (:meth:`LabelledGraph.relabelled`).
     """
-    return tuple(PartialConjugation(v, census._vertex_set(c))
+    return tuple(PartialConjugation(v, _bits_to_set(c))
                  for v, c in census.generators)
 
 

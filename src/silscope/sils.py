@@ -62,9 +62,7 @@ class Census:
     the generators at its two vertices.  The mask of the vertices of order
     2 is computed on first read; only the Coxeter flag of a Sil, which the
     classifier, the report and the ``sils`` listing read, depends on
-    vertex orders.  A mask that a reader needs as a vertex set becomes a
-    frozenset once, on first request, shared by every reader.  Nothing is
-    shared between instances.
+    vertex orders.  Nothing is shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -85,7 +83,6 @@ class Census:
                 gens.append((v, c))
         self.star_splits = tuple(splits)
         self.generators = tuple(gens)
-        self._sets: dict = {}
 
         # one (a, b, lowest bit, mask) per Sil {a, b | C}, sorted: one per
         # non-adjacent pair a < b of V_C for each star component C
@@ -133,15 +130,7 @@ class Census:
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by
         smallest contained vertex."""
-        return tuple(map(self._vertex_set, self.split))
-
-    def _vertex_set(self, mask: int) -> frozenset:
-        """The vertices of ``mask``, as one frozenset per distinct mask."""
-        try:
-            return self._sets[mask]
-        except KeyError:
-            vertices = self._sets[mask] = _bits_to_set(mask)
-            return vertices
+        return tuple(map(_bits_to_set, self.split))
 
 
 def commute_rule(witnesses: int, x: int, c: int, y: int, d: int) -> bool:

@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import LabelledGraph, UnknownVertexError, _bits_to_set
+from .graphs import LabelledGraph
 from .outer import PartialConjugation
 
 Word = tuple  # tuple[tuple[int, int], ...]
@@ -303,10 +303,7 @@ def parse_word_literal(g: LabelledGraph, text: str) -> Word:
             except ValueError:  # more digits than int() converts
                 raise WordError(f"bad exponent in word token {token!r}") from None
         syllables.append((g.index(name), exponent))
-    try:
-        return make_word(g, syllables)
-    except UnknownVertexError as exc:  # pragma: no cover - names checked above
-        raise WordError(str(exc)) from exc
+    return make_word(g, syllables)
 
 
 def format_word(g: LabelledGraph, w: Word) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import io
 import itertools
@@ -957,19 +958,30 @@ _SUITE = ("silscope.harness", "silscope.words", "silscope.dot",
 _LEAN = _SUITE + ("dataclasses", "inspect")
 
 
-@pytest.mark.parametrize("argv, loaded, absent", [
-    (["classify", fixture("pentagon_triangle")], (), _LEAN),
-    (["sils", fixture("pentagon_triangle")], (), _LEAN),
-    (["classify", "--dot", "OUT", fixture("pentagon_triangle")],
+_CALLS = [
+    ("classify", ["classify", fixture("pentagon_triangle")], (), _LEAN),
+    ("sils", ["sils", fixture("pentagon_triangle")], (), _LEAN),
+    ("classify_dot",
+     ["classify", "--dot", "OUT", fixture("pentagon_triangle")],
      ("silscope.dot",), ("silscope.harness", "silscope.words",
                          "concurrent.futures")),
-    (["reduce", fixture("pentagon_triangle"), "v1 d v1"], ("silscope.words",),
+    ("reduce", ["reduce", fixture("pentagon_triangle"), "v1 d v1"],
+     ("silscope.words",),
      ("silscope.harness", "silscope.dot", "concurrent.futures")),
-    (["verify", "--max-vertices", "3", "--dedup"], ("silscope.harness",),
+    ("verify", ["verify", "--max-vertices", "3", "--dedup"],
+     ("silscope.harness",),
      ("silscope.words", "silscope.dot", "concurrent.futures",
-      "multiprocessing"))],
-    ids=["classify", "sils", "classify_dot", "reduce", "verify"])
-def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, argv,
+      "multiprocessing"))]
+
+
+# two entries: ``main`` called from a script, and the console entry
+# ``python -m silscope.cli``, which runs cli as ``__main__`` and, under
+# ``-X importtime``, names each module on stderr as it loads
+@pytest.mark.parametrize("entry, argv, loaded, absent", [
+    pytest.param(entry, argv, loaded, absent, id=name + suffix)
+    for entry, suffix in (("main", ""), ("-m", "-m"))
+    for name, argv, loaded, absent in _CALLS])
+def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, entry, argv,
                                                         loaded, absent):
     # each module compiles from source on every call when no bytecode is
     # written, as in the benchmark
@@ -979,15 +991,47 @@ def test_a_call_loads_only_the_modules_its_command_runs(tmp_path, argv,
               "code = main(sys.argv[1:])\n"
               "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
-    run = subprocess.run([sys.executable, "-c", script, *argv],
+    command = (["-X", "importtime", "-m", "silscope.cli"] if entry == "-m"
+               else ["-c", script])
+    run = subprocess.run([sys.executable, *command, *argv],
                          capture_output=True, text=True, env=_env_with_src(),
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
-    modules = set(json.loads(run.stderr.splitlines()[-1]))
+    if entry == "-m":
+        modules = {line.rpartition("|")[2].strip()
+                   for line in run.stderr.splitlines()
+                   if line.startswith("import time:")}
+    else:
+        modules = set(json.loads(run.stderr.splitlines()[-1]))
     assert modules >= {"silscope.graphs", "silscope.sils", "silscope.outer",
                        *loaded}
     assert not modules & set(absent)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports is read in it: in code,
+    in an annotation or in ``__all__``."""
+    unused = []
+    for path in sorted(Path(silscope.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = [], set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                imported += [(node.lineno, alias.asname
+                              or alias.name.partition(".")[0])
+                             for alias in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(c.value for c in ast.walk(node.value)
+                            if isinstance(c, ast.Constant))
+        unused += [f"{path.name}:{line} {name}"
+                   for line, name in imported if name not in used]
+    assert unused == []
 
 
 def test_a_word_error_exits_2_from_a_fresh_console_entry():
