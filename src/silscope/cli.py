@@ -183,10 +183,7 @@ def _parse_genspec(g: LabelledGraph, text: str) -> outer.PartialConjugation:
         vertex = g.index(m.group(1))
         comp_names = [t.strip() for t in m.group(2).split(",") if t.strip()]
     comp = frozenset(g.index(name) for name in comp_names)
-    try:
-        return outer.validate_partial_conjugation(sils.Census(g), vertex, comp)
-    except ValueError as exc:
-        raise GraphError(str(exc)) from exc
+    return outer.validate_partial_conjugation(sils.Census(g), vertex, comp)
 
 
 def _genspec_object(g: LabelledGraph, text: str) -> tuple[int, list]:
@@ -490,14 +487,6 @@ def _stdout_to_devnull() -> None:
         os.close(devnull)
 
 
-def _input_errors() -> tuple:
-    """The errors that ``main`` reports as malformed input: ``GraphError``,
-    and ``words.WordError`` once the word engine is loaded.  Only the
-    commands that read a word load it, so no other can raise it."""
-    words = sys.modules.get(f"{__package__}.words")
-    return (GraphError,) if words is None else (GraphError, words.WordError)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read_plain(argv) or build_parser().parse_args(argv)
@@ -515,7 +504,7 @@ def main(argv=None) -> int:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "
               f"{exc.msg}", file=sys.stderr)
         return 2
-    except _input_errors() as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -23,7 +23,7 @@ MAX_ORDER = 2**31 - 1  # largest accepted vertex order
 
 
 class GraphError(ValueError):
-    """Malformed graph input (parse errors, bad order map, non-simple graph)."""
+    """Malformed input: a graph file, a word or a generator spec."""
 
 
 class UnknownVertexError(GraphError):
@@ -229,11 +229,8 @@ def from_json_dict(data: object) -> LabelledGraph:
                              f"{sorted(set(entry) - _VERTEX_KEYS)}")
         vertices.append((entry["name"], entry.get("order", 2)))
     for e in raw_edges:
-        # what json.loads builds passes the first test; a subclass the second
-        if not (type(e) is list and len(e) == 2 and type(e[0]) is str
-                and type(e[1]) is str) and not (
-                isinstance(e, list) and len(e) == 2
-                and all(isinstance(name, str) for name in e)):
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+                and isinstance(e[1], str)):
             raise GraphError(f"bad edge entry: {e!r}; expected an array of two "
                              "vertex names")
     return make_graph(vertices, raw_edges)

@@ -25,7 +25,8 @@ import enum
 import json
 from typing import NamedTuple, Sequence
 
-from .graphs import LabelledGraph, _bits_to_set, component_masks, vertex_names
+from .graphs import (GraphError, LabelledGraph, _bits_to_set, component_masks,
+                     vertex_names)
 from .sils import Census, _fsil_triples, _stil_count
 
 DINF = "D∞"  # D-infinity, the infinite dihedral group
@@ -49,13 +50,13 @@ class PartialConjugation(NamedTuple):
 
 def validate_partial_conjugation(census: Census, v: int,
                                  component: frozenset) -> PartialConjugation:
-    """chi_{v,C} if C is a component of G - St(v), else ValueError."""
+    """chi_{v,C} if C is a component of G - St(v), else GraphError."""
     g = census.graph
     g.check_vertex(v)
     if sum(1 << g.check_vertex(u) for u in component) in census.star_splits[v]:
         return PartialConjugation(v, component)
     names = json.dumps(vertex_names(g, component), ensure_ascii=False)
-    raise ValueError(
+    raise GraphError(
         f"{names} is not a connected component of the graph minus "
         f"St({g.names[v]})")
 

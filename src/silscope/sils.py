@@ -39,6 +39,7 @@ without walking them.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 from .graphs import LabelledGraph, _bits_to_set, component_masks
@@ -117,15 +118,10 @@ class Census:
                         rows[j] |= 1 << i
         self.non_commuting = tuple(rows)
 
-    @property
+    @cached_property
     def _order_two(self) -> int:
         """The mask of the vertices of order 2, computed on first read."""
-        try:
-            return self._two
-        except AttributeError:
-            two = self._two = sum(1 << v for v, m in enumerate(self.graph.orders)
-                                  if m == 2)
-            return two
+        return sum(1 << v for v, m in enumerate(self.graph.orders) if m == 2)
 
     def components(self) -> tuple:
         """Components of the graph, as ``frozenset`` vertex sets ordered by

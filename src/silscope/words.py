@@ -42,14 +42,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import LabelledGraph
+from .graphs import GraphError, LabelledGraph
 from .outer import PartialConjugation
 
 Word = tuple  # tuple[tuple[int, int], ...]
 EPSILON: Word = ()
 
 
-class WordError(ValueError):
+class WordError(GraphError):
     """Malformed word input (bad vertex, bad literal syntax)."""
 
 

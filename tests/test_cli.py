@@ -518,7 +518,7 @@ def test_exit_two_on_a_verify_count_that_is_no_ascii_decimal(capsys, flag,
 
 @pytest.mark.parametrize("argv, message", [
     (["--max-vertices", "8"], "max_vertices must be in 1..7 without dedup"),
-    (["--max-vertices", "9", "--dedup"], "max_vertices must be in 1..8"),
+    (["--max-vertices", "10", "--dedup"], "max_vertices must be in 1..9"),
 ])
 def test_exit_two_on_a_vertex_bound_past_the_limit(capsys, argv, message):
     # labelled enumeration on 8 vertices is 2^28 edge masks, hours of checks
@@ -528,7 +528,7 @@ def test_exit_two_on_a_vertex_bound_past_the_limit(capsys, argv, message):
 
 @pytest.mark.parametrize("flag, limit", [
     ("--orders", f"orders are at most {MAX_ORDER}"),
-    ("--max-vertices", "it is at most 8"),
+    ("--max-vertices", "it is at most 9"),
     ("--workers", "the pool has at most one process per CPU"),
 ])
 def test_exit_two_on_a_verify_number_too_long_for_int(capsys, flag, limit):

@@ -415,6 +415,24 @@ def test_dot_refuses_what_it_does_not_read(text, message):
         from_dot(text)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("graph G {\n  # note\n  a;\n}", ("a",)),
+    ('graph G { "a\\" }', "line 1: unterminated quoted name"),
+    ('graph G { "a\\b" }', ("a\\b",)),
+    ('graph G { "a\\\\" }', ("a\\",)),
+], ids=["indented_hash_line", "escaped_closing_quote", "lone_backslash",
+        "escaped_backslash"])
+def test_dot_reads_hash_lines_and_backslashes(text, expected):
+    """A '#' line is skipped even when indented.  In a quoted name a
+    backslash escapes a quote or a backslash and is kept before any other
+    character, so an escaped quote does not end the name."""
+    if isinstance(expected, str):
+        with pytest.raises(GraphError, match=f"^{expected}$"):
+            from_dot(text)
+    else:
+        assert from_dot(text).names == expected
+
+
 @pytest.mark.parametrize("key", ["Order", "ORDER", "ordr", "orders", "oder",
                                  "odrer", "ordet", "xorder"])
 def test_dot_refuses_a_misspelt_order(key):

@@ -349,14 +349,16 @@ def test_enum_spec_validation():
 def test_labelled_enumeration_is_bounded_at_seven_vertices(monkeypatch):
     """Every labelled graph on 8 vertices is one of 2^28 edge masks, hours
     of checks: that spec is refused, while labelled n <= 7 and dedup
-    n <= 8 are accepted.  Nothing is enumerated here."""
+    n <= 9 are accepted, and dedup n = 10 is refused.  Nothing is
+    enumerated here."""
     assert EnumSpec(7).max_vertices == 7
     assert EnumSpec(8, dedup_isomorphic=True).max_vertices == 8
+    assert EnumSpec(9, dedup_isomorphic=True).max_vertices == 9
     with pytest.raises(ValueError, match=r"^max_vertices must be in "
                                          r"1\.\.7 without dedup$"):
         EnumSpec(8)
-    with pytest.raises(ValueError, match=r"^max_vertices must be in 1\.\.8$"):
-        EnumSpec(9, dedup_isomorphic=True)
+    with pytest.raises(ValueError, match=r"^max_vertices must be in 1\.\.9$"):
+        EnumSpec(10, dedup_isomorphic=True)
     # a lower bound on every enumeration also caps the labelled one
     monkeypatch.setattr(harness, "MAX_ENUMERATION_VERTICES", 3)
     assert EnumSpec(3).max_vertices == 3
@@ -699,7 +701,8 @@ def test_one_search_per_parent_beyond_the_enumeration_bound():
     """On a seeded sample of the minimal graphs on 8 vertices, the search
     per parent gives each of the 256 rows of a ninth vertex the verdict and
     the automorphisms of the child's own search, one per twin-class
-    coset."""
+    coset.  The ninth vertex is the last layer that the bound admits; this
+    samples it without enumerating its 274,668 minimal graphs."""
     parents = [first.adj for first, _, _ in
                enumerate_graphs(EnumSpec(8, dedup_isomorphic=True))
                if first.n == 8]
