@@ -273,11 +273,11 @@ def _ascii_decimal(token: str, what: str, limit: str) -> int:
     when it has more digits than ``int()`` converts."""
     token = token.strip()
     if not re.fullmatch("[0-9]+", token):
-        raise ValueError(f"{what} {token!r} is not a decimal integer")
+        raise GraphError(f"{what} {token!r} is not a decimal integer")
     try:
         return int(token)
     except ValueError:  # more digits than int() converts
-        raise ValueError(f"{what} has {len(token)} digits; {limit}") from None
+        raise GraphError(f"{what} has {len(token)} digits; {limit}") from None
 
 
 def cmd_verify(args) -> int:
@@ -285,25 +285,20 @@ def cmd_verify(args) -> int:
 
     checks = (harness.DEFAULT_CHECKS if args.checks is None else
               tuple(t.strip() for t in args.checks.split(",") if t.strip()))
-    try:
-        max_vertices = _ascii_decimal(
-            args.max_vertices, "--max-vertices",
-            f"it is at most {harness.MAX_ENUMERATION_VERTICES}")
-        workers = _ascii_decimal(args.workers, "--workers",
-                                 "the pool has at most one process per CPU")
-        orders = tuple(_ascii_decimal(t, "order",
-                                      f"orders are at most {MAX_ORDER}")
-                       for t in args.orders.split(",") if t.strip())
-        spec = harness.EnumSpec(
-            max_vertices=max_vertices,
-            orders=orders,
-            dedup_isomorphic=args.dedup,
-            checks=checks,
-            workers=workers,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    max_vertices = _ascii_decimal(
+        args.max_vertices, "--max-vertices",
+        f"it is at most {harness.MAX_ENUMERATION_VERTICES}")
+    workers = _ascii_decimal(args.workers, "--workers",
+                             "the pool has at most one process per CPU")
+    orders = tuple(_ascii_decimal(t, "order", f"orders are at most {MAX_ORDER}")
+                   for t in args.orders.split(",") if t.strip())
+    spec = harness.EnumSpec(
+        max_vertices=max_vertices,
+        orders=orders,
+        dedup_isomorphic=args.dedup,
+        checks=checks,
+        workers=workers,
+    )
     checked = failed = 0
     for n, reports in harness.checked_chunks(spec):  # print as they come
         checked += n

@@ -23,7 +23,8 @@ MAX_ORDER = 2**31 - 1  # largest accepted vertex order
 
 
 class GraphError(ValueError):
-    """Malformed input: a graph file, a word or a generator spec."""
+    """Malformed input: a graph file, a word, a generator spec or an
+    enumeration spec."""
 
 
 class UnknownVertexError(GraphError):

@@ -38,13 +38,14 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator, Optional
 
-from .graphs import (MAX_ORDER, LabelledGraph, _bits_to_set, component_masks,
-                     is_vertex_order, to_json_dict, vertex_names)
+from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _bits_to_set,
+                     component_masks, is_vertex_order, to_json_dict,
+                     vertex_names)
 from .outer import PartialConjugation
 from .sils import Census, _fsil_triples, _stil_masks
 
@@ -311,12 +312,18 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
     automorphism makes it lexicographically smaller, so one per orbit.
     """
     k, dedup = len(spec.orders), spec.dedup_isomorphic
+    # C(t + k - 1, k - 1), the multisets over k orders on a twin class of
+    # t vertices (see ``_orbit_count``)
+    weight = tuple(comb(t + k - 1, k - 1)
+                   for t in range(spec.max_vertices + 1))
     level: list = [()]  # each graph on n-1 vertices, minimal with dedup
     for n in range(1, spec.max_vertices + 1):
         names = tuple(f"v{i + 1}" for i in range(n))
         first = spec.orders[:1] * n
-        sets = _row_sets(n - 1)
-        every_row = dict.fromkeys(range(1 << n - 1), ())  # without dedup
+        if dedup:
+            sets = _row_sets(n - 1)
+        else:
+            every_row = dict.fromkeys(range(1 << n - 1), ())
         children = []
         for padj in level:
             found = _minimal_rows(padj, sets) if dedup else every_row
@@ -328,37 +335,53 @@ def enumerate_graphs(spec: EnumSpec) -> Iterator[tuple]:
                 if dedup and k > 1:
                     auts = tuple(auts[1:])  # auts[0] is the identity
                     yield (LabelledGraph(names, first, adj),
-                           _orbit_count(k, adj, auts), auts)
+                           _orbit_count(weight, adj, auts), auts)
                 else:
                     yield LabelledGraph(names, first, adj), k ** n, ()
         level = children
 
 
-def _twin_lows(adj: tuple) -> list:
+def _twin_lows(adj: tuple) -> tuple:
     """The lowest twin of each vertex of ``adj``, which names its twin
-    class.  Twins u, v have N(u) - v = N(v) - u, an equivalence: N(u) =
-    N(v) if they are not adjacent, N[u] = N[v] if they are, and no vertex
-    has twins of both kinds."""
-    return [next(u for u in range(v + 1)
-                 if adj[u] & ~(1 << v) == a & ~(1 << u))
-            for v, a in enumerate(adj)]
+    class, and the size of each class keyed by that name, ascending.  Twins
+    u, v have N(u) - v = N(v) - u, an equivalence: N(u) = N(v) if they are
+    not adjacent, N[u] = N[v] if they are, and no vertex has twins of both
+    kinds: for a non-adjacent twin w of v and an adjacent twin u, u is in
+    N(v) = N(w), so w is in N[u] = N[v] and adjacent to v.  So one pass
+    finds each class by two keys: the first vertex seen with the open
+    neighbourhood ``adj[v]``, and the first with the closed one
+    ``adj[v] | 1 << v``; the lower of the two is v's lowest twin, v itself
+    if it has none."""
+    apart, together = {}, {}  # neighbourhood: its lowest vertex
+    low, size = [], {}
+    for v, a in enumerate(adj):
+        u = apart.setdefault(a, v)
+        w = together.setdefault(a | 1 << v, v)
+        if w < u:
+            u = w
+        low.append(u)
+        size[u] = size.get(u, 0) + 1
+    return low, size
 
 
-def _orbit_count(k: int, adj: tuple, auts: tuple) -> int:
+def _orbit_count(weight: tuple, adj: tuple, auts: tuple) -> int:
     """The number of orbits of the automorphisms of ``adj`` on the tuples
     over k orders, by Burnside's lemma over the cosets of the normal
     subgroup S that permutes each twin class: R, the identity and
     ``auts``, holds one r per coset.  An orbit of S is a multiset on each
-    class, C(t + k - 1, k - 1) on t vertices, and rS fixes it iff it is
-    constant on each cycle of r on the classes, walked from its lowest."""
-    low = _twin_lows(adj)
-    weight = {u: comb(t + k - 1, k - 1) for u, t in Counter(low).items()}
-    total = prod(weight.values())
+    class, ``weight[t]`` = C(t + k - 1, k - 1) on t vertices, and rS fixes
+    it iff it is constant on each cycle of r on the classes, walked from
+    its lowest.  With no r but the identity, the count is the product of
+    the weights."""
+    low, size = _twin_lows(adj)
+    total = prod(map(weight.__getitem__, size.values()))
+    if not auts:
+        return total
     for perm in auts:
         fixed, seen = 1, 0
-        for u, w in weight.items():
+        for u, t in size.items():
             if not seen >> u & 1:
-                fixed *= w
+                fixed *= weight[t]
                 v = low[perm[u]]
                 while v != u:
                     seen |= 1 << v
@@ -657,44 +680,44 @@ class EnumSpec:
         for name in ("orders", "checks"):
             value = getattr(self, name)
             if isinstance(value, str):
-                raise ValueError(f"{name} must be a sequence, not a str")
+                raise GraphError(f"{name} must be a sequence, not a str")
             try:
                 object.__setattr__(self, name, tuple(value))
             except TypeError:
-                raise ValueError(f"{name} must be a sequence, not "
+                raise GraphError(f"{name} must be a sequence, not "
                                  f"{type(value).__name__} {value!r}") from None
         for name in ("max_vertices", "workers"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not "
+                raise GraphError(f"{name} must be an int, not "
                                  f"{type(value).__name__} {value!r}")
         dedup = self.dedup_isomorphic
         if not isinstance(dedup, bool):
-            raise ValueError("dedup_isomorphic must be a bool, not "
+            raise GraphError("dedup_isomorphic must be a bool, not "
                              f"{type(dedup).__name__} {dedup!r}")
         bound = (MAX_ENUMERATION_VERTICES if self.dedup_isomorphic
                  else min(MAX_ENUMERATION_VERTICES, MAX_LABELLED_VERTICES))
         if not 1 <= self.max_vertices <= bound:
-            raise ValueError(f"max_vertices must be in 1..{bound}"
+            raise GraphError(f"max_vertices must be in 1..{bound}"
                              + ("" if self.dedup_isomorphic else
                                 " without dedup"))
         if not self.orders:
-            raise ValueError("the order alphabet is empty")
+            raise GraphError("the order alphabet is empty")
         for m in self.orders:
             if not is_vertex_order(m):
-                raise ValueError(f"order alphabet entry {m} is not a prime power "
+                raise GraphError(f"order alphabet entry {m} is not a prime power "
                                  f"in 2..{MAX_ORDER}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise GraphError("workers must be >= 1")
         if not self.checks:
-            raise ValueError("no check ids given")
+            raise GraphError("no check ids given")
         for c in self.checks:
             if not isinstance(c, str):
-                raise ValueError(f"checks must be str ids, not "
+                raise GraphError(f"checks must be str ids, not "
                                  f"{type(c).__name__} {c!r}")
         unknown = [c for c in self.checks if c not in CHECKS]
         if unknown:
-            raise ValueError(f"unknown check ids: {unknown}; "
+            raise GraphError(f"unknown check ids: {unknown}; "
                              f"known: {sorted(CHECKS)}")
         object.__setattr__(self, "orders", tuple(sorted(set(self.orders))))
         object.__setattr__(self, "checks", tuple(sorted(set(self.checks))))

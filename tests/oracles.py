@@ -41,6 +41,9 @@ report per failing mask, with the count of the tuples it stands for,
 where the suite driver once listed them with ``_kept_tuples`` and wrote a
 report per tuple, in the format of ``TupleReport``; ``expand_reports``
 lists them again, and ``run_suite_per_graph`` writes that format.
+Its ``_twin_lows`` tests each vertex against every lower one, where the
+library keys every vertex by its open and closed neighbourhoods in one
+pass.
 Labelled graphs are built here from their edge masks pair by pair
 (``graph_from_bits``), where the library extends each mask on one vertex
 fewer by the rows of a new vertex, as the dedup enumeration does.
@@ -80,7 +83,7 @@ from silscope.graphs import (GRAPH_JSON_KEYS, MAX_ORDER, VERTEX_JSON_KEYS,
                              GraphError, LabelledGraph, UnknownVertexError,
                              _bits_to_set, component_masks, is_vertex_order,
                              to_json_dict, vertex_names)
-from silscope.harness import CHECKS, _twin_lows, enumerate_graphs
+from silscope.harness import CHECKS, enumerate_graphs
 from silscope.outer import PartialConjugation, validate_partial_conjugation
 from silscope.sils import Census, _fsil_triples, _stil_masks, commute_rule
 from silscope.words import (EPSILON, Automorphism0, _inverse, _peel_left,
@@ -601,6 +604,16 @@ def graph_from_bits(n, mask, orders):
             adj[j] |= 1 << i
     names = tuple(f"v{i + 1}" for i in range(n))
     return LabelledGraph(names, tuple(orders), tuple(adj))
+
+
+def _twin_lows(adj: tuple) -> list:
+    """The lowest twin of each vertex of ``adj``, which names its twin
+    class.  Twins u, v have N(u) - v = N(v) - u, an equivalence: N(u) =
+    N(v) if they are not adjacent, N[u] = N[v] if they are, and no vertex
+    has twins of both kinds."""
+    return [next(u for u in range(v + 1)
+                 if adj[u] & ~(1 << v) == a & ~(1 << u))
+            for v, a in enumerate(adj)]
 
 
 def _kept_tuples(alphabet: tuple, adj: tuple, auts: tuple) -> list:

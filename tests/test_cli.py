@@ -18,7 +18,7 @@ import silscope
 from silscope import (Census, cli, from_dot, from_json, from_json_dict,
                       harness, make_graph, to_json_dict)
 from silscope.cli import build_parser, build_report, main
-from silscope.graphs import MAX_ORDER
+from silscope.graphs import MAX_ORDER, GraphError
 from silscope.harness import CHECKS, CounterexampleReport, EnumSpec
 
 import conftest as fx
@@ -538,6 +538,16 @@ def test_exit_two_on_a_verify_number_too_long_for_int(capsys, flag, limit):
     what = "order" if flag == "--orders" else flag
     assert code == 2 and out == ""
     assert err == f"error: {what} has 5000 digits; {limit}\n"
+
+
+@pytest.mark.parametrize("token", ["x", "1_1", "+3", "", "7" * 5000],
+                         ids=["letter", "underscore", "sign", "empty",
+                              "5000_digits"])
+def test_a_verify_number_that_is_no_count_is_a_graph_error(token):
+    """``main``'s one malformed-input handler reports it: a number token
+    that is refused raises ``GraphError``, still a ``ValueError``."""
+    with pytest.raises(GraphError):
+        cli._ascii_decimal(token, "--workers", "no limit")
 
 
 def test_verify_counts_may_be_padded_with_whitespace(capsys):

@@ -17,7 +17,7 @@ import pytest
 
 from silscope import (from_json_dict, harness, make_graph, sils, to_json_dict,
                       words)
-from silscope.graphs import component_masks, load_graph
+from silscope.graphs import GraphError, component_masks, load_graph
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, run_suite)
 from silscope.outer import build_p0
@@ -255,6 +255,28 @@ def test_burnside_counts_the_kept_order_tuples(spec):
     assert records > 50
 
 
+@pytest.mark.parametrize("spec, records", [
+    (EnumSpec(7, orders=(2, 3), dedup_isomorphic=True), 1252),
+    (EnumSpec(6, orders=(2, 3, 4), dedup_isomorphic=True), 208),
+    (EnumSpec(5, orders=(2, 3, 5, 7), dedup_isomorphic=True), 52),
+], ids=["dedup_7_23", "dedup_6_234", "dedup_5_2357"])
+def test_neighbourhood_keys_give_the_pairwise_twin_classes(spec, records):
+    """On every record, the one-pass twin classes equal the reference's,
+    which tests each vertex against every lower one, with each class's
+    size, and the record's count is the number of tuples the reference
+    keeps."""
+    seen = 0
+    for first, count, auts in enumerate_graphs(spec):
+        low, size = harness._twin_lows(first.adj)
+        want = oracles._twin_lows(first.adj)
+        assert low == want, first
+        assert list(size.items()) == sorted(Counter(want).items()), first
+        assert count == len(oracles._kept_tuples(spec.orders, first.adj,
+                                                 auts)), first
+        seen += 1
+    assert seen == records
+
+
 def test_listed_automorphisms_are_one_per_twin_class_coset():
     """With two or more orders, a record lists one automorphism r of each
     coset rS of the group S that permutes every twin class within itself,
@@ -344,6 +366,21 @@ def test_enum_spec_validation():
         EnumSpec(3, orders=iter([]))
     with pytest.raises(ValueError, match=r"^unknown check ids: \['x'\]"):
         EnumSpec(3, checks=iter(["lemma_7", "x"]))
+
+
+@pytest.mark.parametrize("fields", [
+    {"max_vertices": 0}, {"max_vertices": 8}, {"max_vertices": 3.0},
+    {"workers": 0}, {"workers": True}, {"dedup_isomorphic": "no"},
+    {"orders": ()}, {"orders": (2, 6)}, {"orders": "2"}, {"orders": 5},
+    {"checks": ()}, {"checks": "lemma_4"}, {"checks": 5}, {"checks": [["x"]]},
+    {"checks": ["x"]},
+], ids=lambda fields: "-".join(f"{k}={v!r}" for k, v in fields.items()))
+def test_every_enum_spec_refusal_is_a_graph_error(fields):
+    """A refused enumeration spec is malformed input, which the command
+    line reports by one handler: each of ``EnumSpec``'s refusals raises
+    ``GraphError``, still a ``ValueError``."""
+    with pytest.raises(GraphError):
+        EnumSpec(**{"max_vertices": 3, **fields})
 
 
 def test_labelled_enumeration_is_bounded_at_seven_vertices(monkeypatch):
