@@ -9,9 +9,12 @@ Adjacency is stored as one bitmask per vertex, which keeps the exhaustive
 enumeration and word-rewriting layers cheap without any dependencies.
 The link of v is the mask ``adj[v]`` and its star ``adj[v] | 1 << v``.
 The primitive queries are :func:`vertex_names`, which turns vertex
-indices back into names, and :func:`component_masks`, the connected
-components of an induced subgraph as bitmasks; the census in
-:mod:`silscope.sils` reads every separation off the latter.
+indices back into names, :func:`component_masks`, the connected
+components of an induced subgraph as bitmasks, and :func:`reached_mask`,
+the union of those components that meet a set of seeds; the census in
+:mod:`silscope.sils` reads every separation off the second, and checks
+that test one component, or the few that meet some vertices, search with
+the third.
 """
 
 from __future__ import annotations
@@ -181,6 +184,24 @@ def component_masks(adj: Sequence[int], keep_mask: int) -> tuple[int, ...]:
             frontier |= new
         out.append(comp)
     return tuple(out)
+
+
+def reached_mask(adj: Sequence[int], seeds: int, keep_mask: int) -> int:
+    """The vertices of the subgraph induced on the bitmask ``keep_mask``
+    reached from its vertices in ``seeds``: the union of the components
+    of ``component_masks(adj, keep_mask)`` that meet ``seeds``.  A seed
+    outside ``keep_mask`` reaches nothing.  Only the reached vertices'
+    adjacency is read; nothing is checked, as in ``component_masks``."""
+    comp = frontier = seeds & keep_mask
+    rest = keep_mask ^ comp
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & rest
+        rest ^= new
+        comp |= new
+        frontier |= new
+    return comp
 
 
 def _bits_to_set(mask: int) -> frozenset:

@@ -44,8 +44,8 @@ from math import comb, prod
 from typing import Iterator, Optional
 
 from .graphs import (MAX_ORDER, GraphError, LabelledGraph, _bits_to_set,
-                     component_masks, is_vertex_order, to_json_dict,
-                     vertex_names)
+                     component_masks, is_vertex_order, reached_mask,
+                     to_json_dict, vertex_names)
 from .outer import PartialConjugation
 from .sils import Census, _fsil_triples, _stil_masks
 
@@ -400,21 +400,22 @@ def check_lemma_2_2(census: Census) -> Optional[tuple]:
     The census reads each Sil off a component shared by both star splits,
     so that holds by construction.  As evidence of its own, a search here
     checks that C of {a, b | C} is a component of G minus lk(a) & lk(b):
-    one search per pair, as the Sils come sorted by pair.  Only a Sil that
-    fails that test is looked at again, by ``_lemma_2_2_verdict``.
+    one search per Sil, from the lowest vertex of C and inside G minus
+    the common link, must reach exactly C.  A seed in the common link
+    reaches nothing, and a passing search visits C alone.  Only a Sil that
+    fails that test is looked at again, by ``_lemma_2_2_verdict``, which
+    splits the whole of G minus the common link for its wording.
     """
-    g = census.graph
-    full = (1 << g.n) - 1
+    adj = census.graph.adj
+    full = (1 << len(adj)) - 1
     owners = census._star_owners
-    pair = None
     for a, b, _, mask in census._sil_masks:
-        if (a, b) != pair:
-            pair = a, b
-            split = component_masks(g.adj, full & ~(g.adj[a] & g.adj[b]))
         ends = 1 << a | 1 << b
+        keep = full & ~(adj[a] & adj[b])
         if (owners.get(mask, 0) & ends != ends or mask & ends
-                or mask not in split):
-            verdict = _lemma_2_2_verdict(census, a, b, mask, split)
+                or reached_mask(adj, mask & -mask, keep) != mask):
+            verdict = _lemma_2_2_verdict(census, a, b, mask,
+                                         component_masks(adj, keep))
             if verdict:
                 return verdict
     return None
@@ -493,7 +494,14 @@ def check_lemma_7(census: Census) -> Optional[tuple]:
 
 def check_lemma_1_7(census: Census) -> Optional[tuple]:
     """Two separating pairs sharing one vertex and a witness give a
-    separating triple on the three vertices at that witness."""
+    separating triple on the three vertices at that witness.
+
+    A shared witness fails if its component of G minus the common link of
+    the triple meets the triple.  So one search per qualifying pair of
+    Sils, seeded with the triple, whose vertices all lie outside their
+    common link, reaches every component that meets it, and no other; the
+    witnesses it reaches fail.
+    """
     if len(census.split) > 1:
         return None
     g = census.graph
@@ -509,9 +517,8 @@ def check_lemma_1_7(census: Census) -> Optional[tuple]:
         triple = p1 | p2
         x1, x2, x3 = (m.bit_length() - 1 for m in (common, p1 ^ common,
                                                     p2 ^ common))
-        split = component_masks(adj, full & ~(adj[x1] & adj[x2] & adj[x3]))
-        # a witness fails if its component of the split meets the triple
-        failed = witnesses & sum(c for c in split if c & triple)
+        failed = witnesses & reached_mask(
+            adj, triple, full & ~(adj[x1] & adj[x2] & adj[x3]))
         if failed:
             z = (failed & -failed).bit_length() - 1
             return ({"triple": vertex_names(g, (x1, x2, x3)),
@@ -522,9 +529,13 @@ def check_lemma_1_7(census: Census) -> Optional[tuple]:
 
 
 def check_finite_equiv(census: Census) -> Optional[tuple]:
-    """No separating pair iff all generator pairs commute."""
+    """No separating pair iff all generator pairs commute.
+
+    Whether all commute is read off the census's rows if they are built,
+    else scanned up to the first pair that fails to commute, building no
+    rows."""
     count = len(census._sil_masks)
-    all_commute = not any(census.non_commuting)
+    all_commute = census._all_commute()
     if (not count) != all_commute:
         return ({"sil_count": count, "all_commute": all_commute},
                 "separating-pair census disagrees with generator commutation")

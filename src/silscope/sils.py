@@ -9,14 +9,17 @@ Every one of these, and every star cut, is a connected component of the
 graph minus some vertex set S: a common link of two or three vertices, or
 a star.  A :class:`Census` holds one graph and the n + 1 splits it reads,
 as component bitmasks: G minus each star, and G itself.  When it is built
-it computes from them every bitmask fact: the generators, the Sil masks,
-one witness index from each separated pair to the union of its separated
-components, and the non-commutation rows.  It holds masks only, and every
-consumer of one graph reads the same census: the classifier counts on the
-masks, the classification report and the ``silscope sils`` listing are
-written from them, and the checks of :mod:`silscope.harness` decide on
-them and word a failing verdict from them.  No Sil, Stil or Fsil is ever
-built as an object.
+it computes from them the generators, the Sil masks and one witness index
+from each separated pair to the union of its separated components.  The
+non-commutation rows it builds on first read: only the commutation
+presentation, the classification report and the Lemma 1.4 oracle read
+them, and the ``finite_equiv`` check asks only whether some two
+generators fail to commute, which a scan answers at the first such pair.
+It holds masks only, and every consumer of one graph reads the same
+census: the classifier counts on the masks, the classification report and
+the ``silscope sils`` listing are written from them, and the checks of
+:mod:`silscope.harness` decide on them and word a failing verdict from
+them.  No Sil, Stil or Fsil is ever built as an object.
 
 The Sils and Stils are read off the star splits alone.  For vertices a, b
 (and c) outside a vertex set C, spanning at most one edge, C is a
@@ -31,10 +34,11 @@ at most one edge.
 Cost: n + 1 BFS, one per star and one of G, plus O(sum over C of |V_C|^2)
 mask operations and the output, which is O(n^3) at worst.  Two
 generators can fail to commute only if their acting vertices form a Sil
-pair, so the non-commutation rows cost one rule test per pair of
-generators at the two vertices of each Sil pair, not per pair of all g
-generators.  The Stils are counted in closed form per star component,
-without walking them.
+pair, so the non-commutation rows, when read, cost one rule test per pair
+of generators at the two vertices of each Sil pair, not per pair of all g
+generators; a census whose rows are never read pays none of it.  The
+Stils are counted in closed form per star component, without walking
+them.
 """
 
 from __future__ import annotations
@@ -48,22 +52,26 @@ from .graphs import LabelledGraph, _bits_to_set, component_masks
 class Census:
     """The separation census of one graph.
 
-    The constructor computes every bitmask fact the census holds.  It
-    stores the n + 1 splits it reads, as component masks ordered by lowest
-    bit: ``star_splits[v]`` of G - St(v) for each vertex v, and ``split`` of
-    G.  It stores ``generators``, one ``(v, C)`` per partial conjugation
-    chi_{v,C} of the generating set (Gutierrez, Piggott and Ruane, Groups
-    Geom. Dyn. 2012): for each star cut point v in turn, every component
-    mask C of G - St(v) but the first.  One loop over the vertices builds
-    the splits, the generators and each star component's owner set V_C.
-    From one sorted pass over the owner sets (see the module docstring) it
-    stores the Sil masks and the one witness index, ``witnesses``; and
-    ``non_commuting``, per generator the mask of those it does not commute
-    with (Sale and Susse, Trans. AMS 2019), testing for each Sil pair only
-    the generators at its two vertices.  The mask of the vertices of order
-    2 is computed on first read; only the Coxeter flag of a Sil, which the
-    classifier, the report and the ``sils`` listing read, depends on
-    vertex orders.  Nothing is shared between instances.
+    The constructor computes every bitmask fact the census holds but the
+    non-commutation rows.  It stores the n + 1 splits it reads, as
+    component masks ordered by lowest bit: ``star_splits[v]`` of G - St(v)
+    for each vertex v, and ``split`` of G.  It stores ``generators``, one
+    ``(v, C)`` per partial conjugation chi_{v,C} of the generating set
+    (Gutierrez, Piggott and Ruane, Groups Geom. Dyn. 2012): for each star
+    cut point v in turn, every component mask C of G - St(v) but the
+    first.  One loop over the vertices builds the splits, the generators
+    and each star component's owner set V_C.  From one sorted pass over the
+    owner sets (see the module docstring) it stores the Sil masks and the
+    one witness index, ``witnesses``.  ``non_commuting``, per generator the
+    mask of those it does not commute with (Sale and Susse, Trans. AMS
+    2019), is built from the witness index on first read, testing for each
+    Sil pair only the generators at its two vertices; the commutation
+    presentation, the classification report and the Lemma 1.4 oracle read
+    it.  ``_all_commute`` reads the rows if they are built, else scans the
+    same pairs up to the first that fails to commute.  The mask of the
+    vertices of order 2 is computed on first read; only the Coxeter flag
+    of a Sil, which the classifier, the report and the ``sils`` listing
+    read, depends on vertex orders.  Nothing is shared between instances.
     """
 
     def __init__(self, graph: LabelledGraph) -> None:
@@ -106,17 +114,54 @@ class Census:
         wit = self.witnesses = {}
         for a, b, _, comp in found:
             wit[a, b] = wit.get((a, b), 0) | comp
-        # only the generators at the two vertices of a Sil pair can fail
-        # to commute: test those at x against those at y for each (y, x)
-        rows = [0] * len(gens)
-        for (y, x), witnesses in wit.items():
+        self._first = first
+        # the non-commutation rows, built on first read by a plain
+        # property over this attribute: the oracle reads the rows of every
+        # census, and in 3.11 ``cached_property`` takes a lock per census,
+        # while a class ``__getattr__`` stops the specialising of every
+        # attribute read on a census
+        self._rows = None
+
+    @property
+    def non_commuting(self) -> tuple:
+        """Per generator, the mask of the generators it does not commute
+        with, built on first read."""
+        rows = self._rows
+        if rows is None:
+            rows = [0] * len(self.generators)
+            self._scan_commutation(rows)
+            rows = self._rows = tuple(rows)
+        return rows
+
+    def _all_commute(self) -> bool:
+        """Whether every two generators commute: read off the rows if they
+        are built, else by a scan that stops at the first pair that does
+        not."""
+        rows = self._rows
+        if rows is not None:
+            return not any(rows)
+        return not self._scan_commutation(None)
+
+    def _scan_commutation(self, rows: list | None) -> bool:
+        """Whether some two generators fail to commute.  Only the
+        generators at the two vertices of a Sil pair can: those at x are
+        tested against those at y for each pair (y, x) of the witness
+        index.  With a list ``rows`` of zeros, one per generator, it sets
+        in each the bits of the generators that one fails to commute with;
+        with None it returns at the first such pair."""
+        splits, first = self.star_splits, self._first
+        found = False
+        for (y, x), witnesses in self.witnesses.items():
             at_y = splits[y][1:]
             for i, c in enumerate(splits[x][1:], first[x]):
                 for j, d in enumerate(at_y, first[y]):
                     if not commute_rule(witnesses, x, c, y, d):
+                        if rows is None:
+                            return True
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
-        self.non_commuting = tuple(rows)
+                        found = True
+        return found
 
     @cached_property
     def _order_two(self) -> int:

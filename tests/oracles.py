@@ -49,7 +49,10 @@ Labelled graphs are built here from their edge masks pair by pair
 fewer by the rows of a new vertex, as the dedup enumeration does.
 So are the census's non-commutation rows, which tested every pair of
 generators where the census tests only those at the two vertices of a
-Sil pair.  So is the census read as Sil, Stil and Fsil objects, which the
+Sil pair, and the loop that built them from those pairs with every
+census (``non_commuting_eager``), where the census builds them on first
+read and ``finite_equiv`` scans only up to the first pair that fails to
+commute.  So is the census read as Sil, Stil and Fsil objects, which the
 library no longer builds: ``enumerate_sils``, ``enumerate_stils``,
 ``enumerate_fsils``, ``sil_at``, ``is_sil``, ``shared_sil_component``,
 ``star_components`` and ``partial_conjugations`` read the census's
@@ -58,9 +61,10 @@ internals ``_sil_masks``, ``_order_two``, ``_star_owners``,
 ``_stil_masks`` and ``_fsil_triples``), never the graph, so that a census
 changed on purpose reads as its own objects.  So are the eight
 order-free checks and the report dict, which read those objects where the
-library reads the census's masks, and ``commutes``, ``star_cut_points``,
-``to_json`` and the commutator power probe, which no library code
-calls.  So is the
+library reads the census's masks, and split G minus a common link where
+``lemma_2_2`` and ``lemma_1_7`` search only the components they test,
+and ``commutes``, ``star_cut_points``, ``to_json`` and the commutator
+power probe, which no library code calls.  So is the
 graph JSON loader, ``from_json_dict`` with its ``make_graph``, which
 copied every edge into a tuple, built a key set per vertex entry, tested
 every vertex's order and kept a set of the edges seen, where the library
@@ -354,6 +358,27 @@ def non_commuting_by_pair_scan(census):
             if witnesses and not commute_rule(witnesses, x, c, y, d):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def non_commuting_eager(census):
+    """The census's non-commutation rows as its constructor built them on
+    every census, reading the generators at the two vertices of each Sil
+    pair: the loop moved here as it was, with ``first[v]``, the index of
+    v's first generator, recounted from the generators."""
+    splits, gens = census.star_splits, census.generators
+    wit = census.witnesses
+    first = [sum(1 for u, _ in gens if u < v) for v in range(census.graph.n)]
+    # only the generators at the two vertices of a Sil pair can fail
+    # to commute: test those at x against those at y for each (y, x)
+    rows = [0] * len(gens)
+    for (y, x), witnesses in wit.items():
+        at_y = splits[y][1:]
+        for i, c in enumerate(splits[x][1:], first[x]):
+            for j, d in enumerate(at_y, first[y]):
+                if not commute_rule(witnesses, x, c, y, d):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
     return tuple(rows)
 
 

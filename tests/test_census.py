@@ -25,6 +25,10 @@ every generator pair on every class of dedup n <= 7 {2} and n <= 6
 matchings plus a universal vertex, G(n, p)) where most generator pairs
 are skipped, together with the rule that scans the Sils.  There, and on
 every fixture, the closed-form Stil count equals the Stils enumerated.
+The rows are built on first read: on every record of three small specs,
+the benchmark's pool graphs and every fixture they equal the loop that
+built them with every census, the scan that stops at the first pair
+failing to commute agrees with them, and ``classify`` builds none.
 The generating set, the presentation, the classifier, the report and the
 word oracle read its bitmasks only: no module of the package defines a
 Sil, Stil or Fsil object or a reading of the census as one.  ``oracles``
@@ -34,6 +38,7 @@ the one written from them.
 """
 
 import importlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -434,6 +439,72 @@ def test_rows_and_counts_on_sparse_families():
 def test_classify_counts_on_every_fixture():
     for path in sorted(FIXTURES.glob("*.json")):
         check_counts(Census(load_graph(str(path))))
+
+
+def pool_graphs():
+    """The 100 graphs of the benchmark's classify pool, 12 to 36 vertices,
+    read from ``perfbench/graphgen.py``, which needs nothing from
+    silscope."""
+    path = Path(__file__).parents[1] / "perfbench" / "graphgen.py"
+    spec = importlib.util.spec_from_file_location("graphgen", path)
+    graphgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(graphgen)
+    return [silscope.from_json_dict(data) for data in graphgen.pool()]
+
+
+def lazy_row_graphs():
+    """The first graph of every record of dedup n <= 7 {2}, dedup n <= 5
+    {2, 3, 4} and labelled n <= 4 {2, 3, 4}, the pool graphs and every
+    fixture."""
+    for spec in (EnumSpec(7, dedup_isomorphic=True),
+                 EnumSpec(5, orders=(2, 3, 4), dedup_isomorphic=True),
+                 EnumSpec(4, orders=(2, 3, 4))):
+        for first, _, _ in harness.enumerate_graphs(spec):
+            yield first
+    yield from pool_graphs()
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield load_graph(str(path))
+
+
+def test_rows_built_on_first_read_equal_the_eager_loop():
+    """The rows a census builds on first read equal the loop that built
+    them with every census; before that read, the scan that stops at the
+    first pair failing to commute says whether all commute as the rows do,
+    and builds no rows; after it, the rows answer."""
+    count = 0
+    for g in lazy_row_graphs():
+        census = Census(g)
+        rows = oracles.non_commuting_eager(census)
+        assert census._all_commute() == (not any(rows)), g
+        assert census._rows is None
+        assert census.non_commuting == rows, g
+        assert census.non_commuting is census.non_commuting
+        assert census._all_commute() == (not any(rows))
+        count += 1
+    fixtures = len(list(FIXTURES.glob("*.json")))
+    assert count == 1252 + 52 + 75 + 100 + fixtures
+
+
+def test_classify_builds_no_rows():
+    built = []
+
+    class Recorded(Census):
+        def _scan_commutation(self, rows):
+            if rows is not None:
+                built.append(self)
+            return super()._scan_commutation(rows)
+
+    graphs = pool_graphs() + [load_graph(str(path))
+                              for path in sorted(FIXTURES.glob("*.json"))]
+    for g in graphs:
+        census = Recorded(g)
+        classify(census)
+        assert census._rows is None
+    assert built == []
+    # the presentation reads them, built once per census
+    census = Recorded(graphs[0])
+    presentation(census), presentation(census)
+    assert built == [census]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from silscope import (Census, GraphError, UnknownVertexError, from_dot,
                       from_json, from_json_dict, make_graph, to_dot)
 from silscope import graphs as graphs_module
-from silscope.graphs import component_masks, is_prime_power
+from silscope.graphs import component_masks, is_prime_power, reached_mask
 
 import oracles
 from oracles import star_components, star_cut_points, to_json
@@ -153,10 +153,17 @@ def test_components_partition(g, data):
 
 @given(labelled_graphs(max_n=9), st.data())
 def test_component_masks_match_union_find(g, data):
+    """The components of a kept mask are the union-find ones, and
+    ``reached_mask`` is the union of those that meet the seeds; a seed
+    outside the kept mask reaches nothing."""
     keep = data.draw(st.integers(0, (1 << g.n) - 1))
     parts = oracles.components_uf(g, [v for v in range(g.n) if keep >> v & 1])
     assert component_masks(g.adj, keep) == tuple(sum(1 << v for v in part)
                                                   for part in parts)
+    seeds = data.draw(st.integers(0, (1 << g.n) - 1))
+    assert reached_mask(g.adj, seeds, keep) == sum(
+        1 << v for part in parts if any(seeds >> u & 1 for u in part)
+        for v in part)
 
 
 @given(labelled_graphs())

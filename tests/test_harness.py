@@ -17,7 +17,8 @@ import pytest
 
 from silscope import (from_json_dict, harness, make_graph, sils, to_json_dict,
                       words)
-from silscope.graphs import GraphError, component_masks, load_graph
+from silscope.graphs import (GraphError, component_masks, load_graph,
+                             reached_mask)
 from silscope.harness import (CHECKS, CounterexampleReport, EnumSpec,
                               enumerate_graphs, run_suite)
 from silscope.outer import build_p0
@@ -784,6 +785,24 @@ def _replace_sil_masks(census, new):
                          for a, b, low, mask in census._sil_masks]
 
 
+def _common_link_in_components(census):
+    """Each Sil's C that lies above the common link of its pair gains the
+    link's lowest vertex, which becomes C's lowest, and the owner index
+    says that both ends of the pair own the new C: only the search of G
+    minus the common link, seeded outside that link, can tell."""
+    adj, owners = census.graph.adj, census._star_owners
+
+    def new(a, b, low, mask):
+        common = adj[a] & adj[b]
+        z = common & -common
+        if not z or z > low:
+            return a, b, low, mask
+        owners[mask | z] = owners.get(mask | z, 0) | 1 << a | 1 << b
+        return a, b, z, mask | z
+
+    _replace_sil_masks(census, new)
+
+
 # Changes to a census that make the order-free checks fail: each check
 # must still give the reference's verdict, witness and message.
 ALTERATIONS = {
@@ -791,12 +810,15 @@ ALTERATIONS = {
                                       census._sil_masks[:1]),
     "no_sils": lambda census: setattr(census, "_sil_masks", []),
     "no_witnesses": lambda census: setattr(census, "witnesses", {}),
+    # the rows are built on first read: these stand in for them
     "all_commute": lambda census: setattr(
-        census, "non_commuting", (0,) * len(census.non_commuting)),
+        census, "_rows", (0,) * len(census.generators)),
     "whole_components": lambda census: _replace_sil_masks(
         census, lambda a, b, low, mask: (a, b, 1, (1 << census.graph.n) - 1)),
     "lowest_vertex_components": lambda census: _replace_sil_masks(
         census, lambda a, b, low, mask: (a, b, low, low)),
+    "common_link_in_components": lambda census: _common_link_in_components(
+        census),
 }
 # the failing verdicts of each change on dedup n <= 6 {2}, per check: between
 # them, every one of the eight checks fails
@@ -805,10 +827,12 @@ ALTERED_FAILURES = {
                 "stil_two_sils": 67},
     "no_sils": {"finite_equiv": 120, "fsil_three_sils": 63,
                 "stil_two_sils": 67},
-    "no_witnesses": {"three_components_fsil": 22},
+    # the rows are built from the witness index on first read
+    "no_witnesses": {"finite_equiv": 120, "three_components_fsil": 22},
     "all_commute": {"finite_equiv": 120},
     "whole_components": {"lemma_1_7": 38, "lemma_2_2": 120},
     "lowest_vertex_components": {"lemma_2_2": 55},
+    "common_link_in_components": {"lemma_2_2": 106},
 }
 
 
@@ -1055,26 +1079,67 @@ def test_lemma_2_2_reports_a_sil_that_is_no_component_of_the_link_split(
         "minus their common link")
 
 
-def test_lemma_2_2_searches_each_sil_pair_once(monkeypatch):
+def test_lemma_2_2_searches_only_each_sils_component(monkeypatch):
     """In K_{2,4}, each of the six pairs of the four-vertex side has two
-    Sils, one per remaining vertex of that side, so twelve Sils need only
-    six searches of G minus a common link."""
+    Sils, one per remaining vertex of that side.  A passing check splits
+    no graph minus a common link: it runs one search per Sil, which reads
+    the adjacency of that Sil's component alone."""
     g = make_graph([(n, 2) for n in "ab1234"],
                    [(x, y) for x in "ab" for y in "1234"])
     census = Census(g)
     found = oracles.enumerate_sils(census)
     assert len(found) == 12
     assert len({s.pair for s in found}) == 6
-    calls = []
+    splits, searches = [], []
 
     def counted(adj, keep_mask):
-        calls.append(keep_mask)
+        splits.append(keep_mask)
         return component_masks(adj, keep_mask)
 
-    monkeypatch.setattr(harness, "component_masks", counted)
-    assert CHECKS["lemma_2_2"](census) is None
-    assert len(calls) == 6
+    def recorded(adj, seeds, keep_mask):
+        read = []
 
+        class Rows:
+            def __getitem__(self, v):
+                read.append(v)
+                return adj[v]
+
+        reached = reached_mask(Rows(), seeds, keep_mask)
+        searches.append((reached, read))
+        return reached
+
+    monkeypatch.setattr(harness, "component_masks", counted)
+    monkeypatch.setattr(harness, "reached_mask", recorded)
+    assert CHECKS["lemma_2_2"](census) is None
+    assert splits == []
+    assert searches == [(sum(1 << v for v in s.component), sorted(s.component))
+                        for s in found]
+
+
+def test_only_the_oracle_builds_the_commutation_rows(monkeypatch):
+    """The eight order-free checks build no non-commutation rows, not even
+    ``finite_equiv``, which asks only whether some pair fails to commute;
+    the oracle, which reads every row, builds them once per census."""
+    made, built = [], []
+
+    class Recorded(Census):
+        def __init__(self, graph):
+            super().__init__(graph)
+            made.append(self)
+
+        def _scan_commutation(self, rows):
+            if rows is not None:
+                built.append(self)
+            return super()._scan_commutation(rows)
+
+    monkeypatch.setattr(harness, "Census", Recorded)
+    assert run_suite(EnumSpec(6, dedup_isomorphic=True, checks=C8)) == (208, [])
+    assert len(made) == 208 and built == []
+    assert all(census._rows is None for census in made)
+    made.clear()
+    spec = EnumSpec(6, dedup_isomorphic=True, checks=("lemma_1_4_oracle",))
+    assert run_suite(spec) == (208, [])
+    assert len(made) == 208 and built == made
 
 def _fails_everywhere(census):
     return {}, "deliberately falsified check"
